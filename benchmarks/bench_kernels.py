@@ -1,17 +1,9 @@
-"""Benchmark the jitted kernels against the pure-numpy fallback.
-
-Run under the current backend:
+"""Time the two numeric kernels: batched unit-root regressions and the VAR
+simulation scan.
 
     python benchmarks/bench_kernels.py
-
-Compare both backends (re-executes itself with OCAMETRICS_DISABLE_NUMBA=1):
-
-    python benchmarks/bench_kernels.py --both
 """
 
-import os
-import subprocess
-import sys
 import time
 
 import numpy as np
@@ -22,7 +14,7 @@ def bench_adf(reps=2000, n_obs=200, max_lags=12):
 
     rng = np.random.default_rng(0)
     paths = rng.standard_normal((reps, n_obs)).cumsum(axis=1)
-    adf_batch(paths[:2], 1, max_lags, True)  # warm up / compile
+    adf_batch(paths[:2], 1, max_lags, True)  # warm up
     t0 = time.perf_counter()
     stats, _, _ = adf_batch(paths, 1, max_lags, True)
     elapsed = time.perf_counter() - t0
@@ -36,7 +28,7 @@ def bench_var_sim(n_obs=10_500, repeats=50):
     coefs = np.array([[[0.4, 0.1], [0.0, 0.3]], [[0.1, 0.0], [0.05, 0.1]]])
     intercept = np.array([0.01, -0.02])
     shocks = rng.standard_normal((n_obs, 2))
-    var_simulate(coefs, intercept, shocks[:10])  # warm up / compile
+    var_simulate(coefs, intercept, shocks[:10])  # warm up
     t0 = time.perf_counter()
     acc = 0.0
     for _ in range(repeats):
@@ -57,17 +49,5 @@ def run_current():
           f"(check {sim_val:+.4f})")
 
 
-def run_both():
-    script = os.path.abspath(__file__)
-    for disable in ("0", "1"):
-        env = dict(os.environ)
-        env["OCAMETRICS_DISABLE_NUMBA"] = disable
-        print("-" * 64, flush=True)
-        subprocess.run([sys.executable, script], env=env, check=True)
-
-
 if __name__ == "__main__":
-    if "--both" in sys.argv[1:]:
-        run_both()
-    else:
-        run_current()
+    run_current()

@@ -1,11 +1,4 @@
-"""Hot numeric kernels with two interchangeable backends.
-
-The default backend compiles scalar-loop kernels with numba's ``@njit``.
-Setting ``OCAMETRICS_DISABLE_NUMBA=1`` (or running without numba installed)
-selects a vectorized pure-numpy fallback that batches the same linear
-algebra across Monte Carlo replications.  Both backends implement identical
-math; ``benchmarks/bench_kernels.py`` times one against the other and the
-test suite checks their agreement.
+"""Hot numeric kernels, vectorized in numpy.
 
 Kernel surface:
 
@@ -15,110 +8,25 @@ Kernel surface:
     ``autolag`` the lag count is chosen per series by AIC over
     ``0..max_lags`` on a common sample, then the statistic is recomputed on
     the longest usable sample; otherwise the lag count is ``max_lags``.
+    The regressions are batched across series.
 
 ``var_simulate(coefs, intercept, shocks)``
-    Sequential VAR recursion ``x_t = c + sum_i B_i x_{t-i} + u_t`` with
-    zero initial conditions.
+    VAR recursion ``x_t = c + sum_i B_i x_{t-i} + u_t`` with zero initial
+    conditions, evaluated as a blocked scan over the companion form.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_DISABLE_FLAG = os.environ.get("OCAMETRICS_DISABLE_NUMBA", "").strip()
-_WANT_NUMBA = _DISABLE_FLAG not in {"1", "true", "yes"}
+from .var import companion_matrix
 
-if _WANT_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        _WANT_NUMBA = False
+BACKEND = "numpy"
 
+# Steps per block of the simulation scan: the in-block products are one
+# matmul, and only one companion-state step per block is sequential.
+SIM_BLOCK = 64
 
-# --------------------------------------------------------------------------
-# numba backend: scalar loops, one replication at a time
-# --------------------------------------------------------------------------
-
-def _adf_ols(y, dy, start, rows, k, det):
-    # regressand dy[start + t]; regressors: det terms, y[start + t], lagged diffs
-    ncol = det + 1 + k
-    X = np.empty((rows, ncol))
-    z = np.empty(rows)
-    for t in range(rows):
-        tt = start + t
-        j = 0
-        if det >= 1:
-            X[t, j] = 1.0
-            j += 1
-        if det >= 2:
-            X[t, j] = float(t + 1)
-            j += 1
-        X[t, j] = y[tt]
-        j += 1
-        for i in range(k):
-            X[t, j] = dy[tt - 1 - i]
-            j += 1
-        z[t] = dy[tt]
-    XtX = X.T @ X
-    XtXinv = np.linalg.inv(XtX)
-    beta = XtXinv @ (X.T @ z)
-    resid = z - X @ beta
-    rss = resid @ resid
-    s2 = rss / (rows - ncol)
-    tstat = beta[det] / np.sqrt(s2 * XtXinv[det, det])
-    return tstat, rss
-
-
-def _adf_batch_loop(paths, det, max_lags, autolag):
-    n_rep, n_obs = paths.shape
-    stats = np.empty(n_rep)
-    lags = np.empty(n_rep, dtype=np.int64)
-    nobs = np.empty(n_rep, dtype=np.int64)
-    nd = n_obs - 1
-    for r in range(n_rep):
-        y = paths[r]
-        dy = y[1:] - y[:-1]
-        if autolag:
-            rows_c = nd - max_lags
-            best_ic = np.inf
-            best_k = 0
-            for k in range(max_lags + 1):
-                _, rss = _adf_ols(y, dy, max_lags, rows_c, k, det)
-                ic = rows_c * np.log(rss / rows_c) + 2.0 * (det + 1 + k)
-                if ic < best_ic:
-                    best_ic = ic
-                    best_k = k
-            k = best_k
-        else:
-            k = max_lags
-        rows = nd - k
-        tstat, _ = _adf_ols(y, dy, k, rows, k, det)
-        stats[r] = tstat
-        lags[r] = k
-        nobs[r] = rows
-    return stats, lags, nobs
-
-
-def _var_simulate_loop(coefs, intercept, shocks):
-    p = coefs.shape[0]
-    n_obs, n_var = shocks.shape
-    x = np.zeros((n_obs, n_var))
-    for t in range(n_obs):
-        for a in range(n_var):
-            acc = intercept[a] + shocks[t, a]
-            for i in range(p):
-                if t - 1 - i >= 0:
-                    for b in range(n_var):
-                        acc += coefs[i, a, b] * x[t - 1 - i, b]
-            x[t, a] = acc
-    return x
-
-
-# --------------------------------------------------------------------------
-# numpy backend: the same regressions batched across replications
-# --------------------------------------------------------------------------
 
 def _adf_design(paths, det, max_lags, start, rows):
     # stacked design (n_rep, rows, det + 1 + max_lags) and regressand
@@ -138,7 +46,7 @@ def _adf_design(paths, det, max_lags, start, rows):
     return X, z
 
 
-def _adf_stats_vec(X, z, det):
+def _adf_stats(X, z, det):
     # batched OLS t-ratio on the level column (index det)
     ncol = X.shape[2]
     rows = X.shape[1]
@@ -154,7 +62,12 @@ def _adf_stats_vec(X, z, det):
     return tstat, rss
 
 
-def _adf_batch_vec(paths, det, max_lags, autolag):
+def adf_batch(paths: np.ndarray, det: int, max_lags: int, autolag: bool):
+    """t-ratios, lag counts and effective sample sizes for a batch of series."""
+    paths = np.ascontiguousarray(paths, dtype=np.float64)
+    if paths.ndim != 2:
+        raise ValueError("paths must be 2-D (replications x observations)")
+    det, max_lags = int(det), int(max_lags)
     n_rep, n_obs = paths.shape
     nd = n_obs - 1
     if autolag:
@@ -163,7 +76,7 @@ def _adf_batch_vec(paths, det, max_lags, autolag):
         best_ic = np.full(n_rep, np.inf)
         best_k = np.zeros(n_rep, dtype=np.int64)
         for k in range(max_lags + 1):
-            _, rss = _adf_stats_vec(Xfull[:, :, :det + 1 + k], z, det)
+            _, rss = _adf_stats(Xfull[:, :, :det + 1 + k], z, det)
             ic = rows_c * np.log(rss / rows_c) + 2.0 * (det + 1 + k)
             better = ic < best_ic
             best_ic = np.where(better, ic, best_ic)
@@ -177,52 +90,50 @@ def _adf_batch_vec(paths, det, max_lags, autolag):
         sel = np.flatnonzero(lags == k)
         rows = nd - k
         X, z = _adf_design(paths[sel], det, int(k), int(k), rows)
-        tstat, _ = _adf_stats_vec(X, z, det)
+        tstat, _ = _adf_stats(X, z, det)
         stats[sel] = tstat
         nobs[sel] = rows
     return stats, lags, nobs
 
 
-def _var_simulate_vec(coefs, intercept, shocks):
-    p = coefs.shape[0]
-    n_obs = shocks.shape[0]
-    x = np.zeros_like(shocks)
-    for t in range(n_obs):
-        acc = intercept + shocks[t]
-        for i in range(min(p, t)):
-            acc = acc + coefs[i] @ x[t - 1 - i]
-        x[t] = acc
-    return x
-
-
-# --------------------------------------------------------------------------
-# backend selection
-# --------------------------------------------------------------------------
-
-if _WANT_NUMBA:
-    _adf_ols = njit(cache=True)(_adf_ols)
-    _adf_batch_loop = njit(cache=True)(_adf_batch_loop)
-    _var_simulate_loop = njit(cache=True)(_var_simulate_loop)
-    BACKEND = "numba"
-    _adf_batch_impl = _adf_batch_loop
-    _var_simulate_impl = _var_simulate_loop
-else:
-    BACKEND = "numpy"
-    _adf_batch_impl = _adf_batch_vec
-    _var_simulate_impl = _var_simulate_vec
-
-
-def adf_batch(paths: np.ndarray, det: int, max_lags: int, autolag: bool):
-    """t-ratios, lag counts and effective sample sizes for a batch of series."""
-    paths = np.ascontiguousarray(paths, dtype=np.float64)
-    if paths.ndim != 2:
-        raise ValueError("paths must be 2-D (replications x observations)")
-    return _adf_batch_impl(paths, int(det), int(max_lags), bool(autolag))
-
-
 def var_simulate(coefs: np.ndarray, intercept: np.ndarray, shocks: np.ndarray) -> np.ndarray:
-    """Run the VAR recursion over a pre-drawn shock matrix."""
+    """Run the VAR recursion over a pre-drawn shock matrix.
+
+    With the companion state ``s_t = (x_t, ..., x_{t-p+1})`` and
+    ``w_t = c + u_t``, each block of ``SIM_BLOCK`` steps is its lower
+    block-Toeplitz product of impulse responses with ``w`` plus the
+    response to the state carried in from the previous block.
+    """
     coefs = np.ascontiguousarray(coefs, dtype=np.float64)
-    intercept = np.ascontiguousarray(intercept, dtype=np.float64)
     shocks = np.ascontiguousarray(shocks, dtype=np.float64)
-    return _var_simulate_impl(coefs, intercept, shocks)
+    p, n = coefs.shape[0], coefs.shape[1]
+    m = n * p
+    n_obs = shocks.shape[0]
+    L = SIM_BLOCK
+    n_blocks = -(-n_obs // L)
+
+    companion = companion_matrix(coefs)
+    powers = np.empty((L + 1, m, m))          # F^0 .. F^L
+    powers[0] = np.eye(m)
+    for k in range(L):
+        powers[k + 1] = companion @ powers[k]
+
+    # in-block responses: x[k] gets psi[k - j] @ w[j] for j <= k
+    lag = np.arange(L)[:, None] - np.arange(L)[None, :]
+    psi = powers[np.maximum(lag, 0), :n, :n] * (lag >= 0)[:, :, None, None]
+    toeplitz = psi.transpose(0, 2, 1, 3).reshape(L * n, L * n)
+    # state at a block's end from its own inputs, and x[k] from the state before it
+    to_state = powers[L - 1::-1, :, :n].transpose(1, 0, 2).reshape(m, L * n)
+    from_state = powers[1:, :n, :].reshape(L * n, m)
+
+    w = np.zeros((n_blocks * L, n))
+    w[:n_obs] = shocks + np.asarray(intercept, dtype=np.float64)
+    w = w.reshape(n_blocks, L * n)
+    own_state = w @ to_state.T
+    carried = np.empty((n_blocks, m))
+    state = np.zeros(m)
+    for b in range(n_blocks):
+        carried[b] = state
+        state = powers[L] @ state + own_state[b]
+    x = w @ toeplitz.T + carried @ from_state.T
+    return x.reshape(n_blocks * L, n)[:n_obs]

@@ -467,10 +467,12 @@ def simulate_command(seed, n_months, n_countries, start, output, weights_output)
     else:
         dump_panel(panel, sys.stdout)
     if weights_output:
-        share = round(1.0 / n_countries, 3)
+        # whole millionths, spread so that each year's shares sum to exactly 1
+        units, extra = divmod(10**6, n_countries)
+        shares = [f"{(units + (i < extra)) / 1e6:.6f}" for i in range(n_countries)]
         lines = ["year,country,weight"]
         for year in range(panel.dates[0].year, panel.dates[-1].year + 1):
-            for country in panel.countries:
+            for country, share in zip(panel.countries, shares):
                 lines.append(f"{year},{country},{share}")
         Path(weights_output).write_text("\n".join(lines) + "\n", encoding="utf-8")
 

@@ -18,7 +18,7 @@ from typing import IO, Mapping, Sequence
 
 import numpy as np
 from scipy import linalg as slinalg
-from scipy import stats as sstats
+from scipy.special import stdtr
 
 from .errors import (
     DateRangeError,
@@ -66,7 +66,7 @@ def correlation_pvalue(r: float, n: int) -> float:
     if abs(r) >= 1.0:
         return 0.0
     t = r * math.sqrt((n - 2) / (1.0 - r * r))
-    return float(2.0 * sstats.t.sf(abs(t), n - 2))
+    return float(2.0 * stdtr(n - 2, -abs(t)))
 
 
 def correlation_matrix(shocks: Mapping[str, np.ndarray],

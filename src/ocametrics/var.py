@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import stats as sstats
+from scipy.special import chdtrc
 
 from .errors import (
     DateRangeError,
@@ -129,14 +129,20 @@ def _check_pair(data: tuple[TransformedSeries, TransformedSeries]):
     return np.column_stack([first.values, second.values]), first.dates
 
 
-def _design(y: np.ndarray, dates: Sequence[Month], p: int,
-            dummies: Sequence[DummySpec]):
+def _design(y: np.ndarray, p: int, dummy_cols: np.ndarray):
+    # dummy_cols: (n_obs, n_dummies), on the same calendar as y
     n_obs = y.shape[0]
     rows = n_obs - p
     lag_cols = [y[p - 1 - i:n_obs - 1 - i] for i in range(p)]
-    X = np.column_stack([np.ones(rows)] + lag_cols
-                        + [d.column(dates)[p:] for d in dummies])
-    return X, y[p:], tuple(dates[p:])
+    X = np.column_stack([np.ones(rows)] + lag_cols + [dummy_cols[p:]])
+    return X, y[p:]
+
+
+def _dummy_columns(dummies: Sequence[DummySpec], dates: Sequence[Month]) -> np.ndarray:
+    cols = np.zeros((len(dates), len(dummies)))
+    for j, d in enumerate(dummies):
+        cols[:, j] = d.column(dates)
+    return cols
 
 
 def _equation_columns(n_base: int, dummies: Sequence[DummySpec], variable: str):
@@ -169,7 +175,7 @@ def fit_var(data: tuple[TransformedSeries, TransformedSeries], p: int,
         raise TooShortError(
             f"need at least {10 + n_reg} effective observations for p={p}, have {rows}")
 
-    X, z, eff_dates = _design(y, dates, p, dummies)
+    X, z = _design(y, p, _dummy_columns(dummies, dates))
 
     intercept = np.empty(N_VARS)
     coefs = np.zeros((p, N_VARS, N_VARS))
@@ -194,7 +200,7 @@ def fit_var(data: tuple[TransformedSeries, TransformedSeries], p: int,
     return VarModel(p=p, intercept=_frozen(intercept), coefs=_frozen(coefs),
                     dummies=dummies, exog_coefficients=_frozen(exog),
                     residuals=_frozen(resid), sigma=_frozen(sigma),
-                    effective_dates=eff_dates)
+                    effective_dates=tuple(dates[p:]))
 
 
 def companion_matrix(coefs: np.ndarray) -> np.ndarray:
@@ -232,7 +238,7 @@ def portmanteau_test(model: VarModel, h: int) -> PortmanteauResult:
     stat *= t_eff**2
     df = N_VARS**2 * (h - model.p)
     return PortmanteauResult(statistic=float(stat), df=int(df),
-                             p_value=float(sstats.chi2.sf(stat, df)))
+                             p_value=float(chdtrc(df, stat)))
 
 
 def arch_lm_test(residuals: np.ndarray, q: int) -> ArchLmResult:
@@ -256,7 +262,7 @@ def arch_lm_test(residuals: np.ndarray, q: int) -> ArchLmResult:
     r2 = max(0.0, 1.0 - rss / tss)
     stat = n * r2
     return ArchLmResult(statistic=float(stat), df=int(q),
-                        p_value=float(sstats.chi2.sf(stat, q)))
+                        p_value=float(chdtrc(q, stat)))
 
 
 _IC_NAMES = ("aic", "sc", "hq")
@@ -272,10 +278,13 @@ def _information_criteria(data, max_p: int, criteria, dummies) -> dict[str, int]
         "sc": float(np.log(t_common)),
         "hq": 2.0 * float(np.log(np.log(t_common))),
     }
+    # dummy columns are built on the full calendar, so a break date inside
+    # the first max_p months is as valid here as it is for fit_var
+    dummy_cols = _dummy_columns(dummies, dates)
     values: dict[str, list[float]] = {c: [] for c in criteria}
     for p in range(1, max_p + 1):
         offset = max_p - p
-        X, z, _ = _design(y[offset:], dates[offset:], p, dummies)
+        X, z = _design(y[offset:], p, dummy_cols[offset:])
         beta, *_ = np.linalg.lstsq(X, z, rcond=None)
         resid = z - X @ beta
         sigma = resid.T @ resid / t_common

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from ocametrics._kernels import adf_batch, var_simulate
+from ocametrics._kernels import adf_batch
 from ocametrics.cointegration import MAXEIG_CV_5PCT, TRACE_CV_5PCT, johansen_test
 from ocametrics.errors import (
     CalendarGapError,
@@ -37,15 +37,6 @@ def _report(number: int, name: str, ok: bool, detail: str = "") -> None:
     status = "PASS" if ok else "FAIL"
     suffix = f" ({detail})" if detail else ""
     print(f"[acceptance] criterion {number} ({name}): {status}{suffix}")
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Compile or load the jitted kernels before any timed block."""
-    y = np.random.default_rng(0).standard_normal((2, 60)).cumsum(axis=1)
-    adf_batch(y, 1, 2, True)
-    adf_batch(y, 1, 0, False)
-    var_simulate(np.zeros((1, 2, 2)), np.zeros(2), np.zeros((4, 2)))
 
 
 @pytest.fixture(scope="session")

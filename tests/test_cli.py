@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,6 +53,34 @@ class TestSimulate:
         from ocametrics.metrics import load_weights
         table = load_weights(bundle["weights"])
         assert len(table.years) >= 11
+
+    @pytest.mark.parametrize("n_countries", range(2, 101))
+    def test_weights_output_sums_to_one(self, runner, tmp_path, n_countries):
+        from fractions import Fraction
+
+        from ocametrics.metrics import load_weights
+        weights = tmp_path / "weights.csv"
+        res = runner.invoke(main, ["simulate", "--t", "13", "--countries", str(n_countries),
+                                   "--output", str(tmp_path / "panel.csv"),
+                                   "--weights-output", str(weights)])
+        assert res.exit_code == 0, res.output
+        table = load_weights(weights)
+        assert table.years == (2009, 2010)
+        rows = [line.split(",") for line in weights.read_text().splitlines()[1:]]
+        for year in ("2009", "2010"):
+            shares = [Fraction(w) for y, _, w in rows if y == year]
+            assert len(shares) == n_countries and sum(shares) == 1
+
+
+def test_cli_import_leaves_out_scipy_stats_and_signal():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("import sys, ocametrics.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'signal'])))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 class TestRunPipeline:

@@ -1,22 +1,63 @@
-"""Backend agreement: the numba scalar-loop kernels and the batched numpy
-fallback must produce the same numbers."""
+"""Kernel oracles: the batched unit-root regressions against dense per-series
+least squares, and the blocked VAR simulation against the explicit
+per-step recursion."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ocametrics._kernels import (
-    BACKEND,
-    _adf_batch_loop,
-    _adf_batch_vec,
-    _var_simulate_loop,
-    _var_simulate_vec,
-    adf_batch,
-    var_simulate,
-)
+from ocametrics._kernels import BACKEND, SIM_BLOCK, adf_batch, var_simulate
+from ocametrics.var import companion_matrix
+
+
+def reference_var_simulate(coefs, intercept, shocks):
+    """x_t = c + sum_i B_i x_{t-i} + u_t, one step at a time from x = 0."""
+    p = coefs.shape[0]
+    x = np.zeros_like(shocks)
+    for t in range(shocks.shape[0]):
+        acc = intercept + shocks[t]
+        for i in range(min(p, t)):
+            acc = acc + coefs[i] @ x[t - 1 - i]
+        x[t] = acc
+    return x
+
+
+def reference_adf(y, det, max_lags, autolag):
+    """t-ratio, lag and nobs from np.linalg.lstsq on the explicit design."""
+    dy = np.diff(y)
+
+    def regress(start, rows, k):
+        t = np.arange(rows)
+        cols = []
+        if det >= 1:
+            cols.append(np.ones(rows))
+        if det >= 2:
+            cols.append(t + 1.0)
+        cols.append(y[start + t])
+        cols += [dy[start + t - 1 - i] for i in range(k)]
+        X = np.column_stack(cols)
+        z = dy[start + t]
+        beta, *_ = np.linalg.lstsq(X, z, rcond=None)
+        resid = z - X @ beta
+        rss = float(resid @ resid)
+        # var(beta_j) = s^2 (X'X)^-1_jj = s^2 |row j of pinv(X)|^2
+        se = np.sqrt(rss / (rows - X.shape[1]) * np.sum(np.linalg.pinv(X)[det] ** 2))
+        return beta[det] / se, rss
+
+    nd = dy.size
+    if autolag:
+        rows = nd - max_lags
+        ics = [rows * np.log(regress(max_lags, rows, k)[1] / rows) + 2.0 * (det + 1 + k)
+               for k in range(max_lags + 1)]
+        k = int(np.argmin(ics))
+    else:
+        k = max_lags
+    return regress(k, nd - k, k)[0], k, nd - k
 
 
 def test_backend_is_reported():
-    assert BACKEND in ("numba", "numpy")
+    assert BACKEND == "numpy"
 
 
 @pytest.mark.parametrize("det", [0, 1, 2])
@@ -25,11 +66,13 @@ def test_adf_paths_agree(det, autolag):
     rng = np.random.default_rng(123 + det)
     paths = rng.standard_normal((40, 120)).cumsum(axis=1)
     max_lags = 4 if not autolag else 8
-    s1, l1, n1 = _adf_batch_loop(paths, det, max_lags, autolag)
-    s2, l2, n2 = _adf_batch_vec(paths, det, max_lags, autolag)
-    np.testing.assert_array_equal(l1, l2)
-    np.testing.assert_array_equal(n1, n2)
-    np.testing.assert_allclose(s1, s2, rtol=1e-9, atol=1e-11)
+    stats, lags, nobs = adf_batch(paths, det, max_lags, autolag)
+    expected = [reference_adf(y, det, max_lags, autolag) for y in paths]
+    np.testing.assert_array_equal(lags, [e[1] for e in expected])
+    np.testing.assert_array_equal(nobs, [e[2] for e in expected])
+    np.testing.assert_allclose(stats, [e[0] for e in expected], rtol=1e-9, atol=1e-11)
+    if autolag:
+        assert len(set(lags.tolist())) > 1
 
 
 def test_var_simulate_paths_agree():
@@ -37,9 +80,35 @@ def test_var_simulate_paths_agree():
     coefs = np.array([[[0.4, 0.1], [0.0, 0.3]], [[0.1, 0.0], [0.05, 0.1]]])
     intercept = np.array([0.01, -0.02])
     shocks = rng.standard_normal((400, 2))
-    a = _var_simulate_loop(coefs, intercept, shocks)
-    b = _var_simulate_vec(coefs, intercept, shocks)
-    np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-14)
+    a = reference_var_simulate(coefs, intercept, shocks)
+    b = var_simulate(coefs, intercept, shocks)
+    np.testing.assert_allclose(b, a, rtol=1e-12, atol=1e-14)
+
+
+def _coefs_with_modulus(rng, p, modulus):
+    # scaling B_i by a**i scales every companion eigenvalue by a
+    coefs = rng.normal(0.0, 0.5 / p, size=(p, 2, 2))
+    a = modulus / np.abs(np.linalg.eigvals(companion_matrix(coefs))).max()
+    return coefs * (a ** np.arange(1, p + 1))[:, None, None]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       p=st.integers(1, 6),
+       n_obs=st.sampled_from([1, SIM_BLOCK - 1, SIM_BLOCK, SIM_BLOCK + 1, 500, 10_500]),
+       modulus=st.one_of(st.floats(0.05, 0.99), st.floats(1.0001, 1.02)))
+def test_var_simulate_matches_recursion(seed, p, n_obs, modulus):
+    rng = np.random.default_rng(seed)
+    coefs = _coefs_with_modulus(rng, p, modulus)
+    intercept = rng.normal(0.0, 0.1, size=2)
+    shocks = rng.standard_normal((n_obs, 2))
+    expected = reference_var_simulate(coefs, intercept, shocks)
+    out = var_simulate(coefs, intercept, shocks)
+    assert out.shape == expected.shape
+    # an error at step t is judged against the path's size up to t, which
+    # grows geometrically when the coefficients are unstable
+    scale = 1.0 + np.maximum.accumulate(np.abs(expected).max(axis=1))
+    assert np.all(np.abs(out - expected) <= 1e-10 * scale[:, None])
 
 
 def test_var_simulate_zero_dynamics_passthrough():

@@ -73,6 +73,11 @@ class TestCorrelation:
         for i in range(5):
             assert abs(correlation_pvalue(float(r[i]), n) - p[i]) < 1e-12
 
+    @given(st.floats(min_value=-0.999999, max_value=0.999999), st.integers(3, 5000))
+    def test_pvalue_equals_scipy_stats(self, r, n):
+        t = r * math.sqrt((n - 2) / (1.0 - r * r))
+        assert correlation_pvalue(r, n) == float(2.0 * sstats.t.sf(abs(t), n - 2))
+
     def test_perfect_correlation_p_zero(self):
         assert correlation_pvalue(1.0, 50) == 0.0
         assert correlation_pvalue(-1.0, 50) == 0.0

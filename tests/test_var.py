@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from scipy import stats
 
 from ocametrics.errors import LagWindowError, NoAdmissibleLagError, RankDeficientError, TooShortError
 from ocametrics.months import Month, month_range
+from ocametrics.panel import transform_pair
 from ocametrics.simulate import Dgp, simulate
 from ocametrics.var import (
     DummySpec,
@@ -295,6 +297,17 @@ class TestArchLm:
             arch_lm_test(np.ones(20), q=4)
 
 
+def test_pvalues_equal_scipy_stats():
+    rng = np.random.default_rng(11)
+    for p in (1, 2, 3):
+        model = fit_var(make_pair(rng.standard_normal((240, 2))), p=p)
+        port = portmanteau_test(model, h=12)
+        assert port.p_value == float(stats.chi2.sf(port.statistic, port.df))
+        for a in range(2):
+            arch = arch_lm_test(model.residuals[:, a], q=4)
+            assert arch.p_value == float(stats.chi2.sf(arch.statistic, arch.df))
+
+
 class TestSelectLag:
     def test_sc_recovers_var2_order(self):
         b = np.array([[[0.35, 0.10], [0.05, 0.30]],
@@ -340,6 +353,15 @@ class TestSelectLag:
             select_lag(data, max_p=2)
         assert len(excinfo.value.trail) >= 1
         assert not excinfo.value.trail[-1].passed
+
+    @pytest.mark.parametrize("month", [4, 8])
+    def test_break_date_inside_first_max_p_months(self, fixture_panel, month):
+        # the lag search trims max_p rows, but the break date is still
+        # inside the sample that fit_var accepts
+        data = transform_pair(fixture_panel, "C00", base_year=2010)
+        pulse = DummySpec("activity", Month(2009, month), form="pulse")
+        selection = select_lag(data, max_p=12, dummies=(pulse,))
+        assert fit_var(data, selection.p, (pulse,)).dummies == (pulse,)
 
     def test_unknown_criterion_rejected(self):
         data = make_pair(np.random.default_rng(0).standard_normal((100, 2)))
