@@ -25,14 +25,19 @@ from .metrics import (
     dispersion_index,
     hp_filter,
     load_weights,
-    significance_stars,
 )
 from .months import Month
-from .panel import dump_panel, load_panel, transform_pair
-from .pipeline import PipelineConfig, analyze_country, run_pipeline
-from .simulate import synthetic_panel
+from .panel import dump_panel, growth_pair, load_panel, log_level_series
+from .pipeline import (
+    PipelineConfig,
+    correlation_dict,
+    correlation_table,
+    group_shocks,
+    run_pipeline,
+)
+from .simulate import synthetic_panel, write_equal_weights
 from .unit_root import adf_test
-from .var import DummySpec, fit_var, select_lag
+from .var import DummySpec, diagnose, fit_var, select_lag
 
 _VARIABLE_ALIASES = {"meai": "activity", "activity": "activity",
                      "cpi": "price", "price": "price"}
@@ -235,8 +240,10 @@ def _country_inputs(panel_path, country, base_year, seasonal_adjust, dummy_flags
         raise ConfigError(f"country {country!r} not in panel {panel.countries}")
     pairs = [_parse_dummy(t) for t in dummy_flags]
     dummies = tuple(spec for c, spec in pairs if c == country)
-    data = transform_pair(panel, country, base_year=base_year, seasonal=seasonal_adjust)
-    return panel, data, dummies
+    logs = tuple(log_level_series(panel, country, variable, base_year=base_year,
+                                  seasonal=seasonal_adjust)
+                 for variable in ("activity", "price"))
+    return logs, growth_pair(country, panel.dates, logs), dummies
 
 
 @main.command("johansen")
@@ -249,15 +256,11 @@ def johansen_command(panel_path, country, base_year, max_lags, seasonal_adjust,
                      dummy_flags, lag_order, as_json):
     """Cointegration test on one country's (log activity, log price) pair."""
     from .cointegration import johansen_test
-    from .panel import log_level_series
 
-    panel, data, dummies = _country_inputs(panel_path, country, base_year,
-                                           seasonal_adjust, dummy_flags)
+    logs, data, dummies = _country_inputs(panel_path, country, base_year,
+                                          seasonal_adjust, dummy_flags)
     if lag_order is None:
         lag_order = select_lag(data, max_p=max_lags, dummies=dummies).p + 1
-    logs = tuple(log_level_series(panel, country, v, base_year=base_year,
-                                  seasonal=seasonal_adjust)
-                 for v in ("activity", "price"))
     res = johansen_test(logs, lag_order=lag_order)
     rows = []
     for r, label in enumerate(("r = 0", "r <= 1")):
@@ -285,27 +288,22 @@ def johansen_command(panel_path, country, base_year, max_lags, seasonal_adjust,
 def var_command(panel_path, country, base_year, max_lags, seasonal_adjust,
                 dummy_flags, fixed_p, portmanteau_h, arch_q, alpha, as_json):
     """Lag selection, estimation and diagnostics for one country."""
-    from .var import arch_lm_test, portmanteau_test, stability
-
     _, data, dummies = _country_inputs(panel_path, country, base_year,
                                        seasonal_adjust, dummy_flags)
     if fixed_p is None:
         selection = select_lag(data, max_p=max_lags, dummies=dummies,
                                portmanteau_h=portmanteau_h, arch_q=arch_q,
                                alpha=alpha)
-        p = selection.p
+        model, diag = selection.model, selection.diagnostics
     else:
-        p = fixed_p
-    model = fit_var(data, p, dummies)
-    stab = stability(model)
-    port = portmanteau_test(model, max(portmanteau_h, p + 1))
-    arch = [arch_lm_test(model.residuals[:, i], arch_q) for i in range(2)]
+        model = fit_var(data, fixed_p, dummies)
+        diag = diagnose(model, portmanteau_h, arch_q)
     _emit([{
-        "country": country, "p": p, "stable": stab.stable,
-        "max_modulus": stab.max_modulus,
-        "portmanteau_pvalue": port.p_value,
-        "arch_pvalue_activity": arch[0].p_value,
-        "arch_pvalue_price": arch[1].p_value,
+        "country": country, "p": model.p, "stable": diag.stability.stable,
+        "max_modulus": diag.stability.max_modulus,
+        "portmanteau_pvalue": diag.portmanteau.p_value,
+        "arch_pvalue_activity": diag.arch[0].p_value,
+        "arch_pvalue_price": diag.arch[1].p_value,
         "nobs": model.nobs,
     }], as_json)
 
@@ -321,9 +319,11 @@ def identify_command(panel_path, country, base_year, max_lags, seasonal_adjust,
     """Structural shocks for one country, 15-significant-digit CSV."""
     _, data, dummies = _country_inputs(panel_path, country, base_year,
                                        seasonal_adjust, dummy_flags)
-    p = fixed_p if fixed_p is not None else select_lag(data, max_p=max_lags,
-                                                       dummies=dummies).p
-    model = fit_var(data, p, dummies)
+    if fixed_p is None:
+        model = select_lag(data, max_p=max_lags, dummies=dummies).model
+    else:
+        model = fit_var(data, fixed_p, dummies)
+    p = model.p
     svar = identify_bq(model)
     if as_json:
         irf = irf_structural(svar, model, irf_horizon)
@@ -342,16 +342,11 @@ def identify_command(panel_path, country, base_year, max_lags, seasonal_adjust,
                    f"{format(svar.shocks[i, 1], '.15g')}")
 
 
-def _group_shocks(panel_path, base_year, seasonal_adjust, max_lags, dummy_flags):
-    panel = load_panel(panel_path)
-    pairs = [_parse_dummy(t) for t in dummy_flags]
-    config = PipelineConfig(panel_path=panel_path, weights_path="-", output_dir="-",
-                            base_year=base_year, max_lags=max_lags,
-                            seasonal_adjust=seasonal_adjust, dummies=tuple(pairs))
-    results = {c: analyze_country(panel, c, config) for c in panel.countries}
-    from .pipeline import _common_shocks
-    dates, shocks = _common_shocks(results)
-    return panel, dates, shocks
+def _group_config(panel_path, base_year, seasonal_adjust, max_lags, dummy_flags):
+    return PipelineConfig(panel_path=panel_path, weights_path="-", output_dir="-",
+                          base_year=base_year, max_lags=max_lags,
+                          seasonal_adjust=seasonal_adjust,
+                          dummies=tuple(_parse_dummy(t) for t in dummy_flags))
 
 
 @main.command("correlate")
@@ -367,30 +362,16 @@ def _group_shocks(panel_path, base_year, seasonal_adjust, max_lags, dummy_flags)
 def correlate_command(panel_path, base_year, max_lags, seasonal_adjust,
                       dummy_flags, alpha, kind, as_json):
     """Cross-country shock correlation matrix with significance stars."""
-    _, _, shocks = _group_shocks(panel_path, base_year, seasonal_adjust,
-                                 max_lags, dummy_flags)
+    _, shocks = group_shocks(load_panel(panel_path), _group_config(
+        panel_path, base_year, seasonal_adjust, max_lags, dummy_flags))
     report = correlation_matrix(shocks[kind], kind=kind)
     symmetry = classify_symmetry(report, alpha)
     if as_json:
-        click.echo(json.dumps({
-            "countries": list(report.countries), "n": report.n,
-            "r": [[float(v) for v in row] for row in report.r],
-            "p": [[float(v) for v in row] for row in report.p],
-            "groups": [list(g) for g in symmetry.groups],
-        }, sort_keys=True))
+        click.echo(json.dumps({**correlation_dict(report),
+                               "groups": [list(g) for g in symmetry.groups]},
+                              sort_keys=True))
         return
-    click.echo("country," + ",".join(report.countries))
-    for i, a in enumerate(report.countries):
-        cells = []
-        for j in range(len(report.countries)):
-            if j > i:
-                cells.append("")
-            elif i == j:
-                cells.append("1.000")
-            else:
-                cells.append(format(report.r[i][j], ".3f")
-                             + significance_stars(report.p[i][j]))
-        click.echo(a + "," + ",".join(cells))
+    click.echo(correlation_table(correlation_dict(report)), nl=False)
 
 
 @main.command("disperse")
@@ -407,8 +388,8 @@ def correlate_command(panel_path, base_year, max_lags, seasonal_adjust,
 def disperse_command(panel_path, weights_path, base_year, max_lags,
                      seasonal_adjust, dummy_flags, hp_lambda, kind, as_json):
     """Weighted cross-country dispersion index and its trend."""
-    _, dates, shocks = _group_shocks(panel_path, base_year, seasonal_adjust,
-                                     max_lags, dummy_flags)
+    dates, shocks = group_shocks(load_panel(panel_path), _group_config(
+        panel_path, base_year, seasonal_adjust, max_lags, dummy_flags))
     weights = load_weights(weights_path)
     series = dispersion_index(shocks[kind], dates, weights, kind=kind)
     trend, _ = hp_filter(series.values, hp_lambda)
@@ -431,8 +412,8 @@ def disperse_command(panel_path, weights_path, base_year, max_lags,
 def cost_command(panel_path, weights_path, excluded, base_year, max_lags,
                  seasonal_adjust, dummy_flags, as_json):
     """Leave-one-out cost-of-inclusion series for one country."""
-    _, dates, shocks = _group_shocks(panel_path, base_year, seasonal_adjust,
-                                     max_lags, dummy_flags)
+    dates, shocks = group_shocks(load_panel(panel_path), _group_config(
+        panel_path, base_year, seasonal_adjust, max_lags, dummy_flags))
     weights = load_weights(weights_path)
     series = {kind: cost_of_inclusion(shocks[kind], dates, weights, excluded, kind=kind)
               for kind in ("supply", "demand")}
@@ -467,14 +448,7 @@ def simulate_command(seed, n_months, n_countries, start, output, weights_output)
     else:
         dump_panel(panel, sys.stdout)
     if weights_output:
-        # whole millionths, spread so that each year's shares sum to exactly 1
-        units, extra = divmod(10**6, n_countries)
-        shares = [f"{(units + (i < extra)) / 1e6:.6f}" for i in range(n_countries)]
-        lines = ["year,country,weight"]
-        for year in range(panel.dates[0].year, panel.dates[-1].year + 1):
-            for country, share in zip(panel.countries, shares):
-                lines.append(f"{year},{country},{share}")
-        Path(weights_output).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_equal_weights(panel, weights_output)
 
 
 if __name__ == "__main__":

@@ -53,21 +53,27 @@ class SizeSpeed:
     demand_speed: float
 
 
-def long_run_matrix(model: VarModel) -> np.ndarray:
-    """Cumulative response of the reduced form to its residuals."""
-    stab = stability(model)
-    if not stab.stable:
-        raise UnstableModelError(
-            f"max companion modulus {stab.max_modulus:.6f} >= 1")
+def _coefficient_sum_inverse(model: VarModel) -> np.ndarray:
+    # (I - B_1 - ... - B_p)^-1 of a model whose stability is already checked
     a = np.eye(2) - model.coefs.sum(axis=0)
     if np.linalg.cond(a) > MAX_CONDITION:
         raise UnstableModelError("long-run matrix is numerically singular")
     return np.linalg.inv(a)
 
 
+def long_run_matrix(model: VarModel) -> np.ndarray:
+    """Cumulative response of the reduced form to its residuals."""
+    stab = stability(model)
+    if not stab.stable:
+        raise UnstableModelError(
+            f"max companion modulus {stab.max_modulus:.6f} >= 1")
+    return _coefficient_sum_inverse(model)
+
+
 def identify_bq(model: VarModel) -> StructuralModel:
     """Recover the structural shock series via the long-run restriction."""
     stab = stability(model)
+    # the cutoff is below 1, so passing it also means the model is stable
     if stab.max_modulus > MAX_COMPANION_MODULUS:
         raise UnstableModelError(
             f"max companion modulus {stab.max_modulus:.6f} exceeds "
@@ -78,7 +84,7 @@ def identify_bq(model: VarModel) -> StructuralModel:
         raise SigmaNotPositiveDefiniteError(
             "residual covariance is not positive definite") from None
 
-    d1 = long_run_matrix(model)
+    d1 = _coefficient_sum_inverse(model)
     s = d1 @ model.sigma @ d1.T
     s = (s + s.T) / 2.0
     try:

@@ -247,14 +247,20 @@ def log_level_series(panel: Panel, country: str, variable: str, *,
     return logs
 
 
+def growth_pair(country: str, dates: tuple[Month, ...],
+                logs: tuple[np.ndarray, np.ndarray]) -> tuple[TransformedSeries, TransformedSeries]:
+    """First differences of the (activity, price) log levels on ``dates``."""
+    activity, price = (
+        TransformedSeries(country=country, variable=variable, dates=dates[1:],
+                          values=_frozen(np.diff(series)))
+        for variable, series in zip(VARIABLES, logs))
+    return activity, price
+
+
 def transform_pair(panel: Panel, country: str, *, base_year: int,
                    seasonal: bool = False) -> tuple[TransformedSeries, TransformedSeries]:
     """Per-country (activity, price) growth-rate pair fed to the VAR."""
-    out = []
-    for variable in VARIABLES:
-        logs = log_level_series(panel, country, variable,
-                                base_year=base_year, seasonal=seasonal)
-        out.append(TransformedSeries(
-            country=country, variable=variable, dates=panel.dates[1:],
-            values=_frozen(np.diff(logs))))
-    return out[0], out[1]
+    logs = tuple(log_level_series(panel, country, variable,
+                                  base_year=base_year, seasonal=seasonal)
+                 for variable in VARIABLES)
+    return growth_pair(country, panel.dates, logs)

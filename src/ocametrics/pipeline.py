@@ -41,21 +41,9 @@ from .metrics import (
     trend_change,
 )
 from .months import Month
-from .panel import Panel, load_panel, log_level_series, transform_pair
+from .panel import Panel, growth_pair, load_panel, log_level_series
 from .unit_root import AdfResult, adf_test
-from .var import (
-    ArchLmResult,
-    DummySpec,
-    LagSelection,
-    PortmanteauResult,
-    StabilityResult,
-    VarModel,
-    arch_lm_test,
-    fit_var,
-    portmanteau_test,
-    select_lag,
-    stability,
-)
+from .var import DummySpec, LagSelection, select_lag
 
 SHOCK_KINDS = ("supply", "demand")
 VARIABLES = ("activity", "price")
@@ -109,11 +97,6 @@ class CountryAnalysis:
     conclusions: Mapping[str, str]
     johansen: JohansenResult
     lag_selection: LagSelection
-    model: VarModel
-    stability: StabilityResult
-    portmanteau: PortmanteauResult
-    portmanteau_h: int
-    arch: Mapping[str, ArchLmResult]
     svar: StructuralModel
     irf: IrfSet
     size_speed: SizeSpeed
@@ -144,44 +127,40 @@ def _integration_conclusion(level: AdfResult, diff: AdfResult, series) -> str:
     return "inconclusive"
 
 
+def _shock_chain(panel: Panel, country: str, config: PipelineConfig):
+    """Log levels -> growth rates -> gated lag selection -> long-run identification.
+
+    Returns the (activity, price) log levels, the lag selection (which holds
+    the accepted model) and the structural model.
+    """
+    logs = tuple(log_level_series(panel, country, variable, base_year=config.base_year,
+                                  seasonal=config.seasonal_adjust)
+                 for variable in VARIABLES)
+    dummies = tuple(spec for c, spec in config.dummies if c == country)
+    selection = select_lag(growth_pair(country, panel.dates, logs),
+                           max_p=config.max_lags, dummies=dummies,
+                           portmanteau_h=config.portmanteau_h,
+                           arch_q=config.arch_q, alpha=config.alpha)
+    return logs, selection, identify_bq(selection.model)
+
+
 def analyze_country(panel: Panel, country: str, config: PipelineConfig) -> CountryAnalysis:
     """Run the full single-country estimation chain."""
-    dummies = tuple(spec for c, spec in config.dummies if c == country)
+    logs, selection, svar = _shock_chain(panel, country, config)
     adf: dict[str, dict[str, AdfResult]] = {}
     conclusions: dict[str, str] = {}
-    for variable in VARIABLES:
-        logs = log_level_series(panel, country, variable, base_year=config.base_year,
-                                seasonal=config.seasonal_adjust)
-        level = adf_test(logs, spec="trend", max_lags=config.max_lags)
-        diff = adf_test(np.diff(logs), spec="trend", max_lags=config.max_lags)
+    for variable, series in zip(VARIABLES, logs):
+        level = adf_test(series, spec="trend", max_lags=config.max_lags)
+        diff = adf_test(np.diff(series), spec="trend", max_lags=config.max_lags)
         adf[variable] = {"level": level, "first_difference": diff}
-        conclusions[variable] = _integration_conclusion(level, diff, logs)
+        conclusions[variable] = _integration_conclusion(level, diff, series)
 
-    data = transform_pair(panel, country, base_year=config.base_year,
-                          seasonal=config.seasonal_adjust)
-    selection = select_lag(data, max_p=config.max_lags, diagnostics_gate=True,
-                           dummies=dummies, portmanteau_h=config.portmanteau_h,
-                           arch_q=config.arch_q, alpha=config.alpha)
-    model = fit_var(data, selection.p, dummies)
-    stab = stability(model)
-    h_eff = max(config.portmanteau_h, model.p + 1)
-    port = portmanteau_test(model, h_eff)
-    arch = {variable: arch_lm_test(model.residuals[:, i], config.arch_q)
-            for i, variable in enumerate(VARIABLES)}
-
-    pair_logs = tuple(
-        log_level_series(panel, country, variable, base_year=config.base_year,
-                         seasonal=config.seasonal_adjust)
-        for variable in VARIABLES)
-    johansen = johansen_test(pair_logs, lag_order=selection.p + 1)
-
-    svar = identify_bq(model)
-    irf = irf_structural(svar, model, config.irf_horizon)
+    johansen = johansen_test(logs, lag_order=selection.p + 1)
+    irf = irf_structural(svar, selection.model, config.irf_horizon)
     sizespeed = size_and_speed(irf)
     return CountryAnalysis(country=country, adf=adf, conclusions=conclusions,
-                           johansen=johansen, lag_selection=selection, model=model,
-                           stability=stab, portmanteau=port, portmanteau_h=h_eff,
-                           arch=arch, svar=svar, irf=irf, size_speed=sizespeed)
+                           johansen=johansen, lag_selection=selection, svar=svar,
+                           irf=irf, size_speed=sizespeed)
 
 
 class StageError(OcaError):
@@ -193,10 +172,10 @@ class StageError(OcaError):
         self.original = original
 
 
-def _analyze_all(panel: Panel, config: PipelineConfig) -> dict[str, CountryAnalysis]:
-    def work(country: str) -> CountryAnalysis:
+def _per_country(panel: Panel, config: PipelineConfig, analyze) -> dict:
+    def work(country: str):
         try:
-            return analyze_country(panel, country, config)
+            return analyze(panel, country, config)
         except OcaError as exc:
             raise StageError(f"country {country}", exc) from exc
 
@@ -207,19 +186,25 @@ def _analyze_all(panel: Panel, config: PipelineConfig) -> dict[str, CountryAnaly
         return {c: futures[c].result() for c in panel.countries}
 
 
-def _common_shocks(results: Mapping[str, CountryAnalysis]):
-    start = max(r.svar.dates[0] for r in results.values())
-    end = min(r.svar.dates[-1] for r in results.values())
+def _common_shocks(svars: Mapping[str, StructuralModel]):
+    start = max(svar.dates[0] for svar in svars.values())
+    end = min(svar.dates[-1] for svar in svars.values())
     if end < start:
         raise DateRangeError("countries share no common shock calendar")
     n = end - start + 1
     dates = tuple(Month.from_index(start.index + i) for i in range(n))
     shocks = {kind: {} for kind in SHOCK_KINDS}
-    for country, result in results.items():
-        offset = start - result.svar.dates[0]
+    for country, svar in svars.items():
+        offset = start - svar.dates[0]
         for k_idx, kind in enumerate(SHOCK_KINDS):
-            shocks[kind][country] = result.svar.shocks[offset:offset + n, k_idx]
+            shocks[kind][country] = svar.shocks[offset:offset + n, k_idx]
     return dates, shocks
+
+
+def group_shocks(panel: Panel, config: PipelineConfig):
+    """``build_report``'s common-calendar shocks, from the shock chain alone (no pretests)."""
+    chains = _per_country(panel, config, _shock_chain)
+    return _common_shocks({c: svar for c, (_, _, svar) in chains.items()})
 
 
 def _adf_dict(result: AdfResult) -> dict:
@@ -239,7 +224,8 @@ def _matrix(a: np.ndarray) -> list:
 
 
 def _country_report(result: CountryAnalysis) -> dict:
-    model = result.model
+    model = result.lag_selection.model
+    diag = result.lag_selection.diagnostics
     return {
         "adf": {
             variable: {
@@ -264,21 +250,21 @@ def _country_report(result: CountryAnalysis) -> dict:
             "sigma": _matrix(model.sigma),
             "dummies": [d.label() for d in model.dummies],
             "exog_coefficients": _matrix(model.exog_coefficients),
-            "stable": result.stability.stable,
-            "max_modulus": float(result.stability.max_modulus),
-            "moduli": [float(m) for m in result.stability.moduli],
+            "stable": diag.stability.stable,
+            "max_modulus": float(diag.stability.max_modulus),
+            "moduli": [float(m) for m in diag.stability.moduli],
             "portmanteau": {
-                "h": result.portmanteau_h,
-                "statistic": result.portmanteau.statistic,
-                "df": result.portmanteau.df,
-                "p_value": result.portmanteau.p_value,
+                "h": diag.portmanteau_h,
+                "statistic": diag.portmanteau.statistic,
+                "df": diag.portmanteau.df,
+                "p_value": diag.portmanteau.p_value,
             },
             "arch": {
                 variable: {
-                    "q": result.arch[variable].df,
-                    "statistic": result.arch[variable].statistic,
-                    "p_value": result.arch[variable].p_value,
-                } for variable in VARIABLES
+                    "q": arch.df,
+                    "statistic": arch.statistic,
+                    "p_value": arch.p_value,
+                } for variable, arch in zip(VARIABLES, diag.arch)
             },
         },
         "identification": {
@@ -333,8 +319,8 @@ def _conventions() -> dict:
 
 def build_report(panel: Panel, weights: WeightTable, config: PipelineConfig) -> dict:
     """Compute every number in the bundle; pure and deterministic."""
-    results = _analyze_all(panel, config)
-    dates, shocks = _common_shocks(results)
+    results = _per_country(panel, config, analyze_country)
+    dates, shocks = _common_shocks({c: r.svar for c, r in results.items()})
 
     correlations: dict[str, CorrelationReport] = {}
     symmetry: dict[str, SymmetryReport] = {}
@@ -417,14 +403,8 @@ def build_report(panel: Panel, weights: WeightTable, config: PipelineConfig) -> 
         "group": {
             "common_calendar": {"start": str(dates[0]), "end": str(dates[-1]),
                                 "n": len(dates)},
-            "correlations": {
-                kind: {
-                    "countries": list(correlations[kind].countries),
-                    "n": correlations[kind].n,
-                    "r": _matrix(correlations[kind].r),
-                    "p": _matrix(correlations[kind].p),
-                } for kind in SHOCK_KINDS
-            },
+            "correlations": {kind: correlation_dict(correlations[kind])
+                             for kind in SHOCK_KINDS},
             "symmetry": {
                 kind: {
                     "alpha": symmetry[kind].alpha,
@@ -482,6 +462,27 @@ def _fmt3(value: float) -> str:
     return format(float(value), ".3f")
 
 
+def correlation_dict(report: CorrelationReport) -> dict:
+    """The ``report.json`` block of one correlation matrix."""
+    return {"countries": list(report.countries), "n": report.n,
+            "r": _matrix(report.r), "p": _matrix(report.p)}
+
+
+def correlation_table(corr: dict) -> str:
+    """Lower-triangular CSV of a ``correlation_dict`` block, with significance stars."""
+    lines = [",".join(["country"] + corr["countries"])]
+    for i, a in enumerate(corr["countries"]):
+        row = [a]
+        for j in range(len(corr["countries"])):
+            if j > i:
+                row.append("")
+            else:
+                stars = "" if i == j else significance_stars(corr["p"][i][j])
+                row.append(_fmt3(corr["r"][i][j]) + stars)
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
 def _render_tables(report: dict) -> dict[str, str]:
     """Human-readable CSV tables; every figure is the JSON value at 3 decimals."""
     countries = report["metadata"]["panel"]["countries"]
@@ -525,19 +526,8 @@ def _render_tables(report: dict) -> dict[str, str]:
     tables["var_summary.csv"] = "\n".join(lines) + "\n"
 
     for kind in SHOCK_KINDS:
-        corr = report["group"]["correlations"][kind]
-        header = ["country"] + corr["countries"]
-        lines = [",".join(header)]
-        for i, a in enumerate(corr["countries"]):
-            row = [a]
-            for j in range(len(corr["countries"])):
-                if j > i:
-                    row.append("")
-                else:
-                    stars = "" if i == j else significance_stars(corr["p"][i][j])
-                    row.append(_fmt3(corr["r"][i][j]) + stars)
-            lines.append(",".join(row))
-        tables[f"correlation_{kind}.csv"] = "\n".join(lines) + "\n"
+        tables[f"correlation_{kind}.csv"] = correlation_table(
+            report["group"]["correlations"][kind])
 
     lines = ["country,supply_size,supply_speed,demand_size,demand_speed"]
     per_country = report["group"]["size_speed"]["per_country"]

@@ -11,6 +11,7 @@ reproducible for a given seed; derived seeds are ``seed + index``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -160,3 +161,19 @@ def synthetic_panel(seed: int, n_countries: int, n_months: int,
         dgp = random_dgp(seed + i, p=(i % 3) + 1, n_obs=n_months - 1)
         diffs[f"C{i:02d}"] = 0.01 * simulate(dgp).diffs
     return panel_from_diffs(diffs, start)
+
+
+def write_equal_weights(panel: Panel, path: str | Path) -> None:
+    """Equal weights CSV for every calendar year of ``panel``.
+
+    Shares are whole millionths, spread so that each year's shares sum to
+    exactly 1, which ``load_weights`` accepts for any number of countries.
+    """
+    n = len(panel.countries)
+    units, extra = divmod(10**6, n)
+    shares = [f"{(units + (i < extra)) / 1e6:.6f}" for i in range(n)]
+    lines = ["year,country,weight"]
+    for year in range(panel.dates[0].year, panel.dates[-1].year + 1):
+        for country, share in zip(panel.countries, shares):
+            lines.append(f"{year},{country},{share}")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

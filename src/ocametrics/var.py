@@ -32,24 +32,20 @@ N_VARS = 2
 class DummySpec:
     """Exogenous break dummy.
 
-    ``variable`` records which series' break the dummy marks; ``equations``
-    controls which equations receive the column (``both`` by default).
-    ``form`` is ``step`` (one from the break date onward) or ``pulse``
-    (one only at the break date).
+    ``variable`` records which series' break the dummy marks; the column
+    enters both equations.  ``form`` is ``step`` (one from the break date
+    onward) or ``pulse`` (one only at the break date).
     """
 
     variable: str
     break_date: Month
     form: str = "step"
-    equations: str = "both"
 
     def __post_init__(self):
         if self.variable not in VARIABLE_ORDER:
             raise ValueError(f"unknown variable {self.variable!r}")
         if self.form not in ("step", "pulse"):
             raise ValueError(f"unknown dummy form {self.form!r}")
-        if self.equations not in ("both",) + VARIABLE_ORDER:
-            raise ValueError(f"unknown equations selector {self.equations!r}")
 
     def column(self, dates: Sequence[Month]) -> np.ndarray:
         if not (dates[0] <= self.break_date <= dates[-1]):
@@ -103,6 +99,16 @@ class ArchLmResult:
 
 
 @dataclass(frozen=True)
+class Diagnostics:
+    """The residual checks of one fitted model, as the lag gate runs them."""
+
+    stability: StabilityResult
+    portmanteau: PortmanteauResult
+    portmanteau_h: int
+    arch: tuple[ArchLmResult, ArchLmResult]
+
+
+@dataclass(frozen=True)
 class LagAudit:
     p: int
     stable: bool
@@ -115,9 +121,16 @@ class LagAudit:
 
 @dataclass(frozen=True)
 class LagSelection:
-    p: int
+    """The accepted model, its diagnostics and the gate trail that led to it."""
+
     criterion_choices: Mapping[str, int]
     trail: tuple[LagAudit, ...]
+    model: VarModel
+    diagnostics: Diagnostics
+
+    @property
+    def p(self) -> int:
+        return self.model.p
 
 
 def _check_pair(data: tuple[TransformedSeries, TransformedSeries]):
@@ -145,27 +158,11 @@ def _dummy_columns(dummies: Sequence[DummySpec], dates: Sequence[Month]) -> np.n
     return cols
 
 
-def _equation_columns(n_base: int, dummies: Sequence[DummySpec], variable: str):
-    cols = list(range(n_base))
-    for j, d in enumerate(dummies):
-        if d.equations in ("both", variable):
-            cols.append(n_base + j)
-    return cols
-
-
 def fit_var(data: tuple[TransformedSeries, TransformedSeries], p: int,
-            dummies: Sequence[DummySpec] = (),
-            sigma_divisor: str = "ml") -> VarModel:
-    """OLS fit of a bivariate VAR(p) with optional exogenous dummies.
-
-    ``sigma_divisor`` picks the residual-covariance denominator: ``"ml"``
-    (residual row count, what the long-run identification expects) or
-    ``"df"`` (rows minus regressors per equation).
-    """
+            dummies: Sequence[DummySpec] = ()) -> VarModel:
+    """OLS fit of a bivariate VAR(p) with optional exogenous dummies."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    if sigma_divisor not in ("ml", "df"):
-        raise ValueError(f"unknown sigma divisor {sigma_divisor!r}")
     y, dates = _check_pair(data)
     dummies = tuple(dummies)
     n_base = 1 + N_VARS * p
@@ -176,26 +173,26 @@ def fit_var(data: tuple[TransformedSeries, TransformedSeries], p: int,
             f"need at least {10 + n_reg} effective observations for p={p}, have {rows}")
 
     X, z = _design(y, p, _dummy_columns(dummies, dates))
+    # column-major: the summation order of X @ beta, and with it the last
+    # bits of the residuals in report.json, depends on the layout
+    X = np.asfortranarray(X)
+    if np.linalg.matrix_rank(X) < n_reg:
+        raise RankDeficientError("regressor matrix rank-deficient")
 
     intercept = np.empty(N_VARS)
     coefs = np.zeros((p, N_VARS, N_VARS))
     exog = np.zeros((N_VARS, len(dummies)))
     resid = np.empty((rows, N_VARS))
-    for a, variable in enumerate(VARIABLE_ORDER):
-        cols = _equation_columns(n_base, dummies, variable)
-        Xa = X[:, cols]
-        if np.linalg.matrix_rank(Xa) < Xa.shape[1]:
-            raise RankDeficientError(f"regressor matrix rank-deficient in {variable} equation")
-        beta, *_ = np.linalg.lstsq(Xa, z[:, a], rcond=None)
-        resid[:, a] = z[:, a] - Xa @ beta
+    # one lstsq per equation: a two-column solve moves the last bits
+    for a in range(N_VARS):
+        beta, *_ = np.linalg.lstsq(X, z[:, a], rcond=None)
+        resid[:, a] = z[:, a] - X @ beta
         intercept[a] = beta[0]
         for i in range(p):
             coefs[i, a, :] = beta[1 + N_VARS * i:1 + N_VARS * (i + 1)]
-        for pos, col in enumerate(cols[n_base:]):
-            exog[a, col - n_base] = beta[n_base + pos]
+        exog[a, :] = beta[n_base:]
 
-    divisor = rows if sigma_divisor == "ml" else rows - n_reg
-    sigma = resid.T @ resid / divisor
+    sigma = resid.T @ resid / rows
     sigma = (sigma + sigma.T) / 2.0
     return VarModel(p=p, intercept=_frozen(intercept), coefs=_frozen(coefs),
                     dummies=dummies, exog_coefficients=_frozen(exog),
@@ -265,10 +262,20 @@ def arch_lm_test(residuals: np.ndarray, q: int) -> ArchLmResult:
                         p_value=float(chdtrc(q, stat)))
 
 
+def diagnose(model: VarModel, portmanteau_h: int, arch_q: int) -> Diagnostics:
+    """Stability, portmanteau at ``max(portmanteau_h, p + 1)`` and per-equation ARCH LM."""
+    h_eff = max(portmanteau_h, model.p + 1)
+    return Diagnostics(
+        stability=stability(model),
+        portmanteau=portmanteau_test(model, h_eff),
+        portmanteau_h=h_eff,
+        arch=tuple(arch_lm_test(model.residuals[:, a], arch_q) for a in range(N_VARS)))
+
+
 _IC_NAMES = ("aic", "sc", "hq")
 
 
-def _information_criteria(data, max_p: int, criteria, dummies) -> dict[str, int]:
+def _information_criteria(data, max_p: int, dummies) -> dict[str, int]:
     y, dates = _check_pair(data)
     t_common = y.shape[0] - max_p
     if t_common < 10 + 1 + N_VARS * max_p + len(dummies):
@@ -281,7 +288,7 @@ def _information_criteria(data, max_p: int, criteria, dummies) -> dict[str, int]
     # dummy columns are built on the full calendar, so a break date inside
     # the first max_p months is as valid here as it is for fit_var
     dummy_cols = _dummy_columns(dummies, dates)
-    values: dict[str, list[float]] = {c: [] for c in criteria}
+    values: dict[str, list[float]] = {c: [] for c in _IC_NAMES}
     for p in range(1, max_p + 1):
         offset = max_p - p
         X, z = _design(y[offset:], p, dummy_cols[offset:])
@@ -290,47 +297,40 @@ def _information_criteria(data, max_p: int, criteria, dummies) -> dict[str, int]
         sigma = resid.T @ resid / t_common
         _, logdet = np.linalg.slogdet(sigma)
         n_params = N_VARS * (1 + N_VARS * p + len(dummies))
-        for c in criteria:
+        for c in _IC_NAMES:
             values[c].append(logdet + penalties[c] * n_params / t_common)
-    return {c: int(np.argmin(values[c])) + 1 for c in criteria}
+    return {c: int(np.argmin(values[c])) + 1 for c in _IC_NAMES}
 
 
 def select_lag(data: tuple[TransformedSeries, TransformedSeries], max_p: int = 12,
-               criteria: Sequence[str] = _IC_NAMES, diagnostics_gate: bool = True,
                dummies: Sequence[DummySpec] = (), portmanteau_h: int = 12,
                arch_q: int = 4, alpha: float = 0.05) -> LagSelection:
     """Sequential lag-order choice.
 
-    Starts from the most parsimonious of the information-criterion picks
-    and, when ``diagnostics_gate`` is on, walks upward until the fitted
-    model is stable and passes the serial-correlation and
-    heteroskedasticity checks at ``alpha``.
+    Starts from the most parsimonious of the AIC/SC/HQ picks and walks
+    upward until the fitted model is stable and passes the
+    serial-correlation and heteroskedasticity checks at ``alpha``.  The
+    accepted model and its diagnostics come back with the gate trail.
     """
     if max_p < 1:
         raise ValueError("max_p must be >= 1")
-    criteria = tuple(c.lower() for c in criteria)
-    for c in criteria:
-        if c not in _IC_NAMES:
-            raise ValueError(f"unknown criterion {c!r}")
-    choices = _information_criteria(data, max_p, criteria, tuple(dummies))
+    choices = _information_criteria(data, max_p, tuple(dummies))
     start = min(choices.values())
-    if not diagnostics_gate:
-        return LagSelection(p=start, criterion_choices=choices, trail=())
 
     trail: list[LagAudit] = []
     for p in range(start, max_p + 1):
         model = fit_var(data, p, dummies)
-        stab = stability(model)
-        h_eff = max(portmanteau_h, p + 1)
-        port = portmanteau_test(model, h_eff)
-        arch = tuple(arch_lm_test(model.residuals[:, a], arch_q).p_value
-                     for a in range(N_VARS))
+        diag = diagnose(model, portmanteau_h, arch_q)
+        stab, port = diag.stability, diag.portmanteau
+        arch = tuple(a.p_value for a in diag.arch)
         passed = stab.stable and port.p_value > alpha and all(pa > alpha for pa in arch)
         trail.append(LagAudit(p=p, stable=stab.stable, max_modulus=stab.max_modulus,
-                              portmanteau_h=h_eff, portmanteau_pvalue=port.p_value,
+                              portmanteau_h=diag.portmanteau_h,
+                              portmanteau_pvalue=port.p_value,
                               arch_pvalues=arch, passed=passed))
         if passed:
-            return LagSelection(p=p, criterion_choices=choices, trail=tuple(trail))
+            return LagSelection(criterion_choices=choices, trail=tuple(trail),
+                                model=model, diagnostics=diag)
     raise NoAdmissibleLagError(
         f"no lag order in [{start}, {max_p}] passes the diagnostic gate",
         trail=trail)

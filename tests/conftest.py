@@ -1,4 +1,5 @@
 import io
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from ocametrics.months import Month, month_range
 from ocametrics.panel import Panel, TransformedSeries, load_panel, panel_to_csv
-from ocametrics.simulate import synthetic_panel
+from ocametrics.simulate import synthetic_panel, write_equal_weights
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -35,13 +36,8 @@ def fixture_panel_path(fixture_panel, tmp_path_factory) -> Path:
 
 @pytest.fixture(scope="session")
 def fixture_weights_path(fixture_panel, tmp_path_factory) -> Path:
-    share = round(1.0 / len(fixture_panel.countries), 3)
-    lines = ["year,country,weight"]
-    for year in range(fixture_panel.dates[0].year, fixture_panel.dates[-1].year + 1):
-        for country in fixture_panel.countries:
-            lines.append(f"{year},{country},{share}")
     path = tmp_path_factory.mktemp("fixture_weights") / "weights.csv"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_equal_weights(fixture_panel, path)
     return path
 
 
@@ -65,3 +61,25 @@ def panel_from_rows(rows: list[tuple[str, str, str, float]]) -> Panel:
         buf.write(f"{country},{date},{variable},{value}\n")
     buf.seek(0)
     return load_panel(buf)
+
+
+def replace_everywhere(monkeypatch, func, replacement) -> None:
+    """Swap ``func`` for ``replacement`` in every ocametrics module that holds it."""
+    for name, module in list(sys.modules.items()):
+        if module is None or name.split(".")[0] != "ocametrics":
+            continue
+        for attr, value in list(vars(module).items()):
+            if value is func:
+                monkeypatch.setattr(module, attr, replacement)
+
+
+def count_calls(monkeypatch, func) -> list:
+    """Record one entry per call of ``func``, wherever ocametrics calls it from."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(func.__name__)
+        return func(*args, **kwargs)
+
+    replace_everywhere(monkeypatch, func, counted)
+    return calls

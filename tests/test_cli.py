@@ -8,9 +8,12 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from ocametrics import cointegration, unit_root
 from ocametrics.cli import main
 from ocametrics.months import Month
 from ocametrics.panel import load_panel
+
+from .conftest import replace_everywhere
 
 
 @pytest.fixture(scope="module")
@@ -332,3 +335,25 @@ class TestThinWrappers:
                                    "--weights", str(bundle["weights"]),
                                    "--exclude", "ZZZ"])
         assert res.exit_code != 0
+
+    @pytest.mark.parametrize("kind", ["supply", "demand"])
+    def test_correlate_prints_the_bundle_table(self, runner, bundle, kind):
+        res = runner.invoke(main, ["correlate", "--panel", str(bundle["panel"]),
+                                   "--kind", kind])
+        assert res.exit_code == 0, res.output
+        assert res.output == (bundle["out"] / f"correlation_{kind}.csv").read_text()
+
+    @pytest.mark.parametrize("command", [
+        ["correlate"],
+        ["disperse", "--weights", "WEIGHTS"],
+        ["cost", "--weights", "WEIGHTS", "--exclude", "C03"],
+    ])
+    def test_group_commands_skip_pretests(self, runner, bundle, monkeypatch, command):
+        def refuse(*args, **kwargs):
+            raise AssertionError("pretest called")
+
+        replace_everywhere(monkeypatch, unit_root.adf_test, refuse)
+        replace_everywhere(monkeypatch, cointegration.johansen_test, refuse)
+        args = [str(bundle["weights"]) if a == "WEIGHTS" else a for a in command]
+        res = runner.invoke(main, args + ["--panel", str(bundle["panel"])])
+        assert res.exit_code == 0, res.output

