@@ -32,7 +32,7 @@ from .metrics import (
     load_weights,
     trend_change,
 )
-from .months import Month, month_range
+from .months import Calendar, Month, month_range
 from .panel import (
     Panel,
     TransformedSeries,
@@ -63,8 +63,8 @@ from .var import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdfResult", "ArchLmResult", "CorrelationReport", "CostSeries", "Dgp",
-    "DispersionSeries", "DummySpec", "IntegrationResult", "IrfSet",
+    "AdfResult", "ArchLmResult", "Calendar", "CorrelationReport", "CostSeries",
+    "Dgp", "DispersionSeries", "DummySpec", "IntegrationResult", "IrfSet",
     "JohansenResult", "LagSelection", "Month", "OcaError", "Panel",
     "PipelineConfig", "PipelineResult", "PortmanteauResult", "RecoveryReport",
     "SimulatedSample", "SizeSpeed", "StabilityResult", "StructuralModel",

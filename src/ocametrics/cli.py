@@ -30,6 +30,7 @@ from .months import Month
 from .panel import dump_panel, growth_pair, load_panel, log_level_series
 from .pipeline import (
     PipelineConfig,
+    check_dummy_countries,
     correlation_dict,
     correlation_table,
     group_shocks,
@@ -93,8 +94,8 @@ def _domain_errors(func):
     return wrapper
 
 
-def _series_from_csv(path: str) -> tuple[tuple[Month, ...], np.ndarray]:
-    dates: list[Month] = []
+def _series_from_csv(path: str) -> np.ndarray:
+    """The value column of a ``date,value`` CSV, after checking every date parses."""
     values: list[float] = []
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0].strip() != "date,value":
@@ -104,11 +105,11 @@ def _series_from_csv(path: str) -> tuple[tuple[Month, ...], np.ndarray]:
             continue
         try:
             date_text, value_text = line.split(",")
-            dates.append(Month.parse(date_text))
+            Month.parse(date_text)
             values.append(float(value_text))
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: {exc}") from None
-    return tuple(dates), np.array(values)
+    return np.array(values)
 
 
 @click.group()
@@ -203,7 +204,7 @@ def _emit(rows: list[dict], as_json: bool) -> None:
 @_domain_errors
 def adf_command(series_path, spec, max_lags, lag_rule, as_json):
     """Unit-root test on one series."""
-    _, values = _series_from_csv(series_path)
+    values = _series_from_csv(series_path)
     rule: int | str = "aic"
     if lag_rule != "aic":
         try:
@@ -221,17 +222,24 @@ def adf_command(series_path, spec, max_lags, lag_rule, as_json):
     _emit([row], as_json)
 
 
-def _country_options(func):
-    for option in reversed([
-        click.option("--panel", "panel_path", type=click.Path(), required=True),
-        click.option("--country", type=str, required=True),
-        click.option("--base-year", type=int, default=2010),
-        click.option("--max-lags", type=int, default=12),
-        click.option("--seasonal-adjust", is_flag=True, default=False),
-        click.option("--dummy", "dummy_flags", multiple=True),
-    ]):
-        func = option(func)
-    return func
+def _options(*options):
+    def decorate(func):
+        for option in reversed(options):
+            func = option(func)
+        return func
+    return decorate
+
+
+_PANEL_OPTION = click.option("--panel", "panel_path", type=click.Path(), required=True)
+_CHAIN_OPTIONS = (
+    click.option("--base-year", type=int, default=2010),
+    click.option("--max-lags", type=click.IntRange(min=1), default=12),
+    click.option("--seasonal-adjust", is_flag=True, default=False),
+    click.option("--dummy", "dummy_flags", multiple=True),
+)
+_country_options = _options(_PANEL_OPTION, click.option("--country", type=str, required=True),
+                            *_CHAIN_OPTIONS)
+_group_options = _options(_PANEL_OPTION, *_CHAIN_OPTIONS)
 
 
 def _country_inputs(panel_path, country, base_year, seasonal_adjust, dummy_flags):
@@ -239,6 +247,7 @@ def _country_inputs(panel_path, country, base_year, seasonal_adjust, dummy_flags
     if country not in panel.countries:
         raise ConfigError(f"country {country!r} not in panel {panel.countries}")
     pairs = [_parse_dummy(t) for t in dummy_flags]
+    check_dummy_countries(pairs, panel.countries)
     dummies = tuple(spec for c, spec in pairs if c == country)
     logs = tuple(log_level_series(panel, country, variable, base_year=base_year,
                                   seasonal=seasonal_adjust)
@@ -337,9 +346,8 @@ def identify_command(panel_path, country, base_year, max_lags, seasonal_adjust,
         }, sort_keys=True))
         return
     click.echo("country,date,supply_shock,demand_shock")
-    for i, date in enumerate(svar.dates):
-        click.echo(f"{country},{date},{format(svar.shocks[i, 0], '.15g')},"
-                   f"{format(svar.shocks[i, 1], '.15g')}")
+    for date, (supply, demand) in zip(svar.dates.labels(), svar.shocks):
+        click.echo(f"{country},{date},{format(supply, '.15g')},{format(demand, '.15g')}")
 
 
 def _group_config(panel_path, base_year, seasonal_adjust, max_lags, dummy_flags):
@@ -350,11 +358,7 @@ def _group_config(panel_path, base_year, seasonal_adjust, max_lags, dummy_flags)
 
 
 @main.command("correlate")
-@click.option("--panel", "panel_path", type=click.Path(), required=True)
-@click.option("--base-year", type=int, default=2010)
-@click.option("--max-lags", type=int, default=12)
-@click.option("--seasonal-adjust", is_flag=True, default=False)
-@click.option("--dummy", "dummy_flags", multiple=True)
+@_group_options
 @click.option("--alpha", type=float, default=0.05)
 @click.option("--kind", type=click.Choice(["supply", "demand"]), default="supply")
 @click.option("--json", "as_json", is_flag=True, default=False)
@@ -375,12 +379,8 @@ def correlate_command(panel_path, base_year, max_lags, seasonal_adjust,
 
 
 @main.command("disperse")
-@click.option("--panel", "panel_path", type=click.Path(), required=True)
+@_group_options
 @click.option("--weights", "weights_path", type=click.Path(), required=True)
-@click.option("--base-year", type=int, default=2010)
-@click.option("--max-lags", type=int, default=12)
-@click.option("--seasonal-adjust", is_flag=True, default=False)
-@click.option("--dummy", "dummy_flags", multiple=True)
 @click.option("--hp-lambda", type=float, default=14400.0)
 @click.option("--kind", type=click.Choice(["supply", "demand"]), default="supply")
 @click.option("--json", "as_json", is_flag=True, default=False)
@@ -393,20 +393,16 @@ def disperse_command(panel_path, weights_path, base_year, max_lags,
     weights = load_weights(weights_path)
     series = dispersion_index(shocks[kind], dates, weights, kind=kind)
     trend, _ = hp_filter(series.values, hp_lambda)
-    rows = [{"date": str(d), "value": float(v), "trend": float(t)}
-            for d, v, t in zip(dates, series.values, trend)]
+    rows = [{"date": d, "value": float(v), "trend": float(t)}
+            for d, v, t in zip(dates.labels(), series.values, trend)]
     _emit(rows, as_json)
 
 
 @main.command("cost")
-@click.option("--panel", "panel_path", type=click.Path(), required=True)
+@_group_options
 @click.option("--weights", "weights_path", type=click.Path(), required=True)
 @click.option("--exclude", "excluded", type=str, required=True,
               help="Country whose cost-of-inclusion series to compute.")
-@click.option("--base-year", type=int, default=2010)
-@click.option("--max-lags", type=int, default=12)
-@click.option("--seasonal-adjust", is_flag=True, default=False)
-@click.option("--dummy", "dummy_flags", multiple=True)
 @click.option("--json", "as_json", is_flag=True, default=False)
 @_domain_errors
 def cost_command(panel_path, weights_path, excluded, base_year, max_lags,
@@ -417,10 +413,9 @@ def cost_command(panel_path, weights_path, excluded, base_year, max_lags,
     weights = load_weights(weights_path)
     series = {kind: cost_of_inclusion(shocks[kind], dates, weights, excluded, kind=kind)
               for kind in ("supply", "demand")}
-    rows = [{"country": excluded, "date": str(d),
-             "supply": float(series["supply"].values[i]),
-             "demand": float(series["demand"].values[i])}
-            for i, d in enumerate(dates)]
+    rows = [{"country": excluded, "date": d, "supply": float(s), "demand": float(m)}
+            for d, s, m in zip(dates.labels(), series["supply"].values,
+                               series["demand"].values)]
     _emit(rows, as_json)
 
 

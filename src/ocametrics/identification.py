@@ -17,7 +17,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import SigmaNotPositiveDefiniteError, UnstableModelError, ZeroLongRunError
-from .months import Month
+from .months import Calendar
 from .panel import _frozen
 from .var import VarModel, stability
 
@@ -33,7 +33,7 @@ class StructuralModel:
     a0: np.ndarray = field(repr=False)          # impact matrix, 2x2
     long_run: np.ndarray = field(repr=False)    # lower-triangular long-run matrix
     shocks: np.ndarray = field(repr=False)      # (T - p, 2), columns (supply, demand)
-    dates: tuple[Month, ...]
+    dates: Calendar
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from .errors import (
     ZeroDispersionError,
     ZeroVarianceError,
 )
-from .months import Month
+from .months import Calendar, Month
 from .panel import _frozen
 
 WEIGHT_SUM_TOLERANCE = 0.005
@@ -226,7 +226,7 @@ def load_weights(source: str | Path | IO[str]) -> WeightTable:
 
 @dataclass(frozen=True)
 class DispersionSeries:
-    dates: tuple[Month, ...]
+    dates: Calendar
     values: np.ndarray = field(repr=False)
     shock_kind: str = "supply"
 
@@ -234,12 +234,12 @@ class DispersionSeries:
 @dataclass(frozen=True)
 class CostSeries:
     country: str
-    dates: tuple[Month, ...]
+    dates: Calendar
     values: np.ndarray = field(repr=False)
     shock_kind: str = "supply"
 
 
-def _aligned_matrix(shocks: Mapping[str, np.ndarray], dates: Sequence[Month]):
+def _aligned_matrix(shocks: Mapping[str, np.ndarray], dates: Calendar):
     countries = tuple(sorted(shocks))
     arrays = [np.asarray(shocks[c], dtype=np.float64) for c in countries]
     n = len(dates)
@@ -248,26 +248,24 @@ def _aligned_matrix(shocks: Mapping[str, np.ndarray], dates: Sequence[Month]):
     return countries, np.column_stack(arrays)
 
 
-def _dispersion_values(x: np.ndarray, dates: Sequence[Month],
+def _dispersion_values(x: np.ndarray, dates: Calendar,
                        countries: Sequence[str], weights: WeightTable) -> np.ndarray:
     out = np.empty(len(dates))
-    year_cache: dict[int, tuple[np.ndarray, float]] = {}
-    for t, date in enumerate(dates):
-        cached = year_cache.get(date.year)
-        if cached is None:
-            w = weights.for_group(date.year, countries)
-            denom = 1.0 - float(w @ w)
-            if denom <= 0.0:
-                raise DegenerateWeightsError(
-                    f"weight concentration leaves no cross-country variance in {date.year}")
-            cached = year_cache[date.year] = (w, denom)
-        w, denom = cached
-        dev = x[t] - float(w @ x[t])
-        out[t] = math.sqrt(max(float(w @ (dev * dev)) / denom, 0.0))
+    years = dates.years
+    for year in np.unique(years).tolist():
+        w = weights.for_group(year, countries)
+        denom = 1.0 - float(w @ w)
+        if denom <= 0.0:
+            raise DegenerateWeightsError(
+                f"weight concentration leaves no cross-country variance in {year}")
+        # one BLAS dot per row: a matrix-vector product moves the last bits
+        for t in np.flatnonzero(years == year).tolist():
+            dev = x[t] - float(w @ x[t])
+            out[t] = math.sqrt(max(float(w @ (dev * dev)) / denom, 0.0))
     return out
 
 
-def dispersion_index(shocks: Mapping[str, np.ndarray], dates: Sequence[Month],
+def dispersion_index(shocks: Mapping[str, np.ndarray], dates: Calendar,
                      weights: WeightTable, kind: str = "supply") -> DispersionSeries:
     """Size-weighted cross-country standard deviation of shocks, per month.
 
@@ -278,10 +276,10 @@ def dispersion_index(shocks: Mapping[str, np.ndarray], dates: Sequence[Month],
     if len(countries) < 2:
         raise GroupTooSmallError("need at least 2 countries")
     values = _dispersion_values(x, dates, countries, weights)
-    return DispersionSeries(dates=tuple(dates), values=_frozen(values), shock_kind=kind)
+    return DispersionSeries(dates=dates, values=_frozen(values), shock_kind=kind)
 
 
-def cost_of_inclusion(shocks: Mapping[str, np.ndarray], dates: Sequence[Month],
+def cost_of_inclusion(shocks: Mapping[str, np.ndarray], dates: Calendar,
                       weights: WeightTable, country: str,
                       kind: str = "supply") -> CostSeries:
     """Relative change in group dispersion when ``country`` is excluded.
@@ -300,7 +298,7 @@ def cost_of_inclusion(shocks: Mapping[str, np.ndarray], dates: Sequence[Month],
     keep = [i for i, c in enumerate(countries) if c != country]
     sub_countries = [countries[i] for i in keep]
     sub = _dispersion_values(x[:, keep], dates, sub_countries, weights)
-    return CostSeries(country=country, dates=tuple(dates),
+    return CostSeries(country=country, dates=dates,
                       values=_frozen((sub - full) / full), shock_kind=kind)
 
 
@@ -342,13 +340,10 @@ def hp_filter(values: np.ndarray, smoothing: float = 14400.0):
     return trend, y - trend
 
 
-def trend_change(dates: Sequence[Month], trend: np.ndarray,
+def trend_change(dates: Calendar, trend: np.ndarray,
                  start: Month, end: Month) -> float:
     """Percent change of the trend between two sample dates."""
-    index = {d: i for i, d in enumerate(dates)}
-    if start not in index or end not in index:
-        raise DateRangeError(f"dates must lie within {dates[0]}..{dates[-1]}")
-    base = float(trend[index[start]])
+    base, last = (float(trend[dates.offset(d)]) for d in (start, end))
     if base == 0.0:
         raise ZeroBaseError(f"trend value at {start} is zero")
-    return 100.0 * (float(trend[index[end]]) - base) / base
+    return 100.0 * (last - base) / base

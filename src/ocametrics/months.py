@@ -2,14 +2,21 @@
 
 All series in this package are monthly; dates are (year, month) pairs with
 no day component.  A :class:`Month` converts to and from the ``YYYY-MM``
-text form used by every CSV interface.
+text form used by every CSV interface.  A :class:`Calendar` is the row
+axis of every series: ``n`` consecutive months from ``start``, so a row's
+position is an integer offset and contiguity holds by construction.
 """
 
 from __future__ import annotations
 
+import operator
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Iterable
+
+import numpy as np
+
+from .errors import DateRangeError
 
 _MONTH_RE = re.compile(r"^(\d{4})-(\d{2})$")
 
@@ -53,11 +60,59 @@ class Month:
         return f"{self.year:04d}-{self.month:02d}"
 
 
-def month_range(start: Month, n: int) -> tuple[Month, ...]:
+@dataclass(frozen=True)
+class Calendar(Sequence):
+    """``n`` consecutive months from ``start``, a sequence of :class:`Month`.
+
+    Slices are calendars; equality compares ``(start, n)``.
+    """
+
+    start: Month
+    n: int
+
+    def __post_init__(self):
+        if not isinstance(self.start, Month) or self.n < 0:
+            raise ValueError(f"calendar needs a start Month and n >= 0, got {self!r}")
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            lo, hi, step = key.indices(self.n)
+            if step != 1:
+                raise ValueError("calendar slices must be contiguous")
+            return Calendar(self.start + lo, max(hi - lo, 0))
+        i = operator.index(key)
+        if not -self.n <= i < self.n:
+            raise IndexError(f"calendar index {i} out of range for {self.n} months")
+        return self.start + (i % self.n)
+
+    def __contains__(self, month) -> bool:
+        return isinstance(month, Month) and 0 <= month - self.start < self.n
+
+    def offset(self, month: Month) -> int:
+        """Row position of ``month``; :class:`DateRangeError` outside the calendar."""
+        if month not in self:
+            raise DateRangeError(f"{month} outside calendar {self}")
+        return month - self.start
+
+    @property
+    def years(self) -> np.ndarray:
+        return (self.start.index + np.arange(self.n)) // 12
+
+    @property
+    def months(self) -> np.ndarray:
+        return (self.start.index + np.arange(self.n)) % 12 + 1
+
+    def labels(self) -> list[str]:
+        """``YYYY-MM`` text of every row, as the CSV interfaces write it."""
+        return [f"{y:04d}-{m:02d}" for y, m in zip(self.years.tolist(), self.months.tolist())]
+
+    def __str__(self) -> str:
+        return f"{self.start}..{self.start + (self.n - 1)}"
+
+
+def month_range(start: Month, n: int) -> Calendar:
     """``n`` consecutive months starting at ``start``."""
-    return tuple(Month.from_index(start.index + i) for i in range(n))
-
-
-def is_contiguous(dates: Iterable[Month]) -> bool:
-    idx = [d.index for d in dates]
-    return all(b - a == 1 for a, b in zip(idx, idx[1:]))
+    return Calendar(start, n)

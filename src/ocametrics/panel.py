@@ -19,7 +19,7 @@ import io
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Mapping
+from typing import IO, Mapping
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .errors import (
     PanelError,
     TooShortError,
 )
-from .months import Month, is_contiguous
+from .months import Calendar, Month, month_range
 
 VARIABLES = ("activity", "price")
 CSV_HEADER = ("country", "date", "variable", "value")
@@ -51,14 +51,14 @@ class Panel:
     """Aligned positive monthly (activity, price) series for several countries."""
 
     countries: tuple[str, ...]
-    dates: tuple[Month, ...]
+    dates: Calendar
     values: Mapping[tuple[str, str], np.ndarray] = field(repr=False)
 
     def __post_init__(self):
         if list(self.countries) != sorted(set(self.countries)):
             raise PanelError("countries must be sorted and unique")
-        if not is_contiguous(self.dates):
-            raise PanelError("panel calendar must be contiguous")
+        if not isinstance(self.dates, Calendar):
+            raise PanelError("panel dates must be a Calendar")
         for country in self.countries:
             for variable in VARIABLES:
                 arr = self.values[(country, variable)]
@@ -84,12 +84,14 @@ class TransformedSeries:
 
     country: str
     variable: str
-    dates: tuple[Month, ...]
+    dates: Calendar
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         if self.variable not in VARIABLES:
             raise PanelError(f"unknown variable {self.variable!r}")
+        if not isinstance(self.dates, Calendar):
+            raise PanelError("series dates must be a Calendar")
         if len(self.dates) != len(self.values):
             raise PanelError("dates and values must align")
         if not np.all(np.isfinite(self.values)):
@@ -155,27 +157,25 @@ def load_panel(source: str | Path | IO[str]) -> Panel:
 
     countries = sorted({c for c, _, _ in cells})
     lo = min(d for _, d, _ in cells)
-    hi = max(d for _, d, _ in cells)
-    dates = tuple(Month.from_index(i) for i in range(lo.index, hi.index + 1))
+    dates = month_range(lo, max(d for _, d, _ in cells) - lo + 1)
+    grid = {country: np.full((len(VARIABLES), len(dates)), np.nan) for country in countries}
+    for (country, date, variable), value in cells.items():
+        grid[country][VARIABLES.index(variable), dates.offset(date)] = value
 
     for country in countries:
-        for date in dates:
-            has = {v: (country, date, v) in cells for v in VARIABLES}
-            if not any(has.values()):
-                raise CalendarGapError(
-                    f"no observations for {country} at {date}",
-                    country=country, date=str(date))
-            for variable in VARIABLES:
-                if not has[variable]:
-                    raise MissingCellError(
-                        f"missing {_VARIABLE_TO_COLUMN[variable]} for {country} at {date}",
-                        country=country, date=str(date),
-                        variable=_VARIABLE_TO_COLUMN[variable])
+        missing = np.isnan(grid[country])
+        if missing.any():
+            t = int(missing.any(axis=0).argmax())
+            date = str(dates[t])
+            if missing[:, t].all():
+                raise CalendarGapError(f"no observations for {country} at {date}",
+                                       country=country, date=date)
+            column = _VARIABLE_TO_COLUMN[VARIABLES[int(missing[:, t].argmax())]]
+            raise MissingCellError(f"missing {column} for {country} at {date}",
+                                   country=country, date=date, variable=column)
 
-    values = {
-        (country, variable): _frozen([cells[(country, d, variable)] for d in dates])
-        for country in countries for variable in VARIABLES
-    }
+    values = {(country, variable): _frozen(grid[country][i])
+              for country in countries for i, variable in enumerate(VARIABLES)}
     return Panel(countries=tuple(countries), dates=dates, values=values)
 
 
@@ -184,11 +184,10 @@ def dump_panel(panel: Panel, stream: IO[str]) -> None:
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     for country in panel.countries:
-        for date in panel.dates:
-            for variable in VARIABLES:
-                value = panel.series(country, variable)[date - panel.dates[0]]
-                writer.writerow([country, str(date), _VARIABLE_TO_COLUMN[variable],
-                                 repr(float(value))])
+        series = [panel.series(country, v).tolist() for v in VARIABLES]
+        for date, *values in zip(panel.dates.labels(), *series):
+            for variable, value in zip(VARIABLES, values):
+                writer.writerow([country, date, _VARIABLE_TO_COLUMN[variable], repr(value)])
 
 
 def panel_to_csv(panel: Panel) -> str:
@@ -197,10 +196,10 @@ def panel_to_csv(panel: Panel) -> str:
     return buf.getvalue()
 
 
-def rebase(dates: Iterable[Month], values: np.ndarray, base_year: int) -> np.ndarray:
+def rebase(dates: Calendar, values: np.ndarray, base_year: int) -> np.ndarray:
     """Rescale so the series averages exactly 100 over the base-year months."""
     values = np.asarray(values, dtype=np.float64)
-    mask = np.array([d.year == base_year for d in dates])
+    mask = dates.years == base_year
     if not mask.any():
         raise BaseYearAbsentError(f"no observations in base year {base_year}")
     return 100.0 * values / values[mask].mean()
@@ -217,7 +216,7 @@ def log_diff(values: np.ndarray) -> np.ndarray:
     return logs[1:] - logs[:-1]
 
 
-def seasonal_adjust_dummies(dates: Iterable[Month], values: np.ndarray) -> np.ndarray:
+def seasonal_adjust_dummies(dates: Calendar, values: np.ndarray) -> np.ndarray:
     """Remove OLS-fitted month-of-year effects, preserving the sample mean.
 
     The regression uses an intercept, a linear trend and 11 monthly dummies;
@@ -225,7 +224,7 @@ def seasonal_adjust_dummies(dates: Iterable[Month], values: np.ndarray) -> np.nd
     subtracted, so trends and non-seasonal variation pass through.
     """
     values = np.asarray(values, dtype=np.float64)
-    months = np.array([d.month for d in dates])
+    months = dates.months
     n = values.size
     if n < 24:
         raise TooShortError("seasonal adjustment needs at least 24 months")
@@ -247,7 +246,7 @@ def log_level_series(panel: Panel, country: str, variable: str, *,
     return logs
 
 
-def growth_pair(country: str, dates: tuple[Month, ...],
+def growth_pair(country: str, dates: Calendar,
                 logs: tuple[np.ndarray, np.ndarray]) -> tuple[TransformedSeries, TransformedSeries]:
     """First differences of the (activity, price) log levels on ``dates``."""
     activity, price = (

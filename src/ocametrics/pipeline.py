@@ -40,7 +40,7 @@ from .metrics import (
     significance_stars,
     trend_change,
 )
-from .months import Month
+from .months import Month, month_range
 from .panel import Panel, growth_pair, load_panel, log_level_series
 from .unit_root import AdfResult, adf_test
 from .var import DummySpec, LagSelection, select_lag
@@ -172,7 +172,16 @@ class StageError(OcaError):
         self.original = original
 
 
+def check_dummy_countries(dummies, countries) -> None:
+    """Refuse a ``(country, DummySpec)`` pair whose country is not in ``countries``."""
+    for country, _ in dummies:
+        if country not in countries:
+            raise ConfigError(f"dummy references unknown country {country!r}")
+
+
 def _per_country(panel: Panel, config: PipelineConfig, analyze) -> dict:
+    check_dummy_countries(config.dummies, panel.countries)
+
     def work(country: str):
         try:
             return analyze(panel, country, config)
@@ -187,17 +196,16 @@ def _per_country(panel: Panel, config: PipelineConfig, analyze) -> dict:
 
 
 def _common_shocks(svars: Mapping[str, StructuralModel]):
-    start = max(svar.dates[0] for svar in svars.values())
+    start = max(svar.dates.start for svar in svars.values())
     end = min(svar.dates[-1] for svar in svars.values())
     if end < start:
         raise DateRangeError("countries share no common shock calendar")
-    n = end - start + 1
-    dates = tuple(Month.from_index(start.index + i) for i in range(n))
+    dates = month_range(start, end - start + 1)
     shocks = {kind: {} for kind in SHOCK_KINDS}
     for country, svar in svars.items():
-        offset = start - svar.dates[0]
+        offset = svar.dates.offset(start)
         for k_idx, kind in enumerate(SHOCK_KINDS):
-            shocks[kind][country] = svar.shocks[offset:offset + n, k_idx]
+            shocks[kind][country] = svar.shocks[offset:offset + len(dates), k_idx]
     return dates, shocks
 
 
@@ -347,17 +355,13 @@ def build_report(panel: Panel, weights: WeightTable, config: PipelineConfig) -> 
 
     snapshots: dict[str, dict[str, dict[str, float]]] = {}
     if config.snapshot_dates:
-        index = {d: i for i, d in enumerate(dates)}
-        for snap in config.snapshot_dates:
-            if snap not in index:
-                raise StageError(
-                    "group snapshots",
-                    DateRangeError(f"snapshot {snap} outside common calendar "
-                                   f"{dates[0]}..{dates[-1]}"))
+        try:
+            rows = {str(s): dates.offset(s) for s in config.snapshot_dates}
+        except DateRangeError as exc:
+            raise StageError("group snapshots", exc) from exc
         for kind in SHOCK_KINDS:
             snapshots[kind] = {
-                country: {str(s): float(cost[kind][country].values[index[s]])
-                          for s in config.snapshot_dates}
+                country: {s: float(cost[kind][country].values[t]) for s, t in rows.items()}
                 for country in panel.countries
             }
 
@@ -428,7 +432,7 @@ def build_report(panel: Panel, weights: WeightTable, config: PipelineConfig) -> 
             },
             "dispersion": {
                 kind: {
-                    "dates": [str(d) for d in dates],
+                    "dates": dates.labels(),
                     "values": [float(v) for v in dispersion[kind]["values"]],
                     "trend": [float(v) for v in dispersion[kind]["trend"]],
                     "trend_change_pct": float(dispersion[kind]["trend_change_pct"]),
@@ -444,7 +448,7 @@ def build_report(panel: Panel, weights: WeightTable, config: PipelineConfig) -> 
         },
         "shocks": {
             country: {
-                "dates": [str(d) for d in results[country].svar.dates],
+                "dates": results[country].svar.dates.labels(),
                 "supply": [float(v) for v in results[country].svar.shocks[:, 0]],
                 "demand": [float(v) for v in results[country].svar.shocks[:, 1]],
             } for country in panel.countries
@@ -583,10 +587,6 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     """Validate, compute, and write the full report bundle."""
     config.validate()
     panel = load_panel(config.panel_path)
-    for country, spec in config.dummies:
-        if country not in panel.countries:
-            raise ConfigError(f"dummy references unknown country {country!r}")
-        del spec
     weights = load_weights(config.weights_path)
 
     report = build_report(panel, weights, config)

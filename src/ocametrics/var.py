@@ -21,7 +21,7 @@ from .errors import (
     RankDeficientError,
     TooShortError,
 )
-from .months import Month
+from .months import Calendar, Month
 from .panel import TransformedSeries, _frozen
 
 VARIABLE_ORDER = ("activity", "price")
@@ -47,12 +47,12 @@ class DummySpec:
         if self.form not in ("step", "pulse"):
             raise ValueError(f"unknown dummy form {self.form!r}")
 
-    def column(self, dates: Sequence[Month]) -> np.ndarray:
-        if not (dates[0] <= self.break_date <= dates[-1]):
-            raise DateRangeError(f"break date {self.break_date} outside sample")
-        if self.form == "step":
-            return np.array([1.0 if d >= self.break_date else 0.0 for d in dates])
-        return np.array([1.0 if d == self.break_date else 0.0 for d in dates])
+    def column(self, dates: Calendar) -> np.ndarray:
+        at = dates.offset(self.break_date)
+        end = None if self.form == "step" else at + 1
+        col = np.zeros(len(dates))
+        col[at:end] = 1.0
+        return col
 
     def label(self) -> str:
         return f"{self.variable}:{self.break_date}:{self.form}"
@@ -67,7 +67,7 @@ class VarModel:
     exog_coefficients: np.ndarray = field(repr=False)  # (2, n_dummies)
     residuals: np.ndarray = field(repr=False)          # (T - p, 2)
     sigma: np.ndarray = field(repr=False)
-    effective_dates: tuple[Month, ...]
+    effective_dates: Calendar
 
     @property
     def nobs(self) -> int:
@@ -151,7 +151,7 @@ def _design(y: np.ndarray, p: int, dummy_cols: np.ndarray):
     return X, y[p:]
 
 
-def _dummy_columns(dummies: Sequence[DummySpec], dates: Sequence[Month]) -> np.ndarray:
+def _dummy_columns(dummies: Sequence[DummySpec], dates: Calendar) -> np.ndarray:
     cols = np.zeros((len(dates), len(dummies)))
     for j, d in enumerate(dummies):
         cols[:, j] = d.column(dates)
@@ -171,6 +171,13 @@ def fit_var(data: tuple[TransformedSeries, TransformedSeries], p: int,
     if rows < 10 + n_reg:
         raise TooShortError(
             f"need at least {10 + n_reg} effective observations for p={p}, have {rows}")
+    for d in dummies:
+        # the first p rows only feed the lags: a pulse there leaves a zero
+        # column, and a step there or at row p duplicates the intercept
+        need = p + (d.form == "step")
+        if dates.offset(d.break_date) < need:
+            raise DateRangeError(f"dummy {d.label()} must be dated after {dates[need - 1]} "
+                                 f"to be estimable at p={p}")
 
     X, z = _design(y, p, _dummy_columns(dummies, dates))
     # column-major: the summation order of X @ beta, and with it the last
@@ -197,7 +204,7 @@ def fit_var(data: tuple[TransformedSeries, TransformedSeries], p: int,
     return VarModel(p=p, intercept=_frozen(intercept), coefs=_frozen(coefs),
                     dummies=dummies, exog_coefficients=_frozen(exog),
                     residuals=_frozen(resid), sigma=_frozen(sigma),
-                    effective_dates=tuple(dates[p:]))
+                    effective_dates=dates[p:])
 
 
 def companion_matrix(coefs: np.ndarray) -> np.ndarray:

@@ -118,7 +118,7 @@ def test_criterion_4_johansen_critical_values_and_power():
 
 
 def test_criterion_5_dispersion_and_cost_hand_oracles():
-    dates = (Month(2012, 1),)
+    dates = month_range(Month(2012, 1), 1)
     table = build_weight_table({2012: {"AAA": 0.5, "BBB": 0.3, "CCC": 0.2}})
     shocks = {"AAA": np.array([1.0]), "BBB": np.array([2.0]), "CCC": np.array([3.0])}
     s = dispersion_index(shocks, dates, table).values[0]

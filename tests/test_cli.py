@@ -357,3 +357,46 @@ class TestThinWrappers:
         args = [str(bundle["weights"]) if a == "WEIGHTS" else a for a in command]
         res = runner.invoke(main, args + ["--panel", str(bundle["panel"])])
         assert res.exit_code == 0, res.output
+
+
+SUBCOMMANDS = {
+    "var": ["var", "--country", "C00"],
+    "identify": ["identify", "--country", "C00"],
+    "johansen": ["johansen", "--country", "C00"],
+    "correlate": ["correlate"],
+    "disperse": ["disperse", "--weights", "WEIGHTS"],
+    "cost": ["cost", "--weights", "WEIGHTS", "--exclude", "C03"],
+}
+
+
+class TestInputContracts:
+    def invoke(self, runner, bundle, name, *extra):
+        args = [str(bundle["weights"]) if a == "WEIGHTS" else a for a in SUBCOMMANDS[name]]
+        return runner.invoke(main, args + ["--panel", str(bundle["panel"]), *extra])
+
+    @pytest.mark.parametrize("name", list(SUBCOMMANDS))
+    def test_unknown_dummy_country_fails(self, runner, bundle, name):
+        res = self.invoke(runner, bundle, name, "--dummy", "ZZZ:MEAI:2012-06:step")
+        assert res.exit_code == 1
+        assert "unknown country 'ZZZ'" in res.stderr
+
+    @pytest.mark.parametrize("name", list(SUBCOMMANDS))
+    def test_zero_max_lags_is_a_usage_error(self, runner, bundle, name):
+        res = self.invoke(runner, bundle, name, "--max-lags", "0")
+        assert res.exit_code != 0
+        assert isinstance(res.exception, SystemExit)
+        assert "--max-lags" in res.stderr and "Traceback" not in res.output
+
+    @pytest.mark.parametrize("flag, label", [
+        ("C02:MEAI:2009-02:pulse", "activity:2009-02:pulse"),
+        ("C00:CPI:2009-03:step", "price:2009-03:step"),
+    ])
+    def test_dummy_in_lag_rows_is_refused(self, runner, fixture_panel_path,
+                                          fixture_weights_path, tmp_path, flag, label):
+        out = tmp_path / "never"
+        res = runner.invoke(main, [
+            "run", "--panel", str(fixture_panel_path), "--weights", str(fixture_weights_path),
+            "--output-dir", str(out), "--dummy", flag])
+        assert res.exit_code == 1
+        assert label in res.stderr and "rank-deficient" not in res.stderr
+        assert not out.exists()

@@ -245,7 +245,7 @@ class TestDispersion:
         np.testing.assert_array_equal(series.values, np.zeros(3))
 
     def test_hand_example(self):
-        dates = (Month(2012, 1),)
+        dates = month_range(Month(2012, 1), 1)
         shocks = {"AAA": np.array([1.0]), "BBB": np.array([2.0]), "CCC": np.array([3.0])}
         series = dispersion_index(shocks, dates, _table_503020([2012]))
         assert abs(series.values[0] - 0.99191) < 1e-5
@@ -279,7 +279,7 @@ class TestDispersion:
                                    3.0 * s0, atol=1e-12)
 
     def test_two_country_closed_form(self):
-        dates = (Month(2012, 1),)
+        dates = month_range(Month(2012, 1), 1)
         w = 0.7
         table = build_weight_table({2012: {"AAA": w, "BBB": 1.0 - w}})
         x1, x2 = 1.3, -0.4
@@ -296,7 +296,7 @@ class TestDispersion:
 
     def test_zero_iff_equal(self):
         rng = np.random.default_rng(5)
-        dates = (Month(2012, 1),)
+        dates = month_range(Month(2012, 1), 1)
         table = _table_503020([2012])
         x = rng.standard_normal(3)
         x[1] = x[0] + 1e-3
@@ -306,7 +306,7 @@ class TestDispersion:
 
 class TestCostOfInclusion:
     def test_hand_example(self):
-        dates = (Month(2012, 1),)
+        dates = month_range(Month(2012, 1), 1)
         shocks = {"AAA": np.array([1.0]), "BBB": np.array([2.0]), "CCC": np.array([3.0])}
         cost = cost_of_inclusion(shocks, dates, _table_503020([2012]), "CCC")
         assert abs(cost.values[0] - (-0.2871)) < 1e-4
@@ -317,7 +317,7 @@ class TestCostOfInclusion:
     def test_sign_convention(self):
         # an outlier raises dispersion: its cost is negative; a country at
         # the group mean reduces it: positive cost
-        dates = (Month(2012, 1),)
+        dates = month_range(Month(2012, 1), 1)
         table = _equal_weights(["AAA", "BBB", "CCC"], [2012])
         shocks = {"AAA": np.array([0.0]), "BBB": np.array([0.0]),
                   "CCC": np.array([10.0])}
@@ -345,20 +345,20 @@ class TestCostOfInclusion:
                 assert abs(cost.values[t] - (s_sub - s_full) / s_full) < 1e-10
 
     def test_group_too_small(self):
-        dates = (Month(2012, 1),)
+        dates = month_range(Month(2012, 1), 1)
         table = build_weight_table({2012: {"AAA": 0.6, "BBB": 0.4}})
         shocks = {"AAA": np.array([1.0]), "BBB": np.array([2.0])}
         with pytest.raises(GroupTooSmallError):
             cost_of_inclusion(shocks, dates, table, "AAA")
 
     def test_zero_dispersion_rejected(self):
-        dates = (Month(2012, 1),)
+        dates = month_range(Month(2012, 1), 1)
         shocks = {c: np.array([5.0]) for c in ("AAA", "BBB", "CCC")}
         with pytest.raises(ZeroDispersionError):
             cost_of_inclusion(shocks, dates, _table_503020([2012]), "AAA")
 
     def test_unknown_country(self):
-        dates = (Month(2012, 1),)
+        dates = month_range(Month(2012, 1), 1)
         shocks = {c: np.array([float(i)]) for i, c in enumerate(("AAA", "BBB", "CCC"))}
         with pytest.raises(DateRangeError):
             cost_of_inclusion(shocks, dates, _table_503020([2012]), "ZZZ")
@@ -452,7 +452,7 @@ class TestTrendChange:
 @given(st.lists(st.floats(min_value=-100, max_value=100), min_size=3, max_size=3),
        st.floats(min_value=-50, max_value=50))
 def test_dispersion_translation_property(values, shift):
-    dates = (Month(2012, 1),)
+    dates = month_range(Month(2012, 1), 1)
     table = _table_503020([2012])
     shocks = {c: np.array([v]) for c, v in zip(("AAA", "BBB", "CCC"), values)}
     shifted = {c: v + shift for c, v in shocks.items()}

@@ -17,6 +17,8 @@ from ocametrics.errors import (
 )
 from ocametrics.months import Month, month_range
 from ocametrics.panel import (
+    Panel,
+    TransformedSeries,
     dump_panel,
     load_panel,
     log_diff,
@@ -128,7 +130,7 @@ class TestRebase:
 
     def test_two_month_base_year_pair_unchanged(self):
         # base-year mean of (80, 120) is 100 already
-        dates = (Month(2010, 11), Month(2010, 12))
+        dates = month_range(Month(2010, 11), 2)
         np.testing.assert_allclose(rebase(dates, np.array([80.0, 120.0]), 2010),
                                    [80.0, 120.0], rtol=1e-14)
 
@@ -253,3 +255,14 @@ def test_transform_pair_shapes(fixture_panel):
     assert len(activity.values) == fixture_panel.n_months - 1
     assert activity.dates == fixture_panel.dates[1:]
     assert np.all(np.isfinite(activity.values))
+
+
+def test_dates_must_be_a_calendar():
+    dates = month_range(Month(2009, 1), 3)
+    values = {(c, v): np.full(3, 100.0) for c in ("AAA",) for v in ("activity", "price")}
+    assert Panel(countries=("AAA",), dates=dates, values=values).n_months == 3
+    with pytest.raises(PanelError):
+        Panel(countries=("AAA",), dates=tuple(dates), values=values)
+    with pytest.raises(PanelError):
+        TransformedSeries(country="AAA", variable="price", dates=tuple(dates),
+                          values=np.zeros(3))

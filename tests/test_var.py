@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ocametrics.errors import LagWindowError, NoAdmissibleLagError, RankDeficientError, TooShortError
+from ocametrics.errors import (
+    DateRangeError,
+    LagWindowError,
+    NoAdmissibleLagError,
+    RankDeficientError,
+    TooShortError,
+)
 from ocametrics.months import Month, month_range
 from ocametrics.panel import transform_pair
 from ocametrics.simulate import Dgp, simulate
@@ -132,6 +138,18 @@ class TestDummies:
         spec = DummySpec(variable="price", break_date=Month(1990, 1))
         with pytest.raises(DateRangeError):
             fit_var(data, p=1, dummies=[spec])
+
+    @pytest.mark.parametrize("form, first_valid", [("pulse", 3), ("step", 4)])
+    def test_dummy_in_lag_rows_refused(self, form, first_valid):
+        # at p = 3 a pulse needs row >= 3 and a step row >= 4 to be estimable
+        data = make_pair(np.random.default_rng(0).standard_normal((100, 2)))
+        dates = data[0].dates
+        for row in range(first_valid):
+            spec = DummySpec(variable="price", break_date=dates[row], form=form)
+            with pytest.raises(DateRangeError, match=spec.label()):
+                fit_var(data, p=3, dummies=[spec])
+        spec = DummySpec(variable="price", break_date=dates[first_valid], form=form)
+        assert fit_var(data, p=3, dummies=[spec]).dummies == (spec,)
 
     def test_invalid_spec_fields(self):
         with pytest.raises(ValueError):
