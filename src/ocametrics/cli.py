@@ -192,26 +192,35 @@ def _emit(rows: list[dict], as_json: bool) -> None:
         click.echo(",".join(str(row[h]) for h in header))
 
 
+def _lag_rule(ctx, param, value: str) -> int | str:
+    if value == "aic":
+        return value
+    try:
+        lags = int(value)
+    except ValueError:
+        lags = None
+    if lags is None or lags < 0:
+        raise click.BadParameter(f'must be "aic" or an integer >= 0, got {value!r}')
+    return lags
+
+
+_ALPHA = click.FloatRange(0.0, 1.0, min_open=True, max_open=True)
+
+
 @main.command("adf")
 @click.option("--series", "series_path", type=click.Path(), required=True,
               help="CSV with header date,value.")
 @click.option("--spec", type=click.Choice(["none", "constant", "trend"]),
               default="trend")
-@click.option("--max-lags", type=int, default=12)
-@click.option("--lag-rule", type=str, default="aic",
-              help='"aic" or an integer fixing the lag count.')
+@click.option("--max-lags", type=click.IntRange(min=0), default=12)
+@click.option("--lag-rule", type=str, default="aic", callback=_lag_rule,
+              help='"aic" or an integer >= 0 fixing the lag count.')
 @click.option("--json", "as_json", is_flag=True, default=False)
 @_domain_errors
 def adf_command(series_path, spec, max_lags, lag_rule, as_json):
     """Unit-root test on one series."""
     values = _series_from_csv(series_path)
-    rule: int | str = "aic"
-    if lag_rule != "aic":
-        try:
-            rule = int(lag_rule)
-        except ValueError:
-            raise ConfigError(f'--lag-rule must be "aic" or an integer, got {lag_rule!r}')
-    res = adf_test(values, spec=spec, max_lags=max_lags, lag_rule=rule)
+    res = adf_test(values, spec=spec, max_lags=max_lags, lag_rule=lag_rule)
     row = {
         "statistic": res.statistic, "lags_used": res.lags_used, "spec": res.spec,
         "nobs": res.nobs,
@@ -257,7 +266,7 @@ def _country_inputs(panel_path, country, base_year, seasonal_adjust, dummy_flags
 
 @main.command("johansen")
 @_country_options
-@click.option("--lag-order", type=int, default=None,
+@click.option("--lag-order", type=click.IntRange(min=2), default=None,
               help="Levels-VAR order; defaults to the selected lag + 1.")
 @click.option("--json", "as_json", is_flag=True, default=False)
 @_domain_errors
@@ -287,11 +296,11 @@ def johansen_command(panel_path, country, base_year, max_lags, seasonal_adjust,
 
 @main.command("var")
 @_country_options
-@click.option("--p", "fixed_p", type=int, default=None,
+@click.option("--p", "fixed_p", type=click.IntRange(min=1), default=None,
               help="Fit this lag order instead of selecting one.")
-@click.option("--portmanteau-h", type=int, default=12)
-@click.option("--arch-q", type=int, default=4)
-@click.option("--alpha", type=float, default=0.05)
+@click.option("--portmanteau-h", type=click.IntRange(min=2), default=12)
+@click.option("--arch-q", type=click.IntRange(min=1), default=4)
+@click.option("--alpha", type=_ALPHA, default=0.05)
 @click.option("--json", "as_json", is_flag=True, default=False)
 @_domain_errors
 def var_command(panel_path, country, base_year, max_lags, seasonal_adjust,
@@ -319,8 +328,8 @@ def var_command(panel_path, country, base_year, max_lags, seasonal_adjust,
 
 @main.command("identify")
 @_country_options
-@click.option("--p", "fixed_p", type=int, default=None)
-@click.option("--irf-horizon", type=int, default=48)
+@click.option("--p", "fixed_p", type=click.IntRange(min=1), default=None)
+@click.option("--irf-horizon", type=click.IntRange(min=12), default=48)
 @click.option("--json", "as_json", is_flag=True, default=False)
 @_domain_errors
 def identify_command(panel_path, country, base_year, max_lags, seasonal_adjust,
@@ -359,7 +368,7 @@ def _group_config(panel_path, base_year, seasonal_adjust, max_lags, dummy_flags)
 
 @main.command("correlate")
 @_group_options
-@click.option("--alpha", type=float, default=0.05)
+@click.option("--alpha", type=_ALPHA, default=0.05)
 @click.option("--kind", type=click.Choice(["supply", "demand"]), default="supply")
 @click.option("--json", "as_json", is_flag=True, default=False)
 @_domain_errors
@@ -381,7 +390,7 @@ def correlate_command(panel_path, base_year, max_lags, seasonal_adjust,
 @main.command("disperse")
 @_group_options
 @click.option("--weights", "weights_path", type=click.Path(), required=True)
-@click.option("--hp-lambda", type=float, default=14400.0)
+@click.option("--hp-lambda", type=click.FloatRange(min=0.0), default=14400.0)
 @click.option("--kind", type=click.Choice(["supply", "demand"]), default="supply")
 @click.option("--json", "as_json", is_flag=True, default=False)
 @_domain_errors
@@ -420,10 +429,10 @@ def cost_command(panel_path, weights_path, excluded, base_year, max_lags,
 
 
 @main.command("simulate")
-@click.option("--seed", type=int, default=0)
-@click.option("--t", "n_months", type=int, default=133,
+@click.option("--seed", type=click.IntRange(min=0), default=0)
+@click.option("--t", "n_months", type=click.IntRange(min=2), default=133,
               help="Number of months in the fixture panel.")
-@click.option("--countries", "n_countries", type=int, default=7)
+@click.option("--countries", "n_countries", type=click.IntRange(min=1), default=7)
 @click.option("--start", type=str, default="2009-01")
 @click.option("--output", type=click.Path(), default=None,
               help="Panel CSV destination (stdout when omitted).")
@@ -432,6 +441,10 @@ def cost_command(panel_path, weights_path, excluded, base_year, max_lags,
 @_domain_errors
 def simulate_command(seed, n_months, n_countries, start, output, weights_output):
     """Generate a reproducible synthetic fixture panel."""
+    if weights_output and n_countries < 2:
+        # load_weights needs at least 2 countries a year
+        raise click.BadParameter("must be >= 2 with --weights-output",
+                                 param_hint="'--countries'")
     try:
         first = Month.parse(start)
     except ValueError as exc:

@@ -17,8 +17,6 @@ from pathlib import Path
 from typing import IO, Mapping, Sequence
 
 import numpy as np
-from scipy import linalg as slinalg
-from scipy.special import stdtr
 
 from .errors import (
     DateRangeError,
@@ -61,6 +59,8 @@ class SymmetryReport:
 
 def correlation_pvalue(r: float, n: int) -> float:
     """Two-sided p-value of a Pearson coefficient under the zero null."""
+    from scipy.special import stdtr
+
     if n < 3:
         raise InsufficientOverlapError("need n >= 3 for a p-value")
     if abs(r) >= 1.0:
@@ -287,19 +287,31 @@ def cost_of_inclusion(shocks: Mapping[str, np.ndarray], dates: Calendar,
     Positive values mean the country's inclusion lowers dispersion (a
     convergence source); negative values mean it raises dispersion.
     """
+    return _costs_of_inclusion(shocks, dates, weights, (country,), kind)[country]
+
+
+def _costs_of_inclusion(shocks: Mapping[str, np.ndarray], dates: Calendar,
+                        weights: WeightTable, excluded: Sequence[str], kind: str,
+                        full: np.ndarray | None = None) -> dict[str, CostSeries]:
+    """``cost_of_inclusion`` for each of ``excluded``; ``full`` is the group's
+    dispersion when the caller already has it."""
     countries, x = _aligned_matrix(shocks, dates)
-    if country not in countries:
-        raise DateRangeError(f"unknown country {country!r}")
+    for country in excluded:
+        if country not in countries:
+            raise DateRangeError(f"unknown country {country!r}")
     if len(countries) < 3:
         raise GroupTooSmallError("cost of inclusion needs a group of at least 3")
-    full = _dispersion_values(x, dates, countries, weights)
+    if full is None:
+        full = _dispersion_values(x, dates, countries, weights)
     if np.any(full == 0.0):
         raise ZeroDispersionError("full-group dispersion is zero at some date")
-    keep = [i for i, c in enumerate(countries) if c != country]
-    sub_countries = [countries[i] for i in keep]
-    sub = _dispersion_values(x[:, keep], dates, sub_countries, weights)
-    return CostSeries(country=country, dates=dates,
-                      values=_frozen((sub - full) / full), shock_kind=kind)
+    costs = {}
+    for country in excluded:
+        keep = [i for i, c in enumerate(countries) if c != country]
+        sub = _dispersion_values(x[:, keep], dates, [countries[i] for i in keep], weights)
+        costs[country] = CostSeries(country=country, dates=dates,
+                                    values=_frozen((sub - full) / full), shock_kind=kind)
+    return costs
 
 
 # --------------------------------------------------------------------------
@@ -313,6 +325,8 @@ def hp_filter(values: np.ndarray, smoothing: float = 14400.0):
     second-difference operator, assembled directly in symmetric banded form
     and solved with a banded Cholesky routine.
     """
+    from scipy.linalg import solveh_banded
+
     y = np.asarray(values, dtype=np.float64)
     if y.ndim != 1:
         raise ValueError("values must be 1-D")
@@ -336,7 +350,7 @@ def hp_filter(values: np.ndarray, smoothing: float = 14400.0):
     ab[0, 2:] = smoothing * diag2
     ab[1, 1:] = smoothing * diag1
     ab[2, :] = 1.0 + smoothing * diag0
-    trend = slinalg.solveh_banded(ab, y, lower=False)
+    trend = solveh_banded(ab, y, lower=False)
     return trend, y - trend
 
 

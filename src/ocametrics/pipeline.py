@@ -31,9 +31,9 @@ from .metrics import (
     CorrelationReport,
     SymmetryReport,
     WeightTable,
+    _costs_of_inclusion,
     classify_symmetry,
     correlation_matrix,
-    cost_of_inclusion,
     dispersion_index,
     hp_filter,
     load_weights,
@@ -346,10 +346,8 @@ def build_report(panel: Panel, weights: WeightTable, config: PipelineConfig) -> 
                 "trend": trend,
                 "trend_change_pct": trend_change(dates, trend, dates[0], dates[-1]),
             }
-            cost[kind] = {
-                country: cost_of_inclusion(shocks[kind], dates, weights, country, kind=kind)
-                for country in panel.countries
-            }
+            cost[kind] = _costs_of_inclusion(shocks[kind], dates, weights,
+                                             panel.countries, kind, full=disp.values)
         except OcaError as exc:
             raise StageError(f"group {kind}", exc) from exc
 

@@ -77,11 +77,14 @@ class RecoveryReport:
     sign_agreement: bool
 
 
+def _structural_shocks(dgp: Dgp) -> np.ndarray:
+    """The DGP's seeded shock draws, burn-in included: ``(n_obs + BURN_IN, 2)``."""
+    return np.random.default_rng(dgp.seed).standard_normal((dgp.n_obs + BURN_IN, 2))
+
+
 def simulate(dgp: Dgp) -> SimulatedSample:
     """Draw one sample; the first ``BURN_IN`` observations are discarded."""
-    rng = np.random.default_rng(dgp.seed)
-    total = dgp.n_obs + BURN_IN
-    shocks = rng.standard_normal((total, 2))
+    shocks = _structural_shocks(dgp)
     innovations = shocks @ np.asarray(dgp.impact, dtype=np.float64).T
     path = _kernels.var_simulate(np.asarray(dgp.coefs, dtype=np.float64),
                                  np.asarray(dgp.intercept, dtype=np.float64),
@@ -91,13 +94,12 @@ def simulate(dgp: Dgp) -> SimulatedSample:
 
 
 def recovery_report(dgp: Dgp, fitted: StructuralModel) -> RecoveryReport:
-    """Compare a fitted structural model against the DGP that produced it."""
-    sample = simulate(dgp)
+    """Compare a fitted structural model against the DGP's own shock draws."""
     n_fit = fitted.shocks.shape[0]
     if n_fit > dgp.n_obs or n_fit < 2:
         raise DateRangeError(
             f"fitted shock sample of {n_fit} does not fit inside {dgp.n_obs} observations")
-    truth = sample.shocks[dgp.n_obs - n_fit:]
+    truth = _structural_shocks(dgp)[-n_fit:]
     supply_corr = float(np.corrcoef(fitted.shocks[:, 0], truth[:, 0])[0, 1])
     demand_corr = float(np.corrcoef(fitted.shocks[:, 1], truth[:, 1])[0, 1])
     f = np.asarray(fitted.long_run)

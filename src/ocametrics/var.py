@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.special import chdtrc
 
 from .errors import (
     DateRangeError,
@@ -183,16 +182,17 @@ def fit_var(data: tuple[TransformedSeries, TransformedSeries], p: int,
     # column-major: the summation order of X @ beta, and with it the last
     # bits of the residuals in report.json, depends on the layout
     X = np.asfortranarray(X)
-    if np.linalg.matrix_rank(X) < n_reg:
-        raise RankDeficientError("regressor matrix rank-deficient")
 
     intercept = np.empty(N_VARS)
     coefs = np.zeros((p, N_VARS, N_VARS))
     exog = np.zeros((N_VARS, len(dummies)))
     resid = np.empty((rows, N_VARS))
-    # one lstsq per equation: a two-column solve moves the last bits
+    # one lstsq per equation: a two-column solve moves the last bits.  Its rank
+    # has matrix_rank's cutoff: singular values above eps * max(M, N) * s_max
     for a in range(N_VARS):
-        beta, *_ = np.linalg.lstsq(X, z[:, a], rcond=None)
+        beta, _, rank, _ = np.linalg.lstsq(X, z[:, a], rcond=None)
+        if rank < n_reg:
+            raise RankDeficientError("regressor matrix rank-deficient")
         resid[:, a] = z[:, a] - X @ beta
         intercept[a] = beta[0]
         for i in range(p):
@@ -227,6 +227,8 @@ def stability(model: VarModel) -> StabilityResult:
 
 def portmanteau_test(model: VarModel, h: int) -> PortmanteauResult:
     """Adjusted multivariate portmanteau test for residual serial correlation."""
+    from scipy.special import chdtrc
+
     if h <= model.p:
         raise LagWindowError(f"h must exceed the VAR order (h={h}, p={model.p})")
     u = model.residuals
@@ -247,6 +249,8 @@ def portmanteau_test(model: VarModel, h: int) -> PortmanteauResult:
 
 def arch_lm_test(residuals: np.ndarray, q: int) -> ArchLmResult:
     """LM test for autoregressive conditional heteroskedasticity."""
+    from scipy.special import chdtrc
+
     u = np.asarray(residuals, dtype=np.float64)
     if u.ndim != 1:
         raise ValueError("residuals must be a single equation's series")

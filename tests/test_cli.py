@@ -40,6 +40,15 @@ def bundle(runner, tmp_path_factory):
     return {"panel": panel, "weights": weights, "out": out}
 
 
+@pytest.fixture
+def series_path(tmp_path):
+    path = tmp_path / "series.csv"
+    walk = np.random.default_rng(1).standard_normal(100).cumsum()
+    path.write_text("date,value\n" + "\n".join(
+        f"{Month(2009, 1) + i},{v}" for i, v in enumerate(walk)) + "\n")
+    return path
+
+
 class TestSimulate:
     def test_stdout_panel_parses_and_is_deterministic(self, runner):
         a = runner.invoke(main, ["simulate", "--seed", "1", "--t", "24",
@@ -84,6 +93,42 @@ def test_cli_import_leaves_out_scipy_stats_and_signal():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_round_trip_leaves_out_scipy(tmp_path, series_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    panel = tmp_path / "panel.csv"
+    commands = [["simulate", "--t", "61", "--countries", "2", "--output", str(panel)],
+                ["johansen", "--panel", str(panel), "--country", "C00", "--lag-order", "2"],
+                ["adf", "--series", str(series_path)]]
+    code = f"""
+import sys, ocametrics, ocametrics.cli
+from click.testing import CliRunner
+from ocametrics.identification import identify_bq
+from ocametrics.months import Month, month_range
+from ocametrics.panel import TransformedSeries
+from ocametrics.simulate import random_dgp, recovery_report, simulate
+from ocametrics.var import fit_var, portmanteau_test
+
+for args in {commands!r}:
+    assert CliRunner().invoke(ocametrics.cli.main, args).exit_code == 0, args
+for seed in range(3):
+    dgp = random_dgp(seed, p=seed + 1, n_obs=500)
+    diffs = simulate(dgp).diffs
+    dates = month_range(Month(2009, 2), diffs.shape[0])
+    pair = tuple(TransformedSeries(country="AAA", variable=v, dates=dates,
+                                   values=diffs[:, i].copy())
+                 for i, v in enumerate(("activity", "price")))
+    model = fit_var(pair, dgp.p)
+    recovery_report(dgp, identify_bq(model))
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+portmanteau_test(model, 12)
+print("scipy.special" in sys.modules)
+"""
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split("\n")[:2] == ["[]", "True"]
 
 
 class TestRunPipeline:
@@ -400,3 +445,64 @@ class TestInputContracts:
         assert res.exit_code == 1
         assert label in res.stderr and "rank-deficient" not in res.stderr
         assert not out.exists()
+
+
+def _range_args(args, panel, weights, series, tmp_path):
+    where = {"PANEL": ["--panel", str(panel)], "SERIES": ["--series", str(series)],
+             "OUT": ["--output", str(tmp_path / "panel.csv")]}
+    files = {"WEIGHTS": str(weights), "WOUT": str(tmp_path / "weights.csv")}
+    head, *rest = args
+    return [files.get(a, a) for a in rest] + where[head]
+
+
+
+
+OUT_OF_RANGE = [
+    (["PANEL", "var", "--country", "C00", "--p", "0"], "--p"),
+    (["PANEL", "identify", "--country", "C00", "--p", "0"], "--p"),
+    (["PANEL", "johansen", "--country", "C00", "--lag-order", "1"], "--lag-order"),
+    (["PANEL", "identify", "--country", "C00", "--irf-horizon", "11", "--json"],
+     "--irf-horizon"),
+    (["PANEL", "var", "--country", "C00", "--arch-q", "0"], "--arch-q"),
+    (["PANEL", "var", "--country", "C00", "--portmanteau-h", "1"], "--portmanteau-h"),
+    (["PANEL", "var", "--country", "C00", "--alpha", "0"], "--alpha"),
+    (["PANEL", "var", "--country", "C00", "--alpha", "1"], "--alpha"),
+    (["PANEL", "correlate", "--alpha", "1.5"], "--alpha"),
+    (["PANEL", "correlate", "--alpha", "-0.1"], "--alpha"),
+    (["PANEL", "disperse", "--weights", "WEIGHTS", "--hp-lambda", "-1"], "--hp-lambda"),
+    (["SERIES", "adf", "--max-lags", "-1"], "--max-lags"),
+    (["SERIES", "adf", "--lag-rule", "-1"], "--lag-rule"),
+    (["SERIES", "adf", "--lag-rule", "bic"], "--lag-rule"),
+    (["OUT", "simulate", "--t", "1"], "--t"),
+    (["OUT", "simulate", "--countries", "0"], "--countries"),
+    (["OUT", "simulate", "--seed", "-1"], "--seed"),
+    (["OUT", "simulate", "--countries", "1", "--weights-output", "WOUT"], "--countries"),
+]
+
+
+@pytest.mark.parametrize("args, option", OUT_OF_RANGE,
+                         ids=[" ".join(a[1:]) for a, _ in OUT_OF_RANGE])
+def test_out_of_range_option_is_a_usage_error(runner, fixture_panel_path,
+                                              fixture_weights_path, series_path,
+                                              tmp_path, args, option):
+    res = runner.invoke(main, _range_args(args, fixture_panel_path, fixture_weights_path,
+                                          series_path, tmp_path))
+    assert res.exit_code == 2
+    assert f"Invalid value for '{option}'" in res.stderr
+    assert "Traceback" not in res.output and res.stdout == ""
+    assert not (tmp_path / "panel.csv").exists() and not (tmp_path / "weights.csv").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["PANEL", "identify", "--country", "C00", "--p", "1", "--irf-horizon", "12", "--json"],
+    ["PANEL", "disperse", "--weights", "WEIGHTS", "--hp-lambda", "0"],
+    ["SERIES", "adf", "--max-lags", "0"],
+    ["SERIES", "adf", "--lag-rule", "0"],
+    ["OUT", "simulate", "--t", "2", "--countries", "1", "--seed", "0"],
+    ["OUT", "simulate", "--t", "2", "--countries", "2", "--weights-output", "WOUT"],
+], ids=lambda a: " ".join(a[1:]))
+def test_range_bounds_are_accepted(runner, fixture_panel_path, fixture_weights_path,
+                                   series_path, tmp_path, args):
+    res = runner.invoke(main, _range_args(args, fixture_panel_path, fixture_weights_path,
+                                          series_path, tmp_path))
+    assert res.exit_code == 0, res.output

@@ -1,5 +1,5 @@
-from ocametrics import panel, var
-from ocametrics.pipeline import PipelineConfig, analyze_country
+from ocametrics import metrics, panel, var
+from ocametrics.pipeline import PipelineConfig, analyze_country, build_report
 
 from .conftest import count_calls
 
@@ -26,3 +26,10 @@ def test_selection_carries_the_accepted_model(fixture_panel):
     assert (refit.coefs == selection.model.coefs).all()
     assert (refit.residuals == selection.model.residuals).all()
     assert selection.diagnostics == var.diagnose(refit, 12, 4)
+
+
+def test_group_dispersion_once_per_country(fixture_panel, fixture_weights_path, monkeypatch):
+    passes = count_calls(monkeypatch, metrics._dispersion_values)
+    build_report(fixture_panel, metrics.load_weights(fixture_weights_path), CONFIG)
+    # per shock kind: the full group once, then each country left out once
+    assert len(passes) == 2 * (len(fixture_panel.countries) + 1)

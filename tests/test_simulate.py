@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ocametrics import _kernels
 from ocametrics.errors import DateRangeError, UnstableModelError
 from ocametrics.identification import StructuralModel, identify_bq
 from ocametrics.months import Month, month_range
@@ -8,6 +9,7 @@ from ocametrics.panel import panel_to_csv
 from ocametrics.simulate import (
     BURN_IN,
     Dgp,
+    RecoveryReport,
     panel_from_diffs,
     random_dgp,
     recovery_report,
@@ -16,7 +18,7 @@ from ocametrics.simulate import (
 )
 from ocametrics.var import fit_var
 
-from .conftest import make_pair
+from .conftest import count_calls, make_pair
 
 
 class TestDgp:
@@ -86,6 +88,19 @@ class TestRecoveryReport:
         assert report.supply_correlation > 0.95
         assert report.demand_correlation > 0.95
         assert report.sign_agreement
+
+    def test_reads_the_draws_without_simulating(self, monkeypatch):
+        dgp = random_dgp(77, p=2, n_obs=2_000)
+        svar = identify_bq(fit_var(make_pair(simulate(dgp).diffs), p=2))
+        sims = count_calls(monkeypatch, _kernels.var_simulate)
+        report = recovery_report(dgp, svar)
+        assert sims == []
+        truth = simulate(dgp).shocks[2:]
+        supply = float(np.corrcoef(svar.shocks[:, 0], truth[:, 0])[0, 1])
+        demand = float(np.corrcoef(svar.shocks[:, 1], truth[:, 1])[0, 1])
+        assert report == RecoveryReport(
+            a0_error_max=float(np.max(np.abs(np.asarray(svar.a0) - np.asarray(dgp.impact)))),
+            supply_correlation=supply, demand_correlation=demand, sign_agreement=True)
 
     def test_transposed_impact_flips_sign_agreement(self):
         impact = np.array([[1.0, 0.0], [-2.0, 1.0]])

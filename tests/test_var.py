@@ -100,6 +100,12 @@ class TestFitVar:
         with pytest.raises(RankDeficientError):
             fit_var(data, p=1)
 
+    def test_collinear_design_is_rank_deficient(self):
+        # price growth is exactly twice activity growth: the lag columns are collinear
+        x = np.random.default_rng(0).standard_normal(80)
+        with pytest.raises(RankDeficientError):
+            fit_var(make_pair(np.column_stack([x, 2.0 * x])), p=2)
+
     def test_too_short(self):
         data = make_pair(np.random.default_rng(0).standard_normal((14, 2)))
         with pytest.raises(TooShortError):
