@@ -69,6 +69,12 @@ def _parse_snapshots(text: str) -> tuple[Month, ...]:
         raise ConfigError(str(exc)) from None
 
 
+_CONFIG_KEYS = frozenset({
+    "panel", "weights", "output_dir", "base_year", "alpha", "max_lags", "hp_lambda",
+    "irf_horizon", "snapshot_dates", "dummy", "seasonal_adjust", "portmanteau_h",
+    "arch_q", "threads"})
+
+
 def _load_config_file(path: str) -> dict:
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -76,6 +82,9 @@ def _load_config_file(path: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config file must hold a flat JSON object")
+    unknown = sorted(set(raw) - _CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown config key {unknown[0]!r} in {path}")
     return raw
 
 
@@ -128,7 +137,6 @@ def main():
 @click.option("--max-lags", type=int, default=None)
 @click.option("--hp-lambda", type=float, default=None)
 @click.option("--irf-horizon", type=int, default=None)
-@click.option("--seed", type=int, default=None)
 @click.option("--snapshot-dates", type=str, default=None,
               help="Comma-separated YYYY-MM dates for the cost table.")
 @click.option("--dummy", "dummy_flags", multiple=True,
@@ -140,7 +148,7 @@ def main():
 @click.option("--threads", type=int, default=None)
 @_domain_errors
 def run_command(config_path, panel_path, weights_path, output_dir, base_year,
-                alpha, max_lags, hp_lambda, irf_horizon, seed, snapshot_dates,
+                alpha, max_lags, hp_lambda, irf_horizon, snapshot_dates,
                 dummy_flags, seasonal_adjust, portmanteau_h, arch_q, threads):
     """Run the full pipeline and write the report bundle."""
     raw = _load_config_file(config_path) if config_path else {}
@@ -168,7 +176,6 @@ def run_command(config_path, panel_path, weights_path, output_dir, base_year,
         max_lags=int(pick(max_lags, "max_lags", 12)),
         hp_lambda=float(pick(hp_lambda, "hp_lambda", 14400.0)),
         irf_horizon=int(pick(irf_horizon, "irf_horizon", 48)),
-        seed=int(pick(seed, "seed", 0)),
         seasonal_adjust=bool(pick(seasonal_adjust, "seasonal_adjust", False)),
         snapshot_dates=_parse_snapshots(snapshot_text) if snapshot_text else (),
         dummies=tuple(_parse_dummy(t) for t in dummy_texts),

@@ -65,9 +65,10 @@ def johansen_test(pair: tuple[np.ndarray, np.ndarray], lag_order: int) -> Johans
         raise ValueError("exactly two series required")
     n_obs = y.shape[0]
     k = int(lag_order)
+    if n_obs < MIN_EFFECTIVE_OBS + k:
+        raise TooShortError(f"need >= {MIN_EFFECTIVE_OBS + k} observations for lag order {k}, "
+                            f"have {n_obs}")
     t_eff = n_obs - k
-    if t_eff < MIN_EFFECTIVE_OBS:
-        raise TooShortError(f"need >= {MIN_EFFECTIVE_OBS} effective observations, have {t_eff}")
 
     dy = np.diff(y, axis=0)
     z0 = dy[k - 1:]                                     # dY_t

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import itertools
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Mapping, Sequence
@@ -59,14 +58,19 @@ class SymmetryReport:
 
 def correlation_pvalue(r: float, n: int) -> float:
     """Two-sided p-value of a Pearson coefficient under the zero null."""
-    from scipy.special import stdtr
-
     if n < 3:
         raise InsufficientOverlapError("need n >= 3 for a p-value")
-    if abs(r) >= 1.0:
-        return 0.0
-    t = r * math.sqrt((n - 2) / (1.0 - r * r))
-    return float(2.0 * stdtr(n - 2, -abs(t)))
+    return float(_pvalues(np.float64(r), n))
+
+
+def _pvalues(r: np.ndarray, n: int) -> np.ndarray:
+    # elementwise: p = 0 where |r| >= 1
+    from scipy.special import stdtr
+
+    perfect = np.abs(r) >= 1.0
+    r = np.where(perfect, 0.0, r)
+    t = r * np.sqrt((n - 2) / (1.0 - r * r))
+    return np.where(perfect, 0.0, 2.0 * stdtr(n - 2, -np.abs(t)))
 
 
 def correlation_matrix(shocks: Mapping[str, np.ndarray],
@@ -85,15 +89,30 @@ def correlation_matrix(shocks: Mapping[str, np.ndarray],
         if np.ptp(a) == 0.0:
             raise ZeroVarianceError(f"zero-variance shock series for {c}")
 
-    k = len(countries)
-    r = np.eye(k)
-    p = np.zeros((k, k))
-    for i, j in itertools.combinations(range(k), 2):
-        rij = float(np.corrcoef(arrays[i], arrays[j])[0, 1])
-        r[i, j] = r[j, i] = rij
-        p[i, j] = p[j, i] = correlation_pvalue(rij, n)
-    return CorrelationReport(countries=countries, r=_frozen(r), p=_frozen(p),
+    # the upper triangle, mirrored: exactly symmetric with a unit diagonal
+    upper = np.triu(np.corrcoef(np.vstack(arrays)), 1)
+    r = upper + upper.T + np.eye(len(countries))
+    return CorrelationReport(countries=countries, r=_frozen(r), p=_frozen(_pvalues(r, n)),
                              n=n, shock_kind=kind)
+
+
+def _maximal_cliques(neighbours: Sequence[set[int]]) -> list[frozenset[int]]:
+    """Every maximal clique: Bron-Kerbosch with Tomita pivoting."""
+    cliques: list[frozenset[int]] = []
+
+    def expand(clique: frozenset[int], candidates: set[int], excluded: set[int]) -> None:
+        if not candidates and not excluded:
+            cliques.append(clique)
+            return
+        # branching only on non-neighbours of the best-connected pivot
+        pivot = max(candidates | excluded, key=lambda u: len(candidates & neighbours[u]))
+        for v in sorted(candidates - neighbours[pivot]):
+            expand(clique | {v}, candidates & neighbours[v], excluded & neighbours[v])
+            candidates.remove(v)
+            excluded.add(v)
+
+    expand(frozenset(), set(range(len(neighbours))), set())
+    return cliques
 
 
 def classify_symmetry(report: CorrelationReport, alpha: float = 0.05) -> SymmetryReport:
@@ -105,22 +124,17 @@ def classify_symmetry(report: CorrelationReport, alpha: float = 0.05) -> Symmetr
     countries = report.countries
     k = len(countries)
     pairs: dict[tuple[str, str], bool] = {}
-    adjacency = np.zeros((k, k), dtype=bool)
+    neighbours: list[set[int]] = [set() for _ in range(k)]
     for i, j in itertools.combinations(range(k), 2):
         symmetric = bool(report.r[i, j] > 0.0 and report.p[i, j] < alpha)
         key = tuple(sorted((countries[i], countries[j])))
         pairs[key] = symmetric
-        adjacency[i, j] = adjacency[j, i] = symmetric
+        if symmetric:
+            neighbours[i].add(j)
+            neighbours[j].add(i)
 
-    cliques: list[tuple[int, ...]] = []
-    for size in range(k, 2, -1):
-        for combo in itertools.combinations(range(k), size):
-            if not all(adjacency[a, b] for a, b in itertools.combinations(combo, 2)):
-                continue
-            if any(set(combo) <= set(big) for big in cliques):
-                continue
-            cliques.append(combo)
-    groups = tuple(sorted((tuple(sorted(countries[i] for i in c)) for c in cliques),
+    groups = tuple(sorted((tuple(sorted(countries[i] for i in c))
+                           for c in _maximal_cliques(neighbours) if len(c) >= 3),
                           key=lambda g: (-len(g), g)))
     return SymmetryReport(alpha=alpha, symmetric_pairs=pairs, groups=groups)
 
@@ -248,21 +262,67 @@ def _aligned_matrix(shocks: Mapping[str, np.ndarray], dates: Calendar):
     return countries, np.column_stack(arrays)
 
 
-def _dispersion_values(x: np.ndarray, dates: Calendar,
-                       countries: Sequence[str], weights: WeightTable) -> np.ndarray:
-    out = np.empty(len(dates))
-    years = dates.years
-    for year in np.unique(years).tolist():
-        w = weights.for_group(year, countries)
-        denom = 1.0 - float(w @ w)
-        if denom <= 0.0:
-            raise DegenerateWeightsError(
-                f"weight concentration leaves no cross-country variance in {year}")
-        # one BLAS dot per row: a matrix-vector product moves the last bits
-        for t in np.flatnonzero(years == year).tolist():
-            dev = x[t] - float(w @ x[t])
-            out[t] = math.sqrt(max(float(w @ (dev * dev)) / denom, 0.0))
-    return out
+def _check_spread(concentration: np.ndarray, dates: Calendar) -> None:
+    # concentration: sum of squared weights per month, one column per group
+    bad = np.argwhere(concentration.T >= 1.0)
+    if bad.size:
+        year = int(dates.years[bad[0, 1]])
+        raise DegenerateWeightsError(
+            f"weight concentration leaves no cross-country variance in {year}")
+
+
+def _dispersion_pass(x: np.ndarray, dates: Calendar, countries: Sequence[str],
+                     weights: WeightTable, left_out: Sequence[int]):
+    """Dispersion of the whole group and of the group without each column in
+    ``left_out``, from one weighted pass over the T x N shock matrix ``x``.
+
+    With the group's weights ``w`` (each year's on its months), mean ``m``,
+    deviations ``d = x - m``, ``V = sum w d^2`` and ``s2 = sum w^2``, dropping
+    country ``j`` renormalizes the rest by ``1 - w_j``, so
+    ``m' - m = -w_j d_j / (1 - w_j)``,
+    ``V' = (V - w_j d_j^2) / (1 - w_j) - (m' - m)^2`` and
+    ``s2' = (s2 - w_j^2) / (1 - w_j)^2``; the dispersion is
+    ``sqrt(V / (1 - s2))``.
+    """
+    years, rows = np.unique(dates.years, return_inverse=True)
+    w = np.array([weights.for_group(y, countries) for y in years.tolist()])[rows]
+    s2 = (w * w).sum(axis=1)
+    _check_spread(s2[:, None], dates)
+    d = x - (w * x).sum(axis=1)[:, None]
+    wd = w * d
+    v = (wd * d).sum(axis=1)
+    full = np.sqrt(np.maximum(v / (1.0 - s2), 0.0))
+
+    w, d, wd = w[:, left_out], d[:, left_out], wd[:, left_out]
+    rest = 1.0 - w
+    s2_out = (s2[:, None] - w * w) / (rest * rest)
+    _check_spread(s2_out, dates)
+    shift = wd / rest
+    v_out = (v[:, None] - wd * d) / rest - shift * shift
+    return full, np.sqrt(np.maximum(v_out / (1.0 - s2_out), 0.0))
+
+
+def group_dispersion(shocks: Mapping[str, np.ndarray], dates: Calendar,
+                     weights: WeightTable, excluded: Sequence[str] = (),
+                     kind: str = "supply") -> tuple[DispersionSeries, dict[str, CostSeries]]:
+    """The group's dispersion index and the cost of inclusion of each of
+    ``excluded``, from one pass over the shocks."""
+    countries, x = _aligned_matrix(shocks, dates)
+    for country in excluded:
+        if country not in countries:
+            raise DateRangeError(f"unknown country {country!r}")
+    if excluded and len(countries) < 3:
+        raise GroupTooSmallError("cost of inclusion needs a group of at least 3")
+    if len(countries) < 2:
+        raise GroupTooSmallError("need at least 2 countries")
+    left_out = [countries.index(c) for c in excluded]
+    full, subgroups = _dispersion_pass(x, dates, countries, weights, left_out)
+    if excluded and np.any(full == 0.0):
+        raise ZeroDispersionError("full-group dispersion is zero at some date")
+    costs = (subgroups - full[:, None]) / full[:, None]
+    return (DispersionSeries(dates=dates, values=_frozen(full), shock_kind=kind),
+            {c: CostSeries(country=c, dates=dates, values=_frozen(costs[:, i]), shock_kind=kind)
+             for i, c in enumerate(excluded)})
 
 
 def dispersion_index(shocks: Mapping[str, np.ndarray], dates: Calendar,
@@ -272,11 +332,7 @@ def dispersion_index(shocks: Mapping[str, np.ndarray], dates: Calendar,
     Annual weights apply as step functions across the months of their year
     and are renormalized to sum to exactly 1 before use.
     """
-    countries, x = _aligned_matrix(shocks, dates)
-    if len(countries) < 2:
-        raise GroupTooSmallError("need at least 2 countries")
-    values = _dispersion_values(x, dates, countries, weights)
-    return DispersionSeries(dates=dates, values=_frozen(values), shock_kind=kind)
+    return group_dispersion(shocks, dates, weights, kind=kind)[0]
 
 
 def cost_of_inclusion(shocks: Mapping[str, np.ndarray], dates: Calendar,
@@ -287,31 +343,7 @@ def cost_of_inclusion(shocks: Mapping[str, np.ndarray], dates: Calendar,
     Positive values mean the country's inclusion lowers dispersion (a
     convergence source); negative values mean it raises dispersion.
     """
-    return _costs_of_inclusion(shocks, dates, weights, (country,), kind)[country]
-
-
-def _costs_of_inclusion(shocks: Mapping[str, np.ndarray], dates: Calendar,
-                        weights: WeightTable, excluded: Sequence[str], kind: str,
-                        full: np.ndarray | None = None) -> dict[str, CostSeries]:
-    """``cost_of_inclusion`` for each of ``excluded``; ``full`` is the group's
-    dispersion when the caller already has it."""
-    countries, x = _aligned_matrix(shocks, dates)
-    for country in excluded:
-        if country not in countries:
-            raise DateRangeError(f"unknown country {country!r}")
-    if len(countries) < 3:
-        raise GroupTooSmallError("cost of inclusion needs a group of at least 3")
-    if full is None:
-        full = _dispersion_values(x, dates, countries, weights)
-    if np.any(full == 0.0):
-        raise ZeroDispersionError("full-group dispersion is zero at some date")
-    costs = {}
-    for country in excluded:
-        keep = [i for i, c in enumerate(countries) if c != country]
-        sub = _dispersion_values(x[:, keep], dates, [countries[i] for i in keep], weights)
-        costs[country] = CostSeries(country=country, dates=dates,
-                                    values=_frozen((sub - full) / full), shock_kind=kind)
-    return costs
+    return group_dispersion(shocks, dates, weights, (country,), kind)[1][country]
 
 
 # --------------------------------------------------------------------------

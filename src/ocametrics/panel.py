@@ -122,45 +122,49 @@ def load_panel(source: str | Path | IO[str]) -> Panel:
     if tuple(h.strip() for h in header) != CSV_HEADER:
         raise PanelError(f"expected header {','.join(CSV_HEADER)}, got {','.join(header)}")
 
-    cells: dict[tuple[str, Month, str], float] = {}
+    # each distinct date text is parsed once; cells hold its month index
+    month_of: dict[str, int] = {}
+    cells: dict[tuple[str, int, str], float] = {}
     for lineno, row in enumerate(reader, start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != 4:
             raise PanelError(f"line {lineno}: expected 4 fields, got {len(row)}")
-        country, date_text, column, value_text = (f.strip() for f in row)
-        try:
-            date = Month.parse(date_text)
-        except ValueError as exc:
-            raise PanelError(f"line {lineno}: {exc}", country=country) from None
+        country, date, column, value_text = (f.strip() for f in row)
+        month = month_of.get(date)
+        if month is None:
+            try:
+                month = month_of[date] = Month.parse(date).index
+            except ValueError as exc:
+                raise PanelError(f"line {lineno}: {exc}", country=country) from None
         if column not in _COLUMN_TO_VARIABLE:
             raise PanelError(f"line {lineno}: unknown variable {column!r}",
-                             country=country, date=str(date))
+                             country=country, date=date)
         variable = _COLUMN_TO_VARIABLE[column]
         try:
             value = float(value_text)
         except ValueError:
             raise PanelError(f"line {lineno}: non-numeric value {value_text!r}",
-                             country=country, date=str(date), variable=column) from None
+                             country=country, date=date, variable=column) from None
         if not math.isfinite(value) or value <= 0:
             raise NonPositiveValueError(
                 f"non-positive value for {country} {date} {column}: {value_text}",
-                country=country, date=str(date), variable=column)
-        key = (country, date, variable)
+                country=country, date=date, variable=column)
+        key = (country, month, variable)
         if key in cells:
             raise DuplicateRowError(f"duplicate row for {country} {date} {column}",
-                                    country=country, date=str(date), variable=column)
+                                    country=country, date=date, variable=column)
         cells[key] = value
 
     if not cells:
         raise PanelError("no data rows")
 
     countries = sorted({c for c, _, _ in cells})
-    lo = min(d for _, d, _ in cells)
-    dates = month_range(lo, max(d for _, d, _ in cells) - lo + 1)
+    lo = min(month_of.values())
+    dates = month_range(Month.from_index(lo), max(month_of.values()) - lo + 1)
     grid = {country: np.full((len(VARIABLES), len(dates)), np.nan) for country in countries}
-    for (country, date, variable), value in cells.items():
-        grid[country][VARIABLES.index(variable), dates.offset(date)] = value
+    for (country, month, variable), value in cells.items():
+        grid[country][VARIABLES.index(variable), month - lo] = value
 
     for country in countries:
         missing = np.isnan(grid[country])

@@ -31,10 +31,9 @@ from .metrics import (
     CorrelationReport,
     SymmetryReport,
     WeightTable,
-    _costs_of_inclusion,
     classify_symmetry,
     correlation_matrix,
-    dispersion_index,
+    group_dispersion,
     hp_filter,
     load_weights,
     significance_stars,
@@ -42,7 +41,7 @@ from .metrics import (
 )
 from .months import Month, month_range
 from .panel import Panel, growth_pair, load_panel, log_level_series
-from .unit_root import AdfResult, adf_test
+from .unit_root import AdfResult, adf_panel
 from .var import DummySpec, LagSelection, select_lag
 
 SHOCK_KINDS = ("supply", "demand")
@@ -59,7 +58,6 @@ class PipelineConfig:
     max_lags: int = 12
     hp_lambda: float = 14400.0
     irf_horizon: int = 48
-    seed: int = 0
     seasonal_adjust: bool = False
     snapshot_dates: tuple[Month, ...] = ()
     dummies: tuple[tuple[str, DummySpec], ...] = ()
@@ -113,17 +111,17 @@ class PipelineResult:
         return self.output_dir / "report.json"
 
 
-def _integration_conclusion(level: AdfResult, diff: AdfResult, series) -> str:
-    if level.reject_at is not None and level.reject_at <= 0.05:
-        return "I(0)"
-    if diff.reject_at is not None and diff.reject_at <= 0.05:
-        return "I(1)"
-    try:
-        second = adf_test(np.diff(np.diff(series)), spec=level.spec)
-        if second.reject_at is not None and second.reject_at <= 0.05:
-            return "I(2)"
-    except OcaError:
-        pass
+def _rejects(result: AdfResult | OcaError | None) -> bool:
+    return (isinstance(result, AdfResult) and result.reject_at is not None
+            and result.reject_at <= 0.05)
+
+
+def _integration_conclusion(*trail: AdfResult | OcaError | None) -> str:
+    """``I(d)`` for the first of the level, first- and second-difference
+    tests that rejects at 5%."""
+    for order, result in enumerate(trail):
+        if _rejects(result):
+            return f"I({order})"
     return "inconclusive"
 
 
@@ -144,23 +142,57 @@ def _shock_chain(panel: Panel, country: str, config: PipelineConfig):
     return logs, selection, identify_bq(selection.model)
 
 
-def analyze_country(panel: Panel, country: str, config: PipelineConfig) -> CountryAnalysis:
-    """Run the full single-country estimation chain."""
+def _estimate(panel: Panel, country: str, config: PipelineConfig):
+    """The shock chain, then the Johansen pretest and the structural IRFs."""
     logs, selection, svar = _shock_chain(panel, country, config)
-    adf: dict[str, dict[str, AdfResult]] = {}
-    conclusions: dict[str, str] = {}
-    for variable, series in zip(VARIABLES, logs):
-        level = adf_test(series, spec="trend", max_lags=config.max_lags)
-        diff = adf_test(np.diff(series), spec="trend", max_lags=config.max_lags)
-        adf[variable] = {"level": level, "first_difference": diff}
-        conclusions[variable] = _integration_conclusion(level, diff, series)
-
     johansen = johansen_test(logs, lag_order=selection.p + 1)
     irf = irf_structural(svar, selection.model, config.irf_horizon)
-    sizespeed = size_and_speed(irf)
-    return CountryAnalysis(country=country, adf=adf, conclusions=conclusions,
-                           johansen=johansen, lag_selection=selection, svar=svar,
-                           irf=irf, size_speed=sizespeed)
+    return logs, dict(country=country, johansen=johansen, lag_selection=selection,
+                      svar=svar, irf=irf, size_speed=size_and_speed(irf))
+
+
+def _pretests(logs: Mapping[str, tuple[np.ndarray, ...]], max_lags: int):
+    """Level and first-difference ADFs of every country's log levels in one
+    panel call, then one call for the second differences that the
+    integration conclusions still need.
+
+    Returns ``{country: (adf, conclusions)}``; a refused level or difference
+    raises a ``StageError`` naming its country.
+    """
+    keys = [(c, v) for c in logs for v in range(len(VARIABLES))]
+    levels = [logs[c][v] for c, v in keys]
+    tests = adf_panel(levels + [np.diff(s) for s in levels], spec="trend", max_lags=max_lags)
+    pairs = dict(zip(keys, zip(tests[:len(keys)], tests[len(keys):])))
+    for (country, _), pair in pairs.items():
+        for result in pair:
+            if isinstance(result, OcaError):
+                raise StageError(f"country {country}", result) from result
+
+    undecided = [key for key, pair in pairs.items() if not any(map(_rejects, pair))]
+    second = dict(zip(undecided, adf_panel([np.diff(np.diff(logs[c][v])) for c, v in undecided],
+                                           spec="trend")))
+    out = {}
+    for country in logs:
+        adf, conclusions = {}, {}
+        for v, variable in enumerate(VARIABLES):
+            level, diff = pairs[(country, v)]
+            adf[variable] = {"level": level, "first_difference": diff}
+            conclusions[variable] = _integration_conclusion(level, diff,
+                                                            second.get((country, v)))
+        out[country] = adf, conclusions
+    return out
+
+
+def _with_pretests(estimates: Mapping[str, tuple], max_lags: int) -> dict[str, CountryAnalysis]:
+    """``_estimate`` results completed by one panel run of the pretests."""
+    pretests = _pretests({c: logs for c, (logs, _) in estimates.items()}, max_lags)
+    return {c: CountryAnalysis(adf=pretests[c][0], conclusions=pretests[c][1], **fields)
+            for c, (_, fields) in estimates.items()}
+
+
+def analyze_country(panel: Panel, country: str, config: PipelineConfig) -> CountryAnalysis:
+    """Run the full single-country estimation chain."""
+    return _with_pretests({country: _estimate(panel, country, config)}, config.max_lags)[country]
 
 
 class StageError(OcaError):
@@ -327,7 +359,7 @@ def _conventions() -> dict:
 
 def build_report(panel: Panel, weights: WeightTable, config: PipelineConfig) -> dict:
     """Compute every number in the bundle; pure and deterministic."""
-    results = _per_country(panel, config, analyze_country)
+    results = _with_pretests(_per_country(panel, config, _estimate), config.max_lags)
     dates, shocks = _common_shocks({c: r.svar for c, r in results.items()})
 
     correlations: dict[str, CorrelationReport] = {}
@@ -339,15 +371,14 @@ def build_report(panel: Panel, weights: WeightTable, config: PipelineConfig) -> 
             report = correlation_matrix(shocks[kind], kind=kind)
             correlations[kind] = report
             symmetry[kind] = classify_symmetry(report, config.alpha)
-            disp = dispersion_index(shocks[kind], dates, weights, kind=kind)
+            disp, cost[kind] = group_dispersion(shocks[kind], dates, weights,
+                                                panel.countries, kind)
             trend, _cycle = hp_filter(disp.values, config.hp_lambda)
             dispersion[kind] = {
                 "values": disp.values,
                 "trend": trend,
                 "trend_change_pct": trend_change(dates, trend, dates[0], dates[-1]),
             }
-            cost[kind] = _costs_of_inclusion(shocks[kind], dates, weights,
-                                             panel.countries, kind, full=disp.values)
         except OcaError as exc:
             raise StageError(f"group {kind}", exc) from exc
 
@@ -382,7 +413,6 @@ def build_report(panel: Panel, weights: WeightTable, config: PipelineConfig) -> 
                 "max_lags": config.max_lags,
                 "hp_lambda": config.hp_lambda,
                 "irf_horizon": config.irf_horizon,
-                "seed": config.seed,
                 "seasonal_adjust": config.seasonal_adjust,
                 "snapshot_dates": [str(d) for d in config.snapshot_dates],
                 "dummies": [f"{c}:{spec.label()}" for c, spec in config.dummies],

@@ -10,12 +10,17 @@ MacKinnon, 2010), so any sample length is handled without tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import _kernels
-from .errors import DegenerateRegressorError, InconclusiveIntegrationError, TooShortError
+from .errors import (
+    DegenerateRegressorError,
+    InconclusiveIntegrationError,
+    OcaError,
+    TooShortError,
+)
 
 SPEC_CODES = {"none": 0, "constant": 1, "trend": 2}
 _SPEC_ALIASES = {"constant+trend": "trend", "ct": "trend", "c": "constant",
@@ -97,13 +102,21 @@ def adf_test(series: np.ndarray, spec: str = "trend", max_lags: int = 12,
     ``lag_rule`` is either ``"aic"`` (lag count chosen over ``0..max_lags``)
     or an integer fixing the augmentation lag count.
     """
-    series = np.asarray(series, dtype=np.float64)
-    spec = canonical_spec(spec)
-    if series.ndim != 1:
-        raise ValueError("series must be 1-D")
-    if np.ptp(series) == 0.0:
-        raise DegenerateRegressorError("series is constant")
+    result = adf_panel([series], spec=spec, max_lags=max_lags, lag_rule=lag_rule)[0]
+    if isinstance(result, OcaError):
+        raise result
+    return result
 
+
+def adf_panel(series: Sequence[np.ndarray], spec: str = "trend", max_lags: int = 12,
+              lag_rule: int | str = "aic") -> list[AdfResult | OcaError]:
+    """``adf_test`` on each of ``series``, with one kernel call per series length.
+
+    A series that ``adf_test`` refuses (constant, too short, numerically
+    degenerate) gets the error ``adf_test`` would raise in its place, so the
+    caller decides which failures are fatal and whom to name in them.
+    """
+    spec = canonical_spec(spec)
     if isinstance(lag_rule, str):
         if lag_rule.lower() != "aic":
             raise ValueError(f"unknown lag rule {lag_rule!r}")
@@ -113,19 +126,32 @@ def adf_test(series: np.ndarray, spec: str = "trend", max_lags: int = 12,
         if k < 0:
             raise ValueError("fixed lag count must be >= 0")
 
-    effective = series.size - 1 - k
-    if effective < MIN_EFFECTIVE_OBS:
-        raise TooShortError(
-            f"need >= {MIN_EFFECTIVE_OBS} effective observations, have {effective}")
+    arrays = [np.asarray(s, dtype=np.float64) for s in series]
+    results: list[AdfResult | OcaError | None] = [None] * len(arrays)
+    by_length: dict[int, list[int]] = {}
+    for i, arr in enumerate(arrays):
+        if arr.ndim != 1:
+            raise ValueError("series must be 1-D")
+        if np.ptp(arr) == 0.0:
+            results[i] = DegenerateRegressorError("series is constant")
+        elif arr.size - 1 - k < MIN_EFFECTIVE_OBS:
+            results[i] = TooShortError(f"need >= {MIN_EFFECTIVE_OBS + 1 + k} observations "
+                                       f"with {k} lags, have {arr.size}")
+        else:
+            by_length.setdefault(arr.size, []).append(i)
 
-    stats, lags, nobs = _kernels.adf_batch(series[None, :], SPEC_CODES[spec], k, autolag)
-    statistic = float(stats[0])
-    if not np.isfinite(statistic):
-        raise DegenerateRegressorError("regression is numerically degenerate")
-    cvs = critical_values(spec, int(nobs[0]))
-    reject_at = next((level for level in LEVELS if statistic < cvs[level]), None)
-    return AdfResult(statistic=statistic, lags_used=int(lags[0]), spec=spec,
-                     nobs=int(nobs[0]), critical_values=cvs, reject_at=reject_at)
+    for rows in by_length.values():
+        stats, lags, nobs = _kernels.adf_batch(np.stack([arrays[i] for i in rows]),
+                                               SPEC_CODES[spec], k, autolag)
+        for i, statistic, lag, n in zip(rows, stats.tolist(), lags.tolist(), nobs.tolist()):
+            if not np.isfinite(statistic):
+                results[i] = DegenerateRegressorError("regression is numerically degenerate")
+                continue
+            cvs = critical_values(spec, n)
+            reject_at = next((level for level in LEVELS if statistic < cvs[level]), None)
+            results[i] = AdfResult(statistic=statistic, lags_used=lag, spec=spec,
+                                   nobs=n, critical_values=cvs, reject_at=reject_at)
+    return results
 
 
 def integration_order(series: np.ndarray, spec: str = "trend", max_order: int = 2,

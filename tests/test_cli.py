@@ -35,7 +35,7 @@ def bundle(runner, tmp_path_factory):
     res = runner.invoke(main, [
         "run", "--panel", str(panel), "--weights", str(weights),
         "--output-dir", str(out),
-        "--snapshot-dates", "2011-01,2015-01,2019-01", "--seed", "7"])
+        "--snapshot-dates", "2011-01,2015-01,2019-01"])
     assert res.exit_code == 0, res.output
     return {"panel": panel, "weights": weights, "out": out}
 
@@ -200,7 +200,7 @@ class TestRunPipeline:
         res = runner.invoke(main, [
             "run", "--panel", str(bundle["panel"]), "--weights", str(bundle["weights"]),
             "--output-dir", str(bundle["out"]),
-            "--snapshot-dates", "2011-01,2015-01,2019-01", "--seed", "7"])
+            "--snapshot-dates", "2011-01,2015-01,2019-01"])
         assert res.exit_code == 0
         assert (bundle["out"] / "report.json").read_bytes() == before
 
@@ -284,6 +284,25 @@ class TestRunPipeline:
         assert report2["metadata"]["config"]["seasonal_adjust"] is True
 
 
+    def test_seed_is_not_a_run_setting(self, runner, bundle, tmp_path):
+        report = json.loads((bundle["out"] / "report.json").read_text())
+        assert "seed" not in report["metadata"]["config"]
+        out = tmp_path / "seeded"
+        res = runner.invoke(main, [
+            "run", "--panel", str(bundle["panel"]), "--weights", str(bundle["weights"]),
+            "--output-dir", str(out), "--seed", "7"])
+        assert res.exit_code == 2
+        assert "No such option '--seed'" in res.output
+        config = tmp_path / "seeded.json"
+        config.write_text(json.dumps({
+            "panel": str(bundle["panel"]), "weights": str(bundle["weights"]),
+            "output_dir": str(out), "seed": 7}))
+        res = runner.invoke(main, ["run", "--config", str(config)])
+        assert res.exit_code == 1
+        assert res.output.startswith("error: unknown config key 'seed'")
+        assert not out.exists()
+
+
 class TestThinWrappers:
     def test_adf_row(self, runner, tmp_path):
         series = tmp_path / "series.csv"
@@ -317,6 +336,12 @@ class TestThinWrappers:
         lines = res.output.strip().splitlines()
         assert len(lines) == 3
         assert "r = 0" in lines[1] and "r <= 1" in lines[2]
+
+    def test_johansen_too_long_lag_states_the_counts(self, runner, bundle):
+        res = runner.invoke(main, ["johansen", "--panel", str(bundle["panel"]),
+                                   "--country", "C00", "--lag-order", "200"])
+        assert res.exit_code == 1
+        assert res.output == "error: need >= 230 observations for lag order 200, have 133\n"
 
     def test_var_row(self, runner, bundle):
         res = runner.invoke(main, ["var", "--panel", str(bundle["panel"]),
@@ -398,6 +423,7 @@ class TestThinWrappers:
             raise AssertionError("pretest called")
 
         replace_everywhere(monkeypatch, unit_root.adf_test, refuse)
+        replace_everywhere(monkeypatch, unit_root.adf_panel, refuse)
         replace_everywhere(monkeypatch, cointegration.johansen_test, refuse)
         args = [str(bundle["weights"]) if a == "WEIGHTS" else a for a in command]
         res = runner.invoke(main, args + ["--panel", str(bundle["panel"])])

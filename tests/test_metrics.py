@@ -1,9 +1,11 @@
 import io
+import itertools
 import math
+import time
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sstats
 
@@ -20,12 +22,14 @@ from ocametrics.errors import (
 )
 from ocametrics.metrics import (
     CorrelationReport,
+    WeightTable,
     build_weight_table,
     classify_symmetry,
     correlation_matrix,
     correlation_pvalue,
     cost_of_inclusion,
     dispersion_index,
+    group_dispersion,
     hp_filter,
     load_weights,
     significance_stars,
@@ -91,6 +95,20 @@ class TestCorrelation:
                                 "BBB": rng.standard_normal(5)})
         with pytest.raises(ZeroVarianceError):
             correlation_matrix({"AAA": np.ones(30), "BBB": rng.standard_normal(30)})
+
+    def test_matrix_matches_pairwise_computation(self):
+        rng = np.random.default_rng(8)
+        common = rng.standard_normal(120)
+        shocks = {f"C{i:02d}": 0.4 * i * common + rng.standard_normal(120)
+                  for i in range(9)}
+        shocks["C09"] = -shocks["C03"]  # r = -1 exactly on one pair
+        report = correlation_matrix(shocks)
+        assert (report.r == report.r.T).all() and (report.p == report.p.T).all()
+        assert (np.diag(report.r) == 1.0).all() and (np.diag(report.p) == 0.0).all()
+        for i, j in itertools.combinations(range(len(report.countries)), 2):
+            a, b = (shocks[report.countries[k]] for k in (i, j))
+            assert abs(report.r[i, j] - np.corrcoef(a, b)[0, 1]) < 1e-15
+            assert report.p[i, j] == correlation_pvalue(float(report.r[i, j]), report.n)
 
 
 def _report_from_r(countries, r_values, n):
@@ -170,6 +188,49 @@ class TestClassifySymmetry:
         assert significance_stars(0.03) == "**"
         assert significance_stars(0.08) == "*"
         assert significance_stars(0.2) == ""
+
+
+def _subset_scan_groups(countries, adjacency):
+    """The exhaustive 2^k scan the clique search replaced: every clique of
+    size >= 3 not inside a larger one already found, largest first."""
+    k = len(countries)
+    cliques = []
+    for size in range(k, 2, -1):
+        for combo in itertools.combinations(range(k), size):
+            if not all(adjacency[a, b] for a, b in itertools.combinations(combo, 2)):
+                continue
+            if any(set(combo) <= set(big) for big in cliques):
+                continue
+            cliques.append(combo)
+    return tuple(sorted((tuple(sorted(countries[i] for i in c)) for c in cliques),
+                        key=lambda g: (-len(g), g)))
+
+
+def _report_from_graph(k, edges):
+    countries = [f"C{i:02d}" for i in range(k)]
+    r_values = {(countries[i], countries[j]): 0.9 if edge else 0.0
+                for (i, j), edge in zip(itertools.combinations(range(k), 2), edges)}
+    return _report_from_r(countries, r_values, n=124)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10).flatmap(
+    lambda k: st.tuples(st.just(k), st.lists(st.booleans(), min_size=k * (k - 1) // 2,
+                                             max_size=k * (k - 1) // 2))))
+def test_clique_search_matches_subset_scan(graph):
+    k, edges = graph
+    report = _report_from_graph(k, edges)
+    adjacency = (report.r > 0.0) & (report.p < 0.05)
+    np.fill_diagonal(adjacency, False)
+    assert classify_symmetry(report).groups == _subset_scan_groups(report.countries, adjacency)
+
+
+def test_clique_search_scales_to_27_countries():
+    report = _report_from_graph(27, [True] * (27 * 26 // 2))
+    t0 = time.perf_counter()
+    groups = classify_symmetry(report).groups
+    assert time.perf_counter() - t0 < 1.0
+    assert groups == (report.countries,)
 
 
 # --------------------------------------------------------------------------
@@ -362,6 +423,74 @@ class TestCostOfInclusion:
         shocks = {c: np.array([float(i)]) for i, c in enumerate(("AAA", "BBB", "CCC"))}
         with pytest.raises(DateRangeError):
             cost_of_inclusion(shocks, dates, _table_503020([2012]), "ZZZ")
+
+
+def _dispersion_rows(x, dates, countries, weights):
+    """The per-row dispersion loop the closed-form pass replaced."""
+    out = np.empty(len(dates))
+    years = dates.years
+    for year in np.unique(years).tolist():
+        w = weights.for_group(year, countries)
+        denom = 1.0 - float(w @ w)
+        if denom <= 0.0:
+            raise DegenerateWeightsError(
+                f"weight concentration leaves no cross-country variance in {year}")
+        for t in np.flatnonzero(years == year).tolist():
+            dev = x[t] - float(w @ x[t])
+            out[t] = math.sqrt(max(float(w @ (dev * dev)) / denom, 0.0))
+    return out
+
+
+def _uneven_table(countries, years, rng):
+    # an extra country outside the group, so for_group renormalizes
+    members = list(countries) + ["ZZZ"]
+    rows = {}
+    for year in years:
+        raw = rng.uniform(0.2, 10.0, size=len(members))
+        rows[year] = dict(zip(members, raw / raw.sum()))
+    return build_weight_table(rows)
+
+
+class TestClosedFormLeaveOneOut:
+    @pytest.mark.parametrize("n_countries", range(3, 31))
+    def test_matches_per_row_oracle(self, n_countries):
+        rng = np.random.default_rng(n_countries)
+        dates = month_range(Month(2010, 7), 40)
+        countries = [f"C{i:02d}" for i in range(n_countries)]
+        table = _uneven_table(countries, sorted(set(dates.years.tolist())), rng)
+        shocks = {c: rng.standard_normal(40) * rng.uniform(0.5, 2.0) for c in countries}
+        disp, costs = group_dispersion(shocks, dates, table, countries)
+        x = np.column_stack([shocks[c] for c in countries])
+        full = _dispersion_rows(x, dates, countries, table)
+        assert np.abs(disp.values - full).max() < 1e-12
+        assert (dispersion_index(shocks, dates, table).values == disp.values).all()
+        for j, country in enumerate(countries):
+            rest = [c for c in countries if c != country]
+            sub = _dispersion_rows(np.delete(x, j, axis=1), dates, rest, table)
+            assert np.abs(costs[country].values - (sub - full) / full).max() < 1e-12
+            single = cost_of_inclusion(shocks, dates, table, country).values
+            assert (single == costs[country].values).all()
+
+    def test_concentrated_weights_name_the_year(self):
+        dates = month_range(Month(2012, 11), 4)
+        shocks = {c: np.arange(1.0, 5.0) * (i + 1) for i, c in enumerate(("AAA", "BBB", "CCC"))}
+        x = np.column_stack([shocks[c] for c in ("AAA", "BBB", "CCC")])
+        spread = {"AAA": 0.5, "BBB": 0.3, "CCC": 0.2}
+        whole = WeightTable(weights={2012: spread, 2013: {"AAA": 1.0, "BBB": 0.0, "CCC": 0.0}},
+                            raw_sums={2012: 1.0, 2013: 1.0})
+        with pytest.raises(DegenerateWeightsError, match="in 2013$"):
+            _dispersion_rows(x, dates, ("AAA", "BBB", "CCC"), whole)
+        with pytest.raises(DegenerateWeightsError, match="in 2013$"):
+            dispersion_index(shocks, dates, whole)
+        # only the group without AAA is concentrated, and only in 2013
+        pair = WeightTable(weights={2012: spread, 2013: {"AAA": 0.5, "BBB": 0.5, "CCC": 0.0}},
+                           raw_sums={2012: 1.0, 2013: 1.0})
+        dispersion_index(shocks, dates, pair)
+        with pytest.raises(DegenerateWeightsError, match="in 2013$"):
+            _dispersion_rows(x[:, 1:], dates, ("BBB", "CCC"), pair)
+        with pytest.raises(DegenerateWeightsError, match="in 2013$"):
+            cost_of_inclusion(shocks, dates, pair, "AAA")
+        cost_of_inclusion(shocks, dates, pair, "CCC")
 
 
 # --------------------------------------------------------------------------

@@ -96,6 +96,30 @@ class TestLoadPanel:
             panel_from_rows(rows)
         assert excinfo.value.country == "AAA"
 
+    @pytest.mark.parametrize("bad", ["2020-13", "2020-1", "Jan 2020"])
+    def test_malformed_date_names_its_own_line(self, bad):
+        rows = _rows(["AAA", "BBB"], ["2020-01", "2020-02"])
+        # the sixth data row (line 7) holds the bad date; the last row repeats it
+        rows[5] = ("BBB", bad, "CPI", 100.0)
+        rows.append(("BBB", bad, "MEAI", 100.0))
+        with pytest.raises(PanelError) as excinfo:
+            panel_from_rows(rows)
+        assert str(excinfo.value).startswith("line 7: ")
+        assert excinfo.value.country == "BBB"
+
+    def test_each_date_text_is_parsed_once(self, fixture_panel, monkeypatch):
+        texts = []
+        parse = Month.parse.__func__
+
+        def counted(cls, text):
+            texts.append(text)
+            return parse(cls, text)
+
+        monkeypatch.setattr(Month, "parse", classmethod(counted))
+        again = load_panel(io.StringIO(panel_to_csv(fixture_panel)))
+        assert sorted(texts) == fixture_panel.dates.labels()
+        assert again.dates == fixture_panel.dates
+
     def test_bad_header(self):
         with pytest.raises(PanelError):
             load_panel(io.StringIO("iso,month,series,value\n"))

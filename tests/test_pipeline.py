@@ -1,5 +1,17 @@
+import numpy as np
+import pytest
+
 from ocametrics import metrics, panel, var
-from ocametrics.pipeline import PipelineConfig, analyze_country, build_report
+from ocametrics.errors import DegenerateRegressorError, OcaError
+from ocametrics.pipeline import (
+    SHOCK_KINDS,
+    PipelineConfig,
+    StageError,
+    _pretests,
+    analyze_country,
+    build_report,
+)
+from ocametrics.unit_root import adf_test
 
 from .conftest import count_calls
 
@@ -29,7 +41,52 @@ def test_selection_carries_the_accepted_model(fixture_panel):
 
 
 def test_group_dispersion_once_per_country(fixture_panel, fixture_weights_path, monkeypatch):
-    passes = count_calls(monkeypatch, metrics._dispersion_values)
+    passes = count_calls(monkeypatch, metrics._dispersion_pass)
     build_report(fixture_panel, metrics.load_weights(fixture_weights_path), CONFIG)
-    # per shock kind: the full group once, then each country left out once
-    assert len(passes) == 2 * (len(fixture_panel.countries) + 1)
+    # one pass per shock kind gives the full group and every country left out
+    assert len(passes) == len(SHOCK_KINDS)
+
+
+def _pretest_oracle(series, max_lags):
+    """One country's pretests the way they ran before batching: each series
+    tested on its own, and the second difference only when still needed."""
+    def rejects(result):
+        return result.reject_at is not None and result.reject_at <= 0.05
+
+    trail = [adf_test(series, spec="trend", max_lags=max_lags),
+             adf_test(np.diff(series), spec="trend", max_lags=max_lags)]
+    if not any(map(rejects, trail)):
+        try:
+            trail.append(adf_test(np.diff(np.diff(series)), spec="trend"))
+        except OcaError:
+            pass
+    order = next((i for i, result in enumerate(trail) if rejects(result)), None)
+    return trail[0], trail[1], "inconclusive" if order is None else f"I({order})"
+
+
+@pytest.mark.parametrize("max_lags", [12, 4])
+def test_panel_pretests_match_per_series_tests(fixture_panel, max_lags):
+    rng = np.random.default_rng(4)
+    logs = {c: tuple(panel.log_level_series(fixture_panel, c, v, base_year=2010)
+                     for v in panel.VARIABLES) for c in fixture_panel.countries}
+    noise = rng.standard_normal((4, 133))
+    logs["I2X"] = (noise[0].cumsum().cumsum(), 0.1 * np.arange(133) + noise[1])
+    logs["STX"] = (noise[2], np.r_[np.zeros(110), noise[3, :23]].cumsum().cumsum())
+    conclusions = set()
+    for country, (adf, concluded) in _pretests(logs, max_lags).items():
+        for variable, series in zip(panel.VARIABLES, logs[country]):
+            level, diff, conclusion = _pretest_oracle(series, max_lags)
+            assert adf[variable] == {"level": level, "first_difference": diff}
+            assert concluded[variable] == conclusion
+            conclusions.add(conclusion)
+    assert {"I(0)", "I(1)", "I(2)"} <= conclusions
+
+
+def test_constant_series_names_its_country():
+    walk = np.random.default_rng(2).standard_normal(133).cumsum()
+    logs = {"AAA": (walk, 2.0 * walk), "BBB": (walk, np.full(133, 4.6)),
+            "CCC": (np.full(133, 4.6), walk)}
+    with pytest.raises(StageError) as excinfo:
+        _pretests(logs, 12)
+    assert excinfo.value.stage == "country BBB"
+    assert isinstance(excinfo.value.original, DegenerateRegressorError)

@@ -9,6 +9,7 @@ from ocametrics.unit_root import (
     LEVELS,
     SPEC_CODES,
     AdfResult,
+    adf_panel,
     adf_test,
     critical_values,
     integration_order,
@@ -74,6 +75,40 @@ class TestAdfTest:
         assert adf_test(y, spec="constant+trend").spec == "trend"
         with pytest.raises(ValueError):
             adf_test(y, spec="quadratic")
+
+
+def _mixed_series(rng):
+    out = []
+    for n in (133, 132, 131, 60, 133, 45):
+        walk = rng.standard_normal(n).cumsum()
+        out += [walk, np.diff(walk), 0.05 * np.arange(n) + rng.standard_normal(n),
+                walk.cumsum()]
+    return out
+
+
+class TestAdfPanel:
+    @pytest.mark.parametrize("lag_rule", ["aic", 0, 3])
+    @pytest.mark.parametrize("spec", ["none", "constant", "trend"])
+    def test_matches_per_series_bit_for_bit(self, spec, lag_rule):
+        series = _mixed_series(np.random.default_rng(11))
+        panel = adf_panel(series, spec=spec, max_lags=8, lag_rule=lag_rule)
+        assert panel == [adf_test(s, spec=spec, max_lags=8, lag_rule=lag_rule)
+                         for s in series]
+
+    def test_refused_series_get_their_error_in_place(self):
+        walk = np.random.default_rng(3).standard_normal(100).cumsum()
+        panel = adf_panel([walk, np.full(100, 3.0), walk[:25], walk[:40]], spec="constant")
+        assert panel[0] == adf_test(walk, spec="constant")
+        assert panel[3] == adf_test(walk[:40], spec="constant")
+        for result, series in zip(panel[1:3], (np.full(100, 3.0), walk[:25])):
+            with pytest.raises(type(result)) as excinfo:
+                adf_test(series, spec="constant")
+            assert str(excinfo.value) == str(result)
+        assert isinstance(panel[1], DegenerateRegressorError)
+        assert str(panel[2]) == "need >= 33 observations with 12 lags, have 25"
+
+    def test_empty_panel(self):
+        assert adf_panel([]) == []
 
 
 class TestMonteCarlo:
