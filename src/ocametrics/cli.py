@@ -4,10 +4,16 @@
 CSV to a report bundle.  The remaining subcommands are thin wrappers over
 single library operations and write CSV to standard output (JSON with
 ``--json``).
+
+Each ``PipelineConfig`` setting is one click option, with its type, range
+and the field's default, shared by ``run`` and the chain subcommands; a
+``run --config`` file fills click's default map, so its values pass the
+same checks as the flags.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import sys
@@ -27,18 +33,20 @@ from .metrics import (
     load_weights,
 )
 from .months import Month
-from .panel import dump_panel, growth_pair, load_panel, log_level_series
+from .panel import dump_panel, load_panel
 from .pipeline import (
     PipelineConfig,
     check_dummy_countries,
     correlation_dict,
     correlation_table,
+    country_series,
+    gated_lag,
     group_shocks,
     run_pipeline,
 )
 from .simulate import synthetic_panel, write_equal_weights
 from .unit_root import adf_test
-from .var import DummySpec, diagnose, fit_var, select_lag
+from .var import DummySpec, diagnose, fit_var
 
 _VARIABLE_ALIASES = {"meai": "activity", "activity": "activity",
                      "cpi": "price", "price": "price"}
@@ -49,43 +57,105 @@ def _parse_dummy(text: str) -> tuple[str, DummySpec]:
     if len(parts) == 3:
         parts.append("step")
     if len(parts) != 4:
-        raise ConfigError(f"dummy must be COUNTRY:VAR:YYYY-MM:step|pulse, got {text!r}")
+        raise ValueError(f"dummy must be COUNTRY:VAR:YYYY-MM:step|pulse, got {text!r}")
     country, variable, date_text, form = (p.strip() for p in parts)
     variable = _VARIABLE_ALIASES.get(variable.lower())
     if variable is None:
-        raise ConfigError(f"dummy variable must be MEAI or CPI, got {parts[1]!r}")
-    try:
-        break_date = Month.parse(date_text)
-        spec = DummySpec(variable=variable, break_date=break_date, form=form)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    return country, spec
+        raise ValueError(f"dummy variable must be MEAI or CPI, got {parts[1]!r}")
+    return country, DummySpec(variable=variable, break_date=Month.parse(date_text), form=form)
 
 
-def _parse_snapshots(text: str) -> tuple[Month, ...]:
-    try:
-        return tuple(Month.parse(part) for part in text.split(",") if part.strip())
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+def _parse_months(text: str) -> tuple[Month, ...]:
+    return tuple(Month.parse(part) for part in text.split(",") if part.strip())
 
 
-_CONFIG_KEYS = frozenset({
-    "panel", "weights", "output_dir", "base_year", "alpha", "max_lags", "hp_lambda",
-    "irf_horizon", "snapshot_dates", "dummy", "seasonal_adjust", "portmanteau_h",
-    "arch_q", "threads"})
+class _Text(click.ParamType):
+    """Option text read by ``parse``, whose ``ValueError`` is a usage error."""
+
+    def __init__(self, name, parse):
+        self.name, self.parse = name, parse
+
+    def convert(self, value, param, ctx):
+        if not isinstance(value, str):  # the field's default
+            return value
+        try:
+            return self.parse(value)
+        except ValueError as exc:
+            self.fail(str(exc), param, ctx)
 
 
-def _load_config_file(path: str) -> dict:
+_FIELD_DEFAULTS = {f.name: f.default for f in dataclasses.fields(PipelineConfig)}
+
+
+def _setting(field: str, flag: str, **attrs):
+    """The click option of ``PipelineConfig.<field>``, passed as ``field``.
+    Its default is the field's; a field without one makes a required option."""
+    default = _FIELD_DEFAULTS[field]
+    if default is dataclasses.MISSING:
+        return click.option(flag, field, required=True, **attrs)
+    return click.option(flag, field, default=default, **attrs)
+
+
+_PANEL = _setting("panel_path", "--panel", type=click.Path())
+_WEIGHTS = _setting("weights_path", "--weights", type=click.Path())
+_OUTPUT_DIR = _setting("output_dir", "--output-dir", type=click.Path())
+_BASE_YEAR = _setting("base_year", "--base-year", type=int)
+_ALPHA = _setting("alpha", "--alpha",
+                  type=click.FloatRange(0.0, 1.0, min_open=True, max_open=True))
+_MAX_LAGS = _setting("max_lags", "--max-lags", type=click.IntRange(min=1))
+_HP_LAMBDA = _setting("hp_lambda", "--hp-lambda", type=click.FloatRange(min=0.0))
+_IRF_HORIZON = _setting("irf_horizon", "--irf-horizon", type=click.IntRange(min=12))
+_SNAPSHOT_DATES = _setting("snapshot_dates", "--snapshot-dates",
+                           type=_Text("months", _parse_months),
+                           help="Comma-separated YYYY-MM dates for the cost table.")
+_DUMMY = _setting("dummies", "--dummy", type=_Text("dummy", _parse_dummy), multiple=True,
+                  help="COUNTRY:VAR:YYYY-MM:step|pulse break dummy (repeatable).")
+_SEASONAL_ADJUST = _setting("seasonal_adjust", "--seasonal-adjust", is_flag=True,
+                            help="Apply the month-dummy seasonal adjustment to log levels.")
+_PORTMANTEAU_H = _setting("portmanteau_h", "--portmanteau-h", type=click.IntRange(min=2))
+_ARCH_Q = _setting("arch_q", "--arch-q", type=click.IntRange(min=1))
+_THREADS = _setting("threads", "--threads", type=click.IntRange(min=1))
+
+
+def _options(*options):
+    def decorate(func):
+        for option in reversed(options):
+            func = option(func)
+        return func
+    return decorate
+
+
+def _config(settings: dict) -> PipelineConfig:
+    """The ``PipelineConfig`` of a command's settings; a chain subcommand
+    writes no bundle, so the paths it does not take read ``-``."""
+    return PipelineConfig(**{"weights_path": "-", "output_dir": "-", **settings})
+
+
+def _flag_text(param: click.Parameter, value) -> str | list[str]:
+    """A config value as the text its flag takes: a list joins with commas,
+    or gives one value per repeat of a repeatable flag."""
+    items = value if isinstance(value, list) else [value]
+    texts = [v if isinstance(v, str) else json.dumps(v) for v in items]
+    return texts if param.multiple else ",".join(texts)
+
+
+def _load_config(ctx: click.Context, param: click.Parameter, path: str | None) -> None:
+    """Eager ``--config``: the file's flat JSON object, keyed by ``run``'s flag
+    names with underscores, becomes click's default map, so flags still win."""
+    if path is None:
+        return
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8 or not JSON
+        _fail(ConfigError(f"cannot read config {path}: {exc}"))
     if not isinstance(raw, dict):
-        raise ConfigError("config file must hold a flat JSON object")
-    unknown = sorted(set(raw) - _CONFIG_KEYS)
+        _fail(ConfigError("config file must hold a flat JSON object"))
+    params = {p.opts[0][2:].replace("-", "_"): p for p in ctx.command.params if p is not param}
+    unknown = sorted(set(raw) - set(params))
     if unknown:
-        raise ConfigError(f"unknown config key {unknown[0]!r} in {path}")
-    return raw
+        _fail(ConfigError(f"unknown config key {unknown[0]!r} in {path}"))
+    ctx.default_map = {params[key].name: _flag_text(params[key], value)
+                       for key, value in raw.items()}
 
 
 def _fail(exc: Exception) -> None:
@@ -127,63 +197,15 @@ def main():
 
 
 @main.command("run")
-@click.option("--config", "config_path", type=click.Path(), default=None,
-              help="Flat key-value JSON config; flags override it.")
-@click.option("--panel", "panel_path", type=click.Path(), default=None)
-@click.option("--weights", "weights_path", type=click.Path(), default=None)
-@click.option("--output-dir", type=click.Path(), default=None)
-@click.option("--base-year", type=int, default=None)
-@click.option("--alpha", type=float, default=None)
-@click.option("--max-lags", type=int, default=None)
-@click.option("--hp-lambda", type=float, default=None)
-@click.option("--irf-horizon", type=int, default=None)
-@click.option("--snapshot-dates", type=str, default=None,
-              help="Comma-separated YYYY-MM dates for the cost table.")
-@click.option("--dummy", "dummy_flags", multiple=True,
-              help="COUNTRY:VAR:YYYY-MM:step|pulse break dummy (repeatable).")
-@click.option("--seasonal-adjust", is_flag=True, default=None,
-              help="Apply the month-dummy seasonal adjustment to log levels.")
-@click.option("--portmanteau-h", type=int, default=None)
-@click.option("--arch-q", type=int, default=None)
-@click.option("--threads", type=int, default=None)
+@click.option("--config", type=click.Path(), is_eager=True, expose_value=False,
+              callback=_load_config, help="Flat key-value JSON config; flags override it.")
+@_options(_PANEL, _WEIGHTS, _OUTPUT_DIR, _BASE_YEAR, _ALPHA, _MAX_LAGS, _HP_LAMBDA,
+          _IRF_HORIZON, _SNAPSHOT_DATES, _DUMMY, _SEASONAL_ADJUST, _PORTMANTEAU_H,
+          _ARCH_Q, _THREADS)
 @_domain_errors
-def run_command(config_path, panel_path, weights_path, output_dir, base_year,
-                alpha, max_lags, hp_lambda, irf_horizon, snapshot_dates,
-                dummy_flags, seasonal_adjust, portmanteau_h, arch_q, threads):
+def run_command(**settings):
     """Run the full pipeline and write the report bundle."""
-    raw = _load_config_file(config_path) if config_path else {}
-
-    def pick(flag, key, fallback):
-        if flag is not None:
-            return flag
-        return raw.get(key, fallback)
-
-    dummy_texts = list(raw.get("dummy", []) or [])
-    if isinstance(dummy_texts, str):
-        dummy_texts = [dummy_texts]
-    if dummy_flags:
-        dummy_texts = list(dummy_flags)
-    snapshot_text = pick(snapshot_dates, "snapshot_dates", "")
-    if isinstance(snapshot_text, list):
-        snapshot_text = ",".join(snapshot_text)
-
-    config = PipelineConfig(
-        panel_path=str(pick(panel_path, "panel", "")),
-        weights_path=str(pick(weights_path, "weights", "")),
-        output_dir=str(pick(output_dir, "output_dir", "")),
-        base_year=int(pick(base_year, "base_year", 2010)),
-        alpha=float(pick(alpha, "alpha", 0.05)),
-        max_lags=int(pick(max_lags, "max_lags", 12)),
-        hp_lambda=float(pick(hp_lambda, "hp_lambda", 14400.0)),
-        irf_horizon=int(pick(irf_horizon, "irf_horizon", 48)),
-        seasonal_adjust=bool(pick(seasonal_adjust, "seasonal_adjust", False)),
-        snapshot_dates=_parse_snapshots(snapshot_text) if snapshot_text else (),
-        dummies=tuple(_parse_dummy(t) for t in dummy_texts),
-        portmanteau_h=int(pick(portmanteau_h, "portmanteau_h", 12)),
-        arch_q=int(pick(arch_q, "arch_q", 4)),
-        threads=int(pick(threads, "threads", 1)),
-    )
-    result = run_pipeline(config)
+    result = run_pipeline(_config(settings))
     click.echo(f"wrote {len(result.files)} files to {result.output_dir}")
 
 
@@ -211,9 +233,6 @@ def _lag_rule(ctx, param, value: str) -> int | str:
     return lags
 
 
-_ALPHA = click.FloatRange(0.0, 1.0, min_open=True, max_open=True)
-
-
 @main.command("adf")
 @click.option("--series", "series_path", type=click.Path(), required=True,
               help="CSV with header date,value.")
@@ -238,37 +257,26 @@ def adf_command(series_path, spec, max_lags, lag_rule, as_json):
     _emit([row], as_json)
 
 
-def _options(*options):
-    def decorate(func):
-        for option in reversed(options):
-            func = option(func)
-        return func
-    return decorate
+_country_options = _options(_PANEL, click.option("--country", type=str, required=True),
+                            _BASE_YEAR, _MAX_LAGS, _SEASONAL_ADJUST, _DUMMY)
+_group_options = _options(_PANEL, _BASE_YEAR, _MAX_LAGS, _SEASONAL_ADJUST, _DUMMY)
 
 
-_PANEL_OPTION = click.option("--panel", "panel_path", type=click.Path(), required=True)
-_CHAIN_OPTIONS = (
-    click.option("--base-year", type=int, default=2010),
-    click.option("--max-lags", type=click.IntRange(min=1), default=12),
-    click.option("--seasonal-adjust", is_flag=True, default=False),
-    click.option("--dummy", "dummy_flags", multiple=True),
-)
-_country_options = _options(_PANEL_OPTION, click.option("--country", type=str, required=True),
-                            *_CHAIN_OPTIONS)
-_group_options = _options(_PANEL_OPTION, *_CHAIN_OPTIONS)
-
-
-def _country_inputs(panel_path, country, base_year, seasonal_adjust, dummy_flags):
-    panel = load_panel(panel_path)
+def _country_series(country: str, settings: dict):
+    """The settings' ``PipelineConfig``, then ``pipeline.country_series`` of
+    ``country``: its log levels, growth pair and own dummies."""
+    config = _config(settings)
+    panel = load_panel(config.panel_path)
     if country not in panel.countries:
         raise ConfigError(f"country {country!r} not in panel {panel.countries}")
-    pairs = [_parse_dummy(t) for t in dummy_flags]
-    check_dummy_countries(pairs, panel.countries)
-    dummies = tuple(spec for c, spec in pairs if c == country)
-    logs = tuple(log_level_series(panel, country, variable, base_year=base_year,
-                                  seasonal=seasonal_adjust)
-                 for variable in ("activity", "price"))
-    return logs, growth_pair(country, panel.dates, logs), dummies
+    check_dummy_countries(config.dummies, panel.countries)
+    return (config, *country_series(panel, country, config))
+
+
+def _group_shocks(settings: dict):
+    """The settings' ``PipelineConfig``, then the panel's common-calendar shocks."""
+    config = _config(settings)
+    return (config, *group_shocks(load_panel(config.panel_path), config))
 
 
 @main.command("johansen")
@@ -277,15 +285,13 @@ def _country_inputs(panel_path, country, base_year, seasonal_adjust, dummy_flags
               help="Levels-VAR order; defaults to the selected lag + 1.")
 @click.option("--json", "as_json", is_flag=True, default=False)
 @_domain_errors
-def johansen_command(panel_path, country, base_year, max_lags, seasonal_adjust,
-                     dummy_flags, lag_order, as_json):
+def johansen_command(country, lag_order, as_json, **settings):
     """Cointegration test on one country's (log activity, log price) pair."""
     from .cointegration import johansen_test
 
-    logs, data, dummies = _country_inputs(panel_path, country, base_year,
-                                          seasonal_adjust, dummy_flags)
+    config, logs, data, dummies = _country_series(country, settings)
     if lag_order is None:
-        lag_order = select_lag(data, max_p=max_lags, dummies=dummies).p + 1
+        lag_order = gated_lag(data, dummies, config).p + 1
     res = johansen_test(logs, lag_order=lag_order)
     rows = []
     for r, label in enumerate(("r = 0", "r <= 1")):
@@ -305,24 +311,20 @@ def johansen_command(panel_path, country, base_year, max_lags, seasonal_adjust,
 @_country_options
 @click.option("--p", "fixed_p", type=click.IntRange(min=1), default=None,
               help="Fit this lag order instead of selecting one.")
-@click.option("--portmanteau-h", type=click.IntRange(min=2), default=12)
-@click.option("--arch-q", type=click.IntRange(min=1), default=4)
-@click.option("--alpha", type=_ALPHA, default=0.05)
+@_PORTMANTEAU_H
+@_ARCH_Q
+@_ALPHA
 @click.option("--json", "as_json", is_flag=True, default=False)
 @_domain_errors
-def var_command(panel_path, country, base_year, max_lags, seasonal_adjust,
-                dummy_flags, fixed_p, portmanteau_h, arch_q, alpha, as_json):
+def var_command(country, fixed_p, as_json, **settings):
     """Lag selection, estimation and diagnostics for one country."""
-    _, data, dummies = _country_inputs(panel_path, country, base_year,
-                                       seasonal_adjust, dummy_flags)
+    config, _, data, dummies = _country_series(country, settings)
     if fixed_p is None:
-        selection = select_lag(data, max_p=max_lags, dummies=dummies,
-                               portmanteau_h=portmanteau_h, arch_q=arch_q,
-                               alpha=alpha)
+        selection = gated_lag(data, dummies, config)
         model, diag = selection.model, selection.diagnostics
     else:
         model = fit_var(data, fixed_p, dummies)
-        diag = diagnose(model, portmanteau_h, arch_q)
+        diag = diagnose(model, config.portmanteau_h, config.arch_q)
     _emit([{
         "country": country, "p": model.p, "stable": diag.stability.stable,
         "max_modulus": diag.stability.max_modulus,
@@ -336,22 +338,20 @@ def var_command(panel_path, country, base_year, max_lags, seasonal_adjust,
 @main.command("identify")
 @_country_options
 @click.option("--p", "fixed_p", type=click.IntRange(min=1), default=None)
-@click.option("--irf-horizon", type=click.IntRange(min=12), default=48)
+@_IRF_HORIZON
 @click.option("--json", "as_json", is_flag=True, default=False)
 @_domain_errors
-def identify_command(panel_path, country, base_year, max_lags, seasonal_adjust,
-                     dummy_flags, fixed_p, irf_horizon, as_json):
+def identify_command(country, fixed_p, as_json, **settings):
     """Structural shocks for one country, 15-significant-digit CSV."""
-    _, data, dummies = _country_inputs(panel_path, country, base_year,
-                                       seasonal_adjust, dummy_flags)
+    config, _, data, dummies = _country_series(country, settings)
     if fixed_p is None:
-        model = select_lag(data, max_p=max_lags, dummies=dummies).model
+        model = gated_lag(data, dummies, config).model
     else:
         model = fit_var(data, fixed_p, dummies)
     p = model.p
     svar = identify_bq(model)
     if as_json:
-        irf = irf_structural(svar, model, irf_horizon)
+        irf = irf_structural(svar, model, config.irf_horizon)
         ss = size_and_speed(irf)
         click.echo(json.dumps({
             "country": country, "p": p,
@@ -366,26 +366,17 @@ def identify_command(panel_path, country, base_year, max_lags, seasonal_adjust,
         click.echo(f"{country},{date},{format(supply, '.15g')},{format(demand, '.15g')}")
 
 
-def _group_config(panel_path, base_year, seasonal_adjust, max_lags, dummy_flags):
-    return PipelineConfig(panel_path=panel_path, weights_path="-", output_dir="-",
-                          base_year=base_year, max_lags=max_lags,
-                          seasonal_adjust=seasonal_adjust,
-                          dummies=tuple(_parse_dummy(t) for t in dummy_flags))
-
-
 @main.command("correlate")
 @_group_options
-@click.option("--alpha", type=_ALPHA, default=0.05)
+@_ALPHA
 @click.option("--kind", type=click.Choice(["supply", "demand"]), default="supply")
 @click.option("--json", "as_json", is_flag=True, default=False)
 @_domain_errors
-def correlate_command(panel_path, base_year, max_lags, seasonal_adjust,
-                      dummy_flags, alpha, kind, as_json):
+def correlate_command(kind, as_json, **settings):
     """Cross-country shock correlation matrix with significance stars."""
-    _, shocks = group_shocks(load_panel(panel_path), _group_config(
-        panel_path, base_year, seasonal_adjust, max_lags, dummy_flags))
+    config, _, shocks = _group_shocks(settings)
     report = correlation_matrix(shocks[kind], kind=kind)
-    symmetry = classify_symmetry(report, alpha)
+    symmetry = classify_symmetry(report, config.alpha)
     if as_json:
         click.echo(json.dumps({**correlation_dict(report),
                                "groups": [list(g) for g in symmetry.groups]},
@@ -396,19 +387,17 @@ def correlate_command(panel_path, base_year, max_lags, seasonal_adjust,
 
 @main.command("disperse")
 @_group_options
-@click.option("--weights", "weights_path", type=click.Path(), required=True)
-@click.option("--hp-lambda", type=click.FloatRange(min=0.0), default=14400.0)
+@_WEIGHTS
+@_HP_LAMBDA
 @click.option("--kind", type=click.Choice(["supply", "demand"]), default="supply")
 @click.option("--json", "as_json", is_flag=True, default=False)
 @_domain_errors
-def disperse_command(panel_path, weights_path, base_year, max_lags,
-                     seasonal_adjust, dummy_flags, hp_lambda, kind, as_json):
+def disperse_command(kind, as_json, **settings):
     """Weighted cross-country dispersion index and its trend."""
-    dates, shocks = group_shocks(load_panel(panel_path), _group_config(
-        panel_path, base_year, seasonal_adjust, max_lags, dummy_flags))
-    weights = load_weights(weights_path)
+    config, dates, shocks = _group_shocks(settings)
+    weights = load_weights(config.weights_path)
     series = dispersion_index(shocks[kind], dates, weights, kind=kind)
-    trend, _ = hp_filter(series.values, hp_lambda)
+    trend, _ = hp_filter(series.values, config.hp_lambda)
     rows = [{"date": d, "value": float(v), "trend": float(t)}
             for d, v, t in zip(dates.labels(), series.values, trend)]
     _emit(rows, as_json)
@@ -416,17 +405,15 @@ def disperse_command(panel_path, weights_path, base_year, max_lags,
 
 @main.command("cost")
 @_group_options
-@click.option("--weights", "weights_path", type=click.Path(), required=True)
+@_WEIGHTS
 @click.option("--exclude", "excluded", type=str, required=True,
               help="Country whose cost-of-inclusion series to compute.")
 @click.option("--json", "as_json", is_flag=True, default=False)
 @_domain_errors
-def cost_command(panel_path, weights_path, excluded, base_year, max_lags,
-                 seasonal_adjust, dummy_flags, as_json):
+def cost_command(excluded, as_json, **settings):
     """Leave-one-out cost-of-inclusion series for one country."""
-    dates, shocks = group_shocks(load_panel(panel_path), _group_config(
-        panel_path, base_year, seasonal_adjust, max_lags, dummy_flags))
-    weights = load_weights(weights_path)
+    config, dates, shocks = _group_shocks(settings)
+    weights = load_weights(config.weights_path)
     series = {kind: cost_of_inclusion(shocks[kind], dates, weights, excluded, kind=kind)
               for kind in ("supply", "demand")}
     rows = [{"country": excluded, "date": d, "supply": float(s), "demand": float(m)}

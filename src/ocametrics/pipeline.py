@@ -41,7 +41,7 @@ from .metrics import (
 )
 from .months import Month, month_range
 from .panel import Panel, growth_pair, load_panel, log_level_series
-from .unit_root import AdfResult, adf_panel
+from .unit_root import AdfResult, adf_panel, rejection_order
 from .var import DummySpec, LagSelection, select_lag
 
 SHOCK_KINDS = ("supply", "demand")
@@ -111,34 +111,34 @@ class PipelineResult:
         return self.output_dir / "report.json"
 
 
-def _rejects(result: AdfResult | OcaError | None) -> bool:
-    return (isinstance(result, AdfResult) and result.reject_at is not None
-            and result.reject_at <= 0.05)
+def country_series(panel: Panel, country: str, config: PipelineConfig):
+    """Log levels -> growth rates, with the country's own break dummies.
 
-
-def _integration_conclusion(*trail: AdfResult | OcaError | None) -> str:
-    """``I(d)`` for the first of the level, first- and second-difference
-    tests that rejects at 5%."""
-    for order, result in enumerate(trail):
-        if _rejects(result):
-            return f"I({order})"
-    return "inconclusive"
-
-
-def _shock_chain(panel: Panel, country: str, config: PipelineConfig):
-    """Log levels -> growth rates -> gated lag selection -> long-run identification.
-
-    Returns the (activity, price) log levels, the lag selection (which holds
-    the accepted model) and the structural model.
+    Returns the (activity, price) log levels, the growth-rate pair and the
+    country's dummies.
     """
     logs = tuple(log_level_series(panel, country, variable, base_year=config.base_year,
                                   seasonal=config.seasonal_adjust)
                  for variable in VARIABLES)
     dummies = tuple(spec for c, spec in config.dummies if c == country)
-    selection = select_lag(growth_pair(country, panel.dates, logs),
-                           max_p=config.max_lags, dummies=dummies,
-                           portmanteau_h=config.portmanteau_h,
-                           arch_q=config.arch_q, alpha=config.alpha)
+    return logs, growth_pair(country, panel.dates, logs), dummies
+
+
+def gated_lag(data, dummies, config: PipelineConfig) -> LagSelection:
+    """``select_lag`` under the configured lag cap and diagnostic gate."""
+    return select_lag(data, max_p=config.max_lags, dummies=dummies,
+                      portmanteau_h=config.portmanteau_h, arch_q=config.arch_q,
+                      alpha=config.alpha)
+
+
+def _shock_chain(panel: Panel, country: str, config: PipelineConfig):
+    """``country_series`` -> gated lag selection -> long-run identification.
+
+    Returns the (activity, price) log levels, the lag selection (which holds
+    the accepted model) and the structural model.
+    """
+    logs, data, dummies = country_series(panel, country, config)
+    selection = gated_lag(data, dummies, config)
     return logs, selection, identify_bq(selection.model)
 
 
@@ -168,17 +168,17 @@ def _pretests(logs: Mapping[str, tuple[np.ndarray, ...]], max_lags: int):
             if isinstance(result, OcaError):
                 raise StageError(f"country {country}", result) from result
 
-    undecided = [key for key, pair in pairs.items() if not any(map(_rejects, pair))]
+    undecided = [key for key, pair in pairs.items() if rejection_order(pair) is None]
     second = dict(zip(undecided, adf_panel([np.diff(np.diff(logs[c][v])) for c, v in undecided],
-                                           spec="trend")))
+                                           spec="trend", max_lags=max_lags)))
     out = {}
     for country in logs:
         adf, conclusions = {}, {}
         for v, variable in enumerate(VARIABLES):
             level, diff = pairs[(country, v)]
             adf[variable] = {"level": level, "first_difference": diff}
-            conclusions[variable] = _integration_conclusion(level, diff,
-                                                            second.get((country, v)))
+            order = rejection_order((level, diff, second.get((country, v))))
+            conclusions[variable] = "inconclusive" if order is None else f"I({order})"
         out[country] = adf, conclusions
     return out
 

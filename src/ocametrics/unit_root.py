@@ -154,16 +154,23 @@ def adf_panel(series: Sequence[np.ndarray], spec: str = "trend", max_lags: int =
     return results
 
 
+def rejection_order(trail: Sequence[AdfResult | OcaError | None]) -> int | None:
+    """The integration-order rule: the differencing order of the first of
+    ``trail`` (level, first difference, ...) that rejects a unit root at the
+    5% level, or ``None`` when none does."""
+    return next((order for order, result in enumerate(trail)
+                 if isinstance(result, AdfResult) and result.reject_at is not None
+                 and result.reject_at <= 0.05), None)
+
+
 def integration_order(series: np.ndarray, spec: str = "trend", max_order: int = 2,
                       max_lags: int = 12, lag_rule: int | str = "aic") -> IntegrationResult:
     """Smallest differencing order whose ADF test rejects at the 5% level."""
-    current = np.asarray(series, dtype=np.float64)
     trail: list[AdfResult] = []
     for order in range(max_order + 1):
-        result = adf_test(current, spec=spec, max_lags=max_lags, lag_rule=lag_rule)
-        trail.append(result)
-        if result.reject_at is not None and result.reject_at <= 0.05:
+        trail.append(adf_test(np.diff(np.asarray(series, dtype=np.float64), n=order),
+                              spec=spec, max_lags=max_lags, lag_rule=lag_rule))
+        if rejection_order(trail) == order:
             return IntegrationResult(order=order, trail=tuple(trail))
-        current = np.diff(current)
     raise InconclusiveIntegrationError(
         f"no rejection at 5% up to differencing order {max_order}", trail=trail)

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -283,6 +284,72 @@ class TestRunPipeline:
         report2 = json.loads((tmp_path / "seasonal_cfg" / "report.json").read_text())
         assert report2["metadata"]["config"]["seasonal_adjust"] is True
 
+    @pytest.mark.parametrize("setting, expected", [
+        ({"max_lags": "abc"}, None),
+        ({"dummy": [3]}, None),
+        ({"dummy": 3}, None),
+        ({"snapshot_dates": 5}, None),
+        ({"seasonal_adjust": "no"}, ("seasonal_adjust", False)),
+        ({"dummy": "C00:CPI:2012-06"}, ("dummies", ["C00:price:2012-06:step"])),
+    ], ids=["max_lags-text", "dummy-int-list", "dummy-int", "snapshot_dates-int",
+            "seasonal_adjust-no", "dummy-one-string"])
+    def test_config_value_takes_its_flag_type(self, runner, fixture_panel_path,
+                                              fixture_weights_path, tmp_path,
+                                              setting, expected):
+        out = tmp_path / "out"
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"panel": str(fixture_panel_path),
+                                      "weights": str(fixture_weights_path),
+                                      "output_dir": str(out), **setting}))
+        res = runner.invoke(main, ["run", "--config", str(config)])
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert "Traceback" not in res.output
+        if expected is None:
+            assert res.exit_code == 2
+            assert f"Invalid value for '--{next(iter(setting)).replace('_', '-')}'" in res.stderr
+            assert not out.exists()
+            return
+        assert res.exit_code == 0, res.output
+        key, value = expected
+        assert json.loads((out / "report.json").read_text())["metadata"]["config"][key] == value
+
+    def test_config_file_equals_flags(self, runner, fixture_panel_path,
+                                      fixture_weights_path, tmp_path):
+        out = tmp_path / "out"
+        settings = {
+            "panel": str(fixture_panel_path), "weights": str(fixture_weights_path),
+            "output_dir": str(out), "base_year": 2011, "alpha": 0.01, "max_lags": 14,
+            "hp_lambda": 1600.0, "irf_horizon": 24, "snapshot_dates": ["2011-01", "2015-01"],
+            "dummy": ["C00:CPI:2012-06:step", "C02:MEAI:2013-01:pulse"],
+            "seasonal_adjust": True, "portmanteau_h": 14, "arch_q": 3, "threads": 2}
+        flag_keys = {p.opts[0][2:].replace("-", "_") for p in main.commands["run"].params}
+        assert set(settings) == flag_keys - {"config"}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(settings))
+        res = runner.invoke(main, ["run", "--config", str(config)])
+        assert res.exit_code == 0, res.output
+        from_config = (out / "report.json").read_bytes()
+        shutil.rmtree(out)
+        flags = []
+        for key, value in settings.items():
+            flag = "--" + key.replace("_", "-")
+            if value is True:
+                flags.append(flag)
+            elif key == "dummy":
+                flags += [a for text in value for a in (flag, text)]
+            else:
+                flags += [flag, ",".join(value) if isinstance(value, list) else str(value)]
+        res = runner.invoke(main, ["run", *flags])
+        assert res.exit_code == 0, res.output
+        assert (out / "report.json").read_bytes() == from_config
+
+    def test_missing_path_is_a_usage_error(self, runner, bundle, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"panel": str(bundle["panel"]),
+                                      "weights": str(bundle["weights"])}))
+        res = runner.invoke(main, ["run", "--config", str(config)])
+        assert res.exit_code == 2
+        assert "Missing option '--output-dir'" in res.stderr
 
     def test_seed_is_not_a_run_setting(self, runner, bundle, tmp_path):
         report = json.loads((bundle["out"] / "report.json").read_text())
@@ -406,12 +473,24 @@ class TestThinWrappers:
                                    "--exclude", "ZZZ"])
         assert res.exit_code != 0
 
-    @pytest.mark.parametrize("kind", ["supply", "demand"])
-    def test_correlate_prints_the_bundle_table(self, runner, bundle, kind):
-        res = runner.invoke(main, ["correlate", "--panel", str(bundle["panel"]),
-                                   "--kind", kind])
+    @pytest.mark.parametrize("kind, alpha", [
+        pytest.param("supply", None, id="supply"),
+        pytest.param("demand", None, id="demand"),
+        pytest.param("supply", "0.10", id="supply-alpha-0.10"),
+        pytest.param("demand", "0.10", id="demand-alpha-0.10"),
+    ])
+    def test_correlate_prints_the_bundle_table(self, runner, bundle, fixture_panel_path,
+                                               fixture_weights_path, tmp_path, kind, alpha):
+        panel, out, extra = bundle["panel"], bundle["out"], []
+        if alpha is not None:
+            # on the seed fixture the gate accepts other lags at 0.10 than at 0.05
+            panel, out, extra = fixture_panel_path, tmp_path / "out", ["--alpha", alpha]
+            res = runner.invoke(main, ["run", "--panel", str(panel), "--output-dir", str(out),
+                                       "--weights", str(fixture_weights_path), *extra])
+            assert res.exit_code == 0, res.output
+        res = runner.invoke(main, ["correlate", "--panel", str(panel), "--kind", kind, *extra])
         assert res.exit_code == 0, res.output
-        assert res.output == (bundle["out"] / f"correlation_{kind}.csv").read_text()
+        assert res.output == (out / f"correlation_{kind}.csv").read_text()
 
     @pytest.mark.parametrize("command", [
         ["correlate"],
@@ -475,7 +554,9 @@ class TestInputContracts:
 
 def _range_args(args, panel, weights, series, tmp_path):
     where = {"PANEL": ["--panel", str(panel)], "SERIES": ["--series", str(series)],
-             "OUT": ["--output", str(tmp_path / "panel.csv")]}
+             "OUT": ["--output", str(tmp_path / "panel.csv")],
+             "RUN": ["--panel", str(panel), "--weights", str(weights),
+                     "--output-dir", str(tmp_path / "out")]}
     files = {"WEIGHTS": str(weights), "WOUT": str(tmp_path / "weights.csv")}
     head, *rest = args
     return [files.get(a, a) for a in rest] + where[head]
@@ -503,6 +584,13 @@ OUT_OF_RANGE = [
     (["OUT", "simulate", "--countries", "0"], "--countries"),
     (["OUT", "simulate", "--seed", "-1"], "--seed"),
     (["OUT", "simulate", "--countries", "1", "--weights-output", "WOUT"], "--countries"),
+    (["RUN", "run", "--alpha", "1.5"], "--alpha"),
+    (["RUN", "run", "--max-lags", "0"], "--max-lags"),
+    (["RUN", "run", "--irf-horizon", "11"], "--irf-horizon"),
+    (["RUN", "run", "--portmanteau-h", "1"], "--portmanteau-h"),
+    (["RUN", "run", "--arch-q", "0"], "--arch-q"),
+    (["RUN", "run", "--hp-lambda", "-1"], "--hp-lambda"),
+    (["RUN", "run", "--threads", "0"], "--threads"),
 ]
 
 
@@ -517,6 +605,7 @@ def test_out_of_range_option_is_a_usage_error(runner, fixture_panel_path,
     assert f"Invalid value for '{option}'" in res.stderr
     assert "Traceback" not in res.output and res.stdout == ""
     assert not (tmp_path / "panel.csv").exists() and not (tmp_path / "weights.csv").exists()
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("args", [

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ocametrics import metrics, panel, var
+from ocametrics import metrics, panel, pipeline, unit_root, var
 from ocametrics.errors import DegenerateRegressorError, OcaError
 from ocametrics.pipeline import (
     SHOCK_KINDS,
@@ -57,7 +57,7 @@ def _pretest_oracle(series, max_lags):
              adf_test(np.diff(series), spec="trend", max_lags=max_lags)]
     if not any(map(rejects, trail)):
         try:
-            trail.append(adf_test(np.diff(np.diff(series)), spec="trend"))
+            trail.append(adf_test(np.diff(np.diff(series)), spec="trend", max_lags=max_lags))
         except OcaError:
             pass
     order = next((i for i, result in enumerate(trail) if rejects(result)), None)
@@ -80,6 +80,21 @@ def test_panel_pretests_match_per_series_tests(fixture_panel, max_lags):
             assert concluded[variable] == conclusion
             conclusions.add(conclusion)
     assert {"I(0)", "I(1)", "I(2)"} <= conclusions
+
+
+def test_every_pretest_uses_the_lag_cap(monkeypatch):
+    calls = []
+
+    def spy(series, **kwargs):
+        calls.append(kwargs.get("max_lags", 12))
+        return unit_root.adf_panel(series, **kwargs)
+
+    monkeypatch.setattr(pipeline, "adf_panel", spy)
+    noise = np.random.default_rng(4).standard_normal((2, 133))
+    # an I(2) series keeps the second-difference call in play
+    logs = {"I2X": (noise[0].cumsum().cumsum(), noise[1].cumsum())}
+    assert _pretests(logs, 4)["I2X"][1]["activity"] == "I(2)"
+    assert calls == [4, 4]
 
 
 def test_constant_series_names_its_country():

@@ -260,6 +260,34 @@ class TestPortmanteau:
         model = _manual_model(np.zeros((2, 2, 2)))
         assert portmanteau_test(model, h=12).df == 4 * (12 - 2)
 
+    @pytest.mark.parametrize("p, h", [(1, 2), (1, 12), (2, 3), (3, 4), (3, 12), (4, 24)])
+    def test_matches_explicit_loop_oracle(self, p, h):
+        # Lütkepohl (2005), eq. 4.4.23:
+        # T^2 sum_j tr(C_j' C_0^-1 C_j C_0^-1) / (T - j), df = K^2 (h - p)
+        b = np.array([[[0.4, 0.1], [0.0, 0.3]], [[0.1, 0.0], [0.05, 0.1]],
+                      [[0.05, 0.0], [0.0, 0.05]], [[0.0, 0.02], [0.02, 0.0]]])
+        model = fit_var(_simulated_pair(b, seed=60 + p, n_obs=300), p=p)
+        u = model.residuals
+        t_eff, k = u.shape
+
+        def autocov(j):
+            c = np.zeros((k, k))
+            for t in range(j, t_eff):
+                c += np.outer(u[t], u[t - j])
+            return c / t_eff
+
+        c0_inv = np.linalg.inv(autocov(0))
+        expected = 0.0
+        for j in range(1, h + 1):
+            cj = autocov(j)
+            expected += np.trace(cj.T @ c0_inv @ cj @ c0_inv) / (t_eff - j)
+        expected *= t_eff**2
+        result = portmanteau_test(model, h)
+        assert result.statistic == pytest.approx(expected, rel=1e-12)
+        assert result.df == k * k * (h - p)
+        assert result.p_value == pytest.approx(stats.chi2.sf(expected, k * k * (h - p)),
+                                               rel=1e-9, abs=1e-300)
+
     def test_matches_statsmodels_whiteness(self):
         sm_var = pytest.importorskip("statsmodels.tsa.api").VAR
         y = np.random.default_rng(0).standard_normal((500, 2))
