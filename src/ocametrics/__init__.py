@@ -47,10 +47,9 @@ from .pipeline import PipelineConfig, PipelineResult, run_pipeline
 from .simulate import Dgp, RecoveryReport, SimulatedSample, random_dgp, recovery_report, simulate
 from .unit_root import AdfResult, IntegrationResult, adf_test, integration_order
 from .var import (
-    ArchLmResult,
+    ChiSquareResult,
     DummySpec,
     LagSelection,
-    PortmanteauResult,
     StabilityResult,
     VarModel,
     arch_lm_test,
@@ -63,10 +62,10 @@ from .var import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdfResult", "ArchLmResult", "Calendar", "CorrelationReport", "CostSeries",
+    "AdfResult", "Calendar", "ChiSquareResult", "CorrelationReport", "CostSeries",
     "Dgp", "DispersionSeries", "DummySpec", "IntegrationResult", "IrfSet",
     "JohansenResult", "LagSelection", "Month", "OcaError", "Panel",
-    "PipelineConfig", "PipelineResult", "PortmanteauResult", "RecoveryReport",
+    "PipelineConfig", "PipelineResult", "RecoveryReport",
     "SimulatedSample", "SizeSpeed", "StabilityResult", "StructuralModel",
     "SymmetryReport", "TransformedSeries", "VarModel", "WeightTable",
     "adf_test", "arch_lm_test", "classify_symmetry", "correlation_matrix",

@@ -5,10 +5,10 @@ CSV to a report bundle.  The remaining subcommands are thin wrappers over
 single library operations and write CSV to standard output (JSON with
 ``--json``).
 
-Each ``PipelineConfig`` setting is one click option, with its type, range
-and the field's default, shared by ``run`` and the chain subcommands; a
-``run --config`` file fills click's default map, so its values pass the
-same checks as the flags.
+Each ``PipelineConfig`` setting is one click option, with the field's
+default and its ``Bounds`` as a click range, shared by ``run`` and the
+chain subcommands; a ``run --config`` file fills click's default map, so
+its values pass the same checks as the flags.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .metrics import (
 from .months import Month
 from .panel import dump_panel, load_panel
 from .pipeline import (
+    SHOCK_KINDS,
     PipelineConfig,
     check_dummy_countries,
     correlation_dict,
@@ -43,6 +44,8 @@ from .pipeline import (
     gated_lag,
     group_shocks,
     run_pipeline,
+    shock_dict,
+    shock_table,
 )
 from .simulate import synthetic_panel, write_equal_weights
 from .unit_root import adf_test
@@ -84,27 +87,31 @@ class _Text(click.ParamType):
             self.fail(str(exc), param, ctx)
 
 
-_FIELD_DEFAULTS = {f.name: f.default for f in dataclasses.fields(PipelineConfig)}
+_FIELDS = {f.name: f for f in dataclasses.fields(PipelineConfig)}
 
 
 def _setting(field: str, flag: str, **attrs):
     """The click option of ``PipelineConfig.<field>``, passed as ``field``.
-    Its default is the field's; a field without one makes a required option."""
-    default = _FIELD_DEFAULTS[field]
-    if default is dataclasses.MISSING:
+    Its default is the field's, and a field with ``Bounds`` gets them as a
+    click range; a field without a default makes a required option."""
+    spec = _FIELDS[field]
+    bounds = spec.metadata.get("bounds")
+    if bounds is not None:
+        kind = click.FloatRange if isinstance(spec.default, float) else click.IntRange
+        attrs["type"] = kind(bounds.low, bounds.high, min_open=bounds.open, max_open=bounds.open)
+    if spec.default is dataclasses.MISSING:
         return click.option(flag, field, required=True, **attrs)
-    return click.option(flag, field, default=default, **attrs)
+    return click.option(flag, field, default=spec.default, **attrs)
 
 
 _PANEL = _setting("panel_path", "--panel", type=click.Path())
 _WEIGHTS = _setting("weights_path", "--weights", type=click.Path())
 _OUTPUT_DIR = _setting("output_dir", "--output-dir", type=click.Path())
 _BASE_YEAR = _setting("base_year", "--base-year", type=int)
-_ALPHA = _setting("alpha", "--alpha",
-                  type=click.FloatRange(0.0, 1.0, min_open=True, max_open=True))
-_MAX_LAGS = _setting("max_lags", "--max-lags", type=click.IntRange(min=1))
-_HP_LAMBDA = _setting("hp_lambda", "--hp-lambda", type=click.FloatRange(min=0.0))
-_IRF_HORIZON = _setting("irf_horizon", "--irf-horizon", type=click.IntRange(min=12))
+_ALPHA = _setting("alpha", "--alpha")
+_MAX_LAGS = _setting("max_lags", "--max-lags")
+_HP_LAMBDA = _setting("hp_lambda", "--hp-lambda")
+_IRF_HORIZON = _setting("irf_horizon", "--irf-horizon")
 _SNAPSHOT_DATES = _setting("snapshot_dates", "--snapshot-dates",
                            type=_Text("months", _parse_months),
                            help="Comma-separated YYYY-MM dates for the cost table.")
@@ -112,9 +119,9 @@ _DUMMY = _setting("dummies", "--dummy", type=_Text("dummy", _parse_dummy), multi
                   help="COUNTRY:VAR:YYYY-MM:step|pulse break dummy (repeatable).")
 _SEASONAL_ADJUST = _setting("seasonal_adjust", "--seasonal-adjust", is_flag=True,
                             help="Apply the month-dummy seasonal adjustment to log levels.")
-_PORTMANTEAU_H = _setting("portmanteau_h", "--portmanteau-h", type=click.IntRange(min=2))
-_ARCH_Q = _setting("arch_q", "--arch-q", type=click.IntRange(min=1))
-_THREADS = _setting("threads", "--threads", type=click.IntRange(min=1))
+_PORTMANTEAU_H = _setting("portmanteau_h", "--portmanteau-h")
+_ARCH_Q = _setting("arch_q", "--arch-q")
+_THREADS = _setting("threads", "--threads")
 
 
 def _options(*options):
@@ -348,28 +355,23 @@ def identify_command(country, fixed_p, as_json, **settings):
         model = gated_lag(data, dummies, config).model
     else:
         model = fit_var(data, fixed_p, dummies)
-    p = model.p
     svar = identify_bq(model)
     if as_json:
         irf = irf_structural(svar, model, config.irf_horizon)
-        ss = size_and_speed(irf)
         click.echo(json.dumps({
-            "country": country, "p": p,
+            "country": country, "p": model.p,
             "a0": [[float(v) for v in row] for row in svar.a0],
             "long_run": [[float(v) for v in row] for row in svar.long_run],
-            "supply_size": ss.supply_size, "supply_speed": ss.supply_speed,
-            "demand_size": ss.demand_size, "demand_speed": ss.demand_speed,
+            **dataclasses.asdict(size_and_speed(irf)),
         }, sort_keys=True))
         return
-    click.echo("country,date,supply_shock,demand_shock")
-    for date, (supply, demand) in zip(svar.dates.labels(), svar.shocks):
-        click.echo(f"{country},{date},{format(supply, '.15g')},{format(demand, '.15g')}")
+    click.echo(shock_table(country, shock_dict(svar)), nl=False)
 
 
 @main.command("correlate")
 @_group_options
 @_ALPHA
-@click.option("--kind", type=click.Choice(["supply", "demand"]), default="supply")
+@click.option("--kind", type=click.Choice(SHOCK_KINDS), default=SHOCK_KINDS[0])
 @click.option("--json", "as_json", is_flag=True, default=False)
 @_domain_errors
 def correlate_command(kind, as_json, **settings):
@@ -389,7 +391,7 @@ def correlate_command(kind, as_json, **settings):
 @_group_options
 @_WEIGHTS
 @_HP_LAMBDA
-@click.option("--kind", type=click.Choice(["supply", "demand"]), default="supply")
+@click.option("--kind", type=click.Choice(SHOCK_KINDS), default=SHOCK_KINDS[0])
 @click.option("--json", "as_json", is_flag=True, default=False)
 @_domain_errors
 def disperse_command(kind, as_json, **settings):
@@ -415,7 +417,7 @@ def cost_command(excluded, as_json, **settings):
     config, dates, shocks = _group_shocks(settings)
     weights = load_weights(config.weights_path)
     series = {kind: cost_of_inclusion(shocks[kind], dates, weights, excluded, kind=kind)
-              for kind in ("supply", "demand")}
+              for kind in SHOCK_KINDS}
     rows = [{"country": excluded, "date": d, "supply": float(s), "demand": float(m)}
             for d, s, m in zip(dates.labels(), series["supply"].values,
                                series["demand"].values)]

@@ -34,18 +34,6 @@ class JohansenResult:
     lag_order: int
     nobs: int
 
-    def as_dict(self) -> dict:
-        return {
-            "eigenvalues": list(self.eigenvalues),
-            "trace_stats": list(self.trace_stats),
-            "max_eig_stats": list(self.max_eig_stats),
-            "critical_values_trace": list(self.critical_values_trace),
-            "critical_values_maxeig": list(self.critical_values_maxeig),
-            "selected_rank": self.selected_rank,
-            "lag_order": self.lag_order,
-            "nobs": self.nobs,
-        }
-
 
 def _partial_out(target: np.ndarray, regressors: np.ndarray) -> np.ndarray:
     coef, *_ = np.linalg.lstsq(regressors, target, rcond=None)

@@ -18,11 +18,10 @@ import numpy as np
 
 from .errors import SigmaNotPositiveDefiniteError, UnstableModelError, ZeroLongRunError
 from .months import Calendar
-from .panel import _frozen
+from .panel import VARIABLES, _frozen
 from .var import VarModel, stability
 
-SHOCK_ORDER = ("supply", "demand")
-VARIABLE_ORDER = ("activity", "price")
+SHOCK_KINDS = ("supply", "demand")
 
 MAX_COMPANION_MODULUS = 0.9999
 MAX_CONDITION = 1e12
@@ -48,8 +47,8 @@ class IrfSet:
 @dataclass(frozen=True)
 class SizeSpeed:
     supply_size: float
-    demand_size: float
     supply_speed: float
+    demand_size: float
     demand_speed: float
 
 
@@ -118,8 +117,8 @@ def irf_structural(svar: StructuralModel, model: VarModel, horizon: int) -> IrfS
 
     responses = {}
     long_run = {}
-    for si, shock in enumerate(SHOCK_ORDER):
-        for vi, variable in enumerate(VARIABLE_ORDER):
+    for si, shock in enumerate(SHOCK_KINDS):
+        for vi, variable in enumerate(VARIABLES):
             responses[(shock, variable)] = _frozen(cumulative[:, vi, si])
             long_run[(shock, variable)] = float(svar.long_run[vi, si])
     return IrfSet(horizon=horizon, responses=responses, long_run=long_run)
@@ -135,7 +134,7 @@ def size_and_speed(irf: IrfSet) -> SizeSpeed:
     r12_demand = float(irf.responses[("demand", "price")][12])
     return SizeSpeed(
         supply_size=abs(lr_supply),
-        demand_size=abs(lr_demand),
         supply_speed=r12_supply / lr_supply,
+        demand_size=abs(lr_demand),
         demand_speed=r12_demand / lr_demand,
     )

@@ -17,7 +17,7 @@ from __future__ import annotations
 import concurrent.futures
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Mapping
 
@@ -26,7 +26,8 @@ import numpy as np
 from . import _kernels
 from .cointegration import JohansenResult, johansen_test
 from .errors import ConfigError, DateRangeError, OcaError
-from .identification import IrfSet, SizeSpeed, StructuralModel, identify_bq, irf_structural, size_and_speed
+from .identification import (SHOCK_KINDS, IrfSet, SizeSpeed, StructuralModel, identify_bq,
+                             irf_structural, size_and_speed)
 from .metrics import (
     CorrelationReport,
     SymmetryReport,
@@ -40,52 +41,66 @@ from .metrics import (
     trend_change,
 )
 from .months import Month, month_range
-from .panel import Panel, growth_pair, load_panel, log_level_series
+from .panel import VARIABLES, Panel, growth_pair, load_panel, log_level_series
 from .unit_root import AdfResult, adf_panel, rejection_order
 from .var import DummySpec, LagSelection, select_lag
 
-SHOCK_KINDS = ("supply", "demand")
-VARIABLES = ("activity", "price")
+
+@dataclass(frozen=True)
+class Bounds:
+    """The range of a numeric setting: ``[low, high]``, or ``(low, high)`` when
+    ``open``; no ``high`` leaves it unbounded above."""
+
+    low: float
+    high: float | None = None
+    open: bool = False
+
+    def __contains__(self, value) -> bool:
+        if self.open:
+            return self.low < value and (self.high is None or value < self.high)
+        return self.low <= value and (self.high is None or value <= self.high)
+
+    def __str__(self) -> str:
+        if self.high is None:
+            return f"{'>' if self.open else '>='} {self.low}"
+        left, right = "()" if self.open else "[]"
+        return f"in {left}{self.low}, {self.high}{right}"
+
+
+def _bounded(default, low, high=None, open=False):
+    """A ``PipelineConfig`` field whose value must lie in ``Bounds(low, high, open)``."""
+    return field(default=default, metadata={"bounds": Bounds(low, high, open)})
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
+    """Every setting of a run; a value out of its field's ``Bounds``, or an
+    empty path, is refused when the config is built."""
+
     panel_path: str
     weights_path: str
     output_dir: str
     base_year: int = 2010
-    alpha: float = 0.05
-    max_lags: int = 12
-    hp_lambda: float = 14400.0
-    irf_horizon: int = 48
+    alpha: float = _bounded(0.05, 0.0, 1.0, open=True)
+    max_lags: int = _bounded(12, 1, 24)
+    hp_lambda: float = _bounded(14400.0, 0.0)
+    irf_horizon: int = _bounded(48, 12)
     seasonal_adjust: bool = False
     snapshot_dates: tuple[Month, ...] = ()
     dummies: tuple[tuple[str, DummySpec], ...] = ()
-    portmanteau_h: int = 12
-    arch_q: int = 4
-    threads: int = 1
+    portmanteau_h: int = _bounded(12, 2)
+    arch_q: int = _bounded(4, 1)
+    threads: int = _bounded(1, 1)
 
-    def validate(self) -> None:
-        if not self.panel_path:
-            raise ConfigError("panel path must be set")
-        if not self.weights_path:
-            raise ConfigError("weights path must be set")
-        if not self.output_dir:
-            raise ConfigError("output directory must be set")
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigError(f"alpha must be in (0, 1), got {self.alpha}")
-        if not 1 <= self.max_lags <= 24:
-            raise ConfigError(f"max_lags must be in [1, 24], got {self.max_lags}")
-        if self.hp_lambda < 0:
-            raise ConfigError("hp_lambda must be >= 0")
-        if self.irf_horizon < 12:
-            raise ConfigError("irf_horizon must be >= 12")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
-        if self.portmanteau_h < 2:
-            raise ConfigError("portmanteau_h must be >= 2")
-        if self.arch_q < 1:
-            raise ConfigError("arch_q must be >= 1")
+    def __post_init__(self):
+        for name, what in (("panel_path", "panel path"), ("weights_path", "weights path"),
+                           ("output_dir", "output directory")):
+            if not getattr(self, name):
+                raise ConfigError(f"{what} must be set")
+        for f in fields(self):
+            bounds, value = f.metadata.get("bounds"), getattr(self, f.name)
+            if bounds is not None and value not in bounds:
+                raise ConfigError(f"{f.name} must be {bounds}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -274,17 +289,11 @@ def _country_report(result: CountryAnalysis) -> dict:
                 "conclusion": result.conclusions[variable],
             } for variable in VARIABLES
         },
-        "johansen": result.johansen.as_dict(),
+        "johansen": asdict(result.johansen),
         "var": {
             "p": model.p,
             "criterion_choices": dict(result.lag_selection.criterion_choices),
-            "gate_trail": [
-                {"p": a.p, "stable": a.stable, "max_modulus": a.max_modulus,
-                 "portmanteau_h": a.portmanteau_h,
-                 "portmanteau_pvalue": a.portmanteau_pvalue,
-                 "arch_pvalues": list(a.arch_pvalues), "passed": a.passed}
-                for a in result.lag_selection.trail
-            ],
+            "gate_trail": [asdict(a) for a in result.lag_selection.trail],
             "intercept": [float(v) for v in model.intercept],
             "coefs": [_matrix(b) for b in model.coefs],
             "sigma": _matrix(model.sigma),
@@ -293,12 +302,7 @@ def _country_report(result: CountryAnalysis) -> dict:
             "stable": diag.stability.stable,
             "max_modulus": float(diag.stability.max_modulus),
             "moduli": [float(m) for m in diag.stability.moduli],
-            "portmanteau": {
-                "h": diag.portmanteau_h,
-                "statistic": diag.portmanteau.statistic,
-                "df": diag.portmanteau.df,
-                "p_value": diag.portmanteau.p_value,
-            },
+            "portmanteau": {"h": diag.portmanteau_h, **asdict(diag.portmanteau)},
             "arch": {
                 variable: {
                     "q": arch.df,
@@ -325,12 +329,7 @@ def _country_report(result: CountryAnalysis) -> dict:
                 for (shock, variable), value in sorted(result.irf.long_run.items())
             },
         },
-        "size_speed": {
-            "supply_size": result.size_speed.supply_size,
-            "supply_speed": result.size_speed.supply_speed,
-            "demand_size": result.size_speed.demand_size,
-            "demand_speed": result.size_speed.demand_speed,
-        },
+        "size_speed": asdict(result.size_speed),
     }
 
 
@@ -355,6 +354,15 @@ def _conventions() -> dict:
         "hp_lambda_convention": "14400 for monthly data",
         "shock_csv_precision": "15 significant digits",
     }
+
+
+def _config_dict(config: PipelineConfig) -> dict:
+    """``metadata.config``: every setting, with the snapshot dates and dummies
+    in their flag text, except ``threads``, which changes no reported number."""
+    out = {f.name: getattr(config, f.name) for f in fields(config) if f.name != "threads"}
+    out["snapshot_dates"] = [str(d) for d in config.snapshot_dates]
+    out["dummies"] = [f"{c}:{spec.label()}" for c, spec in config.dummies]
+    return out
 
 
 def build_report(panel: Panel, weights: WeightTable, config: PipelineConfig) -> dict:
@@ -394,31 +402,13 @@ def build_report(panel: Panel, weights: WeightTable, config: PipelineConfig) -> 
                 for country in panel.countries
             }
 
-    sizes = {c: results[c].size_speed for c in panel.countries}
-    averages = {
-        "supply_size": float(np.mean([s.supply_size for s in sizes.values()])),
-        "supply_speed": float(np.mean([s.supply_speed for s in sizes.values()])),
-        "demand_size": float(np.mean([s.demand_size for s in sizes.values()])),
-        "demand_speed": float(np.mean([s.demand_speed for s in sizes.values()])),
-    }
+    sizes = {c: asdict(results[c].size_speed) for c in panel.countries}
+    averages = {f.name: float(np.mean([s[f.name] for s in sizes.values()]))
+                for f in fields(SizeSpeed)}
 
     report = {
         "metadata": {
-            "config": {
-                "panel_path": config.panel_path,
-                "weights_path": config.weights_path,
-                "output_dir": config.output_dir,
-                "base_year": config.base_year,
-                "alpha": config.alpha,
-                "max_lags": config.max_lags,
-                "hp_lambda": config.hp_lambda,
-                "irf_horizon": config.irf_horizon,
-                "seasonal_adjust": config.seasonal_adjust,
-                "snapshot_dates": [str(d) for d in config.snapshot_dates],
-                "dummies": [f"{c}:{spec.label()}" for c, spec in config.dummies],
-                "portmanteau_h": config.portmanteau_h,
-                "arch_q": config.arch_q,
-            },
+            "config": _config_dict(config),
             "conventions": _conventions(),
             "panel": {
                 "countries": list(panel.countries),
@@ -447,17 +437,7 @@ def build_report(panel: Panel, weights: WeightTable, config: PipelineConfig) -> 
                     "groups": [list(g) for g in symmetry[kind].groups],
                 } for kind in SHOCK_KINDS
             },
-            "size_speed": {
-                "per_country": {
-                    c: {
-                        "supply_size": sizes[c].supply_size,
-                        "supply_speed": sizes[c].supply_speed,
-                        "demand_size": sizes[c].demand_size,
-                        "demand_speed": sizes[c].demand_speed,
-                    } for c in panel.countries
-                },
-                "average": averages,
-            },
+            "size_speed": {"per_country": sizes, "average": averages},
             "dispersion": {
                 kind: {
                     "dates": dates.labels(),
@@ -474,13 +454,7 @@ def build_report(panel: Panel, weights: WeightTable, config: PipelineConfig) -> 
             },
             "cost_snapshots": snapshots,
         },
-        "shocks": {
-            country: {
-                "dates": results[country].svar.dates.labels(),
-                "supply": [float(v) for v in results[country].svar.shocks[:, 0]],
-                "demand": [float(v) for v in results[country].svar.shocks[:, 1]],
-            } for country in panel.countries
-        },
+        "shocks": {c: shock_dict(results[c].svar) for c in panel.countries},
     }
     return report
 
@@ -512,6 +486,20 @@ def correlation_table(corr: dict) -> str:
                 stars = "" if i == j else significance_stars(corr["p"][i][j])
                 row.append(_fmt3(corr["r"][i][j]) + stars)
         lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def shock_dict(svar: StructuralModel) -> dict:
+    """The ``report.json`` block of one country's structural shocks."""
+    return {"dates": svar.dates.labels(),
+            **{kind: [float(v) for v in svar.shocks[:, k]] for k, kind in enumerate(SHOCK_KINDS)}}
+
+
+def shock_table(country: str, shocks: dict) -> str:
+    """CSV of a ``shock_dict`` block, each shock at 15 significant digits."""
+    lines = ["country,date,supply_shock,demand_shock"]
+    for d, s, dm in zip(shocks["dates"], shocks["supply"], shocks["demand"]):
+        lines.append(f"{country},{d},{format(s, '.15g')},{format(dm, '.15g')}")
     return "\n".join(lines) + "\n"
 
 
@@ -561,15 +549,11 @@ def _render_tables(report: dict) -> dict[str, str]:
         tables[f"correlation_{kind}.csv"] = correlation_table(
             report["group"]["correlations"][kind])
 
-    lines = ["country,supply_size,supply_speed,demand_size,demand_speed"]
-    per_country = report["group"]["size_speed"]["per_country"]
-    for c in countries:
-        row = per_country[c]
-        lines.append(",".join([c, _fmt3(row["supply_size"]), _fmt3(row["supply_speed"]),
-                               _fmt3(row["demand_size"]), _fmt3(row["demand_speed"])]))
-    avg = report["group"]["size_speed"]["average"]
-    lines.append(",".join(["average", _fmt3(avg["supply_size"]), _fmt3(avg["supply_speed"]),
-                           _fmt3(avg["demand_size"]), _fmt3(avg["demand_speed"])]))
+    names = [f.name for f in fields(SizeSpeed)]
+    lines = [",".join(["country", *names])]
+    size_speed = report["group"]["size_speed"]
+    for c, row in [*size_speed["per_country"].items(), ("average", size_speed["average"])]:
+        lines.append(",".join([c, *(_fmt3(row[name]) for name in names)]))
     tables["size_speed.csv"] = "\n".join(lines) + "\n"
 
     for kind in SHOCK_KINDS:
@@ -602,18 +586,13 @@ def _render_tables(report: dict) -> dict[str, str]:
     tables["groups.csv"] = "\n".join(lines) + "\n"
 
     for c in countries:
-        shocks = report["shocks"][c]
-        lines = ["country,date,supply_shock,demand_shock"]
-        for d, s, dm in zip(shocks["dates"], shocks["supply"], shocks["demand"]):
-            lines.append(f"{c},{d},{format(s, '.15g')},{format(dm, '.15g')}")
-        tables[f"shocks_{c}.csv"] = "\n".join(lines) + "\n"
+        tables[f"shocks_{c}.csv"] = shock_table(c, report["shocks"][c])
 
     return tables
 
 
 def run_pipeline(config: PipelineConfig) -> PipelineResult:
-    """Validate, compute, and write the full report bundle."""
-    config.validate()
+    """Compute and write the full report bundle."""
     panel = load_panel(config.panel_path)
     weights = load_weights(config.weights_path)
 

@@ -21,9 +21,8 @@ from .errors import (
     TooShortError,
 )
 from .months import Calendar, Month
-from .panel import TransformedSeries, _frozen
+from .panel import VARIABLES, TransformedSeries, _frozen
 
-VARIABLE_ORDER = ("activity", "price")
 N_VARS = 2
 
 
@@ -41,7 +40,7 @@ class DummySpec:
     form: str = "step"
 
     def __post_init__(self):
-        if self.variable not in VARIABLE_ORDER:
+        if self.variable not in VARIABLES:
             raise ValueError(f"unknown variable {self.variable!r}")
         if self.form not in ("step", "pulse"):
             raise ValueError(f"unknown dummy form {self.form!r}")
@@ -84,14 +83,9 @@ class StabilityResult:
 
 
 @dataclass(frozen=True)
-class PortmanteauResult:
-    statistic: float
-    df: int
-    p_value: float
+class ChiSquareResult:
+    """A test statistic with its chi-square degrees of freedom and p-value."""
 
-
-@dataclass(frozen=True)
-class ArchLmResult:
     statistic: float
     df: int
     p_value: float
@@ -102,9 +96,9 @@ class Diagnostics:
     """The residual checks of one fitted model, as the lag gate runs them."""
 
     stability: StabilityResult
-    portmanteau: PortmanteauResult
+    portmanteau: ChiSquareResult
     portmanteau_h: int
-    arch: tuple[ArchLmResult, ArchLmResult]
+    arch: tuple[ChiSquareResult, ChiSquareResult]
 
 
 @dataclass(frozen=True)
@@ -134,7 +128,7 @@ class LagSelection:
 
 def _check_pair(data: tuple[TransformedSeries, TransformedSeries]):
     first, second = data
-    if (first.variable, second.variable) != VARIABLE_ORDER:
+    if (first.variable, second.variable) != VARIABLES:
         raise ValueError("data must be the (activity, price) pair, in that order")
     if first.dates != second.dates:
         raise ValueError("the two series must share their calendar")
@@ -225,7 +219,7 @@ def stability(model: VarModel) -> StabilityResult:
                            stable=bool(moduli[0] < 1.0))
 
 
-def portmanteau_test(model: VarModel, h: int) -> PortmanteauResult:
+def portmanteau_test(model: VarModel, h: int) -> ChiSquareResult:
     """Adjusted multivariate portmanteau test for residual serial correlation."""
     from scipy.special import chdtrc
 
@@ -243,11 +237,11 @@ def portmanteau_test(model: VarModel, h: int) -> PortmanteauResult:
         stat += np.trace(cj.T @ c0_inv @ cj @ c0_inv) / (t_eff - j)
     stat *= t_eff**2
     df = N_VARS**2 * (h - model.p)
-    return PortmanteauResult(statistic=float(stat), df=int(df),
-                             p_value=float(chdtrc(df, stat)))
+    return ChiSquareResult(statistic=float(stat), df=int(df),
+                           p_value=float(chdtrc(df, stat)))
 
 
-def arch_lm_test(residuals: np.ndarray, q: int) -> ArchLmResult:
+def arch_lm_test(residuals: np.ndarray, q: int) -> ChiSquareResult:
     """LM test for autoregressive conditional heteroskedasticity."""
     from scipy.special import chdtrc
 
@@ -264,13 +258,13 @@ def arch_lm_test(residuals: np.ndarray, q: int) -> ArchLmResult:
     X = np.column_stack([np.ones(n)] + [u2[q - 1 - i:q - 1 - i + n] for i in range(q)])
     tss = float(((z - z.mean()) ** 2).sum())
     if tss == 0.0:
-        return ArchLmResult(statistic=0.0, df=q, p_value=1.0)
+        return ChiSquareResult(statistic=0.0, df=q, p_value=1.0)
     beta, *_ = np.linalg.lstsq(X, z, rcond=None)
     rss = float(((z - X @ beta) ** 2).sum())
     r2 = max(0.0, 1.0 - rss / tss)
     stat = n * r2
-    return ArchLmResult(statistic=float(stat), df=int(q),
-                        p_value=float(chdtrc(q, stat)))
+    return ChiSquareResult(statistic=float(stat), df=int(q),
+                           p_value=float(chdtrc(q, stat)))
 
 
 def diagnose(model: VarModel, portmanteau_h: int, arch_q: int) -> Diagnostics:

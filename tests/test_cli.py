@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import shutil
@@ -13,6 +14,7 @@ from ocametrics import cointegration, unit_root
 from ocametrics.cli import main
 from ocametrics.months import Month
 from ocametrics.panel import load_panel
+from ocametrics.pipeline import PipelineConfig
 
 from .conftest import replace_everywhere
 
@@ -163,6 +165,11 @@ class TestRunPipeline:
         first_pair = table[2].split(",")[1]
         digits = first_pair.rstrip("*")
         assert digits == format(corr["r"][1][0], ".3f")
+
+    def test_report_config_holds_every_setting_but_threads(self, bundle):
+        report = json.loads((bundle["out"] / "report.json").read_text())
+        names = {f.name for f in dataclasses.fields(PipelineConfig)}
+        assert set(report["metadata"]["config"]) == names - {"threads"}
 
     def test_report_carries_cumulative_irfs(self, bundle):
         report = json.loads((bundle["out"] / "report.json").read_text())
@@ -492,6 +499,13 @@ class TestThinWrappers:
         assert res.exit_code == 0, res.output
         assert res.output == (out / f"correlation_{kind}.csv").read_text()
 
+    @pytest.mark.parametrize("country", ["C01", "C04"])
+    def test_identify_prints_the_bundle_table(self, runner, bundle, country):
+        res = runner.invoke(main, ["identify", "--panel", str(bundle["panel"]),
+                                   "--country", country])
+        assert res.exit_code == 0, res.output
+        assert res.output == (bundle["out"] / f"shocks_{country}.csv").read_text()
+
     @pytest.mark.parametrize("command", [
         ["correlate"],
         ["disperse", "--weights", "WEIGHTS"],
@@ -591,6 +605,9 @@ OUT_OF_RANGE = [
     (["RUN", "run", "--arch-q", "0"], "--arch-q"),
     (["RUN", "run", "--hp-lambda", "-1"], "--hp-lambda"),
     (["RUN", "run", "--threads", "0"], "--threads"),
+    (["RUN", "run", "--max-lags", "25"], "--max-lags"),
+    (["PANEL", "var", "--country", "C00", "--max-lags", "25"], "--max-lags"),
+    (["PANEL", "correlate", "--max-lags", "25"], "--max-lags"),
 ]
 
 
@@ -608,9 +625,31 @@ def test_out_of_range_option_is_a_usage_error(runner, fixture_panel_path,
     assert not (tmp_path / "out").exists()
 
 
+NAN_SETTINGS = [
+    (["RUN", "run", "--hp-lambda", "nan"], "hp_lambda must be >= 0.0"),
+    (["PANEL", "disperse", "--weights", "WEIGHTS", "--hp-lambda", "nan"],
+     "hp_lambda must be >= 0.0"),
+    (["RUN", "run", "--alpha", "nan"], "alpha must be in (0.0, 1.0)"),
+    (["PANEL", "correlate", "--alpha", "nan"], "alpha must be in (0.0, 1.0)"),
+]
+
+
+@pytest.mark.parametrize("args, message", NAN_SETTINGS,
+                         ids=[" ".join(a[1:]) for a, _ in NAN_SETTINGS])
+def test_nan_setting_is_refused_by_the_config(runner, fixture_panel_path, fixture_weights_path,
+                                              series_path, tmp_path, args, message):
+    # click's float ranges let NaN through; PipelineConfig refuses it
+    res = runner.invoke(main, _range_args(args, fixture_panel_path, fixture_weights_path,
+                                          series_path, tmp_path))
+    assert res.exit_code == 1
+    assert res.stderr == f"error: {message}, got nan\n"
+    assert res.stdout == "" and not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("args", [
     ["PANEL", "identify", "--country", "C00", "--p", "1", "--irf-horizon", "12", "--json"],
     ["PANEL", "disperse", "--weights", "WEIGHTS", "--hp-lambda", "0"],
+    ["PANEL", "var", "--country", "C00", "--max-lags", "24"],
     ["SERIES", "adf", "--max-lags", "0"],
     ["SERIES", "adf", "--lag-rule", "0"],
     ["OUT", "simulate", "--t", "2", "--countries", "1", "--seed", "0"],

@@ -1,6 +1,10 @@
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
+from ocametrics import pipeline
 from ocametrics.cointegration import (
     MAXEIG_CV_5PCT,
     TRACE_CV_5PCT,
@@ -61,7 +65,7 @@ class TestAlgebra:
             critical_values_trace=TRACE_CV_5PCT,
             critical_values_maxeig=MAXEIG_CV_5PCT,
             selected_rank=0, lag_order=8, nobs=124)
-        d = res.as_dict()
+        d = json.loads(pipeline.render_json({"johansen": asdict(res)}))["johansen"]
         assert d["selected_rank"] == 0
         assert d["critical_values_trace"] == [25.32, 12.25]
 

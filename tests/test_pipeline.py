@@ -1,8 +1,10 @@
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
 from ocametrics import metrics, panel, pipeline, unit_root, var
-from ocametrics.errors import DegenerateRegressorError, OcaError
+from ocametrics.errors import ConfigError, DegenerateRegressorError, OcaError
 from ocametrics.pipeline import (
     SHOCK_KINDS,
     PipelineConfig,
@@ -16,6 +18,38 @@ from ocametrics.unit_root import adf_test
 from .conftest import count_calls
 
 CONFIG = PipelineConfig(panel_path="-", weights_path="-", output_dir="-")
+
+# each bounded setting: the values at its bounds (or just inside an open one)
+# and the values just outside them
+RANGES = {
+    "alpha": ([1e-9, 1 - 1e-9], [0.0, 1.0, float("nan")]),
+    "max_lags": ([1, 24], [0, 25]),
+    "hp_lambda": ([0.0], [-1e-9, float("nan")]),
+    "irf_horizon": ([12], [11]),
+    "portmanteau_h": ([2], [1]),
+    "arch_q": ([1], [0]),
+    "threads": ([1], [0]),
+}
+
+
+def test_every_bounded_setting_is_checked():
+    assert {f.name for f in fields(PipelineConfig) if "bounds" in f.metadata} == set(RANGES)
+
+
+@pytest.mark.parametrize("name", list(RANGES))
+def test_config_refuses_a_setting_out_of_range(name):
+    accepted, refused = RANGES[name]
+    for value in accepted:
+        assert getattr(replace(CONFIG, **{name: value}), name) == value
+    for value in refused:
+        with pytest.raises(ConfigError, match=f"^{name} must be "):
+            replace(CONFIG, **{name: value})
+
+
+@pytest.mark.parametrize("name", ["panel_path", "weights_path", "output_dir"])
+def test_config_refuses_an_empty_path(name):
+    with pytest.raises(ConfigError, match="must be set"):
+        replace(CONFIG, **{name: ""})
 
 
 def test_country_chain_estimates_once(fixture_panel, monkeypatch):
