@@ -3,7 +3,7 @@
 Includes pairwise shock correlations with exact t-based significance,
 clique-based detection of mutually symmetric country groups, the
 size-weighted cross-country dispersion index, the Hodrick-Prescott trend
-via a banded pentadiagonal solve, and leave-one-out cost-of-inclusion
+via a banded Cholesky solve, and leave-one-out cost-of-inclusion
 series.
 """
 
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Mapping, Sequence
@@ -354,11 +355,11 @@ def hp_filter(values: np.ndarray, smoothing: float = 14400.0):
     """Split a series into trend and cycle.
 
     The trend solves ``(I + smoothing * D'D) trend = values`` with ``D`` the
-    second-difference operator, assembled directly in symmetric banded form
-    and solved with a banded Cholesky routine.
+    second-difference operator by banded Cholesky in O(T): a forward pass
+    factors the matrix as ``L L'`` and solves ``L z = values``, a backward pass
+    solves ``L' trend = z``, both on Python floats (faster there than numpy
+    scalars). NaN or inf in ``values`` or ``smoothing`` raises ``ValueError``.
     """
-    from scipy.linalg import solveh_banded
-
     y = np.asarray(values, dtype=np.float64)
     if y.ndim != 1:
         raise ValueError("values must be 1-D")
@@ -370,19 +371,26 @@ def hp_filter(values: np.ndarray, smoothing: float = 14400.0):
     if smoothing == 0:
         trend = y.copy()
         return trend, y - trend
-
-    diag0 = np.full(n, 6.0)
-    diag0[[0, -1]] = 1.0
-    diag0[[1, -2]] = 5.0
-    diag1 = np.full(n - 1, -4.0)
-    diag1[[0, -1]] = -2.0
-    diag2 = np.ones(n - 2)
-
-    ab = np.zeros((3, n))
-    ab[0, 2:] = smoothing * diag2
-    ab[1, 1:] = smoothing * diag1
-    ab[2, :] = 1.0 + smoothing * diag0
-    trend = solveh_banded(ab, y, lower=False)
+    lam = float(smoothing)
+    if not (math.isfinite(6.0 * lam) and np.isfinite(y).all()):  # 6 lam must not overflow
+        raise ValueError("values and smoothing must be finite")
+    # row i of the matrix holds far, sub, diag in columns i-2, i-1, i; row i of L: c, b, d
+    diag = [1.0 + lam, 1.0 + 5.0 * lam] + [1.0 + 6.0 * lam] * (n - 4) + [1.0 + 5.0 * lam, 1.0 + lam]
+    sub = [0.0, -2.0 * lam] + [-4.0 * lam] * (n - 3) + [-2.0 * lam]
+    far = [0.0, 0.0] + [lam] * (n - 2)
+    rows, d1, d2, b1, z1, z2 = [], 1.0, 1.0, 0.0, 0.0, 0.0
+    for a0, a1, a2, yi in zip(diag, sub, far, y.tolist()):
+        c = a2 / d2
+        b = (a1 - c * b1) / d1
+        d = math.sqrt(a0 - b * b - c * c)
+        z = (yi - b * z1 - c * z2) / d
+        rows.append((d, b, c, z))
+        d2, d1, b1, z2, z1 = d1, d, b, z1, z
+    d, b, c, z = zip(*rows, (1.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0))
+    t = [0.0] * (n + 2)
+    for i in range(n - 1, -1, -1):
+        t[i] = (z[i] - b[i + 1] * t[i + 1] - c[i + 2] * t[i + 2]) / d[i]
+    trend = np.array(t[:n])
     return trend, y - trend
 
 

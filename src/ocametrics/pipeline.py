@@ -74,8 +74,8 @@ def _bounded(default, low, high=None, open=False):
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Every setting of a run; a value out of its field's ``Bounds``, or an
-    empty path, is refused when the config is built."""
+    """Every setting of a run; a value out of its field's ``Bounds`` or infinite,
+    or an empty path, is refused when the config is built."""
 
     panel_path: str
     weights_path: str
@@ -101,6 +101,8 @@ class PipelineConfig:
             bounds, value = f.metadata.get("bounds"), getattr(self, f.name)
             if bounds is not None and value not in bounds:
                 raise ConfigError(f"{f.name} must be {bounds}, got {value!r}")
+            if bounds is not None and value == np.inf:  # NaN is out of every range
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)

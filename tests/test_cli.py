@@ -134,6 +134,26 @@ print("scipy.special" in sys.modules)
     assert out.split("\n")[:2] == ["[]", "True"]
 
 
+@pytest.mark.parametrize("command", ["run", "disperse"])
+def test_hp_trend_leaves_out_scipy_linalg(tmp_path, fixture_panel_path, fixture_weights_path,
+                                          command):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    args = [command, "--panel", str(fixture_panel_path), "--weights", str(fixture_weights_path)]
+    if command == "run":
+        args += ["--output-dir", str(tmp_path / "out")]
+    code = f"""
+import sys, ocametrics.cli
+from click.testing import CliRunner
+assert CliRunner().invoke(ocametrics.cli.main, {args!r}).exit_code == 0
+print(sorted(m for m in sys.modules if m.split(".")[:2] == ["scipy", "linalg"]))
+print("scipy.special" in sys.modules)
+"""
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split("\n")[:2] == ["[]", "True"]
+
+
 class TestRunPipeline:
     def test_bundle_files_exist(self, bundle):
         names = {p.name for p in bundle["out"].iterdir()}
@@ -643,6 +663,24 @@ def test_nan_setting_is_refused_by_the_config(runner, fixture_panel_path, fixtur
                                           series_path, tmp_path))
     assert res.exit_code == 1
     assert res.stderr == f"error: {message}, got nan\n"
+    assert res.stdout == "" and not (tmp_path / "out").exists()
+
+
+INF_SETTINGS = [
+    ["RUN", "run", "--hp-lambda", "inf"],
+    ["PANEL", "disperse", "--weights", "WEIGHTS", "--hp-lambda", "inf"],
+]
+
+
+@pytest.mark.parametrize("args", INF_SETTINGS, ids=lambda a: " ".join(a[1:]))
+def test_infinite_hp_lambda_is_refused_by_the_config(runner, fixture_panel_path,
+                                                     fixture_weights_path, series_path,
+                                                     tmp_path, args):
+    # click's float range lets inf through; PipelineConfig refuses it before any stage
+    res = runner.invoke(main, _range_args(args, fixture_panel_path, fixture_weights_path,
+                                          series_path, tmp_path))
+    assert res.exit_code == 1
+    assert res.stderr == "error: hp_lambda must be finite, got inf\n"
     assert res.stdout == "" and not (tmp_path / "out").exists()
 
 

@@ -2,6 +2,7 @@ import io
 import itertools
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -505,6 +506,26 @@ def _hp_dense_oracle(y, lam):
     return np.linalg.solve(np.eye(n) + lam * d.T @ d, y)
 
 
+def _hp_exact_oracle(y, lam):
+    """The HP trend by banded Gaussian elimination in exact rational arithmetic."""
+    n, lam = y.size, Fraction(lam)
+    a = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for k in range(n - 2):  # a += lam * D'D, row k of D is (1, -2, 1) from column k
+        for i, di in zip(range(k, k + 3), (1, -2, 1)):
+            for j, dj in zip(range(k, k + 3), (1, -2, 1)):
+                a[i][j] += lam * di * dj
+    x = [Fraction(v) for v in y.tolist()]
+    for k in range(n):
+        for i in range(k + 1, min(n, k + 3)):
+            f = a[i][k] / a[k][k]
+            for j in range(k, min(n, k + 3)):
+                a[i][j] -= f * a[k][j]
+            x[i] -= f * x[k]
+    for i in reversed(range(n)):
+        x[i] = (x[i] - sum(a[i][j] * x[j] for j in range(i + 1, min(n, i + 3)))) / a[i][i]
+    return np.array([float(v) for v in x])
+
+
 class TestHpFilter:
     def test_linear_series_is_fixed_point(self):
         y = 3.0 + 0.5 * np.arange(60)
@@ -555,6 +576,27 @@ class TestHpFilter:
     def test_too_short(self):
         with pytest.raises(TooShortError):
             hp_filter(np.ones(3), 1600.0)
+
+    @pytest.mark.parametrize("n", [4, 5, 12, 133])
+    def test_matches_exact_rational_solve(self, n):
+        rng = np.random.default_rng(n)
+        for lam in (1600.0, 14400.0):
+            y = rng.standard_normal(n).cumsum()
+            trend, _ = hp_filter(y, lam)
+            assert np.abs(trend - _hp_exact_oracle(y, lam)).max() <= 1e-10
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_are_refused(self, bad):
+        y = np.random.default_rng(3).standard_normal(20).cumsum()
+        y[7] = bad
+        with pytest.raises(ValueError):
+            hp_filter(y, 1600.0)
+
+    @pytest.mark.parametrize("smoothing", [np.inf, np.nan, 1e308])
+    def test_non_finite_smoothing_is_refused(self, smoothing):
+        # 1e308: the matrix entry 1 + 6 * smoothing overflows
+        with pytest.raises(ValueError):
+            hp_filter(np.arange(20.0), smoothing)
 
 
 class TestTrendChange:
