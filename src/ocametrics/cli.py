@@ -37,7 +37,7 @@ from .panel import dump_panel, load_panel
 from .pipeline import (
     SHOCK_KINDS,
     PipelineConfig,
-    check_dummy_countries,
+    check_panel_settings,
     correlation_dict,
     correlation_table,
     country_series,
@@ -276,7 +276,7 @@ def _country_series(country: str, settings: dict):
     panel = load_panel(config.panel_path)
     if country not in panel.countries:
         raise ConfigError(f"country {country!r} not in panel {panel.countries}")
-    check_dummy_countries(config.dummies, panel.countries)
+    check_panel_settings(panel, config)
     return (config, *country_series(panel, country, config))
 
 

@@ -140,14 +140,11 @@ def classify_symmetry(report: CorrelationReport, alpha: float = 0.05) -> Symmetr
     return SymmetryReport(alpha=alpha, symmetric_pairs=pairs, groups=groups)
 
 
+STARS = {0.01: "***", 0.05: "**", 0.10: "*"}
+
+
 def significance_stars(p: float) -> str:
-    if p < 0.01:
-        return "***"
-    if p < 0.05:
-        return "**"
-    if p < 0.10:
-        return "*"
-    return ""
+    return next((stars for level, stars in STARS.items() if p < level), "")
 
 
 # --------------------------------------------------------------------------
@@ -358,7 +355,9 @@ def hp_filter(values: np.ndarray, smoothing: float = 14400.0):
     second-difference operator by banded Cholesky in O(T): a forward pass
     factors the matrix as ``L L'`` and solves ``L z = values``, a backward pass
     solves ``L' trend = z``, both on Python floats (faster there than numpy
-    scalars). NaN or inf in ``values`` or ``smoothing`` raises ``ValueError``.
+    scalars). At ``smoothing == 0`` the matrix is the identity and the trend
+    is ``values`` itself. NaN or inf in ``values`` or ``smoothing`` raises
+    ``ValueError``.
     """
     y = np.asarray(values, dtype=np.float64)
     if y.ndim != 1:
@@ -368,9 +367,6 @@ def hp_filter(values: np.ndarray, smoothing: float = 14400.0):
         raise TooShortError("HP filter needs at least 4 observations")
     if smoothing < 0:
         raise ValueError("smoothing must be >= 0")
-    if smoothing == 0:
-        trend = y.copy()
-        return trend, y - trend
     lam = float(smoothing)
     if not (math.isfinite(6.0 * lam) and np.isfinite(y).all()):  # 6 lam must not overflow
         raise ValueError("values and smoothing must be finite")

@@ -23,12 +23,12 @@ from typing import Mapping
 
 import numpy as np
 
-from . import _kernels
 from .cointegration import JohansenResult, johansen_test
-from .errors import ConfigError, DateRangeError, OcaError
+from .errors import ConfigError, DateRangeError, GroupTooSmallError, OcaError
 from .identification import (SHOCK_KINDS, IrfSet, SizeSpeed, StructuralModel, identify_bq,
                              irf_structural, size_and_speed)
 from .metrics import (
+    STARS,
     CorrelationReport,
     SymmetryReport,
     WeightTable,
@@ -221,15 +221,20 @@ class StageError(OcaError):
         self.original = original
 
 
-def check_dummy_countries(dummies, countries) -> None:
-    """Refuse a ``(country, DummySpec)`` pair whose country is not in ``countries``."""
-    for country, _ in dummies:
-        if country not in countries:
+def check_panel_settings(panel: Panel, config: PipelineConfig) -> None:
+    """Refuse settings that cannot fit ``panel``: a dummy for a country it does
+    not hold, or a base year outside its calendar years."""
+    for country, _ in config.dummies:
+        if country not in panel.countries:
             raise ConfigError(f"dummy references unknown country {country!r}")
+    first, last = panel.dates[0].year, panel.dates[-1].year
+    if not first <= config.base_year <= last:
+        raise ConfigError(f"base year {config.base_year} is outside the panel's years "
+                          f"{first}-{last}")
 
 
 def _per_country(panel: Panel, config: PipelineConfig, analyze) -> dict:
-    check_dummy_countries(config.dummies, panel.countries)
+    check_panel_settings(panel, config)
 
     def work(country: str):
         try:
@@ -266,14 +271,8 @@ def group_shocks(panel: Panel, config: PipelineConfig):
 
 def _adf_dict(result: AdfResult) -> dict:
     out = result.as_dict()
-    out["stars"] = significance_stars_from_reject(result.reject_at)
+    out["stars"] = STARS.get(result.reject_at, "")
     return out
-
-
-def significance_stars_from_reject(reject_at: float | None) -> str:
-    if reject_at is None:
-        return ""
-    return {0.01: "***", 0.05: "**", 0.10: "*"}[reject_at]
 
 
 def _matrix(a: np.ndarray) -> list:
@@ -337,7 +336,7 @@ def _country_report(result: CountryAnalysis) -> dict:
 
 def _conventions() -> dict:
     return {
-        "backend": _kernels.BACKEND,
+        "backend": "numpy",
         "transform_order": "rebase -> log -> optional seasonal dummy adjustment -> first difference",
         "rebase": "arithmetic base-year mean rescaled to 100",
         "adf_lag_rule": "aic over 0..max_lags",
@@ -369,6 +368,9 @@ def _config_dict(config: PipelineConfig) -> dict:
 
 def build_report(panel: Panel, weights: WeightTable, config: PipelineConfig) -> dict:
     """Compute every number in the bundle; pure and deterministic."""
+    if len(panel.countries) < 3:  # the cost of inclusion leaves one country out of a group
+        raise GroupTooSmallError(f"run needs at least 3 countries, the panel has "
+                                 f"{len(panel.countries)}")
     results = _with_pretests(_per_country(panel, config, _estimate), config.max_lags)
     dates, shocks = _common_shocks({c: r.svar for c, r in results.items()})
 

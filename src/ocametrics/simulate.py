@@ -15,7 +15,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _kernels
 from .errors import DateRangeError, UnstableModelError
 from .identification import StructuralModel
 from .months import Month, month_range
@@ -24,6 +23,9 @@ from .var import companion_matrix
 
 BURN_IN = 500
 LONG_RUN_RESTRICTION_TOL = 1e-12
+# Steps per block of the simulation scan: the in-block products are one
+# matmul, and only one companion-state step per block is sequential.
+SIM_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -82,13 +84,54 @@ def _structural_shocks(dgp: Dgp) -> np.ndarray:
     return np.random.default_rng(dgp.seed).standard_normal((dgp.n_obs + BURN_IN, 2))
 
 
+def var_simulate(coefs: np.ndarray, intercept: np.ndarray, shocks: np.ndarray) -> np.ndarray:
+    """Run the VAR recursion ``x_t = c + sum_i B_i x_{t-i} + u_t`` over a
+    pre-drawn shock matrix, from zero initial conditions.
+
+    With the companion state ``s_t = (x_t, ..., x_{t-p+1})`` and
+    ``w_t = c + u_t``, each block of ``SIM_BLOCK`` steps is its lower
+    block-Toeplitz product of impulse responses with ``w`` plus the
+    response to the state carried in from the previous block.
+    """
+    p, n = coefs.shape[0], coefs.shape[1]
+    m = n * p
+    n_obs = shocks.shape[0]
+    L = SIM_BLOCK
+    n_blocks = -(-n_obs // L)
+
+    companion = companion_matrix(coefs)
+    powers = np.empty((L + 1, m, m))          # F^0 .. F^L
+    powers[0] = np.eye(m)
+    for k in range(L):
+        powers[k + 1] = companion @ powers[k]
+
+    # in-block responses: x[k] gets psi[k - j] @ w[j] for j <= k
+    lag = np.arange(L)[:, None] - np.arange(L)[None, :]
+    psi = powers[np.maximum(lag, 0), :n, :n] * (lag >= 0)[:, :, None, None]
+    toeplitz = psi.transpose(0, 2, 1, 3).reshape(L * n, L * n)
+    # state at a block's end from its own inputs, and x[k] from the state before it
+    to_state = powers[L - 1::-1, :, :n].transpose(1, 0, 2).reshape(m, L * n)
+    from_state = powers[1:, :n, :].reshape(L * n, m)
+
+    w = np.zeros((n_blocks * L, n))
+    w[:n_obs] = shocks + intercept
+    w = w.reshape(n_blocks, L * n)
+    own_state = w @ to_state.T
+    carried = np.empty((n_blocks, m))
+    state = np.zeros(m)
+    for b in range(n_blocks):
+        carried[b] = state
+        state = powers[L] @ state + own_state[b]
+    x = w @ toeplitz.T + carried @ from_state.T
+    return x.reshape(n_blocks * L, n)[:n_obs]
+
+
 def simulate(dgp: Dgp) -> SimulatedSample:
     """Draw one sample; the first ``BURN_IN`` observations are discarded."""
     shocks = _structural_shocks(dgp)
     innovations = shocks @ np.asarray(dgp.impact, dtype=np.float64).T
-    path = _kernels.var_simulate(np.asarray(dgp.coefs, dtype=np.float64),
-                                 np.asarray(dgp.intercept, dtype=np.float64),
-                                 innovations)
+    path = var_simulate(np.asarray(dgp.coefs, dtype=np.float64),
+                        np.asarray(dgp.intercept, dtype=np.float64), innovations)
     return SimulatedSample(diffs=_frozen(path[BURN_IN:]),
                            shocks=_frozen(shocks[BURN_IN:]))
 

@@ -14,7 +14,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import _kernels
 from .errors import (
     DegenerateRegressorError,
     InconclusiveIntegrationError,
@@ -110,7 +109,7 @@ def adf_test(series: np.ndarray, spec: str = "trend", max_lags: int = 12,
 
 def adf_panel(series: Sequence[np.ndarray], spec: str = "trend", max_lags: int = 12,
               lag_rule: int | str = "aic") -> list[AdfResult | OcaError]:
-    """``adf_test`` on each of ``series``, with one kernel call per series length.
+    """``adf_test`` on each of ``series``, with one ``adf_batch`` call per series length.
 
     A series that ``adf_test`` refuses (constant, too short, numerically
     degenerate) gets the error ``adf_test`` would raise in its place, so the
@@ -141,8 +140,8 @@ def adf_panel(series: Sequence[np.ndarray], spec: str = "trend", max_lags: int =
             by_length.setdefault(arr.size, []).append(i)
 
     for rows in by_length.values():
-        stats, lags, nobs = _kernels.adf_batch(np.stack([arrays[i] for i in rows]),
-                                               SPEC_CODES[spec], k, autolag)
+        stats, lags, nobs = adf_batch(np.stack([arrays[i] for i in rows]),
+                                      SPEC_CODES[spec], k, autolag)
         for i, statistic, lag, n in zip(rows, stats.tolist(), lags.tolist(), nobs.tolist()):
             if not np.isfinite(statistic):
                 results[i] = DegenerateRegressorError("regression is numerically degenerate")
@@ -152,6 +151,74 @@ def adf_panel(series: Sequence[np.ndarray], spec: str = "trend", max_lags: int =
             results[i] = AdfResult(statistic=statistic, lags_used=lag, spec=spec,
                                    nobs=n, critical_values=cvs, reject_at=reject_at)
     return results
+
+
+def _adf_design(paths, det, max_lags, rows):
+    # stacked design (n_rep, rows, det + 1 + max_lags) and regressand, from row max_lags on
+    n_rep = paths.shape[0]
+    dy = np.diff(paths, axis=1)
+    cols = [np.broadcast_to(np.ones(rows), (n_rep, rows))]
+    if det >= 2:
+        trend = np.arange(1.0, rows + 1.0)
+        cols.append(np.broadcast_to(trend, (n_rep, rows)))
+    if det == 0:
+        cols = []
+    cols.append(paths[:, max_lags:max_lags + rows])
+    for i in range(max_lags):
+        cols.append(dy[:, max_lags - 1 - i:max_lags - 1 - i + rows])
+    X = np.stack(cols, axis=2)
+    z = dy[:, max_lags:max_lags + rows]
+    return X, z
+
+
+def _adf_stats(X, z, det):
+    # batched OLS t-ratio on the level column (index det)
+    ncol = X.shape[2]
+    rows = X.shape[1]
+    Xt = X.transpose(0, 2, 1)
+    XtX = Xt @ X
+    Xtz = Xt @ z[:, :, None]
+    XtXinv = np.linalg.inv(XtX)
+    beta = XtXinv @ Xtz
+    resid = z - (X @ beta)[:, :, 0]
+    rss = np.einsum("ij,ij->i", resid, resid)
+    s2 = rss / (rows - ncol)
+    tstat = beta[:, det, 0] / np.sqrt(s2 * XtXinv[:, det, det])
+    return tstat, rss
+
+
+def adf_batch(paths: np.ndarray, det: int, max_lags: int, autolag: bool):
+    """t-ratios, lag counts and effective sample sizes of a (series x observations)
+    float64 matrix; ``det`` is a ``SPEC_CODES`` value.  With ``autolag`` each
+    series' lag count minimises AIC over ``0..max_lags`` on a common sample and
+    its statistic is refit on the longest usable sample; otherwise it is ``max_lags``.
+    """
+    n_rep, n_obs = paths.shape
+    nd = n_obs - 1
+    if autolag:
+        rows_c = nd - max_lags
+        Xfull, z = _adf_design(paths, det, max_lags, rows_c)
+        best_ic = np.full(n_rep, np.inf)
+        best_k = np.zeros(n_rep, dtype=np.int64)
+        for k in range(max_lags + 1):
+            _, rss = _adf_stats(Xfull[:, :, :det + 1 + k], z, det)
+            ic = rows_c * np.log(rss / rows_c) + 2.0 * (det + 1 + k)
+            better = ic < best_ic
+            best_ic = np.where(better, ic, best_ic)
+            best_k = np.where(better, k, best_k)
+        lags = best_k
+    else:
+        lags = np.full(n_rep, max_lags, dtype=np.int64)
+    stats = np.empty(n_rep)
+    nobs = np.empty(n_rep, dtype=np.int64)
+    for k in np.unique(lags).tolist():
+        sel = np.flatnonzero(lags == k)
+        rows = nd - k
+        X, z = _adf_design(paths[sel], det, k, rows)
+        tstat, _ = _adf_stats(X, z, det)
+        stats[sel] = tstat
+        nobs[sel] = rows
+    return stats, lags, nobs
 
 
 def rejection_order(trail: Sequence[AdfResult | OcaError | None]) -> int | None:

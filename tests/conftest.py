@@ -1,8 +1,14 @@
 import io
+import os
 import sys
 from pathlib import Path
 
-import numpy as np
+# One BLAS thread, set before numpy loads: the suite's matrices are small, and
+# a multi-threaded BLAS runs them several times slower on a shared host.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
+import numpy as np  # noqa: E402
 import pytest
 
 from ocametrics.months import Month, month_range

@@ -7,7 +7,6 @@ import time
 import numpy as np
 import pytest
 
-from ocametrics._kernels import adf_batch
 from ocametrics.cointegration import MAXEIG_CV_5PCT, TRACE_CV_5PCT, johansen_test
 from ocametrics.errors import (
     CalendarGapError,
@@ -27,7 +26,7 @@ from ocametrics.metrics import build_weight_table
 from ocametrics.months import Month, month_range
 from ocametrics.pipeline import PipelineConfig, run_pipeline
 from ocametrics.simulate import random_dgp, recovery_report, simulate
-from ocametrics.unit_root import critical_values
+from ocametrics.unit_root import adf_batch, critical_values
 from ocametrics.var import fit_var
 
 from .conftest import make_pair, panel_from_rows

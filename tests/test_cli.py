@@ -10,13 +10,14 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from ocametrics import cointegration, unit_root
+from ocametrics import cointegration, unit_root, var
 from ocametrics.cli import main
 from ocametrics.months import Month
-from ocametrics.panel import load_panel
+from ocametrics.panel import load_panel, panel_to_csv
 from ocametrics.pipeline import PipelineConfig
+from ocametrics.simulate import synthetic_panel, write_equal_weights
 
-from .conftest import replace_everywhere
+from .conftest import count_calls, replace_everywhere
 
 
 @pytest.fixture(scope="module")
@@ -213,6 +214,22 @@ class TestRunPipeline:
             "--output-dir", str(out)])
         assert res.exit_code != 0
         assert "group" in res.output
+        assert not out.exists()
+
+    def test_two_country_panel_is_refused_before_estimation(self, runner, tmp_path,
+                                                            monkeypatch):
+        panel = synthetic_panel(20260401, 2, 133)
+        panel_path, weights_path = tmp_path / "panel.csv", tmp_path / "weights.csv"
+        panel_path.write_text(panel_to_csv(panel), encoding="utf-8")
+        write_equal_weights(panel, weights_path)
+        fits = count_calls(monkeypatch, var.select_lag)
+        out = tmp_path / "never"
+        res = runner.invoke(main, [
+            "run", "--panel", str(panel_path), "--weights", str(weights_path),
+            "--output-dir", str(out)])
+        assert res.exit_code == 1
+        assert "run needs at least 3 countries, the panel has 2" in res.stderr
+        assert fits == []
         assert not out.exists()
 
     def test_shock_csv_precision_round_trips(self, bundle):
@@ -563,6 +580,21 @@ class TestInputContracts:
         res = self.invoke(runner, bundle, name, "--dummy", "ZZZ:MEAI:2012-06:step")
         assert res.exit_code == 1
         assert "unknown country 'ZZZ'" in res.stderr
+
+    @pytest.mark.parametrize("args", [
+        ["run", "--weights", "WEIGHTS", "--output-dir", "OUT"],
+        ["correlate"],
+        ["var", "--country", "C00"],
+    ], ids=lambda args: args[0])
+    def test_base_year_outside_the_panel_is_refused(self, runner, fixture_panel_path,
+                                                    fixture_weights_path, tmp_path, args):
+        files = {"WEIGHTS": str(fixture_weights_path), "OUT": str(tmp_path / "never")}
+        res = runner.invoke(main, [files.get(a, a) for a in args] + [
+            "--panel", str(fixture_panel_path), "--base-year", "1800"])
+        assert res.exit_code == 1
+        assert "base year 1800 is outside the panel's years 2009-2020" in res.stderr
+        assert "[country" not in res.stderr
+        assert not (tmp_path / "never").exists()
 
     @pytest.mark.parametrize("name", list(SUBCOMMANDS))
     def test_zero_max_lags_is_a_usage_error(self, runner, bundle, name):

@@ -592,6 +592,13 @@ class TestHpFilter:
         with pytest.raises(ValueError):
             hp_filter(y, 1600.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_zero_smoothing_refuses_non_finite_values(self, bad):
+        y = np.random.default_rng(3).standard_normal(20).cumsum()
+        y[7] = bad
+        with pytest.raises(ValueError):
+            hp_filter(y, 0.0)
+
     @pytest.mark.parametrize("smoothing", [np.inf, np.nan, 1e308])
     def test_non_finite_smoothing_is_refused(self, smoothing):
         # 1e308: the matrix entry 1 + 6 * smoothing overflows

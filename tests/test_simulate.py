@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from ocametrics import _kernels
 from ocametrics.errors import DateRangeError, UnstableModelError
 from ocametrics.identification import StructuralModel, identify_bq
 from ocametrics.months import Month, month_range
@@ -15,6 +14,7 @@ from ocametrics.simulate import (
     recovery_report,
     simulate,
     synthetic_panel,
+    var_simulate,
 )
 from ocametrics.var import fit_var
 
@@ -92,7 +92,7 @@ class TestRecoveryReport:
     def test_reads_the_draws_without_simulating(self, monkeypatch):
         dgp = random_dgp(77, p=2, n_obs=2_000)
         svar = identify_bq(fit_var(make_pair(simulate(dgp).diffs), p=2))
-        sims = count_calls(monkeypatch, _kernels.var_simulate)
+        sims = count_calls(monkeypatch, var_simulate)
         report = recovery_report(dgp, svar)
         assert sims == []
         truth = simulate(dgp).shocks[2:]

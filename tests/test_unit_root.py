@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from ocametrics._kernels import adf_batch
 from ocametrics.errors import DegenerateRegressorError, InconclusiveIntegrationError, TooShortError
 from ocametrics.unit_root import (
     LEVELS,
     SPEC_CODES,
     AdfResult,
+    adf_batch,
     adf_panel,
     adf_test,
     critical_values,

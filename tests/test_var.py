@@ -190,7 +190,7 @@ class TestStability:
         assert companion_matrix(coefs).shape == (6, 6)
 
     def test_flag_agrees_with_explicit_simulation(self):
-        from ocametrics._kernels import var_simulate
+        from ocametrics.simulate import var_simulate
 
         stable_coefs = np.array([[[0.7, 0.1], [0.0, 0.6]]])
         unstable_coefs = np.array([[[1.05, 0.0], [0.0, 0.2]]])
