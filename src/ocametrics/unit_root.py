@@ -140,7 +140,7 @@ def adf_panel(series: Sequence[np.ndarray], spec: str = "trend", max_lags: int =
             by_length.setdefault(arr.size, []).append(i)
 
     for rows in by_length.values():
-        stats, lags, nobs = adf_batch(np.stack([arrays[i] for i in rows]),
+        stats, lags, nobs = _adf_rows(np.stack([arrays[i] for i in rows]),
                                       SPEC_CODES[spec], k, autolag)
         for i, statistic, lag, n in zip(rows, stats.tolist(), lags.tolist(), nobs.tolist()):
             if not np.isfinite(statistic):
@@ -151,6 +151,18 @@ def adf_panel(series: Sequence[np.ndarray], spec: str = "trend", max_lags: int =
             results[i] = AdfResult(statistic=statistic, lags_used=lag, spec=spec,
                                    nobs=n, critical_values=cvs, reject_at=reject_at)
     return results
+
+
+def _adf_rows(paths, det, max_lags, autolag):
+    # adf_batch, or, when a singular design fails the whole stack, each series
+    # on its own, with a NaN statistic for one that fails alone
+    try:
+        return adf_batch(paths, det, max_lags, autolag)
+    except np.linalg.LinAlgError:
+        if len(paths) == 1:
+            return np.array([np.nan]), np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+        parts = [_adf_rows(path[None], det, max_lags, autolag) for path in paths]
+        return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 def _adf_design(paths, det, max_lags, rows):
@@ -190,7 +202,9 @@ def _adf_stats(X, z, det):
 def adf_batch(paths: np.ndarray, det: int, max_lags: int, autolag: bool):
     """t-ratios, lag counts and effective sample sizes of a (series x observations)
     float64 matrix; ``det`` is a ``SPEC_CODES`` value.  With ``autolag`` each
-    series' lag count minimises AIC over ``0..max_lags`` on a common sample and
+    series' lag count minimises AIC over ``0..max_lags`` on a common sample, with
+    every count's RSS read off one Cholesky factor L of the Gram matrix of
+    ``[X z]`` (on X's first m columns it is ``sum_{j >= m} L[-1, j]^2``), and
     its statistic is refit on the longest usable sample; otherwise it is ``max_lags``.
     """
     n_rep, n_obs = paths.shape
@@ -198,15 +212,16 @@ def adf_batch(paths: np.ndarray, det: int, max_lags: int, autolag: bool):
     if autolag:
         rows_c = nd - max_lags
         Xfull, z = _adf_design(paths, det, max_lags, rows_c)
-        best_ic = np.full(n_rep, np.inf)
-        best_k = np.zeros(n_rep, dtype=np.int64)
-        for k in range(max_lags + 1):
-            _, rss = _adf_stats(Xfull[:, :, :det + 1 + k], z, det)
-            ic = rows_c * np.log(rss / rows_c) + 2.0 * (det + 1 + k)
-            better = ic < best_ic
-            best_ic = np.where(better, ic, best_ic)
-            best_k = np.where(better, k, best_k)
-        lags = best_k
+        ncol = Xfull.shape[2]
+        Xt = Xfull.transpose(0, 2, 1)
+        gram = np.empty((n_rep, ncol + 1, ncol + 1))
+        gram[:, :ncol, :ncol] = Xt @ Xfull
+        gram[:, :ncol, ncol] = gram[:, ncol, :ncol] = (Xt @ z[:, :, None])[:, :, 0]
+        gram[:, ncol, ncol] = np.einsum("ij,ij->i", z, z)
+        rss = np.cumsum(np.linalg.cholesky(gram)[:, -1, ::-1] ** 2, axis=1)[:, ::-1]
+        k = np.arange(max_lags + 1)
+        ic = rows_c * np.log(rss[:, det + 1 + k] / rows_c) + 2.0 * (det + 1 + k)
+        lags = np.argmin(ic, axis=1)
     else:
         lags = np.full(n_rep, max_lags, dtype=np.int64)
     stats = np.empty(n_rep)

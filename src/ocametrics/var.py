@@ -281,6 +281,14 @@ _IC_NAMES = ("aic", "sc", "hq")
 
 
 def _information_criteria(data, max_p: int, dummies) -> dict[str, int]:
+    """The AIC, SC and HQ lag picks over ``1..max_p`` on the common sample
+    that ``max_p`` leaves.  Order p's design is the first k = n_dummies + 1
+    + 2p columns of ``X = [dummies, 1, lag 1, ..., lag max_p]`` (``_design``'s
+    columns, dummies moved first), so one QR of ``[X z]`` gives every order's
+    residual cross-product, ``R[k:, -2:]'R[k:, -2:]``.
+    A dummy constant on the common sample lies in the intercept's span, so it
+    is left out of the QR; the penalty still counts it.
+    """
     y, dates = _check_pair(data)
     t_common = y.shape[0] - max_p
     if t_common < 10 + 1 + N_VARS * max_p + len(dummies):
@@ -293,18 +301,16 @@ def _information_criteria(data, max_p: int, dummies) -> dict[str, int]:
     # dummy columns are built on the full calendar, so a break date inside
     # the first max_p months is as valid here as it is for fit_var
     dummy_cols = _dummy_columns(dummies, dates)
-    values: dict[str, list[float]] = {c: [] for c in _IC_NAMES}
-    for p in range(1, max_p + 1):
-        offset = max_p - p
-        X, z = _design(y[offset:], p, dummy_cols[offset:])
-        beta, *_ = np.linalg.lstsq(X, z, rcond=None)
-        resid = z - X @ beta
-        sigma = resid.T @ resid / t_common
-        _, logdet = np.linalg.slogdet(sigma)
-        n_params = N_VARS * (1 + N_VARS * p + len(dummies))
-        for c in _IC_NAMES:
-            values[c].append(logdet + penalties[c] * n_params / t_common)
-    return {c: int(np.argmin(values[c])) + 1 for c in _IC_NAMES}
+    dummy_cols = dummy_cols[:, np.ptp(dummy_cols[max_p:], axis=0) > 0.0]
+    X, z = _design(y, max_p, dummy_cols)
+    n_fixed, orders = 1 + dummy_cols.shape[1], np.arange(1, max_p + 1)
+    rz = np.linalg.qr(np.column_stack([np.roll(X, n_fixed - 1, axis=1), z]),
+                      mode="r")[:, X.shape[1]:]
+    sigmas = np.stack([rz[k:].T @ rz[k:] for k in n_fixed + N_VARS * orders]) / t_common
+    _, logdets = np.linalg.slogdet(sigmas)
+    n_params = N_VARS * (1 + N_VARS * orders + len(dummies))
+    return {name: int(np.argmin(logdets + penalties[name] * n_params / t_common)) + 1
+            for name in _IC_NAMES}
 
 
 def select_lag(data: tuple[TransformedSeries, TransformedSeries], max_p: int = 12,

@@ -440,6 +440,15 @@ class TestThinWrappers:
         assert res.exit_code == 0
         assert ",2,trend," in res.output
 
+    def test_adf_singular_design_is_a_named_error(self, runner, tmp_path):
+        series = tmp_path / "linear.csv"
+        series.write_text("date,value\n" + "\n".join(
+            f"{Month(2009, 1) + i},{4.6 + 0.01 * i}" for i in range(133)) + "\n")
+        res = runner.invoke(main, ["adf", "--series", str(series)])
+        assert res.exit_code == 1
+        assert res.stderr == "error: regression is numerically degenerate\n"
+        assert isinstance(res.exception, SystemExit)  # not a numpy traceback
+
     def test_johansen_rows(self, runner, bundle):
         res = runner.invoke(main, ["johansen", "--panel", str(bundle["panel"]),
                                    "--country", "C00", "--lag-order", "2"])
@@ -568,6 +577,32 @@ SUBCOMMANDS = {
     "disperse": ["disperse", "--weights", "WEIGHTS"],
     "cost": ["cost", "--weights", "WEIGHTS", "--exclude", "C03"],
 }
+
+
+@pytest.mark.parametrize("countries, args, message", [
+    (2, ["cost", "--weights", "WEIGHTS", "--exclude", "C00"],
+     "cost needs at least 3 countries, the panel has 2"),
+    (7, ["cost", "--weights", "WEIGHTS", "--exclude", "ZZ"], "unknown country 'ZZ'"),
+    (1, ["correlate"], "correlate needs at least 2 countries, the panel has 1"),
+    (1, ["disperse", "--weights", "WEIGHTS"],
+     "disperse needs at least 2 countries, the panel has 1"),
+    (7, ["disperse", "--weights", "MISSING"], "cannot read weights"),
+    (7, ["cost", "--weights", "MISSING", "--exclude", "C00"], "cannot read weights"),
+], ids=["cost-two-countries", "cost-unknown-exclude", "correlate-one-country",
+        "disperse-one-country", "disperse-missing-weights", "cost-missing-weights"])
+def test_group_command_refuses_before_estimation(runner, tmp_path, monkeypatch,
+                                                 countries, args, message):
+    panel = synthetic_panel(20260401, countries, 133)
+    panel_path, weights_path = tmp_path / "panel.csv", tmp_path / "weights.csv"
+    panel_path.write_text(panel_to_csv(panel), encoding="utf-8")
+    if countries >= 2:
+        write_equal_weights(panel, weights_path)
+    files = {"WEIGHTS": str(weights_path), "MISSING": str(tmp_path / "missing.csv")}
+    fits = count_calls(monkeypatch, var.select_lag)
+    res = runner.invoke(main, [files.get(a, a) for a in args] + ["--panel", str(panel_path)])
+    assert res.exit_code == 1
+    assert res.stderr.startswith(f"error: {message}")
+    assert fits == []
 
 
 class TestInputContracts:

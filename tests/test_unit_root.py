@@ -107,6 +107,17 @@ class TestAdfPanel:
         assert isinstance(panel[1], DegenerateRegressorError)
         assert str(panel[2]) == "need >= 33 observations with 12 lags, have 25"
 
+    @pytest.mark.parametrize("lag_rule", ["aic", 0])
+    def test_singular_design_is_refused_on_its_own(self, lag_rule):
+        # a line: its level is affine in the trend and its differences copy
+        # the intercept, and numpy's batched solvers raise for the whole stack
+        linear = 4.6 + 0.01 * np.arange(133)
+        walk = np.random.default_rng(5).standard_normal(133).cumsum()
+        panel = adf_panel([linear, walk], lag_rule=lag_rule)
+        assert isinstance(panel[0], DegenerateRegressorError)
+        assert str(panel[0]) == "regression is numerically degenerate"
+        assert panel[1] == adf_panel([walk], lag_rule=lag_rule)[0]
+
     def test_empty_panel(self):
         assert adf_panel([]) == []
 
