@@ -22,9 +22,10 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .errors import ConfigError, GroupTooSmallError, OcaError
+from .errors import ConfigError, OcaError
 from .identification import identify_bq, irf_structural, size_and_speed
 from .metrics import (
+    check_group,
     classify_symmetry,
     correlation_matrix,
     cost_of_inclusion,
@@ -280,18 +281,13 @@ def _country_series(country: str, settings: dict):
     return (config, *country_series(panel, country, config))
 
 
-def _group_shocks(settings: dict, min_countries: int = 2, excluded: str | None = None):
+def _group_shocks(settings: dict, command: str, excluded: tuple[str, ...] = ()):
     """The settings' ``PipelineConfig``, the weights of a command that takes
-    them, then the panel's common-calendar shocks.  A panel with fewer than
-    ``min_countries`` countries, or without ``excluded``, is refused first."""
+    them, then the panel's common-calendar shocks.  A panel too small for
+    ``command``, or without an ``excluded`` country, is refused first."""
     config = _config(settings)
     panel = load_panel(config.panel_path)
-    n = len(panel.countries)
-    if excluded is not None and excluded not in panel.countries:
-        raise ConfigError(f"unknown country {excluded!r}")
-    if n < min_countries:
-        raise GroupTooSmallError(f"{click.get_current_context().info_name} needs at least "
-                                 f"{min_countries} countries, the panel has {n}")
+    check_group(panel.countries, excluded, command)
     weights = load_weights(config.weights_path) if "weights_path" in settings else None
     return (config, weights, *group_shocks(panel, config))
 
@@ -386,7 +382,7 @@ def identify_command(country, fixed_p, as_json, **settings):
 @_domain_errors
 def correlate_command(kind, as_json, **settings):
     """Cross-country shock correlation matrix with significance stars."""
-    config, _, _, shocks = _group_shocks(settings)
+    config, _, _, shocks = _group_shocks(settings, "correlate")
     report = correlation_matrix(shocks[kind], kind=kind)
     symmetry = classify_symmetry(report, config.alpha)
     if as_json:
@@ -406,7 +402,7 @@ def correlate_command(kind, as_json, **settings):
 @_domain_errors
 def disperse_command(kind, as_json, **settings):
     """Weighted cross-country dispersion index and its trend."""
-    config, weights, dates, shocks = _group_shocks(settings)
+    config, weights, dates, shocks = _group_shocks(settings, "disperse")
     series = dispersion_index(shocks[kind], dates, weights, kind=kind)
     trend, _ = hp_filter(series.values, config.hp_lambda)
     rows = [{"date": d, "value": float(v), "trend": float(t)}
@@ -423,8 +419,7 @@ def disperse_command(kind, as_json, **settings):
 @_domain_errors
 def cost_command(excluded, as_json, **settings):
     """Leave-one-out cost-of-inclusion series for one country."""
-    # the cost of inclusion leaves one country out of a group
-    _, weights, dates, shocks = _group_shocks(settings, 3, excluded)
+    _, weights, dates, shocks = _group_shocks(settings, "cost", (excluded,))
     series = {kind: cost_of_inclusion(shocks[kind], dates, weights, excluded, kind=kind)
               for kind in SHOCK_KINDS}
     rows = [{"country": excluded, "date": d, "supply": float(s), "demand": float(m)}

@@ -74,12 +74,22 @@ def _pvalues(r: np.ndarray, n: int) -> np.ndarray:
     return np.where(perfect, 0.0, 2.0 * stdtr(n - 2, -np.abs(t)))
 
 
+def check_group(countries: Sequence[str], excluded: Sequence[str], task: str) -> None:
+    """Refuse an ``excluded`` country outside ``countries``, and a group too
+    small for ``task``: 3 countries when one is left out of it, else 2."""
+    for country in excluded:
+        if country not in countries:
+            raise DateRangeError(f"unknown country {country!r}")
+    n, need = len(countries), 3 if excluded else 2
+    if n < need:
+        raise GroupTooSmallError(f"{task} needs at least {need} countries, the panel has {n}")
+
+
 def correlation_matrix(shocks: Mapping[str, np.ndarray],
                        kind: str = "supply") -> CorrelationReport:
     """Pairwise Pearson correlations of aligned per-country shock series."""
     countries = tuple(sorted(shocks))
-    if len(countries) < 2:
-        raise GroupTooSmallError("need at least 2 countries")
+    check_group(countries, (), "correlation")
     arrays = [np.asarray(shocks[c], dtype=np.float64) for c in countries]
     n = arrays[0].size
     if any(a.size != n for a in arrays):
@@ -306,13 +316,7 @@ def group_dispersion(shocks: Mapping[str, np.ndarray], dates: Calendar,
     """The group's dispersion index and the cost of inclusion of each of
     ``excluded``, from one pass over the shocks."""
     countries, x = _aligned_matrix(shocks, dates)
-    for country in excluded:
-        if country not in countries:
-            raise DateRangeError(f"unknown country {country!r}")
-    if excluded and len(countries) < 3:
-        raise GroupTooSmallError("cost of inclusion needs a group of at least 3")
-    if len(countries) < 2:
-        raise GroupTooSmallError("need at least 2 countries")
+    check_group(countries, excluded, "cost of inclusion" if excluded else "dispersion")
     left_out = [countries.index(c) for c in excluded]
     full, subgroups = _dispersion_pass(x, dates, countries, weights, left_out)
     if excluded and np.any(full == 0.0):

@@ -24,7 +24,7 @@ from typing import Mapping
 import numpy as np
 
 from .cointegration import JohansenResult, johansen_test
-from .errors import ConfigError, DateRangeError, GroupTooSmallError, OcaError
+from .errors import ConfigError, DateRangeError, OcaError
 from .identification import (SHOCK_KINDS, IrfSet, SizeSpeed, StructuralModel, identify_bq,
                              irf_structural, size_and_speed)
 from .metrics import (
@@ -32,6 +32,7 @@ from .metrics import (
     CorrelationReport,
     SymmetryReport,
     WeightTable,
+    check_group,
     classify_symmetry,
     correlation_matrix,
     group_dispersion,
@@ -368,9 +369,7 @@ def _config_dict(config: PipelineConfig) -> dict:
 
 def build_report(panel: Panel, weights: WeightTable, config: PipelineConfig) -> dict:
     """Compute every number in the bundle; pure and deterministic."""
-    if len(panel.countries) < 3:  # the cost of inclusion leaves one country out of a group
-        raise GroupTooSmallError(f"run needs at least 3 countries, the panel has "
-                                 f"{len(panel.countries)}")
+    check_group(panel.countries, panel.countries, "run")  # every country's cost of inclusion
     results = _with_pretests(_per_country(panel, config, _estimate), config.max_lags)
     dates, shocks = _common_shocks({c: r.svar for c, r in results.items()})
 

@@ -282,12 +282,14 @@ _IC_NAMES = ("aic", "sc", "hq")
 
 def _information_criteria(data, max_p: int, dummies) -> dict[str, int]:
     """The AIC, SC and HQ lag picks over ``1..max_p`` on the common sample
-    that ``max_p`` leaves.  Order p's design is the first k = n_dummies + 1
-    + 2p columns of ``X = [dummies, 1, lag 1, ..., lag max_p]`` (``_design``'s
-    columns, dummies moved first), so one QR of ``[X z]`` gives every order's
-    residual cross-product, ``R[k:, -2:]'R[k:, -2:]``.
-    A dummy constant on the common sample lies in the intercept's span, so it
-    is left out of the QR; the penalty still counts it.
+    that ``max_p`` leaves.  Order p's design is the fixed block (intercept and
+    dummies), then lags 1..p, so one QR of ``[B, lag 1, ..., lag max_p, z]``
+    gives every order's residual cross-product, ``R[k:, -2:]'R[k:, -2:]`` with
+    k = rank(B) + 2p.  ``B`` is an orthonormal basis of the fixed block's span,
+    its SVD cut at matrix_rank's tolerance: dummies can add up to the intercept
+    on the common sample (a step dated at or before its first month, or a pulse
+    there plus a step at the next), and the block itself would leave R
+    singular.  The penalty still counts every dummy.
     """
     y, dates = _check_pair(data)
     t_common = y.shape[0] - max_p
@@ -300,13 +302,13 @@ def _information_criteria(data, max_p: int, dummies) -> dict[str, int]:
     }
     # dummy columns are built on the full calendar, so a break date inside
     # the first max_p months is as valid here as it is for fit_var
-    dummy_cols = _dummy_columns(dummies, dates)
-    dummy_cols = dummy_cols[:, np.ptp(dummy_cols[max_p:], axis=0) > 0.0]
-    X, z = _design(y, max_p, dummy_cols)
-    n_fixed, orders = 1 + dummy_cols.shape[1], np.arange(1, max_p + 1)
-    rz = np.linalg.qr(np.column_stack([np.roll(X, n_fixed - 1, axis=1), z]),
-                      mode="r")[:, X.shape[1]:]
-    sigmas = np.stack([rz[k:].T @ rz[k:] for k in n_fixed + N_VARS * orders]) / t_common
+    X, z = _design(y, max_p, _dummy_columns(dummies, dates))
+    n_lags, orders = N_VARS * max_p, np.arange(1, max_p + 1)
+    fixed = np.delete(X, np.s_[1:1 + n_lags], axis=1)
+    basis, sv, _ = np.linalg.svd(fixed, full_matrices=False)
+    basis = basis[:, sv > sv[0] * max(fixed.shape) * np.finfo(float).eps]
+    rz = np.linalg.qr(np.column_stack([basis, X[:, 1:1 + n_lags], z]), mode="r")[:, -N_VARS:]
+    sigmas = np.stack([rz[k:].T @ rz[k:] for k in basis.shape[1] + N_VARS * orders]) / t_common
     _, logdets = np.linalg.slogdet(sigmas)
     n_params = N_VARS * (1 + N_VARS * orders + len(dummies))
     return {name: int(np.argmin(logdets + penalties[name] * n_params / t_common)) + 1

@@ -423,7 +423,8 @@ def per_order_information_criteria(data, max_p, dummies):
     return {c: int(np.argmin(values[c])) + 1 for c in penalties}
 
 
-_DUMMY = st.tuples(st.sampled_from(VARIABLES), st.integers(0, 30),
+# a break offset relative to max_p, where the common sample starts
+_DUMMY = st.tuples(st.sampled_from(VARIABLES), st.integers(-3, 18),
                    st.sampled_from(["step", "pulse"]))
 
 
@@ -432,18 +433,18 @@ class TestInformationCriteria:
     @given(seed=st.integers(0, 2**32 - 1), max_p=st.integers(1, 12),
            n_obs=st.sampled_from([60, 132, 240]), ar=st.floats(-0.9, 0.9),
            collinear=st.sampled_from([None, 1e-2, 1e-3, 1e-4]),
-           dummies=st.lists(_DUMMY, max_size=2, unique_by=lambda d: d[1:]))
+           dummies=st.lists(_DUMMY, max_size=3, unique_by=lambda d: d[1:]))
     def test_picks_equal_per_order_fits(self, seed, max_p, n_obs, ar, collinear, dummies):
-        # break offsets 0..30 fall before, at and inside the common sample,
-        # which starts max_p months in; a step there, or a pulse before it, is
-        # constant on it.  Two distinct dummies are never collinear with the
-        # intercept.  ``collinear`` makes price a near copy of activity, and
-        # log det(sigma) then carries a rounding error of about cond(sigma) * eps,
-        # so two orders' criteria can tie within it and either search may rank
-        # them either way: at 1e-5 cond(sigma) is 5e10, and HQ at p = 1 and
-        # p = 3 differ by 2e-5 (seed 24, max_p 6, 132 rows, ar 0.6035, a step
-        # at offset 24); at 1e-6 the errors reach 1e-3.  Hence the fixed
-        # examples (derandomize) at the levels down to 1e-4.
+        # break dates fall before, at and inside the common sample, which
+        # starts max_p months in; a step there, or a pulse before it, is
+        # constant on it, and a pulse at its first month plus a step at the
+        # next add up to the intercept.  ``collinear`` makes price a near copy
+        # of activity, and log det(sigma) then carries a rounding error of
+        # about cond(sigma) * eps, so two orders' criteria can tie within it
+        # and either search may rank them either way: at 1e-5 cond(sigma) is
+        # 5e10, and HQ at p = 1 and p = 3 differ by 2e-5 (seed 24, max_p 6,
+        # 132 rows, ar 0.6035, a step 24 months in); at 1e-6 the errors reach
+        # 1e-3.  Hence the fixed examples (derandomize) at the levels down to 1e-4.
         rng = np.random.default_rng(seed)
         eps = rng.standard_normal((n_obs, 2))
         values = np.empty_like(eps)
@@ -453,7 +454,8 @@ class TestInformationCriteria:
         if collinear is not None:
             values[:, 1] = values[:, 0] + collinear * eps[:, 1]
         data = make_pair(values)
-        specs = tuple(DummySpec(v, data[0].dates[offset], form) for v, offset, form in dummies)
+        specs = tuple(DummySpec(v, data[0].dates[max(max_p + offset, 0)], form)
+                      for v, offset, form in dummies)
         assert (_information_criteria(data, max_p, specs)
                 == per_order_information_criteria(data, max_p, specs))
 
@@ -475,6 +477,23 @@ class TestInformationCriteria:
         step = (DummySpec("activity", Month(2009, 4), "step"),)
         assert per_order_information_criteria(data, 12, step)["aic"] == 8
         assert _information_criteria(data, 12, step) == {"aic": 8, "sc": 1, "hq": 1}
+
+    def test_pulse_and_step_that_add_up_to_the_intercept(self, fixture_panel):
+        # on the common sample a pulse at its first month plus a step at the
+        # next is a column of ones: both dummies vary, yet the pair lies in
+        # the intercept's span.  Kept in the QR, they would leave R singular
+        # and the HQ pick 2 here
+        data = transform_pair(synthetic_panel(20260404, 7, 133), "C01", base_year=2010)
+        pair = (DummySpec("activity", Month(2009, 10), "pulse"),
+                DummySpec("price", Month(2009, 11), "step"))
+        assert per_order_information_criteria(data, 8, pair) == {"aic": 3, "sc": 1, "hq": 1}
+        assert _information_criteria(data, 8, pair) == {"aic": 3, "sc": 1, "hq": 1}
+        pair = (DummySpec("activity", Month(2010, 2), "pulse"),
+                DummySpec("activity", Month(2010, 3), "step"))
+        for country in fixture_panel.countries:
+            data = transform_pair(fixture_panel, country, base_year=2010)
+            assert (_information_criteria(data, 12, pair)
+                    == per_order_information_criteria(data, 12, pair))
 
     def test_no_least_squares_fit(self, fixture_panel, monkeypatch):
         fits, lstsq = [], np.linalg.lstsq
