@@ -15,7 +15,6 @@ from .identification import (
     StructuralModel,
     identify_bq,
     irf_structural,
-    long_run_matrix,
     size_and_speed,
 )
 from .metrics import (
@@ -38,14 +37,13 @@ from .panel import (
     TransformedSeries,
     dump_panel,
     load_panel,
-    log_diff,
     rebase,
     seasonal_adjust_dummies,
     transform_pair,
 )
 from .pipeline import PipelineConfig, PipelineResult, run_pipeline
 from .simulate import Dgp, RecoveryReport, SimulatedSample, random_dgp, recovery_report, simulate
-from .unit_root import AdfResult, IntegrationResult, adf_test, integration_order
+from .unit_root import AdfResult, adf_test
 from .var import (
     ChiSquareResult,
     DummySpec,
@@ -63,16 +61,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdfResult", "Calendar", "ChiSquareResult", "CorrelationReport", "CostSeries",
-    "Dgp", "DispersionSeries", "DummySpec", "IntegrationResult", "IrfSet",
-    "JohansenResult", "LagSelection", "Month", "OcaError", "Panel",
-    "PipelineConfig", "PipelineResult", "RecoveryReport",
-    "SimulatedSample", "SizeSpeed", "StabilityResult", "StructuralModel",
-    "SymmetryReport", "TransformedSeries", "VarModel", "WeightTable",
-    "adf_test", "arch_lm_test", "classify_symmetry", "correlation_matrix",
-    "cost_of_inclusion", "dispersion_index", "dump_panel", "fit_var",
-    "hp_filter", "identify_bq", "integration_order", "irf_structural",
-    "johansen_test", "load_panel", "load_weights", "log_diff",
-    "long_run_matrix", "month_range", "portmanteau_test", "random_dgp",
+    "Dgp", "DispersionSeries", "DummySpec", "IrfSet", "JohansenResult",
+    "LagSelection", "Month", "OcaError", "Panel", "PipelineConfig",
+    "PipelineResult", "RecoveryReport", "SimulatedSample", "SizeSpeed",
+    "StabilityResult", "StructuralModel", "SymmetryReport", "TransformedSeries",
+    "VarModel", "WeightTable", "adf_test", "arch_lm_test", "classify_symmetry",
+    "correlation_matrix", "cost_of_inclusion", "dispersion_index", "dump_panel",
+    "fit_var", "hp_filter", "identify_bq", "irf_structural", "johansen_test",
+    "load_panel", "load_weights", "month_range", "portmanteau_test", "random_dgp",
     "rebase", "recovery_report", "run_pipeline", "seasonal_adjust_dummies",
     "select_lag", "simulate", "size_and_speed", "stability", "trend_change",
     "transform_pair",

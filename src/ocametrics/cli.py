@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -182,7 +183,8 @@ def _domain_errors(func):
 
 
 def _series_from_csv(path: str) -> np.ndarray:
-    """The value column of a ``date,value`` CSV, after checking every date parses."""
+    """The value column of a ``date,value`` CSV, after checking every date
+    parses and every value is finite."""
     values: list[float] = []
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0].strip() != "date,value":
@@ -193,9 +195,12 @@ def _series_from_csv(path: str) -> np.ndarray:
         try:
             date_text, value_text = line.split(",")
             Month.parse(date_text)
-            values.append(float(value_text))
+            value = float(value_text)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: {exc}") from None
+        if not math.isfinite(value):
+            raise ConfigError(f"{path}:{lineno}: non-finite value {value_text.strip()!r}")
+        values.append(value)
     return np.array(values)
 
 

@@ -59,14 +59,6 @@ class DegenerateRegressorError(OcaError):
     pass
 
 
-class InconclusiveIntegrationError(OcaError):
-    """No differencing order up to the cap rejects the unit-root null."""
-
-    def __init__(self, message: str, trail=()):
-        super().__init__(message)
-        self.trail = tuple(trail)
-
-
 class SingularMomentMatrixError(OcaError):
     pass
 

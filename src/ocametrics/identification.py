@@ -60,15 +60,6 @@ def _coefficient_sum_inverse(model: VarModel) -> np.ndarray:
     return np.linalg.inv(a)
 
 
-def long_run_matrix(model: VarModel) -> np.ndarray:
-    """Cumulative response of the reduced form to its residuals."""
-    stab = stability(model)
-    if not stab.stable:
-        raise UnstableModelError(
-            f"max companion modulus {stab.max_modulus:.6f} >= 1")
-    return _coefficient_sum_inverse(model)
-
-
 def identify_bq(model: VarModel) -> StructuralModel:
     """Recover the structural shock series via the long-run restriction."""
     stab = stability(model)

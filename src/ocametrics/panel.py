@@ -6,10 +6,10 @@ or ``CPI`` (price index).  Row order is irrelevant.  In memory the two
 variables are called ``activity`` and ``price``.
 
 Transforms are plain array functions: :func:`rebase` (proportional index
-rebasing so the base-year mean is exactly 100), :func:`log_diff`
-(month-on-month log growth) and :func:`seasonal_adjust_dummies` (OLS
-month-of-year dummy adjustment, mean preserving).  All are pure; panels and
-transformed series are immutable after construction.
+rebasing so the base-year mean is exactly 100), :func:`seasonal_adjust_dummies`
+(OLS month-of-year dummy adjustment, mean preserving) and :func:`growth_pair`
+(month-on-month log growth of a country's two log levels).  All are pure;
+panels and transformed series are immutable after construction.
 """
 
 from __future__ import annotations
@@ -207,17 +207,6 @@ def rebase(dates: Calendar, values: np.ndarray, base_year: int) -> np.ndarray:
     if not mask.any():
         raise BaseYearAbsentError(f"no observations in base year {base_year}")
     return 100.0 * values / values[mask].mean()
-
-
-def log_diff(values: np.ndarray) -> np.ndarray:
-    """First difference of the natural logarithm; output is one shorter."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.size < 2:
-        raise TooShortError("log_diff needs at least 2 observations")
-    if np.any(values <= 0):
-        raise NonPositiveValueError("log_diff requires a strictly positive series")
-    logs = np.log(values)
-    return logs[1:] - logs[:-1]
 
 
 def seasonal_adjust_dummies(dates: Calendar, values: np.ndarray) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Augmented Dickey-Fuller testing and integration-order classification.
+"""Augmented Dickey-Fuller testing and the integration-order rule.
 
 The test regresses the first difference on the lagged level, optional
 deterministic terms and ``k`` lagged differences; the statistic is the
@@ -14,16 +14,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import (
-    DegenerateRegressorError,
-    InconclusiveIntegrationError,
-    OcaError,
-    TooShortError,
-)
+from .errors import DegenerateRegressorError, OcaError, TooShortError
 
 SPEC_CODES = {"none": 0, "constant": 1, "trend": 2}
-_SPEC_ALIASES = {"constant+trend": "trend", "ct": "trend", "c": "constant",
-                 "nc": "none", "n": "none"}
 LEVELS = (0.01, 0.05, 0.10)
 
 # response-surface coefficients: cv = b0 + b1/T + b2/T^2 + b3/T^3,
@@ -51,7 +44,6 @@ MIN_EFFECTIVE_OBS = 20
 
 def canonical_spec(spec: str) -> str:
     spec = spec.strip().lower()
-    spec = _SPEC_ALIASES.get(spec, spec)
     if spec not in SPEC_CODES:
         raise ValueError(f"unknown deterministic spec {spec!r}")
     return spec
@@ -88,12 +80,6 @@ class AdfResult:
         }
 
 
-@dataclass(frozen=True)
-class IntegrationResult:
-    order: int
-    trail: tuple[AdfResult, ...]
-
-
 def adf_test(series: np.ndarray, spec: str = "trend", max_lags: int = 12,
              lag_rule: int | str = "aic") -> AdfResult:
     """Unit-root t-test with the null of a unit root.
@@ -111,9 +97,9 @@ def adf_panel(series: Sequence[np.ndarray], spec: str = "trend", max_lags: int =
               lag_rule: int | str = "aic") -> list[AdfResult | OcaError]:
     """``adf_test`` on each of ``series``, with one ``adf_batch`` call per series length.
 
-    A series that ``adf_test`` refuses (constant, too short, numerically
-    degenerate) gets the error ``adf_test`` would raise in its place, so the
-    caller decides which failures are fatal and whom to name in them.
+    A series that ``adf_test`` refuses (too short, constant, non-finite,
+    numerically degenerate) gets the error ``adf_test`` would raise in its
+    place, so the caller decides which failures are fatal and whom to name in them.
     """
     spec = canonical_spec(spec)
     if isinstance(lag_rule, str):
@@ -131,11 +117,13 @@ def adf_panel(series: Sequence[np.ndarray], spec: str = "trend", max_lags: int =
     for i, arr in enumerate(arrays):
         if arr.ndim != 1:
             raise ValueError("series must be 1-D")
-        if np.ptp(arr) == 0.0:
-            results[i] = DegenerateRegressorError("series is constant")
-        elif arr.size - 1 - k < MIN_EFFECTIVE_OBS:
+        if arr.size - 1 - k < MIN_EFFECTIVE_OBS:
             results[i] = TooShortError(f"need >= {MIN_EFFECTIVE_OBS + 1 + k} observations "
                                        f"with {k} lags, have {arr.size}")
+        elif (spread := np.ptp(arr)) == 0.0:
+            results[i] = DegenerateRegressorError("series is constant")
+        elif not np.isfinite(spread):
+            results[i] = DegenerateRegressorError("series holds a non-finite value")
         else:
             by_length.setdefault(arr.size, []).append(i)
 
@@ -206,6 +194,8 @@ def adf_batch(paths: np.ndarray, det: int, max_lags: int, autolag: bool):
     every count's RSS read off one Cholesky factor L of the Gram matrix of
     ``[X z]`` (on X's first m columns it is ``sum_{j >= m} L[-1, j]^2``), and
     its statistic is refit on the longest usable sample; otherwise it is ``max_lags``.
+    A series whose refit design is short of full rank, at ``matrix_rank``'s
+    tolerance, gets a NaN statistic instead of a t-ratio from a meaningless inverse.
     """
     n_rep, n_obs = paths.shape
     nd = n_obs - 1
@@ -230,8 +220,9 @@ def adf_batch(paths: np.ndarray, det: int, max_lags: int, autolag: bool):
         sel = np.flatnonzero(lags == k)
         rows = nd - k
         X, z = _adf_design(paths[sel], det, k, rows)
-        tstat, _ = _adf_stats(X, z, det)
-        stats[sel] = tstat
+        full = np.linalg.matrix_rank(X) == X.shape[2]
+        stats[sel] = np.nan
+        stats[sel[full]], _ = _adf_stats(X[full], z[full], det)
         nobs[sel] = rows
     return stats, lags, nobs
 
@@ -244,15 +235,3 @@ def rejection_order(trail: Sequence[AdfResult | OcaError | None]) -> int | None:
                  if isinstance(result, AdfResult) and result.reject_at is not None
                  and result.reject_at <= 0.05), None)
 
-
-def integration_order(series: np.ndarray, spec: str = "trend", max_order: int = 2,
-                      max_lags: int = 12, lag_rule: int | str = "aic") -> IntegrationResult:
-    """Smallest differencing order whose ADF test rejects at the 5% level."""
-    trail: list[AdfResult] = []
-    for order in range(max_order + 1):
-        trail.append(adf_test(np.diff(np.asarray(series, dtype=np.float64), n=order),
-                              spec=spec, max_lags=max_lags, lag_rule=lag_rule))
-        if rejection_order(trail) == order:
-            return IntegrationResult(order=order, trail=tuple(trail))
-    raise InconclusiveIntegrationError(
-        f"no rejection at 5% up to differencing order {max_order}", trail=trail)

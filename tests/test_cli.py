@@ -441,13 +441,37 @@ class TestThinWrappers:
         assert ",2,trend," in res.output
 
     def test_adf_singular_design_is_a_named_error(self, runner, tmp_path):
+        # the line's design has rank 2 whatever the lag count; at a fixed
+        # count no solver fails, so the refit's rank check refuses it
         series = tmp_path / "linear.csv"
         series.write_text("date,value\n" + "\n".join(
             f"{Month(2009, 1) + i},{4.6 + 0.01 * i}" for i in range(133)) + "\n")
+        for lag_rule in ("aic", "12", "2"):
+            res = runner.invoke(main, ["adf", "--series", str(series), "--lag-rule", lag_rule])
+            assert res.exit_code == 1, lag_rule
+            # the message alone: no numpy warning before it
+            assert res.stderr == "error: regression is numerically degenerate\n", lag_rule
+            assert isinstance(res.exception, SystemExit)  # not a numpy traceback
+
+    @pytest.mark.parametrize("rows", [0, 1])
+    def test_adf_too_short_series_is_refused(self, runner, tmp_path, rows):
+        series = tmp_path / "short.csv"
+        series.write_text("date,value\n" + "".join(
+            f"{Month(2009, 1) + i},4.6\n" for i in range(rows)))
         res = runner.invoke(main, ["adf", "--series", str(series)])
         assert res.exit_code == 1
-        assert res.stderr == "error: regression is numerically degenerate\n"
-        assert isinstance(res.exception, SystemExit)  # not a numpy traceback
+        assert res.stderr == f"error: need >= 33 observations with 12 lags, have {rows}\n"
+        assert isinstance(res.exception, SystemExit)
+
+    @pytest.mark.parametrize("text", ["nan", "-inf"])
+    def test_adf_non_finite_value_names_its_line(self, runner, series_path, text):
+        lines = series_path.read_text().splitlines()
+        lines[5] = lines[5].split(",")[0] + "," + text
+        series_path.write_text("\n".join(lines) + "\n")
+        res = runner.invoke(main, ["adf", "--series", str(series_path)])
+        assert res.exit_code == 1
+        assert res.stderr == f"error: {series_path}:6: non-finite value {text!r}\n"
+        assert isinstance(res.exception, SystemExit)
 
     def test_johansen_rows(self, runner, bundle):
         res = runner.invoke(main, ["johansen", "--panel", str(bundle["panel"]),

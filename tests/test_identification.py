@@ -6,9 +6,9 @@ import pytest
 from ocametrics.errors import SigmaNotPositiveDefiniteError, UnstableModelError, ZeroLongRunError
 from ocametrics.identification import (
     IrfSet,
+    _coefficient_sum_inverse,
     identify_bq,
     irf_structural,
-    long_run_matrix,
     size_and_speed,
 )
 from ocametrics.months import Month, month_range
@@ -30,27 +30,34 @@ def _model(coefs, residuals, sigma=None):
                     effective_dates=dates)
 
 
+def _assert_long_run(model, d1):
+    """``_coefficient_sum_inverse`` gives ``d1``, and identify_bq's long-run
+    matrix F satisfies ``F F' = d1 sigma d1'``."""
+    np.testing.assert_allclose(_coefficient_sum_inverse(model), d1, atol=1e-12)
+    long_run = identify_bq(model).long_run
+    np.testing.assert_allclose(long_run @ long_run.T, d1 @ model.sigma @ d1.T, atol=1e-12)
+
+
 class TestLongRunMatrix:
     def test_no_dynamics_is_identity(self):
         model = _model(np.zeros((1, 2, 2)), np.random.default_rng(0).standard_normal((60, 2)))
-        np.testing.assert_allclose(long_run_matrix(model), np.eye(2), atol=1e-14)
+        _assert_long_run(model, np.eye(2))
 
     def test_diagonal_half_doubles(self):
         model = _model([[[0.5, 0.0], [0.0, 0.5]]],
                        np.random.default_rng(1).standard_normal((60, 2)))
-        np.testing.assert_allclose(long_run_matrix(model), 2.0 * np.eye(2), atol=1e-12)
+        _assert_long_run(model, 2.0 * np.eye(2))
 
     def test_hand_inverted_triangular_case(self):
         model = _model([[[0.2, 0.1], [0.0, 0.4]]],
                        np.random.default_rng(2).standard_normal((60, 2)))
-        expected = np.array([[1.25, 0.1 / 0.48], [0.0, 1.0 / 0.6]])
-        np.testing.assert_allclose(long_run_matrix(model), expected, atol=1e-12)
+        _assert_long_run(model, np.array([[1.25, 0.1 / 0.48], [0.0, 1.0 / 0.6]]))
 
     def test_unstable_model_refused(self):
         model = _model(np.eye(2)[None, :, :],
                        np.random.default_rng(3).standard_normal((60, 2)))
         with pytest.raises(UnstableModelError):
-            long_run_matrix(model)
+            identify_bq(model)
 
 
 class TestIdentifyBq:

@@ -20,8 +20,8 @@ from ocametrics.panel import (
     Panel,
     TransformedSeries,
     dump_panel,
+    growth_pair,
     load_panel,
-    log_diff,
     panel_to_csv,
     rebase,
     seasonal_adjust_dummies,
@@ -180,32 +180,36 @@ class TestRebase:
             rebase(dates, np.full(12, 1.0), 2010)
 
 
+def _log_growth(values):
+    """``growth_pair`` of an index used as both activity and price."""
+    dates = month_range(Month(2010, 1), len(values))
+    logs = np.log(np.asarray(values, dtype=np.float64))
+    activity, price = growth_pair("AAA", dates, (logs, logs))
+    assert activity.dates == price.dates == dates[1:]
+    np.testing.assert_array_equal(activity.values, price.values)
+    return activity.values
+
+
 class TestLogDiff:
     def test_constant_is_zero(self):
-        np.testing.assert_array_equal(log_diff(np.full(10, 42.0)), np.zeros(9))
+        np.testing.assert_array_equal(_log_growth(np.full(10, 42.0)), np.zeros(9))
 
     def test_hand_value(self):
-        out = log_diff(np.array([100.0, 105.0]))
+        out = _log_growth(np.array([100.0, 105.0]))
         assert out.shape == (1,)
         assert abs(out[0] - math.log(1.05)) < 1e-15
 
     def test_geometric_series(self):
         r = 1.07
         series = 3.0 * r ** np.arange(20)
-        np.testing.assert_allclose(log_diff(series), math.log(r), rtol=1e-12)
+        np.testing.assert_allclose(_log_growth(series), math.log(r), rtol=1e-12)
 
     @given(st.floats(min_value=1e-6, max_value=1e6),
            st.lists(st.floats(min_value=0.5, max_value=2.0), min_size=2, max_size=20))
     def test_scale_invariance(self, scale, raw):
         values = np.array(raw)
-        np.testing.assert_allclose(log_diff(scale * values), log_diff(values),
+        np.testing.assert_allclose(_log_growth(scale * values), _log_growth(values),
                                    atol=1e-12)
-
-    def test_errors(self):
-        with pytest.raises(TooShortError):
-            log_diff(np.array([1.0]))
-        with pytest.raises(NonPositiveValueError):
-            log_diff(np.array([1.0, 0.0, 2.0]))
 
 
 def _seasonal_oracle(dates, values):

@@ -131,6 +131,17 @@ def test_every_pretest_uses_the_lag_cap(monkeypatch):
     assert calls == [4, 4]
 
 
+def test_pretests_conclude_inconclusive():
+    # an I(3) series rejects a unit root at no order up to the second difference
+    for seed in range(5):
+        noise = np.random.default_rng(seed).standard_normal((2, 133))
+        logs = {"I3X": (noise[0].cumsum().cumsum().cumsum(), noise[1].cumsum())}
+        adf, conclusions = _pretests(logs, 12)["I3X"]
+        assert conclusions == {"activity": "inconclusive", "price": "I(1)"}, seed
+        for result in adf["activity"].values():
+            assert result.reject_at is None or result.reject_at > 0.05
+
+
 def test_constant_series_names_its_country():
     walk = np.random.default_rng(2).standard_normal(133).cumsum()
     logs = {"AAA": (walk, 2.0 * walk), "BBB": (walk, np.full(133, 4.6)),

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ocametrics.errors import DegenerateRegressorError, InconclusiveIntegrationError, TooShortError
+from ocametrics.errors import DegenerateRegressorError, TooShortError
 from ocametrics.unit_root import (
     LEVELS,
     SPEC_CODES,
@@ -12,7 +12,7 @@ from ocametrics.unit_root import (
     adf_panel,
     adf_test,
     critical_values,
-    integration_order,
+    rejection_order,
 )
 
 
@@ -71,10 +71,11 @@ class TestAdfTest:
             adf_test(np.arange(15.0), spec="constant", lag_rule=0)
 
     def test_spec_aliases(self):
+        # the three names are the only input format; short forms are refused
         y = np.random.default_rng(0).standard_normal(100).cumsum()
-        assert adf_test(y, spec="constant+trend").spec == "trend"
-        with pytest.raises(ValueError):
-            adf_test(y, spec="quadratic")
+        for spec in ("quadratic", "ct", "c", "nc", "n", "constant+trend"):
+            with pytest.raises(ValueError, match="unknown deterministic spec"):
+                adf_test(y, spec=spec)
 
 
 def _mixed_series(rng):
@@ -118,6 +119,19 @@ class TestAdfPanel:
         assert str(panel[0]) == "regression is numerically degenerate"
         assert panel[1] == adf_panel([walk], lag_rule=lag_rule)[0]
 
+    @pytest.mark.parametrize("lag_rule", ["aic", 2])
+    def test_non_finite_series_is_refused_up_front(self, capfd, lag_rule):
+        walk = np.random.default_rng(4).standard_normal(100).cumsum()
+        for value in (np.nan, np.inf, -np.inf):
+            series = walk.copy()
+            series[5] = value
+            panel = adf_panel([series, walk], lag_rule=lag_rule)
+            assert isinstance(panel[0], DegenerateRegressorError)
+            assert str(panel[0]) == "series holds a non-finite value"
+            assert panel[1] == adf_test(walk, lag_rule=lag_rule)
+        # no numpy warning (an error in this suite) and no LAPACK message
+        assert capfd.readouterr() == ("", "")
+
     def test_empty_panel(self):
         assert adf_panel([]) == []
 
@@ -150,6 +164,11 @@ class TestMonteCarlo:
         assert 0.03 <= rate <= 0.07
 
 
+def _trail(series, spec, max_order=2):
+    """ADF tests of ``series`` differenced 0..max_order times."""
+    return [adf_test(np.diff(series, n=order), spec=spec) for order in range(max_order + 1)]
+
+
 class TestIntegrationOrder:
     def test_stationary_ar1_is_order_zero_majority(self):
         orders = []
@@ -160,30 +179,36 @@ class TestIntegrationOrder:
             y[0] = eps[0]
             for t in range(1, 133):
                 y[t] = 0.5 * y[t - 1] + eps[t]
-            orders.append(integration_order(y, spec="constant").order)
+            orders.append(rejection_order(_trail(y, "constant")))
         assert np.median(orders) == 0
 
     def test_random_walk_is_order_one_majority(self):
         orders = []
         for seed in range(51):
             y = np.random.default_rng(2000 + seed).standard_normal(133).cumsum()
-            orders.append(integration_order(y, spec="constant").order)
+            orders.append(rejection_order(_trail(y, "constant")))
         assert np.median(orders) == 1
 
     def test_trail_records_every_level(self):
         y = np.random.default_rng(5).standard_normal(133).cumsum()
-        result = integration_order(y, spec="constant")
-        assert len(result.trail) == result.order + 1
-        for res in result.trail[:-1]:
+        trail = _trail(y, "constant")
+        order = rejection_order(trail)
+        assert order is not None and trail[order].reject_at <= 0.05
+        for res in trail[:order]:
             assert res.reject_at is None or res.reject_at > 0.05
 
-    def test_inconclusive_error_carries_trail(self):
-        # a quadratic trend keeps rejecting the unit root away at every order
-        t = np.arange(160, dtype=np.float64)
-        y = (0.5 * t) ** 2
-        with pytest.raises(InconclusiveIntegrationError) as excinfo:
-            integration_order(y, spec="none", max_order=0, lag_rule=0)
-        assert len(excinfo.value.trail) == 1
+    def test_skips_refusals_and_ten_percent_rejections(self):
+        cvs = critical_values("constant", 120)
+
+        def result(reject_at):
+            return AdfResult(statistic=-1.0, lags_used=0, spec="constant", nobs=120,
+                             critical_values=cvs, reject_at=reject_at)
+
+        refused = DegenerateRegressorError("series is constant")
+        assert rejection_order([result(None), result(0.10), result(0.01)]) == 2
+        assert rejection_order([refused, None, result(0.05)]) == 2
+        assert rejection_order([result(0.10), refused, None]) is None
+        assert rejection_order([]) is None
 
 
 class TestTableFormatFixture:
