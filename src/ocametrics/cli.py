@@ -35,7 +35,7 @@ from .metrics import (
     load_weights,
 )
 from .months import Month
-from .panel import dump_panel, load_panel
+from .panel import _read_rows, dump_panel, load_panel
 from .pipeline import (
     SHOCK_KINDS,
     PipelineConfig,
@@ -183,24 +183,23 @@ def _domain_errors(func):
 
 
 def _series_from_csv(path: str) -> np.ndarray:
-    """The value column of a ``date,value`` CSV, after checking every date
-    parses and every value is finite."""
+    """The value column of a ``date,value`` CSV, after checking that its dates
+    are consecutive months in file order and every value is finite."""
     values: list[float] = []
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0].strip() != "date,value":
-        raise ConfigError(f"{path}: expected header date,value")
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
+    prev = None
+    for lineno, (date_text, value_text) in _read_rows(path, ("date", "value"),
+                                                      ConfigError, "series"):
         try:
-            date_text, value_text = line.split(",")
-            Month.parse(date_text)
+            month = Month.parse(date_text)
             value = float(value_text)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: {exc}") from None
+        if prev is not None and month != prev + 1:
+            raise ConfigError(f"{path}:{lineno}: expected {prev + 1}, got {month}")
         if not math.isfinite(value):
-            raise ConfigError(f"{path}:{lineno}: non-finite value {value_text.strip()!r}")
+            raise ConfigError(f"{path}:{lineno}: non-finite value {value_text!r}")
         values.append(value)
+        prev = month
     return np.array(values)
 
 

@@ -9,7 +9,6 @@ series.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -30,7 +29,7 @@ from .errors import (
     ZeroVarianceError,
 )
 from .months import Calendar, Month
-from .panel import _frozen
+from .panel import _frozen, _read_rows
 
 WEIGHT_SUM_TOLERANCE = 0.005
 
@@ -212,23 +211,9 @@ def build_weight_table(rows: Mapping[int, Mapping[str, float]]) -> WeightTable:
 
 def load_weights(source: str | Path | IO[str]) -> WeightTable:
     """Parse the ``year,country,weight`` CSV."""
-    if isinstance(source, (str, Path)):
-        try:
-            with open(source, "r", encoding="utf-8", newline="") as fh:
-                return load_weights(fh)
-        except OSError as exc:
-            raise DegenerateWeightsError(f"cannot read weights {source}: {exc}") from None
-    reader = csv.reader(source)
-    header = next(reader, None)
-    if header is None or tuple(h.strip() for h in header) != ("year", "country", "weight"):
-        raise DegenerateWeightsError("expected header year,country,weight")
     rows: dict[int, dict[str, float]] = {}
-    for lineno, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != 3:
-            raise DegenerateWeightsError(f"line {lineno}: expected 3 fields")
-        year_text, country, weight_text = (f.strip() for f in row)
+    for lineno, (year_text, country, weight_text) in _read_rows(
+            source, ("year", "country", "weight"), DegenerateWeightsError, "weights"):
         try:
             year = int(year_text)
             weight = float(weight_text)

@@ -14,6 +14,7 @@ panels and transformed series are immutable after construction.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import math
@@ -98,39 +99,45 @@ class TransformedSeries:
             raise PanelError("transformed series must be finite")
 
 
+def _read_rows(source: str | Path | IO[str], header: tuple[str, ...], error, what: str):
+    """Yield ``(line number, stripped fields)`` for each non-blank data row of the
+    CSV ``source``, a path read as UTF-8 or a text stream.  A file that cannot be
+    read or decoded, a first row other than ``header`` and a row with another
+    field count are refused with ``error(message)``."""
+    try:
+        with (open(source, "r", encoding="utf-8", newline="")
+              if isinstance(source, (str, Path)) else contextlib.nullcontext(source)) as fh:
+            rows = csv.reader(fh)
+            first = next(rows, [])
+            if tuple(f.strip() for f in first) != header:
+                raise error(f"expected header {','.join(header)}, "
+                            f"got {','.join(first) or 'an empty file'}")
+            for lineno, row in enumerate(rows, start=2):
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if len(row) != len(header):
+                    raise error(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
+                yield lineno, [f.strip() for f in row]
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise error(f"cannot read {what} {source}: {exc}") from None
+
+
 def load_panel(source: str | Path | IO[str]) -> Panel:
     """Parse and validate the long CSV panel format.
 
     Raises
     ------
+    PanelError
+        For a file that cannot be read, a wrong header or a malformed row.
     DuplicateRowError, NonPositiveValueError, CalendarGapError,
     MissingCellError
         Each names the offending (country, date, variable) cell.
     """
-    if isinstance(source, (str, Path)):
-        try:
-            with open(source, "r", encoding="utf-8", newline="") as fh:
-                return load_panel(fh)
-        except OSError as exc:
-            raise PanelError(f"cannot read panel {source}: {exc}") from None
-
-    reader = csv.reader(source)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise PanelError("empty input") from None
-    if tuple(h.strip() for h in header) != CSV_HEADER:
-        raise PanelError(f"expected header {','.join(CSV_HEADER)}, got {','.join(header)}")
-
     # each distinct date text is parsed once; cells hold its month index
     month_of: dict[str, int] = {}
     cells: dict[tuple[str, int, str], float] = {}
-    for lineno, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != 4:
-            raise PanelError(f"line {lineno}: expected 4 fields, got {len(row)}")
-        country, date, column, value_text = (f.strip() for f in row)
+    for lineno, (country, date, column, value_text) in _read_rows(source, CSV_HEADER,
+                                                                  PanelError, "panel"):
         month = month_of.get(date)
         if month is None:
             try:

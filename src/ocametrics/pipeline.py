@@ -15,8 +15,8 @@ count used for the per-country stage.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import json
-import os
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Mapping
@@ -224,7 +224,7 @@ class StageError(OcaError):
 
 def check_panel_settings(panel: Panel, config: PipelineConfig) -> None:
     """Refuse settings that cannot fit ``panel``: a dummy for a country it does
-    not hold, or a base year outside its calendar years."""
+    not hold, or a base year or snapshot date outside its calendar."""
     for country, _ in config.dummies:
         if country not in panel.countries:
             raise ConfigError(f"dummy references unknown country {country!r}")
@@ -232,6 +232,9 @@ def check_panel_settings(panel: Panel, config: PipelineConfig) -> None:
     if not first <= config.base_year <= last:
         raise ConfigError(f"base year {config.base_year} is outside the panel's years "
                           f"{first}-{last}")
+    for date in config.snapshot_dates:
+        if date not in panel.dates:
+            raise ConfigError(f"snapshot date {date} is outside the panel's calendar {panel.dates}")
 
 
 def _per_country(panel: Panel, config: PipelineConfig, analyze) -> dict:
@@ -596,16 +599,18 @@ def _render_tables(report: dict) -> dict[str, str]:
 
 def run_pipeline(config: PipelineConfig) -> PipelineResult:
     """Compute and write the full report bundle."""
+    output_dir = Path(config.output_dir)
+    if output_dir.exists() and not output_dir.is_dir():
+        raise ConfigError(f"output directory {output_dir} is not a directory")
     panel = load_panel(config.panel_path)
     weights = load_weights(config.weights_path)
 
     report = build_report(panel, weights, config)
     tables = _render_tables(report)
 
-    output_dir = Path(config.output_dir)
-    output_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     try:
+        output_dir.mkdir(parents=True, exist_ok=True)
         for name in sorted(tables):
             path = output_dir / name
             path.write_text(tables[name], encoding="utf-8")
@@ -613,12 +618,10 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         report_path = output_dir / "report.json"
         report_path.write_text(render_json(report), encoding="utf-8")
         written.append(report_path)
-    except OSError:
+    except OSError as exc:
         for path in written:
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-        raise
+            with contextlib.suppress(OSError):
+                path.unlink()
+        raise ConfigError(f"cannot write output directory {output_dir}: {exc}") from None
     return PipelineResult(report=report, output_dir=output_dir,
                           files=tuple(sorted(p.name for p in written)))

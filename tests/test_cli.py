@@ -11,7 +11,9 @@ import pytest
 from click.testing import CliRunner
 
 from ocametrics import cointegration, unit_root, var
-from ocametrics.cli import main
+from ocametrics.cli import _series_from_csv, main
+from ocametrics.errors import ConfigError, DegenerateWeightsError, PanelError
+from ocametrics.metrics import load_weights
 from ocametrics.months import Month
 from ocametrics.panel import load_panel, panel_to_csv
 from ocametrics.pipeline import PipelineConfig
@@ -66,7 +68,6 @@ class TestSimulate:
         assert panel.countries == ("C00", "C01")
 
     def test_weights_output_is_loadable(self, bundle):
-        from ocametrics.metrics import load_weights
         table = load_weights(bundle["weights"])
         assert len(table.years) >= 11
 
@@ -74,7 +75,6 @@ class TestSimulate:
     def test_weights_output_sums_to_one(self, runner, tmp_path, n_countries):
         from fractions import Fraction
 
-        from ocametrics.metrics import load_weights
         weights = tmp_path / "weights.csv"
         res = runner.invoke(main, ["simulate", "--t", "13", "--countries", str(n_countries),
                                    "--output", str(tmp_path / "panel.csv"),
@@ -272,13 +272,48 @@ class TestRunPipeline:
         assert res.exit_code != 0
         assert not out.exists()
 
-    def test_snapshot_outside_calendar_fails(self, runner, bundle, tmp_path):
+    def test_snapshot_outside_calendar_fails(self, runner, bundle, tmp_path, monkeypatch):
         out = tmp_path / "snap"
+        fits = count_calls(monkeypatch, var.select_lag)
         res = runner.invoke(main, [
             "run", "--panel", str(bundle["panel"]), "--weights", str(bundle["weights"]),
             "--output-dir", str(out), "--snapshot-dates", "1990-01"])
-        assert res.exit_code != 0
+        assert res.exit_code == 1
+        assert res.stderr == ("error: snapshot date 1990-01 is outside the panel's calendar "
+                              "2009-01..2020-01\n")
+        assert fits == []
         assert not out.exists()
+        # a panel month before the common shock calendar is refused by the group stage
+        res = runner.invoke(main, [
+            "run", "--panel", str(bundle["panel"]), "--weights", str(bundle["weights"]),
+            "--output-dir", str(out), "--snapshot-dates", "2009-02"])
+        assert res.exit_code == 1
+        assert res.stderr.startswith("error: [group snapshots] 2009-02 outside calendar")
+        assert not out.exists()
+
+    def test_output_dir_naming_a_file_is_refused_before_estimation(self, runner, bundle,
+                                                                   tmp_path, monkeypatch):
+        out = tmp_path / "taken"
+        out.write_text("kept\n")
+        fits = count_calls(monkeypatch, var.select_lag)
+        res = runner.invoke(main, [
+            "run", "--panel", str(bundle["panel"]), "--weights", str(bundle["weights"]),
+            "--output-dir", str(out)])
+        assert res.exit_code == 1
+        assert res.stderr == f"error: output directory {out} is not a directory\n"
+        assert fits == []
+        assert out.read_text() == "kept\n"
+
+    def test_unwritable_output_dir_is_a_named_error(self, runner, bundle, tmp_path):
+        # the parent is a file: mkdir fails in the write phase, after estimation
+        (tmp_path / "file").write_text("kept\n")
+        out = tmp_path / "file" / "out"
+        res = runner.invoke(main, [
+            "run", "--panel", str(bundle["panel"]), "--weights", str(bundle["weights"]),
+            "--output-dir", str(out)])
+        assert res.exit_code == 1
+        assert res.stderr.startswith(f"error: cannot write output directory {out}: ")
+        assert res.stderr.count("\n") == 1 and isinstance(res.exception, SystemExit)
 
     def test_unknown_dummy_country_fails(self, runner, bundle, tmp_path):
         res = runner.invoke(main, [
@@ -675,6 +710,78 @@ class TestInputContracts:
         assert res.exit_code == 1
         assert label in res.stderr and "rank-deficient" not in res.stderr
         assert not out.exists()
+
+
+INPUT_HEADERS = {"panel": "country,date,variable,value", "weights": "year,country,weight",
+                 "series": "date,value"}
+INPUT_LOADERS = {"panel": (load_panel, PanelError),
+                 "weights": (load_weights, DegenerateWeightsError),
+                 "series": (_series_from_csv, ConfigError)}
+INPUT_FAULTS = {
+    "missing": lambda path, header: None,
+    "directory": lambda path, header: path.mkdir(),
+    "non-utf8": lambda path, header: path.write_bytes(b"\xff\xfe" + header.encode() + b"\n"),
+    "wrong-header": lambda path, header: path.write_text("a,b\n"),
+    "field-count": lambda path, header: path.write_text(f"{header}\n{header},extra\n"),
+}
+
+
+def _refusal(what, fault, path):
+    """The text of the refusal of a ``what`` input file with ``fault``."""
+    header = INPUT_HEADERS[what]
+    if fault == "wrong-header":
+        return f"expected header {header}, got a,b"
+    if fault == "field-count":
+        n = header.count(",") + 1
+        return f"line 2: expected {n} fields, got {n + 1}"
+    return f"cannot read {what} {path}: "
+
+
+def _input_args(what, path, panel, weights, out):
+    if what == "series":
+        return ["adf", "--series", str(path)]
+    files = {"panel": panel, "weights": weights, what: path}
+    return ["run", "--panel", str(files["panel"]), "--weights", str(files["weights"]),
+            "--output-dir", str(out)]
+
+
+@pytest.mark.parametrize("fault", list(INPUT_FAULTS))
+@pytest.mark.parametrize("what", list(INPUT_HEADERS))
+def test_unreadable_or_malformed_input_is_refused_by_name(runner, fixture_panel_path,
+                                                          fixture_weights_path, tmp_path,
+                                                          monkeypatch, what, fault):
+    path, out = tmp_path / f"{what}.csv", tmp_path / "out"
+    INPUT_FAULTS[fault](path, INPUT_HEADERS[what])
+    message = _refusal(what, fault, path)
+    loader, error = INPUT_LOADERS[what]
+    with pytest.raises(error) as excinfo:
+        loader(str(path))
+    assert str(excinfo.value).startswith(message)
+    fits = count_calls(monkeypatch, var.select_lag)
+    res = runner.invoke(main, _input_args(what, path, fixture_panel_path,
+                                          fixture_weights_path, out))
+    assert res.exit_code == 1
+    assert res.stderr.startswith(f"error: {message}") and res.stderr.count("\n") == 1
+    assert isinstance(res.exception, SystemExit) and "Traceback" not in res.output
+    assert fits == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("months, line, expected, got", [
+    (["2009-01", "2009-03", "2009-02"], 3, "2009-02", "2009-03"),
+    (["2009-01", "2009-01", "2009-02"], 3, "2009-02", "2009-01"),
+    (["2009-01", "2009-02", "2009-04"], 4, "2009-03", "2009-04"),
+], ids=["out-of-order", "duplicate", "skipped"])
+def test_series_dates_must_be_consecutive_months(runner, tmp_path, months, line, expected, got):
+    path = tmp_path / "series.csv"
+    path.write_text("date,value\n" + "".join(f"{m},4.6\n" for m in months))
+    message = f"{path}:{line}: expected {expected}, got {got}"
+    with pytest.raises(ConfigError) as excinfo:
+        _series_from_csv(str(path))
+    assert str(excinfo.value) == message
+    res = runner.invoke(main, ["adf", "--series", str(path)])
+    assert res.exit_code == 1
+    assert res.stderr == f"error: {message}\n"
 
 
 def _range_args(args, panel, weights, series, tmp_path):

@@ -19,6 +19,7 @@ from ocametrics.months import Month, month_range
 from ocametrics.panel import (
     Panel,
     TransformedSeries,
+    _read_rows,
     dump_panel,
     growth_pair,
     load_panel,
@@ -124,6 +125,17 @@ class TestLoadPanel:
         with pytest.raises(PanelError):
             load_panel(io.StringIO("iso,month,series,value\n"))
 
+    def test_cell_error_from_a_file_passes_through_the_reader(self, tmp_path):
+        # only the reader's own read errors are renamed; the file is closed
+        # either way, or the suite's ResourceWarning filter fails this test
+        path = tmp_path / "panel.csv"
+        rows = _rows(["AAA"], ["2020-01", "2020-02"])
+        path.write_text(panel_to_csv(panel_from_rows(rows)) + "AAA,2020-01,CPI,100.0\n")
+        with pytest.raises(DuplicateRowError) as excinfo:
+            load_panel(path)
+        assert (excinfo.value.country, excinfo.value.date, excinfo.value.variable) == (
+            "AAA", "2020-01", "CPI")
+
     def test_countries_sorted(self):
         panel = panel_from_rows(_rows(["ZZZ", "AAA"], ["2020-01", "2020-02"]))
         assert panel.countries == ("AAA", "ZZZ")
@@ -137,6 +149,12 @@ class TestLoadPanel:
         buf = io.StringIO()
         dump_panel(again, buf)
         assert buf.getvalue() == text
+
+
+def test_read_rows_skips_blank_rows_and_keeps_line_numbers():
+    text = "a, b\n1,2\n\n   \n 3 , 4 \n"
+    rows = list(_read_rows(io.StringIO(text), ("a", "b"), PanelError, "test"))
+    assert rows == [(2, ["1", "2"]), (5, ["3", "4"])]
 
 
 class TestRebase:
