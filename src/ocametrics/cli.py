@@ -13,6 +13,7 @@ its values pass the same checks as the flags.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import json
@@ -180,6 +181,15 @@ def _domain_errors(func):
         except OcaError as exc:
             _fail(exc)
     return wrapper
+
+
+@contextlib.contextmanager
+def _writing(path: str):
+    """Turn a failure to write ``path`` into a ``ConfigError`` naming it."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _series_from_csv(path: str) -> np.ndarray:
@@ -455,12 +465,13 @@ def simulate_command(seed, n_months, n_countries, start, output, weights_output)
         raise ConfigError(str(exc)) from None
     panel = synthetic_panel(seed, n_countries, n_months, start=first)
     if output:
-        with open(output, "w", encoding="utf-8", newline="") as fh:
+        with _writing(output), open(output, "w", encoding="utf-8", newline="") as fh:
             dump_panel(panel, fh)
     else:
         dump_panel(panel, sys.stdout)
     if weights_output:
-        write_equal_weights(panel, weights_output)
+        with _writing(weights_output):
+            write_equal_weights(panel, weights_output)
 
 
 if __name__ == "__main__":

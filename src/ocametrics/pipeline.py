@@ -224,10 +224,20 @@ class StageError(OcaError):
 
 def check_panel_settings(panel: Panel, config: PipelineConfig) -> None:
     """Refuse settings that cannot fit ``panel``: a dummy for a country it does
-    not hold, or a base year or snapshot date outside its calendar."""
-    for country, _ in config.dummies:
+    not hold, dated outside its growth calendar, or the twin of another of
+    that country's dummies (the column enters both equations, so the date and
+    form make it); a base year or snapshot date outside its calendar."""
+    growth, columns = panel.dates[1:], {}
+    for country, spec in config.dummies:
         if country not in panel.countries:
             raise ConfigError(f"dummy references unknown country {country!r}")
+        label = f"{country}:{spec.label()}"
+        if spec.break_date not in growth:
+            raise ConfigError(f"dummy {label} is dated outside the growth calendar {growth}")
+        key = (country, spec.break_date, spec.form)
+        if key in columns:
+            raise ConfigError(f"dummies {columns[key]} and {label} are the same column")
+        columns[key] = label
     first, last = panel.dates[0].year, panel.dates[-1].year
     if not first <= config.base_year <= last:
         raise ConfigError(f"base year {config.base_year} is outside the panel's years "
@@ -340,7 +350,6 @@ def _country_report(result: CountryAnalysis) -> dict:
 
 def _conventions() -> dict:
     return {
-        "backend": "numpy",
         "transform_order": "rebase -> log -> optional seasonal dummy adjustment -> first difference",
         "rebase": "arithmetic base-year mean rescaled to 100",
         "adf_lag_rule": "aic over 0..max_lags",

@@ -172,19 +172,20 @@ def _adf_design(paths, det, max_lags, rows):
 
 
 def _adf_stats(X, z, det):
-    # batched OLS t-ratio on the level column (index det)
-    ncol = X.shape[2]
-    rows = X.shape[1]
-    Xt = X.transpose(0, 2, 1)
-    XtX = Xt @ X
-    Xtz = Xt @ z[:, :, None]
-    XtXinv = np.linalg.inv(XtX)
-    beta = XtXinv @ Xtz
-    resid = z - (X @ beta)[:, :, 0]
-    rss = np.einsum("ij,ij->i", resid, resid)
-    s2 = rss / (rows - ncol)
-    tstat = beta[:, det, 0] / np.sqrt(s2 * XtXinv[:, det, det])
-    return tstat, rss
+    # batched OLS t-ratio on the level column (index det) from one SVD of X:
+    # NaN where X is short of full rank at matrix_rank's tolerance, or fits z exactly
+    rows, ncol = X.shape[1:]
+    u, s, vt = np.linalg.svd(X, full_matrices=False)
+    tstat = np.full(X.shape[0], np.nan)
+    full = np.flatnonzero(s[:, -1] > s[:, 0] * max(rows, ncol) * np.finfo(X.dtype).eps)
+    X, z, u, s, vt = X[full], z[full], u[full], s[full], vt[full]
+    w = vt.transpose(0, 2, 1) / s[:, None, :]  # V diag(1/s), so beta = w U'z
+    beta = (w @ (u.transpose(0, 2, 1) @ z[:, :, None]))[:, :, 0]
+    rss = ((z - (X @ beta[:, :, None])[:, :, 0]) ** 2).sum(axis=1)
+    var = rss / (rows - ncol) * np.einsum("ij,ij->i", w[:, det], w[:, det])
+    fit = rss > 0.0
+    tstat[full[fit]] = beta[fit, det] / np.sqrt(var[fit])
+    return tstat
 
 
 def adf_batch(paths: np.ndarray, det: int, max_lags: int, autolag: bool):
@@ -194,8 +195,9 @@ def adf_batch(paths: np.ndarray, det: int, max_lags: int, autolag: bool):
     every count's RSS read off one Cholesky factor L of the Gram matrix of
     ``[X z]`` (on X's first m columns it is ``sum_{j >= m} L[-1, j]^2``), and
     its statistic is refit on the longest usable sample; otherwise it is ``max_lags``.
-    A series whose refit design is short of full rank, at ``matrix_rank``'s
-    tolerance, gets a NaN statistic instead of a t-ratio from a meaningless inverse.
+    The refit is one SVD of each design, which gives both the t-ratio and the rank:
+    a series whose design is short of full rank, at ``matrix_rank``'s tolerance, or
+    that it fits exactly gets a NaN statistic instead of a meaningless t-ratio.
     """
     n_rep, n_obs = paths.shape
     nd = n_obs - 1
@@ -220,9 +222,7 @@ def adf_batch(paths: np.ndarray, det: int, max_lags: int, autolag: bool):
         sel = np.flatnonzero(lags == k)
         rows = nd - k
         X, z = _adf_design(paths[sel], det, k, rows)
-        full = np.linalg.matrix_rank(X) == X.shape[2]
-        stats[sel] = np.nan
-        stats[sel[full]], _ = _adf_stats(X[full], z[full], det)
+        stats[sel] = _adf_stats(X, z, det)
         nobs[sel] = rows
     return stats, lags, nobs
 

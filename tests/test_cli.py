@@ -87,6 +87,19 @@ class TestSimulate:
             shares = [Fraction(w) for y, _, w in rows if y == year]
             assert len(shares) == n_countries and sum(shares) == 1
 
+    @pytest.mark.parametrize("flags", [
+        ["--output", "TARGET"],
+        ["--output", "PANEL", "--weights-output", "TARGET"],
+    ], ids=["output", "weights-output"])
+    def test_unwritable_output_is_a_named_error(self, runner, tmp_path, flags):
+        target = tmp_path / "nodir" / "out.csv"
+        paths = {"TARGET": str(target), "PANEL": str(tmp_path / "panel.csv")}
+        res = runner.invoke(main, ["simulate", "--t", "24", "--countries", "2",
+                                   *(paths.get(f, f) for f in flags)])
+        assert res.exit_code == 1
+        assert res.stderr == f"error: cannot write {target}: No such file or directory\n"
+        assert isinstance(res.exception, SystemExit)
+
 
 def test_cli_import_leaves_out_scipy_stats_and_signal():
     src = Path(__file__).resolve().parent.parent / "src"
@@ -488,6 +501,18 @@ class TestThinWrappers:
             assert res.stderr == "error: regression is numerically degenerate\n", lag_rule
             assert isinstance(res.exception, SystemExit)  # not a numpy traceback
 
+    def test_adf_exact_fit_is_a_named_error(self, runner, tmp_path):
+        # on 2^t the difference is the lagged level: with no deterministic
+        # terms and no lags the fit leaves no residual to scale a t-ratio
+        series = tmp_path / "doubling.csv"
+        series.write_text("date,value\n" + "".join(
+            f"{Month(2009, 1) + i},{2.0 ** i}\n" for i in range(60)))
+        res = runner.invoke(main, ["adf", "--series", str(series), "--spec", "none",
+                                   "--lag-rule", "0"])
+        assert res.exit_code == 1
+        assert res.stderr == "error: regression is numerically degenerate\n"
+        assert isinstance(res.exception, SystemExit)
+
     @pytest.mark.parametrize("rows", [0, 1])
     def test_adf_too_short_series_is_refused(self, runner, tmp_path, rows):
         series = tmp_path / "short.csv"
@@ -710,6 +735,32 @@ class TestInputContracts:
         assert res.exit_code == 1
         assert label in res.stderr and "rank-deficient" not in res.stderr
         assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        ["run", "--weights", "WEIGHTS", "--output-dir", "OUT"],
+        ["var", "--country", "C00"],
+    ], ids=lambda args: args[0])
+    @pytest.mark.parametrize("flags, message", [
+        (["C03:CPI:2030-01"],
+         "dummy C03:price:2030-01:step is dated outside the growth calendar 2009-02..2020-01"),
+        (["C03:CPI:2009-01:pulse"],
+         "dummy C03:price:2009-01:pulse is dated outside the growth calendar 2009-02..2020-01"),
+        (["C00:MEAI:2012-06", "C00:CPI:2012-06"],
+         "dummies C00:activity:2012-06:step and C00:price:2012-06:step are the same column"),
+        (["C00:CPI:2012-06", "C00:CPI:2012-06:step"],
+         "dummies C00:price:2012-06:step and C00:price:2012-06:step are the same column"),
+    ], ids=["after-the-panel", "first-month", "both-variables", "repeated"])
+    def test_unusable_dummy_is_refused_before_estimation(
+            self, runner, fixture_panel_path, fixture_weights_path, tmp_path, monkeypatch,
+            args, flags, message):
+        files = {"WEIGHTS": str(fixture_weights_path), "OUT": str(tmp_path / "never")}
+        fits = count_calls(monkeypatch, var.select_lag)
+        res = runner.invoke(main, [files.get(a, a) for a in args] + [
+            "--panel", str(fixture_panel_path), *(f for flag in flags for f in ("--dummy", flag))])
+        assert res.exit_code == 1
+        assert res.stderr == f"error: {message}\n"
+        assert fits == []
+        assert not (tmp_path / "never").exists()
 
 
 INPUT_HEADERS = {"panel": "country,date,variable,value", "weights": "year,country,weight",

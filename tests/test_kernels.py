@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ocametrics import pipeline, unit_root
+from ocametrics import unit_root
 from ocametrics.simulate import SIM_BLOCK, var_simulate
-from ocametrics.unit_root import _adf_design, _adf_stats, adf_batch
+from ocametrics.unit_root import _adf_design, adf_batch
 from ocametrics.var import companion_matrix
 
 from .conftest import count_calls
@@ -60,23 +60,20 @@ def reference_adf(y, det, max_lags, autolag):
     return regress(k, nd - k, k)[0], k, nd - k
 
 
-def test_backend_is_reported():
-    assert pipeline._conventions()["backend"] == "numpy"
-
-
 @pytest.mark.parametrize("det", [0, 1, 2])
 @pytest.mark.parametrize("autolag", [False, True])
 def test_adf_paths_agree(det, autolag):
-    rng = np.random.default_rng(123 + det)
-    paths = rng.standard_normal((40, 120)).cumsum(axis=1)
     max_lags = 4 if not autolag else 8
-    stats, lags, nobs = adf_batch(paths, det, max_lags, autolag)
-    expected = [reference_adf(y, det, max_lags, autolag) for y in paths]
-    np.testing.assert_array_equal(lags, [e[1] for e in expected])
-    np.testing.assert_array_equal(nobs, [e[2] for e in expected])
-    np.testing.assert_allclose(stats, [e[0] for e in expected], rtol=1e-9, atol=1e-11)
-    if autolag:
-        assert len(set(lags.tolist())) > 1
+    for kind in ("walk", "near_trend"):
+        paths = _adf_paths(np.random.default_rng(123 + det), kind, 40, 120)
+        stats, lags, nobs = adf_batch(paths, det, max_lags, autolag)
+        expected = [reference_adf(y, det, max_lags, autolag) for y in paths]
+        np.testing.assert_array_equal(lags, [e[1] for e in expected], err_msg=kind)
+        np.testing.assert_array_equal(nobs, [e[2] for e in expected], err_msg=kind)
+        np.testing.assert_allclose(stats, [e[0] for e in expected], rtol=1e-9, atol=1e-11,
+                                   err_msg=kind)
+        if autolag and kind == "walk":
+            assert len(set(lags.tolist())) > 1
 
 
 def per_lag_adf_lags(paths, det, max_lags):
@@ -87,7 +84,11 @@ def per_lag_adf_lags(paths, det, max_lags):
     best_ic = np.full(paths.shape[0], np.inf)
     best_k = np.zeros(paths.shape[0], dtype=np.int64)
     for k in range(max_lags + 1):
-        _, rss = _adf_stats(X[:, :, :det + 1 + k], z, det)
+        Xk = X[:, :, :det + 1 + k]
+        Xt = Xk.transpose(0, 2, 1)
+        beta = np.linalg.inv(Xt @ Xk) @ (Xt @ z[:, :, None])
+        resid = z - (Xk @ beta)[:, :, 0]
+        rss = np.einsum("ij,ij->i", resid, resid)
         ic = rows * np.log(rss / rows) + 2.0 * (det + 1 + k)
         better = ic < best_ic
         best_ic = np.where(better, ic, best_ic)
@@ -137,13 +138,15 @@ def test_adf_lag_search_follows_least_squares_on_an_explosive_path():
     # normal-equation inverse is then too inexact to rank the orders (its
     # RSS grows when a lag is added) and, with OpenBLAS, picks 0 lags for
     # three of the six paths; the nested search picks what dense least
-    # squares picks.
+    # squares picks, and the SVD refit gives its statistics.
     eps = np.random.default_rng(60368).standard_normal((6, 133))
     paths = eps.copy()
     for t in range(2, 133):
         paths[:, t] += -0.584 * paths[:, t - 1] + 0.5895 * paths[:, t - 2]
-    _, lags, _ = adf_batch(paths, 0, 1, True)
-    np.testing.assert_array_equal(lags, [reference_adf(y, 0, 1, True)[1] for y in paths])
+    stats, lags, _ = adf_batch(paths, 0, 1, True)
+    expected = [reference_adf(y, 0, 1, True) for y in paths]
+    np.testing.assert_array_equal(lags, [e[1] for e in expected])
+    np.testing.assert_allclose(stats, [e[0] for e in expected], rtol=1e-9)
 
 
 def test_adf_autolag_refits_once_per_chosen_lag(monkeypatch):
