@@ -13,7 +13,6 @@ its values pass the same checks as the flags.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import functools
 import json
@@ -35,8 +34,8 @@ from .metrics import (
     hp_filter,
     load_weights,
 )
-from .months import Month
-from .panel import _read_rows, dump_panel, load_panel
+from .months import Month, month_range
+from .panel import _read_rows, dump_panel, load_panel, panel_to_csv
 from .pipeline import (
     SHOCK_KINDS,
     PipelineConfig,
@@ -49,8 +48,9 @@ from .pipeline import (
     run_pipeline,
     shock_dict,
     shock_table,
+    write_texts,
 )
-from .simulate import synthetic_panel, write_equal_weights
+from .simulate import equal_weights_csv, synthetic_panel
 from .unit_root import adf_test
 from .var import DummySpec, diagnose, fit_var
 
@@ -181,15 +181,6 @@ def _domain_errors(func):
         except OcaError as exc:
             _fail(exc)
     return wrapper
-
-
-@contextlib.contextmanager
-def _writing(path: str):
-    """Turn a failure to write ``path`` into a ``ConfigError`` naming it."""
-    try:
-        yield
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _series_from_csv(path: str) -> np.ndarray:
@@ -380,8 +371,8 @@ def identify_command(country, fixed_p, as_json, **settings):
         irf = irf_structural(svar, model, config.irf_horizon)
         click.echo(json.dumps({
             "country": country, "p": model.p,
-            "a0": [[float(v) for v in row] for row in svar.a0],
-            "long_run": [[float(v) for v in row] for row in svar.long_run],
+            "a0": svar.a0.tolist(),
+            "long_run": svar.long_run.tolist(),
             **dataclasses.asdict(size_and_speed(irf)),
         }, sort_keys=True))
         return
@@ -419,8 +410,8 @@ def disperse_command(kind, as_json, **settings):
     config, weights, dates, shocks = _group_shocks(settings, "disperse")
     series = dispersion_index(shocks[kind], dates, weights, kind=kind)
     trend, _ = hp_filter(series.values, config.hp_lambda)
-    rows = [{"date": d, "value": float(v), "trend": float(t)}
-            for d, v, t in zip(dates.labels(), series.values, trend)]
+    rows = [{"date": d, "value": v, "trend": t}
+            for d, v, t in zip(dates.labels(), series.values.tolist(), trend.tolist())]
     _emit(rows, as_json)
 
 
@@ -436,9 +427,9 @@ def cost_command(excluded, as_json, **settings):
     _, weights, dates, shocks = _group_shocks(settings, "cost", (excluded,))
     series = {kind: cost_of_inclusion(shocks[kind], dates, weights, excluded, kind=kind)
               for kind in SHOCK_KINDS}
-    rows = [{"country": excluded, "date": d, "supply": float(s), "demand": float(m)}
-            for d, s, m in zip(dates.labels(), series["supply"].values,
-                               series["demand"].values)]
+    rows = [{"country": excluded, "date": d, "supply": s, "demand": m}
+            for d, s, m in zip(dates.labels(), series["supply"].values.tolist(),
+                               series["demand"].values.tolist())]
     _emit(rows, as_json)
 
 
@@ -459,19 +450,24 @@ def simulate_command(seed, n_months, n_countries, start, output, weights_output)
         # load_weights needs at least 2 countries a year
         raise click.BadParameter("must be >= 2 with --weights-output",
                                  param_hint="'--countries'")
+    if output and weights_output and Path(output).resolve() == Path(weights_output).resolve():
+        raise click.BadParameter("must differ from --output",
+                                 param_hint="'--weights-output'")
     try:
-        first = Month.parse(start)
+        first = month_range(Month.parse(start), n_months).start
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     panel = synthetic_panel(seed, n_countries, n_months, start=first)
-    if output:
-        with _writing(output), open(output, "w", encoding="utf-8", newline="") as fh:
-            dump_panel(panel, fh)
-    else:
-        dump_panel(panel, sys.stdout)
+    # the files before stdout: a failed write prints no panel
+    texts = {Path(output): panel_to_csv(panel)} if output else {}
     if weights_output:
-        with _writing(weights_output):
-            write_equal_weights(panel, weights_output)
+        texts[Path(weights_output)] = equal_weights_csv(panel)
+    try:
+        write_texts(texts)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {exc.filename}: {exc.strerror or exc}") from None
+    if not output:
+        dump_panel(panel, sys.stdout)
 
 
 if __name__ == "__main__":

@@ -60,11 +60,15 @@ class Month:
         return f"{self.year:04d}-{self.month:02d}"
 
 
+LAST_MONTH = Month(9999, 12)  # the last month that YYYY-MM can write
+
+
 @dataclass(frozen=True)
 class Calendar(Sequence):
     """``n`` consecutive months from ``start``, a sequence of :class:`Month`.
 
-    Slices are calendars; equality compares ``(start, n)``.
+    Slices are calendars; equality compares ``(start, n)``.  A calendar ends
+    by ``LAST_MONTH``.
     """
 
     start: Month
@@ -73,6 +77,9 @@ class Calendar(Sequence):
     def __post_init__(self):
         if not isinstance(self.start, Month) or self.n < 0:
             raise ValueError(f"calendar needs a start Month and n >= 0, got {self!r}")
+        if self.start.index + self.n - 1 > LAST_MONTH.index:
+            raise ValueError(f"a calendar of {self.n} months from {self.start} "
+                             f"ends after {LAST_MONTH}")
 
     def __len__(self) -> int:
         return self.n

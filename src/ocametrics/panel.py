@@ -18,6 +18,7 @@ import contextlib
 import csv
 import io
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Mapping
@@ -39,6 +40,9 @@ VARIABLES = ("activity", "price")
 CSV_HEADER = ("country", "date", "variable", "value")
 _COLUMN_TO_VARIABLE = {"MEAI": "activity", "CPI": "price"}
 _VARIABLE_TO_COLUMN = {v: k for k, v in _COLUMN_TO_VARIABLE.items()}
+# separators of the report bundle: CSV cells and quotes, groups.csv members,
+# --dummy fields, pair keys and the paths of shocks_<CC>.csv; and control characters
+_CODE_BREAKERS = re.compile(r'[,";:|/\\\x00-\x1f\x7f-\x9f]')
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -128,7 +132,9 @@ def load_panel(source: str | Path | IO[str]) -> Panel:
     Raises
     ------
     PanelError
-        For a file that cannot be read, a wrong header or a malformed row.
+        For a file that cannot be read, a wrong header or a malformed row,
+        including a country code that is empty or holds a bundle separator
+        (``, " ; : | / \\``) or a control character.
     DuplicateRowError, NonPositiveValueError, CalendarGapError,
     MissingCellError
         Each names the offending (country, date, variable) cell.
@@ -136,8 +142,14 @@ def load_panel(source: str | Path | IO[str]) -> Panel:
     # each distinct date text is parsed once; cells hold its month index
     month_of: dict[str, int] = {}
     cells: dict[tuple[str, int, str], float] = {}
+    codes: set[str] = set()
     for lineno, (country, date, column, value_text) in _read_rows(source, CSV_HEADER,
                                                                   PanelError, "panel"):
+        if country not in codes:
+            if not country or _CODE_BREAKERS.search(country):
+                raise PanelError(f"line {lineno}: country code {country!r} must be non-empty "
+                                 'and hold none of , " ; : | / \\ or a control character')
+            codes.add(country)
         month = month_of.get(date)
         if month is None:
             try:
@@ -166,7 +178,7 @@ def load_panel(source: str | Path | IO[str]) -> Panel:
     if not cells:
         raise PanelError("no data rows")
 
-    countries = sorted({c for c, _, _ in cells})
+    countries = sorted(codes)
     lo = min(month_of.values())
     dates = month_range(Month.from_index(lo), max(month_of.values()) - lo + 1)
     grid = {country: np.full((len(VARIABLES), len(dates)), np.nan) for country in countries}

@@ -17,6 +17,7 @@ from __future__ import annotations
 import concurrent.futures
 import contextlib
 import json
+import os
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Mapping
@@ -30,7 +31,6 @@ from .identification import (SHOCK_KINDS, IrfSet, SizeSpeed, StructuralModel, id
 from .metrics import (
     STARS,
     CorrelationReport,
-    SymmetryReport,
     WeightTable,
     check_group,
     classify_symmetry,
@@ -123,10 +123,6 @@ class PipelineResult:
     report: dict
     output_dir: Path
     files: tuple[str, ...]
-
-    @property
-    def report_path(self) -> Path:
-        return self.output_dir / "report.json"
 
 
 def country_series(panel: Panel, country: str, config: PipelineConfig):
@@ -284,13 +280,11 @@ def group_shocks(panel: Panel, config: PipelineConfig):
 
 
 def _adf_dict(result: AdfResult) -> dict:
-    out = result.as_dict()
+    out = asdict(result)
+    out["critical_values"] = {f"{int(level * 100)}%": cv
+                              for level, cv in result.critical_values.items()}
     out["stars"] = STARS.get(result.reject_at, "")
     return out
-
-
-def _matrix(a: np.ndarray) -> list:
-    return [[float(v) for v in row] for row in np.asarray(a)]
 
 
 def _country_report(result: CountryAnalysis) -> dict:
@@ -309,14 +303,14 @@ def _country_report(result: CountryAnalysis) -> dict:
             "p": model.p,
             "criterion_choices": dict(result.lag_selection.criterion_choices),
             "gate_trail": [asdict(a) for a in result.lag_selection.trail],
-            "intercept": [float(v) for v in model.intercept],
-            "coefs": [_matrix(b) for b in model.coefs],
-            "sigma": _matrix(model.sigma),
+            "intercept": model.intercept.tolist(),
+            "coefs": model.coefs.tolist(),
+            "sigma": model.sigma.tolist(),
             "dummies": [d.label() for d in model.dummies],
-            "exog_coefficients": _matrix(model.exog_coefficients),
+            "exog_coefficients": model.exog_coefficients.tolist(),
             "stable": diag.stability.stable,
-            "max_modulus": float(diag.stability.max_modulus),
-            "moduli": [float(m) for m in diag.stability.moduli],
+            "max_modulus": diag.stability.max_modulus,
+            "moduli": list(diag.stability.moduli),
             "portmanteau": {"h": diag.portmanteau_h, **asdict(diag.portmanteau)},
             "arch": {
                 variable: {
@@ -327,16 +321,16 @@ def _country_report(result: CountryAnalysis) -> dict:
             },
         },
         "identification": {
-            "a0": _matrix(result.svar.a0),
-            "long_run": _matrix(result.svar.long_run),
-            "n_shocks": int(result.svar.shocks.shape[0]),
+            "a0": result.svar.a0.tolist(),
+            "long_run": result.svar.long_run.tolist(),
+            "n_shocks": result.svar.shocks.shape[0],
             "first_shock_date": str(result.svar.dates[0]),
             "last_shock_date": str(result.svar.dates[-1]),
         },
         "irf": {
             "horizon": result.irf.horizon,
             "cumulative_responses": {
-                f"{shock}_{variable}": [float(v) for v in series]
+                f"{shock}_{variable}": series.tolist()
                 for (shock, variable), series in sorted(result.irf.responses.items())
             },
             "long_run": {
@@ -384,44 +378,41 @@ def build_report(panel: Panel, weights: WeightTable, config: PipelineConfig) -> 
     check_group(panel.countries, panel.countries, "run")  # every country's cost of inclusion
     results = _with_pretests(_per_country(panel, config, _estimate), config.max_lags)
     dates, shocks = _common_shocks({c: r.svar for c, r in results.items()})
+    try:
+        rows = {str(s): dates.offset(s) for s in config.snapshot_dates}
+    except DateRangeError as exc:
+        raise StageError("group snapshots", exc) from exc
 
-    correlations: dict[str, CorrelationReport] = {}
-    symmetry: dict[str, SymmetryReport] = {}
-    dispersion: dict[str, dict] = {}
-    cost: dict[str, dict] = {}
+    group = {block: {} for block in ("correlations", "symmetry", "dispersion", "cost",
+                                     "cost_snapshots")}
     for kind in SHOCK_KINDS:
         try:
-            report = correlation_matrix(shocks[kind], kind=kind)
-            correlations[kind] = report
-            symmetry[kind] = classify_symmetry(report, config.alpha)
-            disp, cost[kind] = group_dispersion(shocks[kind], dates, weights,
-                                                panel.countries, kind)
+            correlations = correlation_matrix(shocks[kind], kind=kind)
+            symmetry = classify_symmetry(correlations, config.alpha)
+            disp, cost = group_dispersion(shocks[kind], dates, weights, panel.countries, kind)
             trend, _cycle = hp_filter(disp.values, config.hp_lambda)
-            dispersion[kind] = {
-                "values": disp.values,
-                "trend": trend,
-                "trend_change_pct": trend_change(dates, trend, dates[0], dates[-1]),
-            }
+            change = trend_change(dates, trend, dates[0], dates[-1])
         except OcaError as exc:
             raise StageError(f"group {kind}", exc) from exc
-
-    snapshots: dict[str, dict[str, dict[str, float]]] = {}
-    if config.snapshot_dates:
-        try:
-            rows = {str(s): dates.offset(s) for s in config.snapshot_dates}
-        except DateRangeError as exc:
-            raise StageError("group snapshots", exc) from exc
-        for kind in SHOCK_KINDS:
-            snapshots[kind] = {
-                country: {s: float(cost[kind][country].values[t]) for s, t in rows.items()}
-                for country in panel.countries
-            }
+        group["correlations"][kind] = correlation_dict(correlations)
+        group["symmetry"][kind] = {
+            "alpha": symmetry.alpha,
+            "symmetric_pairs": {f"{a}|{b}": flag
+                                for (a, b), flag in sorted(symmetry.symmetric_pairs.items())},
+            "groups": [list(g) for g in symmetry.groups],
+        }
+        group["dispersion"][kind] = {"dates": dates.labels(), "values": disp.values.tolist(),
+                                     "trend": trend.tolist(), "trend_change_pct": change}
+        costs = group["cost"][kind] = {c: cost[c].values.tolist() for c in panel.countries}
+        if rows:
+            group["cost_snapshots"][kind] = {c: {s: costs[c][t] for s, t in rows.items()}
+                                             for c in panel.countries}
 
     sizes = {c: asdict(results[c].size_speed) for c in panel.countries}
     averages = {f.name: float(np.mean([s[f.name] for s in sizes.values()]))
                 for f in fields(SizeSpeed)}
 
-    report = {
+    return {
         "metadata": {
             "config": _config_dict(config),
             "conventions": _conventions(),
@@ -440,38 +431,11 @@ def build_report(panel: Panel, weights: WeightTable, config: PipelineConfig) -> 
         "group": {
             "common_calendar": {"start": str(dates[0]), "end": str(dates[-1]),
                                 "n": len(dates)},
-            "correlations": {kind: correlation_dict(correlations[kind])
-                             for kind in SHOCK_KINDS},
-            "symmetry": {
-                kind: {
-                    "alpha": symmetry[kind].alpha,
-                    "symmetric_pairs": {
-                        f"{a}|{b}": flag
-                        for (a, b), flag in sorted(symmetry[kind].symmetric_pairs.items())
-                    },
-                    "groups": [list(g) for g in symmetry[kind].groups],
-                } for kind in SHOCK_KINDS
-            },
             "size_speed": {"per_country": sizes, "average": averages},
-            "dispersion": {
-                kind: {
-                    "dates": dates.labels(),
-                    "values": [float(v) for v in dispersion[kind]["values"]],
-                    "trend": [float(v) for v in dispersion[kind]["trend"]],
-                    "trend_change_pct": float(dispersion[kind]["trend_change_pct"]),
-                } for kind in SHOCK_KINDS
-            },
-            "cost": {
-                kind: {
-                    country: [float(v) for v in cost[kind][country].values]
-                    for country in panel.countries
-                } for kind in SHOCK_KINDS
-            },
-            "cost_snapshots": snapshots,
+            **group,
         },
         "shocks": {c: shock_dict(results[c].svar) for c in panel.countries},
     }
-    return report
 
 
 def render_json(report: dict) -> str:
@@ -486,7 +450,7 @@ def _fmt3(value: float) -> str:
 def correlation_dict(report: CorrelationReport) -> dict:
     """The ``report.json`` block of one correlation matrix."""
     return {"countries": list(report.countries), "n": report.n,
-            "r": _matrix(report.r), "p": _matrix(report.p)}
+            "r": report.r.tolist(), "p": report.p.tolist()}
 
 
 def correlation_table(corr: dict) -> str:
@@ -507,7 +471,7 @@ def correlation_table(corr: dict) -> str:
 def shock_dict(svar: StructuralModel) -> dict:
     """The ``report.json`` block of one country's structural shocks."""
     return {"dates": svar.dates.labels(),
-            **{kind: [float(v) for v in svar.shocks[:, k]] for k, kind in enumerate(SHOCK_KINDS)}}
+            **dict(zip(SHOCK_KINDS, svar.shocks.T.tolist()))}
 
 
 def shock_table(country: str, shocks: dict) -> str:
@@ -606,6 +570,25 @@ def _render_tables(report: dict) -> dict[str, str]:
     return tables
 
 
+def write_texts(texts: Mapping[Path, str]) -> None:
+    """Write each text to its path as UTF-8, in order.  On an ``OSError`` the
+    files this call created are removed before it propagates with the failed
+    path as its ``filename``.  A path that existed before (a file of an earlier
+    run, a device) is never removed; if its turn came, it keeps the new text."""
+    created: list[Path] = []
+    try:
+        for path, text in texts.items():
+            if not os.path.lexists(path):
+                created.append(path)
+            path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        exc.filename = exc.filename or str(path)
+        for done in created:
+            with contextlib.suppress(OSError):
+                done.unlink()
+        raise
+
+
 def run_pipeline(config: PipelineConfig) -> PipelineResult:
     """Compute and write the full report bundle."""
     output_dir = Path(config.output_dir)
@@ -615,22 +598,12 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     weights = load_weights(config.weights_path)
 
     report = build_report(panel, weights, config)
-    tables = _render_tables(report)
-
-    written: list[Path] = []
+    texts = {output_dir / name: text for name, text in sorted(_render_tables(report).items())}
+    texts[output_dir / "report.json"] = render_json(report)
     try:
         output_dir.mkdir(parents=True, exist_ok=True)
-        for name in sorted(tables):
-            path = output_dir / name
-            path.write_text(tables[name], encoding="utf-8")
-            written.append(path)
-        report_path = output_dir / "report.json"
-        report_path.write_text(render_json(report), encoding="utf-8")
-        written.append(report_path)
+        write_texts(texts)
     except OSError as exc:
-        for path in written:
-            with contextlib.suppress(OSError):
-                path.unlink()
         raise ConfigError(f"cannot write output directory {output_dir}: {exc}") from None
     return PipelineResult(report=report, output_dir=output_dir,
-                          files=tuple(sorted(p.name for p in written)))
+                          files=tuple(sorted(path.name for path in texts)))

@@ -11,7 +11,6 @@ reproducible for a given seed; derived seeds are ``seed + index``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -208,8 +207,8 @@ def synthetic_panel(seed: int, n_countries: int, n_months: int,
     return panel_from_diffs(diffs, start)
 
 
-def write_equal_weights(panel: Panel, path: str | Path) -> None:
-    """Equal weights CSV for every calendar year of ``panel``.
+def equal_weights_csv(panel: Panel) -> str:
+    """Equal weights CSV text for every calendar year of ``panel``.
 
     Shares are whole millionths, spread so that each year's shares sum to
     exactly 1, which ``load_weights`` accepts for any number of countries.
@@ -221,4 +220,4 @@ def write_equal_weights(panel: Panel, path: str | Path) -> None:
     for year in range(panel.dates[0].year, panel.dates[-1].year + 1):
         for country, share in zip(panel.countries, shares):
             lines.append(f"{year},{country},{share}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return "\n".join(lines) + "\n"

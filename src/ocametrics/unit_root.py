@@ -68,17 +68,6 @@ class AdfResult:
     critical_values: Mapping[float, float]
     reject_at: float | None
 
-    def as_dict(self) -> dict:
-        return {
-            "statistic": self.statistic,
-            "lags_used": self.lags_used,
-            "spec": self.spec,
-            "nobs": self.nobs,
-            "critical_values": {f"{int(level * 100)}%": cv
-                                for level, cv in self.critical_values.items()},
-            "reject_at": self.reject_at,
-        }
-
 
 def adf_test(series: np.ndarray, spec: str = "trend", max_lags: int = 12,
              lag_rule: int | str = "aic") -> AdfResult:

@@ -13,7 +13,7 @@ import pytest
 
 from ocametrics.months import Month, month_range
 from ocametrics.panel import Panel, TransformedSeries, load_panel, panel_to_csv
-from ocametrics.simulate import synthetic_panel, write_equal_weights
+from ocametrics.simulate import equal_weights_csv, synthetic_panel
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -43,7 +43,7 @@ def fixture_panel_path(fixture_panel, tmp_path_factory) -> Path:
 @pytest.fixture(scope="session")
 def fixture_weights_path(fixture_panel, tmp_path_factory) -> Path:
     path = tmp_path_factory.mktemp("fixture_weights") / "weights.csv"
-    write_equal_weights(fixture_panel, path)
+    path.write_text(equal_weights_csv(fixture_panel), encoding="utf-8")
     return path
 
 

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import os
@@ -17,7 +18,7 @@ from ocametrics.metrics import load_weights
 from ocametrics.months import Month
 from ocametrics.panel import load_panel, panel_to_csv
 from ocametrics.pipeline import PipelineConfig
-from ocametrics.simulate import synthetic_panel, write_equal_weights
+from ocametrics.simulate import equal_weights_csv, synthetic_panel
 
 from .conftest import count_calls, replace_everywhere
 
@@ -90,15 +91,61 @@ class TestSimulate:
     @pytest.mark.parametrize("flags", [
         ["--output", "TARGET"],
         ["--output", "PANEL", "--weights-output", "TARGET"],
-    ], ids=["output", "weights-output"])
+        ["--output", "TARGET", "--weights-output", "WEIGHTS"],
+        ["--weights-output", "TARGET"],
+    ], ids=["output", "weights-output", "output-with-weights", "weights-before-stdout"])
     def test_unwritable_output_is_a_named_error(self, runner, tmp_path, flags):
         target = tmp_path / "nodir" / "out.csv"
-        paths = {"TARGET": str(target), "PANEL": str(tmp_path / "panel.csv")}
+        paths = {"TARGET": str(target), "PANEL": str(tmp_path / "panel.csv"),
+                 "WEIGHTS": str(tmp_path / "weights.csv")}
         res = runner.invoke(main, ["simulate", "--t", "24", "--countries", "2",
                                    *(paths.get(f, f) for f in flags)])
         assert res.exit_code == 1
         assert res.stderr == f"error: cannot write {target}: No such file or directory\n"
         assert isinstance(res.exception, SystemExit)
+        # a failed write leaves neither file and prints no panel
+        assert list(tmp_path.iterdir()) == [] and res.stdout == ""
+
+    @pytest.mark.parametrize("kept, flags", [
+        ("WEIGHTS", ["--output", "TARGET", "--weights-output", "WEIGHTS"]),
+        ("PANEL", ["--output", "PANEL", "--weights-output", "TARGET"]),
+    ], ids=["weights", "panel"])
+    def test_failed_write_keeps_a_file_that_was_there(self, runner, tmp_path, kept, flags):
+        paths = {"TARGET": str(tmp_path / "nodir" / "out.csv"),
+                 "PANEL": str(tmp_path / "panel.csv"), "WEIGHTS": str(tmp_path / "weights.csv")}
+        there = Path(paths[kept])
+        there.write_text("kept\n")
+        res = runner.invoke(main, ["simulate", "--t", "24", "--countries", "2",
+                                   *(paths.get(f, f) for f in flags)])
+        assert res.exit_code == 1
+        assert list(tmp_path.iterdir()) == [there]
+        if kept == "WEIGHTS":
+            # the panel write failed first, so the weights were never touched
+            assert there.read_text() == "kept\n"
+        else:
+            # overwritten before the weights write failed, but not removed
+            assert load_panel(there).countries == ("C00", "C01")
+
+    def test_output_and_weights_output_must_differ(self, runner, tmp_path):
+        res = runner.invoke(main, ["simulate", "--t", "24", "--countries", "2",
+                                   "--output", str(tmp_path / "same.csv"), "--weights-output",
+                                   str(tmp_path / "nodir" / ".." / "same.csv")])
+        assert res.exit_code == 2 and "'--weights-output'" in res.stderr
+        assert list(tmp_path.iterdir()) == []
+
+    def test_calendar_past_9999_12_is_refused(self, runner, tmp_path, monkeypatch):
+        out = tmp_path / "p.csv"
+        draws = count_calls(monkeypatch, synthetic_panel)
+        res = runner.invoke(main, ["simulate", "--start", "9999-06", "--t", "12",
+                                   "--output", str(out)])
+        assert res.exit_code == 1
+        assert res.stderr == "error: a calendar of 12 months from 9999-06 ends after 9999-12\n"
+        assert draws == [] and not out.exists()
+        # a panel that ends in 9999-12 is written and read back
+        res = runner.invoke(main, ["simulate", "--start", "9999-01", "--t", "12",
+                                   "--countries", "2", "--output", str(out)])
+        assert res.exit_code == 0
+        assert str(load_panel(out).dates) == "9999-01..9999-12"
 
 
 def test_cli_import_leaves_out_scipy_stats_and_signal():
@@ -179,6 +226,23 @@ class TestRunPipeline:
         assert expected <= names
         assert {f"shocks_C0{i}.csv" for i in range(7)} <= names
 
+    def test_every_table_row_has_its_header_width(self, bundle):
+        for path in sorted(bundle["out"].glob("*.csv")):
+            header, *rows = csv.reader(path.read_text(encoding="utf-8").splitlines())
+            assert {len(row) for row in rows} <= {len(header)}, path.name
+
+    def test_country_code_that_breaks_the_bundle_is_refused(self, runner, bundle, tmp_path,
+                                                            monkeypatch):
+        panel = tmp_path / "panel.csv"
+        panel.write_text(bundle["panel"].read_text().replace("\nC00,", "\n../C00,"))
+        fits = count_calls(monkeypatch, var.select_lag)
+        out = tmp_path / "out"
+        res = runner.invoke(main, ["run", "--panel", str(panel), "--weights",
+                                   str(bundle["weights"]), "--output-dir", str(out)])
+        assert res.exit_code == 1
+        assert res.stderr.startswith("error: line 2: country code '../C00' must be non-empty")
+        assert fits == [] and not out.exists()
+
     def test_snapshot_table_has_requested_columns(self, bundle):
         lines = (bundle["out"] / "cost_snapshots.csv").read_text().splitlines()
         assert lines[0] == "kind,country,2011-01,2015-01,2019-01"
@@ -234,7 +298,7 @@ class TestRunPipeline:
         panel = synthetic_panel(20260401, 2, 133)
         panel_path, weights_path = tmp_path / "panel.csv", tmp_path / "weights.csv"
         panel_path.write_text(panel_to_csv(panel), encoding="utf-8")
-        write_equal_weights(panel, weights_path)
+        weights_path.write_text(equal_weights_csv(panel), encoding="utf-8")
         fits = count_calls(monkeypatch, var.select_lag)
         out = tmp_path / "never"
         res = runner.invoke(main, [
@@ -680,7 +744,7 @@ def test_group_command_refuses_before_estimation(runner, tmp_path, monkeypatch,
     panel_path, weights_path = tmp_path / "panel.csv", tmp_path / "weights.csv"
     panel_path.write_text(panel_to_csv(panel), encoding="utf-8")
     if countries >= 2:
-        write_equal_weights(panel, weights_path)
+        weights_path.write_text(equal_weights_csv(panel), encoding="utf-8")
     files = {"WEIGHTS": str(weights_path), "MISSING": str(tmp_path / "missing.csv")}
     fits = count_calls(monkeypatch, var.select_lag)
     res = runner.invoke(main, [files.get(a, a) for a in args] + ["--panel", str(panel_path)])

@@ -1,13 +1,18 @@
 import ocametrics
 from ocametrics import errors, identification, panel, unit_root
+from ocametrics.pipeline import PipelineResult
+from ocametrics.unit_root import AdfResult
 
-# second copies of run's integration-order, growth-rate and long-run paths;
+# second copies of run's integration-order, growth-rate and long-run paths,
+# the second ADF serializer and an unused path property, by module or class;
 # the package keeps one entry point for each capability
 DELETED = {
     unit_root: ("integration_order", "IntegrationResult", "_SPEC_ALIASES"),
     panel: ("log_diff",),
     identification: ("long_run_matrix",),
     errors: ("InconclusiveIntegrationError",),
+    AdfResult: ("as_dict",),
+    PipelineResult: ("report_path",),
 }
 
 
@@ -18,8 +23,8 @@ def test_every_export_resolves():
 
 
 def test_deleted_names_are_gone():
-    for module, names in DELETED.items():
+    for owner, names in DELETED.items():
         for name in names:
             assert name not in ocametrics.__all__
             assert not hasattr(ocametrics, name), name
-            assert not hasattr(module, name), (module.__name__, name)
+            assert not hasattr(owner, name), (owner.__name__, name)

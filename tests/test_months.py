@@ -39,6 +39,13 @@ def test_add_subtract_round_trip(year, month, offset):
     assert (m + offset) - m == offset
 
 
+def test_calendar_ends_by_9999_12():
+    # the last month that YYYY-MM can write
+    assert Calendar(Month(9999, 1), 12)[-1] == Month(9999, 12)
+    with pytest.raises(ValueError, match="^a calendar of 13 months from 9999-01 ends after"):
+        month_range(Month(9999, 1), 13)
+
+
 def test_month_range_contiguous():
     dates = month_range(Month(2009, 11), 4)
     assert [str(d) for d in dates] == ["2009-11", "2009-12", "2010-01", "2010-02"]

@@ -1,3 +1,4 @@
+import csv
 import io
 import math
 
@@ -107,6 +108,24 @@ class TestLoadPanel:
             panel_from_rows(rows)
         assert str(excinfo.value).startswith("line 7: ")
         assert excinfo.value.country == "BBB"
+
+    @pytest.mark.parametrize("code", ["", "  ", "C,01", '"C01', "C;01", "C:01", "C|01",
+                                      "../C00", "C\\01", "C\t01", "C\x0001", "C\x7f01",
+                                      "C\x8501"],
+                             ids=["empty", "blank", "comma", "quote", "semicolon", "colon",
+                                  "pipe", "slash", "backslash", "tab", "nul", "delete",
+                                  "c1-control"])
+    def test_code_that_breaks_the_bundle_names_its_line(self, code):
+        # each is a separator of the bundle: a CSV cell or quote, a groups.csv member,
+        # a --dummy field, a pair key, a shocks_<CC>.csv path, or a control character
+        rows = _rows(["AAA"], ["2020-01", "2020-02"])
+        rows[2] = (code, "2020-02", "MEAI", 100.0)  # line 4; csv quotes the comma
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([("country", "date", "variable", "value"),
+                                                       *rows])
+        buf.seek(0)
+        with pytest.raises(PanelError, match=r"^line 4: country code .* must be non-empty"):
+            load_panel(buf)
 
     def test_each_date_text_is_parsed_once(self, fixture_panel, monkeypatch):
         texts = []
