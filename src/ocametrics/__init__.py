@@ -35,7 +35,6 @@ from .months import Calendar, Month, month_range
 from .panel import (
     Panel,
     TransformedSeries,
-    dump_panel,
     load_panel,
     rebase,
     seasonal_adjust_dummies,
@@ -66,7 +65,7 @@ __all__ = [
     "PipelineResult", "RecoveryReport", "SimulatedSample", "SizeSpeed",
     "StabilityResult", "StructuralModel", "SymmetryReport", "TransformedSeries",
     "VarModel", "WeightTable", "adf_test", "arch_lm_test", "classify_symmetry",
-    "correlation_matrix", "cost_of_inclusion", "dispersion_index", "dump_panel",
+    "correlation_matrix", "cost_of_inclusion", "dispersion_index",
     "fit_var", "hp_filter", "identify_bq", "irf_structural", "johansen_test",
     "load_panel", "load_weights", "month_range", "portmanteau_test", "random_dgp",
     "rebase", "recovery_report", "run_pipeline", "seasonal_adjust_dummies",

@@ -35,7 +35,7 @@ from .metrics import (
     load_weights,
 )
 from .months import Month, month_range
-from .panel import _read_rows, dump_panel, load_panel, panel_to_csv
+from .panel import _read_rows, csv_text, load_panel, panel_to_csv
 from .pipeline import (
     SHOCK_KINDS,
     PipelineConfig,
@@ -225,13 +225,9 @@ def run_command(**settings):
 def _emit(rows: list[dict], as_json: bool) -> None:
     if as_json:
         click.echo(json.dumps(rows, sort_keys=True))
-        return
-    if not rows:
-        return
-    header = list(rows[0])
-    click.echo(",".join(header))
-    for row in rows:
-        click.echo(",".join(str(row[h]) for h in header))
+    elif rows:
+        header = list(rows[0])
+        click.echo(csv_text(header, ([str(row[h]) for h in header] for row in rows)), nl=False)
 
 
 def _lag_rule(ctx, param, value: str) -> int | str:
@@ -311,18 +307,15 @@ def johansen_command(country, lag_order, as_json, **settings):
     if lag_order is None:
         lag_order = gated_lag(data, dummies, config).p + 1
     res = johansen_test(logs, lag_order=lag_order)
-    rows = []
-    for r, label in enumerate(("r = 0", "r <= 1")):
-        rows.append({
-            "country": country, "hypothesis": label,
-            "eigenvalue": res.eigenvalues[r],
-            "trace_statistic": res.trace_stats[r],
-            "trace_cv_5pct": res.critical_values_trace[r],
-            "maxeig_statistic": res.max_eig_stats[r],
-            "maxeig_cv_5pct": res.critical_values_maxeig[r],
-            "selected_rank": res.selected_rank,
-        })
-    _emit(rows, as_json)
+    _emit([{
+        "country": country, "hypothesis": label,
+        "eigenvalue": res.eigenvalues[r],
+        "trace_statistic": res.trace_stats[r],
+        "trace_cv_5pct": res.critical_values_trace[r],
+        "maxeig_statistic": res.max_eig_stats[r],
+        "maxeig_cv_5pct": res.critical_values_maxeig[r],
+        "selected_rank": res.selected_rank,
+    } for r, label in enumerate(("r = 0", "r <= 1"))], as_json)
 
 
 @main.command("var")
@@ -467,7 +460,7 @@ def simulate_command(seed, n_months, n_countries, start, output, weights_output)
     except OSError as exc:
         raise ConfigError(f"cannot write {exc.filename}: {exc.strerror or exc}") from None
     if not output:
-        dump_panel(panel, sys.stdout)
+        click.echo(panel_to_csv(panel), nl=False)
 
 
 if __name__ == "__main__":

@@ -3,7 +3,8 @@
 The on-disk format is a long CSV with header ``country,date,variable,value``
 where ``date`` is ``YYYY-MM`` and ``variable`` is ``MEAI`` (activity index)
 or ``CPI`` (price index).  Row order is irrelevant.  In memory the two
-variables are called ``activity`` and ``price``.
+variables are called ``activity`` and ``price``.  :func:`panel_to_csv` writes
+it through :func:`csv_text`, the writer of every CSV the package outputs.
 
 Transforms are plain array functions: :func:`rebase` (proportional index
 rebasing so the base-year mean is exactly 100), :func:`seasonal_adjust_dummies`
@@ -16,12 +17,11 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import io
 import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Mapping
+from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -126,6 +126,13 @@ def _read_rows(source: str | Path | IO[str], header: tuple[str, ...], error, wha
         raise error(f"cannot read {what} {source}: {exc}") from None
 
 
+def csv_text(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
+    """Every CSV the package writes or prints: ``header``, then each row of text
+    fields, joined by commas into newline-ended lines.  Nothing is quoted: a field
+    is a number, date or label, or a country code ``load_panel`` would accept."""
+    return "\n".join([",".join(header), *map(",".join, rows), ""])
+
+
 def load_panel(source: str | Path | IO[str]) -> Panel:
     """Parse and validate the long CSV panel format.
 
@@ -202,21 +209,14 @@ def load_panel(source: str | Path | IO[str]) -> Panel:
     return Panel(countries=tuple(countries), dates=dates, values=values)
 
 
-def dump_panel(panel: Panel, stream: IO[str]) -> None:
-    """Serialize in the same long CSV format; round-trips values exactly."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for country in panel.countries:
-        series = [panel.series(country, v).tolist() for v in VARIABLES]
-        for date, *values in zip(panel.dates.labels(), *series):
-            for variable, value in zip(VARIABLES, values):
-                writer.writerow([country, date, _VARIABLE_TO_COLUMN[variable], repr(value)])
-
-
 def panel_to_csv(panel: Panel) -> str:
-    buf = io.StringIO()
-    dump_panel(panel, buf)
-    return buf.getvalue()
+    """Serialize in the same long CSV format; round-trips values exactly."""
+    return csv_text(CSV_HEADER, (
+        (country, date, column, repr(value))
+        for country in panel.countries
+        for date, *values in zip(panel.dates.labels(), *(panel.series(country, v).tolist()
+                                                         for v in _VARIABLE_TO_COLUMN))
+        for column, value in zip(_VARIABLE_TO_COLUMN.values(), values)))
 
 
 def rebase(dates: Calendar, values: np.ndarray, base_year: int) -> np.ndarray:

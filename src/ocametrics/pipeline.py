@@ -42,7 +42,7 @@ from .metrics import (
     trend_change,
 )
 from .months import Month, month_range
-from .panel import VARIABLES, Panel, growth_pair, load_panel, log_level_series
+from .panel import VARIABLES, Panel, csv_text, growth_pair, load_panel, log_level_series
 from .unit_root import AdfResult, adf_panel, rejection_order
 from .var import DummySpec, LagSelection, select_lag
 
@@ -222,7 +222,7 @@ def check_panel_settings(panel: Panel, config: PipelineConfig) -> None:
     """Refuse settings that cannot fit ``panel``: a dummy for a country it does
     not hold, dated outside its growth calendar, or the twin of another of
     that country's dummies (the column enters both equations, so the date and
-    form make it); a base year or snapshot date outside its calendar."""
+    form make it); a base year outside its calendar; a snapshot date outside it or repeated."""
     growth, columns = panel.dates[1:], {}
     for country, spec in config.dummies:
         if country not in panel.countries:
@@ -238,7 +238,9 @@ def check_panel_settings(panel: Panel, config: PipelineConfig) -> None:
     if not first <= config.base_year <= last:
         raise ConfigError(f"base year {config.base_year} is outside the panel's years "
                           f"{first}-{last}")
-    for date in config.snapshot_dates:
+    for i, date in enumerate(config.snapshot_dates):
+        if date in config.snapshot_dates[:i]:
+            raise ConfigError(f"snapshot date {date} is repeated")
         if date not in panel.dates:
             raise ConfigError(f"snapshot date {date} is outside the panel's calendar {panel.dates}")
 
@@ -455,17 +457,11 @@ def correlation_dict(report: CorrelationReport) -> dict:
 
 def correlation_table(corr: dict) -> str:
     """Lower-triangular CSV of a ``correlation_dict`` block, with significance stars."""
-    lines = [",".join(["country"] + corr["countries"])]
-    for i, a in enumerate(corr["countries"]):
-        row = [a]
-        for j in range(len(corr["countries"])):
-            if j > i:
-                row.append("")
-            else:
-                stars = "" if i == j else significance_stars(corr["p"][i][j])
-                row.append(_fmt3(corr["r"][i][j]) + stars)
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    countries, r, p = corr["countries"], corr["r"], corr["p"]
+    return csv_text(["country", *countries], (
+        [a, *(_fmt3(r[i][j]) + ("" if i == j else significance_stars(p[i][j]))
+              for j in range(i + 1)), *[""] * (len(countries) - i - 1)]
+        for i, a in enumerate(countries)))
 
 
 def shock_dict(svar: StructuralModel) -> dict:
@@ -476,93 +472,67 @@ def shock_dict(svar: StructuralModel) -> dict:
 
 def shock_table(country: str, shocks: dict) -> str:
     """CSV of a ``shock_dict`` block, each shock at 15 significant digits."""
-    lines = ["country,date,supply_shock,demand_shock"]
-    for d, s, dm in zip(shocks["dates"], shocks["supply"], shocks["demand"]):
-        lines.append(f"{country},{d},{format(s, '.15g')},{format(dm, '.15g')}")
-    return "\n".join(lines) + "\n"
+    return csv_text(("country", "date", "supply_shock", "demand_shock"), (
+        (country, d, format(s, ".15g"), format(dm, ".15g"))
+        for d, s, dm in zip(shocks["dates"], shocks["supply"], shocks["demand"])))
 
 
 def _render_tables(report: dict) -> dict[str, str]:
     """Human-readable CSV tables; every figure is the JSON value at 3 decimals."""
     countries = report["metadata"]["panel"]["countries"]
+    per_country, group = report["countries"].items(), report["group"]
     tables: dict[str, str] = {}
 
-    lines = ["country,variable,level,level_stars,first_difference,first_difference_stars,conclusion"]
-    for c in countries:
-        for variable in VARIABLES:
-            cell = report["countries"][c]["adf"][variable]
-            lines.append(",".join([
-                c, variable,
-                _fmt3(cell["level"]["statistic"]), cell["level"]["stars"],
-                _fmt3(cell["first_difference"]["statistic"]),
-                cell["first_difference"]["stars"], cell["conclusion"],
-            ]))
-    tables["adf.csv"] = "\n".join(lines) + "\n"
+    tables["adf.csv"] = csv_text(
+        ("country", "variable", "level", "level_stars", "first_difference",
+         "first_difference_stars", "conclusion"),
+        ([c, variable, _fmt3(cell["level"]["statistic"]), cell["level"]["stars"],
+          _fmt3(cell["first_difference"]["statistic"]), cell["first_difference"]["stars"],
+          cell["conclusion"]]
+         for c, block in per_country for variable, cell in block["adf"].items()))
 
-    lines = ["country,hypothesis,trace_statistic,trace_cv_5pct,maxeig_statistic,maxeig_cv_5pct,selected_rank"]
-    for c in countries:
-        jo = report["countries"][c]["johansen"]
-        for r, label in enumerate(("r = 0", "r <= 1")):
-            lines.append(",".join([
-                c, label,
-                _fmt3(jo["trace_stats"][r]), _fmt3(jo["critical_values_trace"][r]),
-                _fmt3(jo["max_eig_stats"][r]), _fmt3(jo["critical_values_maxeig"][r]),
-                str(jo["selected_rank"]),
-            ]))
-    tables["johansen.csv"] = "\n".join(lines) + "\n"
+    columns = ("trace_stats", "critical_values_trace", "max_eig_stats", "critical_values_maxeig")
+    tables["johansen.csv"] = csv_text(
+        ("country", "hypothesis", "trace_statistic", "trace_cv_5pct", "maxeig_statistic",
+         "maxeig_cv_5pct", "selected_rank"),
+        ([c, label, *(_fmt3(block["johansen"][key][r]) for key in columns),
+          str(block["johansen"]["selected_rank"])]
+         for c, block in per_country for r, label in enumerate(("r = 0", "r <= 1"))))
 
-    lines = ["country,p,stable,max_modulus,portmanteau_h,portmanteau_pvalue,arch_q,arch_pvalue_activity,arch_pvalue_price"]
-    for c in countries:
-        var_block = report["countries"][c]["var"]
-        lines.append(",".join([
-            c, str(var_block["p"]), str(var_block["stable"]).lower(),
-            _fmt3(var_block["max_modulus"]),
-            str(var_block["portmanteau"]["h"]), _fmt3(var_block["portmanteau"]["p_value"]),
-            str(var_block["arch"]["activity"]["q"]),
-            _fmt3(var_block["arch"]["activity"]["p_value"]),
-            _fmt3(var_block["arch"]["price"]["p_value"]),
-        ]))
-    tables["var_summary.csv"] = "\n".join(lines) + "\n"
+    var_blocks = {c: block["var"] for c, block in per_country}
+    tables["var_summary.csv"] = csv_text(
+        ("country", "p", "stable", "max_modulus", "portmanteau_h", "portmanteau_pvalue",
+         "arch_q", "arch_pvalue_activity", "arch_pvalue_price"),
+        ([c, str(v["p"]), str(v["stable"]).lower(), _fmt3(v["max_modulus"]),
+          str(v["portmanteau"]["h"]), _fmt3(v["portmanteau"]["p_value"]),
+          str(v["arch"]["activity"]["q"]), _fmt3(v["arch"]["activity"]["p_value"]),
+          _fmt3(v["arch"]["price"]["p_value"])] for c, v in var_blocks.items()))
+
+    size_speed = group["size_speed"]
+    tables["size_speed.csv"] = csv_text(["country", *size_speed["average"]], (
+        [c, *map(_fmt3, row.values())]
+        for c, row in [*size_speed["per_country"].items(), ("average", size_speed["average"])]))
 
     for kind in SHOCK_KINDS:
-        tables[f"correlation_{kind}.csv"] = correlation_table(
-            report["group"]["correlations"][kind])
+        tables[f"correlation_{kind}.csv"] = correlation_table(group["correlations"][kind])
+        disp, cost = group["dispersion"][kind], group["cost"][kind]
+        tables[f"dispersion_{kind}.csv"] = csv_text(("date", "value", "trend"), (
+            (d, _fmt3(v), _fmt3(t))
+            for d, v, t in zip(disp["dates"], disp["values"], disp["trend"])))
+        tables[f"cost_{kind}.csv"] = csv_text(["date", *countries], (
+            [d, *map(_fmt3, values)]
+            for d, *values in zip(disp["dates"], *(cost[c] for c in countries))))
 
-    names = [f.name for f in fields(SizeSpeed)]
-    lines = [",".join(["country", *names])]
-    size_speed = report["group"]["size_speed"]
-    for c, row in [*size_speed["per_country"].items(), ("average", size_speed["average"])]:
-        lines.append(",".join([c, *(_fmt3(row[name]) for name in names)]))
-    tables["size_speed.csv"] = "\n".join(lines) + "\n"
-
-    for kind in SHOCK_KINDS:
-        disp = report["group"]["dispersion"][kind]
-        lines = ["date,value,trend"]
-        for d, v, t in zip(disp["dates"], disp["values"], disp["trend"]):
-            lines.append(f"{d},{_fmt3(v)},{_fmt3(t)}")
-        tables[f"dispersion_{kind}.csv"] = "\n".join(lines) + "\n"
-
-        cost = report["group"]["cost"][kind]
-        lines = ["date," + ",".join(countries)]
-        disp_dates = disp["dates"]
-        for t, d in enumerate(disp_dates):
-            lines.append(d + "," + ",".join(_fmt3(cost[c][t]) for c in countries))
-        tables[f"cost_{kind}.csv"] = "\n".join(lines) + "\n"
-
-    snaps = report["group"]["cost_snapshots"]
+    snaps = group["cost_snapshots"]
     if snaps:
         snap_dates = report["metadata"]["config"]["snapshot_dates"]
-        lines = ["kind,country," + ",".join(snap_dates)]
-        for kind in SHOCK_KINDS:
-            for c in countries:
-                lines.append(",".join([kind, c] + [_fmt3(snaps[kind][c][d]) for d in snap_dates]))
-        tables["cost_snapshots.csv"] = "\n".join(lines) + "\n"
+        tables["cost_snapshots.csv"] = csv_text(["kind", "country", *snap_dates], (
+            [kind, c, *(_fmt3(snaps[kind][c][d]) for d in snap_dates)]
+            for kind in SHOCK_KINDS for c in countries))
 
-    lines = ["kind,members"]
-    for kind in SHOCK_KINDS:
-        for group in report["group"]["symmetry"][kind]["groups"]:
-            lines.append(f"{kind},{';'.join(group)}")
-    tables["groups.csv"] = "\n".join(lines) + "\n"
+    tables["groups.csv"] = csv_text(("kind", "members"), (
+        (kind, ";".join(members))
+        for kind in SHOCK_KINDS for members in group["symmetry"][kind]["groups"]))
 
     for c in countries:
         tables[f"shocks_{c}.csv"] = shock_table(c, report["shocks"][c])

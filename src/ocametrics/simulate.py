@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DateRangeError, UnstableModelError
 from .identification import StructuralModel
 from .months import Month, month_range
-from .panel import Panel, _frozen
+from .panel import Panel, _frozen, csv_text
 from .var import companion_matrix
 
 BURN_IN = 500
@@ -216,8 +216,7 @@ def equal_weights_csv(panel: Panel) -> str:
     n = len(panel.countries)
     units, extra = divmod(10**6, n)
     shares = [f"{(units + (i < extra)) / 1e6:.6f}" for i in range(n)]
-    lines = ["year,country,weight"]
-    for year in range(panel.dates[0].year, panel.dates[-1].year + 1):
-        for country, share in zip(panel.countries, shares):
-            lines.append(f"{year},{country},{share}")
-    return "\n".join(lines) + "\n"
+    return csv_text(("year", "country", "weight"), (
+        (str(year), country, share)
+        for year in range(panel.dates[0].year, panel.dates[-1].year + 1)
+        for country, share in zip(panel.countries, shares)))

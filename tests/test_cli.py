@@ -14,10 +14,10 @@ from click.testing import CliRunner
 from ocametrics import cointegration, unit_root, var
 from ocametrics.cli import _series_from_csv, main
 from ocametrics.errors import ConfigError, DegenerateWeightsError, PanelError
-from ocametrics.metrics import load_weights
+from ocametrics.metrics import load_weights, significance_stars
 from ocametrics.months import Month
 from ocametrics.panel import load_panel, panel_to_csv
-from ocametrics.pipeline import PipelineConfig
+from ocametrics.pipeline import PipelineConfig, _render_tables
 from ocametrics.simulate import equal_weights_csv, synthetic_panel
 
 from .conftest import count_calls, replace_everywhere
@@ -57,7 +57,7 @@ def series_path(tmp_path):
 
 
 class TestSimulate:
-    def test_stdout_panel_parses_and_is_deterministic(self, runner):
+    def test_stdout_panel_parses_and_is_deterministic(self, runner, tmp_path):
         a = runner.invoke(main, ["simulate", "--seed", "1", "--t", "24",
                                  "--countries", "2"])
         b = runner.invoke(main, ["simulate", "--seed", "1", "--t", "24",
@@ -67,6 +67,12 @@ class TestSimulate:
         panel = load_panel(io.StringIO(a.output))
         assert panel.n_months == 24
         assert panel.countries == ("C00", "C01")
+        # stdout is the text --output writes, byte for byte
+        path = tmp_path / "panel.csv"
+        res = runner.invoke(main, ["simulate", "--seed", "1", "--t", "24", "--countries", "2",
+                                   "--output", str(path)])
+        assert res.exit_code == 0 and res.stdout == ""
+        assert path.read_bytes() == a.stdout_bytes
 
     def test_weights_output_is_loadable(self, bundle):
         table = load_weights(bundle["weights"])
@@ -249,20 +255,102 @@ class TestRunPipeline:
         assert len(lines) == 1 + 2 * 7
 
     def test_tables_round_json_values_half_even(self, bundle):
-        report = json.loads((bundle["out"] / "report.json").read_text())
-        lines = (bundle["out"] / "size_speed.csv").read_text().splitlines()
-        header = lines[0].split(",")
-        for line in lines[1:-1]:
-            cells = dict(zip(header, line.split(",")))
-            c = cells["country"]
-            for key in ("supply_size", "supply_speed", "demand_size", "demand_speed"):
-                json_value = report["group"]["size_speed"]["per_country"][c][key]
-                assert cells[key] == format(json_value, ".3f")
-        corr = report["group"]["correlations"]["supply"]
-        table = (bundle["out"] / "correlation_supply.csv").read_text().splitlines()
-        first_pair = table[2].split(",")[1]
-        digits = first_pair.rstrip("*")
-        assert digits == format(corr["r"][1][0], ".3f")
+        """Every cell of every table is its ``report.json`` value: 3 decimals,
+        half to even, except the shocks at 15 significant digits."""
+        out = bundle["out"]
+        report = json.loads((out / "report.json").read_text())
+        countries, group = report["countries"], report["group"]
+
+        def table(name):
+            text = (out / name).read_text(encoding="utf-8")
+            assert text.endswith("\n") and "\r" not in text and '"' not in text, name
+            rows = list(csv.DictReader(text.splitlines()))
+            assert all(None not in row and None not in row.values() for row in rows), name
+            return rows
+
+        def f3(value):
+            return format(value, ".3f")
+
+        rows = table("adf.csv")
+        assert [(r["country"], r["variable"]) for r in rows] == [
+            (c, v) for c in countries for v in ("activity", "price")]
+        for row in rows:
+            cell = countries[row["country"]]["adf"][row["variable"]]
+            for test in ("level", "first_difference"):
+                assert row[test] == f3(cell[test]["statistic"])
+                assert row[f"{test}_stars"] == cell[test]["stars"]
+            assert row["conclusion"] == cell["conclusion"]
+
+        rows = table("johansen.csv")
+        assert len(rows) == 2 * len(countries)
+        for i, row in enumerate(rows):
+            jo, r = countries[row["country"]]["johansen"], i % 2
+            assert row["hypothesis"] == ("r = 0", "r <= 1")[r]
+            assert [row["trace_statistic"], row["trace_cv_5pct"], row["maxeig_statistic"],
+                    row["maxeig_cv_5pct"]] == [
+                f3(jo[key][r]) for key in ("trace_stats", "critical_values_trace",
+                                           "max_eig_stats", "critical_values_maxeig")]
+            assert row["selected_rank"] == str(jo["selected_rank"])
+
+        rows = table("var_summary.csv")
+        assert [row["country"] for row in rows] == list(countries)
+        for row in rows:
+            block = countries[row["country"]]["var"]
+            assert row == {
+                "country": row["country"], "p": str(block["p"]),
+                "stable": str(block["stable"]).lower(),
+                "max_modulus": f3(block["max_modulus"]),
+                "portmanteau_h": str(block["portmanteau"]["h"]),
+                "portmanteau_pvalue": f3(block["portmanteau"]["p_value"]),
+                "arch_q": str(block["arch"]["activity"]["q"]),
+                "arch_pvalue_activity": f3(block["arch"]["activity"]["p_value"]),
+                "arch_pvalue_price": f3(block["arch"]["price"]["p_value"])}
+
+        size_speed = group["size_speed"]
+        rows = table("size_speed.csv")
+        assert [row["country"] for row in rows] == [*countries, "average"]
+        for row in rows:
+            values = size_speed["per_country"].get(row["country"], size_speed["average"])
+            assert row == {"country": row["country"], **{k: f3(v) for k, v in values.items()}}
+
+        for kind in ("supply", "demand"):
+            disp = group["dispersion"][kind]
+            assert table(f"dispersion_{kind}.csv") == [
+                {"date": d, "value": f3(v), "trend": f3(t)}
+                for d, v, t in zip(disp["dates"], disp["values"], disp["trend"])]
+            cost = group["cost"][kind]
+            assert table(f"cost_{kind}.csv") == [
+                {"date": d, **{c: f3(cost[c][t]) for c in countries}}
+                for t, d in enumerate(disp["dates"])]
+            corr = group["correlations"][kind]
+            rows = table(f"correlation_{kind}.csv")
+            assert [row["country"] for row in rows] == corr["countries"]
+            for i, row in enumerate(rows):
+                for j, b in enumerate(corr["countries"]):
+                    digits = row[b].rstrip("*")
+                    assert digits == ("" if j > i else f3(corr["r"][i][j]))
+                    if j < i:
+                        assert row[b][len(digits):] == significance_stars(corr["p"][i][j])
+
+        snaps = group["cost_snapshots"]
+        assert table("cost_snapshots.csv") == [
+            {"kind": kind, "country": c, **{d: f3(v) for d, v in snaps[kind][c].items()}}
+            for kind in ("supply", "demand") for c in countries]
+
+        assert table("groups.csv") == [
+            {"kind": kind, "members": ";".join(members)}
+            for kind in ("supply", "demand") for members in group["symmetry"][kind]["groups"]]
+        # the fixture has no symmetric group; one written into the report gets its row
+        group["symmetry"]["demand"]["groups"] = [["C00", "C03"], ["C01", "C02", "C05"]]
+        assert _render_tables(report)["groups.csv"] == (
+            "kind,members\ndemand,C00;C03\ndemand,C01;C02;C05\n")
+
+        for c in countries:
+            shocks = report["shocks"][c]
+            assert table(f"shocks_{c}.csv") == [
+                {"country": c, "date": d, "supply_shock": format(s, ".15g"),
+                 "demand_shock": format(m, ".15g")}
+                for d, s, m in zip(shocks["dates"], shocks["supply"], shocks["demand"])]
 
     def test_report_config_holds_every_setting_but_threads(self, bundle):
         report = json.loads((bundle["out"] / "report.json").read_text())
@@ -366,6 +454,25 @@ class TestRunPipeline:
             "--output-dir", str(out), "--snapshot-dates", "2009-02"])
         assert res.exit_code == 1
         assert res.stderr.startswith("error: [group snapshots] 2009-02 outside calendar")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_repeated_snapshot_date_is_refused_before_estimation(self, runner, bundle, tmp_path,
+                                                                 monkeypatch, source):
+        out = tmp_path / "never"
+        args = ["run", "--panel", str(bundle["panel"]), "--weights", str(bundle["weights"]),
+                "--output-dir", str(out)]
+        if source == "flag":
+            args += ["--snapshot-dates", "2015-01,2011-01,2015-01"]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"snapshot_dates": ["2015-01", "2011-01", "2015-01"]}))
+            args += ["--config", str(config)]
+        fits = count_calls(monkeypatch, var.select_lag)
+        res = runner.invoke(main, args)
+        assert res.exit_code == 1
+        assert res.stderr == "error: snapshot date 2015-01 is repeated\n"
+        assert fits == []
         assert not out.exists()
 
     def test_output_dir_naming_a_file_is_refused_before_estimation(self, runner, bundle,

@@ -4,11 +4,11 @@ from ocametrics.pipeline import PipelineResult
 from ocametrics.unit_root import AdfResult
 
 # second copies of run's integration-order, growth-rate and long-run paths,
-# the second ADF serializer and an unused path property, by module or class;
-# the package keeps one entry point for each capability
+# the second ADF serializer, the stream twin of panel_to_csv and an unused path
+# property, by module or class; the package keeps one entry point for each capability
 DELETED = {
     unit_root: ("integration_order", "IntegrationResult", "_SPEC_ALIASES"),
-    panel: ("log_diff",),
+    panel: ("log_diff", "dump_panel"),
     identification: ("long_run_matrix",),
     errors: ("InconclusiveIntegrationError",),
     AdfResult: ("as_dict",),

@@ -21,7 +21,6 @@ from ocametrics.panel import (
     Panel,
     TransformedSeries,
     _read_rows,
-    dump_panel,
     growth_pair,
     load_panel,
     panel_to_csv,
@@ -165,9 +164,16 @@ class TestLoadPanel:
         assert again.dates == fixture_panel.dates
         for key in fixture_panel.values:
             np.testing.assert_array_equal(again.values[key], fixture_panel.values[key])
+        # the csv module's rendering of the same rows: no field needs quoting
         buf = io.StringIO()
-        dump_panel(again, buf)
-        assert buf.getvalue() == text
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["country", "date", "variable", "value"])
+        for country in again.countries:
+            for t, date in enumerate(again.dates.labels()):
+                for column, variable in (("MEAI", "activity"), ("CPI", "price")):
+                    writer.writerow([country, date, column,
+                                     repr(float(again.series(country, variable)[t]))])
+        assert panel_to_csv(again) == buf.getvalue() == text
 
 
 def test_read_rows_skips_blank_rows_and_keeps_line_numbers():
