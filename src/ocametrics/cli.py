@@ -40,6 +40,7 @@ from .pipeline import (
     SHOCK_KINDS,
     PipelineConfig,
     check_panel_settings,
+    check_weights,
     correlation_dict,
     correlation_table,
     country_series,
@@ -285,11 +286,13 @@ def _country_series(country: str, settings: dict):
 def _group_shocks(settings: dict, command: str, excluded: tuple[str, ...] = ()):
     """The settings' ``PipelineConfig``, the weights of a command that takes
     them, then the panel's common-calendar shocks.  A panel too small for
-    ``command``, or without an ``excluded`` country, is refused first."""
+    ``command``, lacking an ``excluded`` country or weights, is refused first."""
     config = _config(settings)
     panel = load_panel(config.panel_path)
     check_group(panel.countries, excluded, command)
     weights = load_weights(config.weights_path) if "weights_path" in settings else None
+    if weights is not None:
+        check_weights(weights, panel, config)
     return (config, weights, *group_shocks(panel, config))
 
 

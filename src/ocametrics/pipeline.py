@@ -107,18 +107,6 @@ class PipelineConfig:
 
 
 @dataclass(frozen=True)
-class CountryAnalysis:
-    country: str
-    adf: Mapping[str, Mapping[str, AdfResult]]
-    conclusions: Mapping[str, str]
-    johansen: JohansenResult
-    lag_selection: LagSelection
-    svar: StructuralModel
-    irf: IrfSet
-    size_speed: SizeSpeed
-
-
-@dataclass(frozen=True)
 class PipelineResult:
     report: dict
     output_dir: Path
@@ -157,12 +145,12 @@ def _shock_chain(panel: Panel, country: str, config: PipelineConfig):
 
 
 def _estimate(panel: Panel, country: str, config: PipelineConfig):
-    """The shock chain, then the Johansen pretest and the structural IRFs."""
+    """The shock chain, then the Johansen pretest and the structural IRFs: the
+    log levels, the structural model and the report block without its ``adf``."""
     logs, selection, svar = _shock_chain(panel, country, config)
     johansen = johansen_test(logs, lag_order=selection.p + 1)
     irf = irf_structural(svar, selection.model, config.irf_horizon)
-    return logs, dict(country=country, johansen=johansen, lag_selection=selection,
-                      svar=svar, irf=irf, size_speed=size_and_speed(irf))
+    return logs, svar, _country_report(johansen, selection, svar, irf)
 
 
 def _pretests(logs: Mapping[str, tuple[np.ndarray, ...]], max_lags: int):
@@ -170,8 +158,8 @@ def _pretests(logs: Mapping[str, tuple[np.ndarray, ...]], max_lags: int):
     panel call, then one call for the second differences that the
     integration conclusions still need.
 
-    Returns ``{country: (adf, conclusions)}``; a refused level or difference
-    raises a ``StageError`` naming its country.
+    Returns each country's ``adf`` report block; a refused level or
+    difference raises a ``StageError`` naming its country.
     """
     keys = [(c, v) for c in logs for v in range(len(VARIABLES))]
     levels = [logs[c][v] for c, v in keys]
@@ -185,28 +173,19 @@ def _pretests(logs: Mapping[str, tuple[np.ndarray, ...]], max_lags: int):
     undecided = [key for key, pair in pairs.items() if rejection_order(pair) is None]
     second = dict(zip(undecided, adf_panel([np.diff(np.diff(logs[c][v])) for c, v in undecided],
                                            spec="trend", max_lags=max_lags)))
-    out = {}
-    for country in logs:
-        adf, conclusions = {}, {}
-        for v, variable in enumerate(VARIABLES):
-            level, diff = pairs[(country, v)]
-            adf[variable] = {"level": level, "first_difference": diff}
-            order = rejection_order((level, diff, second.get((country, v))))
-            conclusions[variable] = "inconclusive" if order is None else f"I({order})"
-        out[country] = adf, conclusions
+    out = {country: {} for country in logs}
+    for (country, v), (level, diff) in pairs.items():
+        order = rejection_order((level, diff, second.get((country, v))))
+        out[country][VARIABLES[v]] = {
+            "level": _adf_dict(level), "first_difference": _adf_dict(diff),
+            "conclusion": "inconclusive" if order is None else f"I({order})"}
     return out
 
 
-def _with_pretests(estimates: Mapping[str, tuple], max_lags: int) -> dict[str, CountryAnalysis]:
-    """``_estimate`` results completed by one panel run of the pretests."""
-    pretests = _pretests({c: logs for c, (logs, _) in estimates.items()}, max_lags)
-    return {c: CountryAnalysis(adf=pretests[c][0], conclusions=pretests[c][1], **fields)
-            for c, (_, fields) in estimates.items()}
-
-
-def analyze_country(panel: Panel, country: str, config: PipelineConfig) -> CountryAnalysis:
-    """Run the full single-country estimation chain."""
-    return _with_pretests({country: _estimate(panel, country, config)}, config.max_lags)[country]
+def analyze_country(panel: Panel, country: str, config: PipelineConfig) -> dict:
+    """The full single-country estimation chain: the country's report block."""
+    logs, _, block = _estimate(panel, country, config)
+    return {**block, "adf": _pretests({country: logs}, config.max_lags)[country]}
 
 
 class StageError(OcaError):
@@ -243,6 +222,14 @@ def check_panel_settings(panel: Panel, config: PipelineConfig) -> None:
             raise ConfigError(f"snapshot date {date} is repeated")
         if date not in panel.dates:
             raise ConfigError(f"snapshot date {date} is outside the panel's calendar {panel.dates}")
+
+
+def check_weights(weights: WeightTable, panel: Panel, config: PipelineConfig) -> None:
+    """Refuse weights that miss a panel country in a year of the growth months
+    after the first ``max_lags``: every common shock calendar holds them,
+    because no country's shocks start later."""
+    for year in sorted(set(panel.dates[1 + config.max_lags:].years.tolist())):
+        weights.for_group(year, panel.countries)
 
 
 def _per_country(panel: Panel, config: PipelineConfig, analyze) -> dict:
@@ -289,22 +276,16 @@ def _adf_dict(result: AdfResult) -> dict:
     return out
 
 
-def _country_report(result: CountryAnalysis) -> dict:
-    model = result.lag_selection.model
-    diag = result.lag_selection.diagnostics
+def _country_report(johansen: JohansenResult, selection: LagSelection, svar: StructuralModel,
+                    irf: IrfSet) -> dict:
+    """A country's report block without its ``adf`` entry."""
+    model, diag = selection.model, selection.diagnostics
     return {
-        "adf": {
-            variable: {
-                "level": _adf_dict(result.adf[variable]["level"]),
-                "first_difference": _adf_dict(result.adf[variable]["first_difference"]),
-                "conclusion": result.conclusions[variable],
-            } for variable in VARIABLES
-        },
-        "johansen": asdict(result.johansen),
+        "johansen": asdict(johansen),
         "var": {
             "p": model.p,
-            "criterion_choices": dict(result.lag_selection.criterion_choices),
-            "gate_trail": [asdict(a) for a in result.lag_selection.trail],
+            "criterion_choices": dict(selection.criterion_choices),
+            "gate_trail": [asdict(a) for a in selection.trail],
             "intercept": model.intercept.tolist(),
             "coefs": model.coefs.tolist(),
             "sigma": model.sigma.tolist(),
@@ -323,24 +304,24 @@ def _country_report(result: CountryAnalysis) -> dict:
             },
         },
         "identification": {
-            "a0": result.svar.a0.tolist(),
-            "long_run": result.svar.long_run.tolist(),
-            "n_shocks": result.svar.shocks.shape[0],
-            "first_shock_date": str(result.svar.dates[0]),
-            "last_shock_date": str(result.svar.dates[-1]),
+            "a0": svar.a0.tolist(),
+            "long_run": svar.long_run.tolist(),
+            "n_shocks": svar.shocks.shape[0],
+            "first_shock_date": str(svar.dates[0]),
+            "last_shock_date": str(svar.dates[-1]),
         },
         "irf": {
-            "horizon": result.irf.horizon,
+            "horizon": irf.horizon,
             "cumulative_responses": {
                 f"{shock}_{variable}": series.tolist()
-                for (shock, variable), series in sorted(result.irf.responses.items())
+                for (shock, variable), series in sorted(irf.responses.items())
             },
             "long_run": {
                 f"{shock}_{variable}": value
-                for (shock, variable), value in sorted(result.irf.long_run.items())
+                for (shock, variable), value in sorted(irf.long_run.items())
             },
         },
-        "size_speed": asdict(result.size_speed),
+        "size_speed": asdict(size_and_speed(irf)),
     }
 
 
@@ -378,8 +359,12 @@ def _config_dict(config: PipelineConfig) -> dict:
 def build_report(panel: Panel, weights: WeightTable, config: PipelineConfig) -> dict:
     """Compute every number in the bundle; pure and deterministic."""
     check_group(panel.countries, panel.countries, "run")  # every country's cost of inclusion
-    results = _with_pretests(_per_country(panel, config, _estimate), config.max_lags)
-    dates, shocks = _common_shocks({c: r.svar for c, r in results.items()})
+    check_weights(weights, panel, config)
+    estimates = _per_country(panel, config, _estimate)
+    adf = _pretests({c: logs for c, (logs, _, _) in estimates.items()}, config.max_lags)
+    blocks = {c: {**block, "adf": adf[c]} for c, (_, _, block) in estimates.items()}
+    svars = {c: svar for c, (_, svar, _) in estimates.items()}
+    dates, shocks = _common_shocks(svars)
     try:
         rows = {str(s): dates.offset(s) for s in config.snapshot_dates}
     except DateRangeError as exc:
@@ -410,7 +395,7 @@ def build_report(panel: Panel, weights: WeightTable, config: PipelineConfig) -> 
             group["cost_snapshots"][kind] = {c: {s: costs[c][t] for s, t in rows.items()}
                                              for c in panel.countries}
 
-    sizes = {c: asdict(results[c].size_speed) for c in panel.countries}
+    sizes = {c: blocks[c]["size_speed"] for c in panel.countries}
     averages = {f.name: float(np.mean([s[f.name] for s in sizes.values()]))
                 for f in fields(SizeSpeed)}
 
@@ -429,14 +414,14 @@ def build_report(panel: Panel, weights: WeightTable, config: PipelineConfig) -> 
                 "raw_sums": {str(y): weights.raw_sums[y] for y in weights.years},
             },
         },
-        "countries": {c: _country_report(results[c]) for c in panel.countries},
+        "countries": blocks,
         "group": {
             "common_calendar": {"start": str(dates[0]), "end": str(dates[-1]),
                                 "n": len(dates)},
             "size_speed": {"per_country": sizes, "average": averages},
             **group,
         },
-        "shocks": {c: shock_dict(results[c].svar) for c in panel.countries},
+        "shocks": {c: shock_dict(svars[c]) for c in panel.countries},
     }
 
 

@@ -366,19 +366,19 @@ class TestRunPipeline:
         assert abs(irf["long_run"]["demand_activity"]) < 1e-8
 
     def test_stage_failure_leaves_no_outputs(self, runner, bundle, tmp_path):
-        # weights missing most sample years -> the group stage fails after
-        # estimation, and nothing may be written
+        # weights without the first year pass the up-front check, which covers
+        # only the months every common shock calendar holds, so the group
+        # stage fails after estimation, and nothing may be written
         short_weights = tmp_path / "short.csv"
-        lines = ["year,country,weight"]
-        for country in (f"C{i:02d}" for i in range(7)):
-            lines.append(f"2009,{country},0.143")
-        short_weights.write_text("\n".join(lines) + "\n")
+        lines = bundle["weights"].read_text().splitlines(keepends=True)
+        short_weights.write_text("".join(line for line in lines if not line.startswith("2009,")))
         out = tmp_path / "partial"
         res = runner.invoke(main, [
             "run", "--panel", str(bundle["panel"]), "--weights", str(short_weights),
             "--output-dir", str(out)])
         assert res.exit_code != 0
         assert "group" in res.output
+        assert "no weights for year 2009" in res.output
         assert not out.exists()
 
     def test_two_country_panel_is_refused_before_estimation(self, runner, tmp_path,
@@ -858,6 +858,37 @@ def test_group_command_refuses_before_estimation(runner, tmp_path, monkeypatch,
     assert res.exit_code == 1
     assert res.stderr.startswith(f"error: {message}")
     assert fits == []
+
+
+# the fixture's weights with one edit per row: ``None`` drops the row
+UNCOVERED_WEIGHTS = {
+    "no weights for year 2019":
+        lambda row: None if row[0] in ("2019", "2020") else row,
+    "no weight for country C03 in year 2015":
+        lambda row: ["2015", "ZZZ", row[2]] if row[:2] == ["2015", "C03"] else row,
+}
+
+
+@pytest.mark.parametrize("message", list(UNCOVERED_WEIGHTS), ids=["year", "country"])
+@pytest.mark.parametrize("args", [
+    ["run", "--weights", "WEIGHTS", "--output-dir", "OUT"],
+    ["disperse", "--weights", "WEIGHTS"],
+    ["cost", "--weights", "WEIGHTS", "--exclude", "C03"],
+], ids=lambda args: args[0])
+def test_weights_not_covering_the_panel_are_refused_before_estimation(
+        runner, fixture_panel, fixture_panel_path, tmp_path, monkeypatch, message, args):
+    header, *lines = equal_weights_csv(fixture_panel).splitlines()
+    rows = (UNCOVERED_WEIGHTS[message](line.split(",")) for line in lines)
+    weights_path = tmp_path / "weights.csv"
+    weights_path.write_text("\n".join([header, *(",".join(r) for r in rows if r)]) + "\n")
+    files = {"WEIGHTS": str(weights_path), "OUT": str(tmp_path / "never")}
+    fits = count_calls(monkeypatch, var.select_lag)
+    res = runner.invoke(main, [files.get(a, a) for a in args] +
+                        ["--panel", str(fixture_panel_path)])
+    assert res.exit_code == 1
+    assert res.stderr == f"error: {message}\n"
+    assert fits == []
+    assert not (tmp_path / "never").exists()
 
 
 class TestInputContracts:

@@ -70,6 +70,55 @@ class TestAlgebra:
         assert d["critical_values_trace"] == [25.32, 12.25]
 
 
+def _johansen_oracle(y, k):
+    """Trace and max-eigenvalue statistics by a second route (Johansen 1988;
+    Lütkepohl 2005, section 7.2): partial out [1, dy_{t-1}, ..., dy_{t-k+1}]
+    by a QR projection, then take the two largest real eigenvalues of
+    S11^-1 S10 S00^-1 S01, with levels plus the restricted trend in S11."""
+    n = y.shape[0]
+    t = n - k
+    dy = np.diff(y, axis=0)
+    z0 = dy[k - 1:]
+    z2 = np.column_stack([np.ones(t)] + [dy[k - 1 - i:n - 1 - i] for i in range(1, k)])
+    z1 = np.column_stack([y[k - 1:n - 1], np.arange(1.0, t + 1.0)])
+    q, _ = np.linalg.qr(z2)
+    r0, r1 = z0 - q @ (q.T @ z0), z1 - q @ (q.T @ z1)
+    s00, s01, s11 = r0.T @ r0 / t, r0.T @ r1 / t, r1.T @ r1 / t
+    lam = np.linalg.eigvals(np.linalg.solve(s11, s01.T) @ np.linalg.solve(s00, s01))
+    log1m = np.log(1.0 - np.sort(lam.real)[::-1][:2])
+    return -t * np.array([log1m.sum(), log1m[1]]), -t * log1m
+
+
+def _assert_matches_oracle(y, k, rtol):
+    res = johansen_test(_pair(y), lag_order=k)
+    trace, maxeig = _johansen_oracle(y, k)
+    np.testing.assert_allclose(res.trace_stats, trace, rtol=rtol, atol=0)
+    np.testing.assert_allclose(res.max_eig_stats, maxeig, rtol=rtol, atol=0)
+
+
+class TestOracle:
+    @pytest.mark.parametrize("n", [60, 133, 241])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_statistics_match_a_second_route(self, n, k):
+        rng = np.random.default_rng(100 * n + k)
+        for _ in range(3):
+            _assert_matches_oracle(rng.standard_normal((n, 2)).cumsum(axis=0), k, 1e-10)
+            walk = rng.standard_normal(n).cumsum()
+            _assert_matches_oracle(np.column_stack([walk, 0.5 * walk + rng.standard_normal(n)]),
+                                   k, 1e-10)
+
+    def test_near_collinear_pairs_match_a_second_route(self):
+        # the two routes agree to about 1e-8 at b = a + 0.01e, but the gap
+        # grows with the conditioning of S11 (about 1e-6 at 0.001e, 1e-4 at
+        # 1e-4e), so a tighter pair measures round-off, not the statistics
+        rng = np.random.default_rng(12)
+        for i in range(100):
+            n, k = (60, 133, 241)[i % 3], 2 + i % 4
+            walk = rng.standard_normal(n).cumsum()
+            _assert_matches_oracle(
+                np.column_stack([walk, walk + 0.01 * rng.standard_normal(n)]), k, 1e-7)
+
+
 class TestMonteCarlo:
     def test_independent_walks_select_rank_zero(self):
         rng = np.random.default_rng(31)

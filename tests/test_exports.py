@@ -1,16 +1,18 @@
 import ocametrics
-from ocametrics import errors, identification, panel, unit_root
+from ocametrics import errors, identification, panel, pipeline, unit_root
 from ocametrics.pipeline import PipelineResult
 from ocametrics.unit_root import AdfResult
 
 # second copies of run's integration-order, growth-rate and long-run paths,
-# the second ADF serializer, the stream twin of panel_to_csv and an unused path
-# property, by module or class; the package keeps one entry point for each capability
+# the second ADF serializer, the stream twin of panel_to_csv, an unused path
+# property and the per-country record between the estimates and the report
+# block, by module or class; the package keeps one entry point for each capability
 DELETED = {
     unit_root: ("integration_order", "IntegrationResult", "_SPEC_ALIASES"),
     panel: ("log_diff", "dump_panel"),
     identification: ("long_run_matrix",),
     errors: ("InconclusiveIntegrationError",),
+    pipeline: ("CountryAnalysis", "_with_pretests"),
     AdfResult: ("as_dict",),
     PipelineResult: ("report_path",),
 }

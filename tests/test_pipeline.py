@@ -9,6 +9,7 @@ from ocametrics.pipeline import (
     SHOCK_KINDS,
     PipelineConfig,
     StageError,
+    _adf_dict,
     _pretests,
     analyze_country,
     build_report,
@@ -58,7 +59,7 @@ def test_country_chain_estimates_once(fixture_panel, monkeypatch):
     stabilities = count_calls(monkeypatch, var.stability)
     for country in fixture_panel.countries:
         del fits[:], logs[:], stabilities[:]
-        trail = len(analyze_country(fixture_panel, country, CONFIG).lag_selection.trail)
+        trail = len(analyze_country(fixture_panel, country, CONFIG)["var"]["gate_trail"])
         assert len(fits) == trail, country
         assert len(logs) == 2, country
         # one per gate step, one in identify_bq
@@ -66,7 +67,8 @@ def test_country_chain_estimates_once(fixture_panel, monkeypatch):
 
 
 def test_selection_carries_the_accepted_model(fixture_panel):
-    selection = analyze_country(fixture_panel, "C00", CONFIG).lag_selection
+    _, data, dummies = pipeline.country_series(fixture_panel, "C00", CONFIG)
+    selection = pipeline.gated_lag(data, dummies, CONFIG)
     refit = var.fit_var(panel.transform_pair(fixture_panel, "C00", base_year=2010),
                         selection.p)
     assert (refit.coefs == selection.model.coefs).all()
@@ -79,6 +81,12 @@ def test_group_dispersion_once_per_country(fixture_panel, fixture_weights_path, 
     build_report(fixture_panel, metrics.load_weights(fixture_weights_path), CONFIG)
     # one pass per shock kind gives the full group and every country left out
     assert len(passes) == len(SHOCK_KINDS)
+
+
+def test_country_block_is_the_report_block(fixture_panel, fixture_weights_path):
+    report = build_report(fixture_panel, metrics.load_weights(fixture_weights_path), CONFIG)
+    for country in fixture_panel.countries:
+        assert analyze_country(fixture_panel, country, CONFIG) == report["countries"][country]
 
 
 def _pretest_oracle(series, max_lags):
@@ -107,11 +115,11 @@ def test_panel_pretests_match_per_series_tests(fixture_panel, max_lags):
     logs["I2X"] = (noise[0].cumsum().cumsum(), 0.1 * np.arange(133) + noise[1])
     logs["STX"] = (noise[2], np.r_[np.zeros(110), noise[3, :23]].cumsum().cumsum())
     conclusions = set()
-    for country, (adf, concluded) in _pretests(logs, max_lags).items():
+    for country, adf in _pretests(logs, max_lags).items():
         for variable, series in zip(panel.VARIABLES, logs[country]):
             level, diff, conclusion = _pretest_oracle(series, max_lags)
-            assert adf[variable] == {"level": level, "first_difference": diff}
-            assert concluded[variable] == conclusion
+            assert adf[variable] == {"level": _adf_dict(level), "first_difference": _adf_dict(diff),
+                                     "conclusion": conclusion}
             conclusions.add(conclusion)
     assert {"I(0)", "I(1)", "I(2)"} <= conclusions
 
@@ -127,7 +135,7 @@ def test_every_pretest_uses_the_lag_cap(monkeypatch):
     noise = np.random.default_rng(4).standard_normal((2, 133))
     # an I(2) series keeps the second-difference call in play
     logs = {"I2X": (noise[0].cumsum().cumsum(), noise[1].cumsum())}
-    assert _pretests(logs, 4)["I2X"][1]["activity"] == "I(2)"
+    assert _pretests(logs, 4)["I2X"]["activity"]["conclusion"] == "I(2)"
     assert calls == [4, 4]
 
 
@@ -136,10 +144,12 @@ def test_pretests_conclude_inconclusive():
     for seed in range(5):
         noise = np.random.default_rng(seed).standard_normal((2, 133))
         logs = {"I3X": (noise[0].cumsum().cumsum().cumsum(), noise[1].cumsum())}
-        adf, conclusions = _pretests(logs, 12)["I3X"]
+        adf = _pretests(logs, 12)["I3X"]
+        conclusions = {variable: cell["conclusion"] for variable, cell in adf.items()}
         assert conclusions == {"activity": "inconclusive", "price": "I(1)"}, seed
-        for result in adf["activity"].values():
-            assert result.reject_at is None or result.reject_at > 0.05
+        for key in ("level", "first_difference"):
+            reject_at = adf["activity"][key]["reject_at"]
+            assert reject_at is None or reject_at > 0.05
 
 
 def test_constant_series_names_its_country():

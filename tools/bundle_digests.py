@@ -1,0 +1,99 @@
+"""Print one SHA-256 digest per output of a fixed set of ``ocametrics`` commands.
+
+Run it in two checkouts and ``diff`` the results; equal output means the two
+trees write byte-identical bundles and print byte-identical views:
+
+    PYTHONPATH=src python tools/bundle_digests.py > digests.txt
+
+Every command runs in-process through click's ``CliRunner`` inside one fresh
+temporary directory, under fixed relative names, so the paths that
+``report.json`` records in ``metadata.config`` match across trees.  Each line
+reads ``sha256  label``: one per file written (simulated panels and weights,
+every file of each ``run`` bundle) and one per command's stdout, with the
+exit code in the label.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import sys
+from pathlib import Path
+
+# one BLAS thread before numpy loads, so the digests do not depend on the host
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
+from click.testing import CliRunner  # noqa: E402
+
+from ocametrics.cli import main  # noqa: E402
+
+FIXTURES = {
+    "seed": ["--seed", "20260401", "--t", "133", "--countries", "7"],
+    "wide": ["--seed", "5", "--t", "241", "--countries", "12"],
+}
+
+RUNS = {
+    "seed-defaults": ("seed", []),
+    "seed-options": ("seed", ["--dummy", "C01:CPI:2012-03:step", "--seasonal-adjust",
+                              "--snapshot-dates", "2011-01,2015-01,2019-01", "--alpha", "0.1"]),
+    "wide-defaults": ("wide", []),
+}
+
+# the views of the seed fixture, each printed plain and with --json
+VIEWS = [
+    ["var", "--panel", "seed/panel.csv", "--country", "C03"],
+    ["identify", "--panel", "seed/panel.csv", "--country", "C01"],
+    ["johansen", "--panel", "seed/panel.csv", "--country", "C00"],
+    ["correlate", "--panel", "seed/panel.csv"],
+    ["disperse", "--panel", "seed/panel.csv", "--weights", "seed/weights.csv"],
+    ["cost", "--panel", "seed/panel.csv", "--weights", "seed/weights.csv", "--exclude", "C03"],
+    ["adf", "--series", "seed/series.csv"],
+]
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _invoke(runner: CliRunner, args: list[str]) -> str:
+    """``sha256  label`` of one command's stdout."""
+    result = runner.invoke(main, args)
+    return f"{_digest(result.stdout_bytes)}  {' '.join(args)} [exit {result.exit_code}]"
+
+
+def _series_csv(panel_csv: str, country: str, variable: str) -> str:
+    """The ``date,value`` CSV of one panel series, as ``adf --series`` reads it."""
+    rows = [line.split(",") for line in panel_csv.splitlines()[1:]]
+    return "date,value\n" + "".join(f"{d},{v}\n" for c, d, var, v in rows
+                                    if (c, var) == (country, variable))
+
+
+def digests() -> list[str]:
+    runner = CliRunner()
+    lines = []
+    with runner.isolated_filesystem():
+        for name, args in FIXTURES.items():
+            Path(name).mkdir()
+            lines.append(_invoke(runner, ["simulate", *args, "--output", f"{name}/panel.csv",
+                                          "--weights-output", f"{name}/weights.csv"]))
+            for file in ("panel.csv", "weights.csv"):
+                lines.append(f"{_digest(Path(name, file).read_bytes())}  {name}/{file}")
+        Path("seed/series.csv").write_text(
+            _series_csv(Path("seed/panel.csv").read_text(), "C00", "MEAI"))
+
+        for out, (fixture, extra) in RUNS.items():
+            lines.append(_invoke(runner, ["run", "--panel", f"{fixture}/panel.csv",
+                                          "--weights", f"{fixture}/weights.csv",
+                                          "--output-dir", out, *extra]))
+            for path in sorted(Path(out).iterdir()):
+                lines.append(f"{_digest(path.read_bytes())}  {out}/{path.name}")
+
+        for args in VIEWS:
+            lines.append(_invoke(runner, args))
+            lines.append(_invoke(runner, [*args, "--json"]))
+    return lines
+
+
+if __name__ == "__main__":
+    sys.stdout.write("".join(f"{line}\n" for line in digests()))
