@@ -29,8 +29,7 @@ from .metrics import (
     check_group,
     classify_symmetry,
     correlation_matrix,
-    cost_of_inclusion,
-    dispersion_index,
+    group_dispersion,
     hp_filter,
     load_weights,
 )
@@ -404,10 +403,10 @@ def correlate_command(kind, as_json, **settings):
 def disperse_command(kind, as_json, **settings):
     """Weighted cross-country dispersion index and its trend."""
     config, weights, dates, shocks = _group_shocks(settings, "disperse")
-    series = dispersion_index(shocks[kind], dates, weights, kind=kind)
-    trend, _ = hp_filter(series.values, config.hp_lambda)
+    values, _ = group_dispersion(shocks[kind], dates, weights)
+    trend, _ = hp_filter(values, config.hp_lambda)
     rows = [{"date": d, "value": v, "trend": t}
-            for d, v, t in zip(dates.labels(), series.values.tolist(), trend.tolist())]
+            for d, v, t in zip(dates.labels(), values.tolist(), trend.tolist())]
     _emit(rows, as_json)
 
 
@@ -421,11 +420,10 @@ def disperse_command(kind, as_json, **settings):
 def cost_command(excluded, as_json, **settings):
     """Leave-one-out cost-of-inclusion series for one country."""
     _, weights, dates, shocks = _group_shocks(settings, "cost", (excluded,))
-    series = {kind: cost_of_inclusion(shocks[kind], dates, weights, excluded, kind=kind)
-              for kind in SHOCK_KINDS}
+    cost = {kind: group_dispersion(shocks[kind], dates, weights, (excluded,))[1][excluded]
+            for kind in SHOCK_KINDS}
     rows = [{"country": excluded, "date": d, "supply": s, "demand": m}
-            for d, s, m in zip(dates.labels(), series["supply"].values.tolist(),
-                               series["demand"].values.tolist())]
+            for d, s, m in zip(dates.labels(), cost["supply"].tolist(), cost["demand"].tolist())]
     _emit(rows, as_json)
 
 

@@ -4,7 +4,9 @@ Includes pairwise shock correlations with exact t-based significance,
 clique-based detection of mutually symmetric country groups, the
 size-weighted cross-country dispersion index, the Hodrick-Prescott trend
 via a banded Cholesky solve, and leave-one-out cost-of-inclusion
-series.
+series.  ``run``, ``disperse`` and ``cost`` call ``group_dispersion``, one
+weighted pass for both; ``dispersion_index`` and ``cost_of_inclusion`` are
+its library entry points for one series.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ class CorrelationReport:
     r: np.ndarray = field(repr=False)
     p: np.ndarray = field(repr=False)
     n: int = 0
-    shock_kind: str = "supply"
+    shock_kind: str = "supply"  # unread here; perfbench's group_dense sets it by keyword
 
 
 @dataclass(frozen=True)
@@ -54,13 +56,6 @@ class SymmetryReport:
     alpha: float
     symmetric_pairs: Mapping[tuple[str, str], bool]
     groups: tuple[tuple[str, ...], ...]
-
-
-def correlation_pvalue(r: float, n: int) -> float:
-    """Two-sided p-value of a Pearson coefficient under the zero null."""
-    if n < 3:
-        raise InsufficientOverlapError("need n >= 3 for a p-value")
-    return float(_pvalues(np.float64(r), n))
 
 
 def _pvalues(r: np.ndarray, n: int) -> np.ndarray:
@@ -233,17 +228,12 @@ def load_weights(source: str | Path | IO[str]) -> WeightTable:
 
 @dataclass(frozen=True)
 class DispersionSeries:
-    dates: Calendar
     values: np.ndarray = field(repr=False)
-    shock_kind: str = "supply"
 
 
 @dataclass(frozen=True)
 class CostSeries:
-    country: str
-    dates: Calendar
     values: np.ndarray = field(repr=False)
-    shock_kind: str = "supply"
 
 
 def _aligned_matrix(shocks: Mapping[str, np.ndarray], dates: Calendar):
@@ -296,10 +286,10 @@ def _dispersion_pass(x: np.ndarray, dates: Calendar, countries: Sequence[str],
 
 
 def group_dispersion(shocks: Mapping[str, np.ndarray], dates: Calendar,
-                     weights: WeightTable, excluded: Sequence[str] = (),
-                     kind: str = "supply") -> tuple[DispersionSeries, dict[str, CostSeries]]:
+                     weights: WeightTable,
+                     excluded: Sequence[str] = ()) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """The group's dispersion index and the cost of inclusion of each of
-    ``excluded``, from one pass over the shocks."""
+    ``excluded``, from one pass over the shocks, as read-only arrays."""
     countries, x = _aligned_matrix(shocks, dates)
     check_group(countries, excluded, "cost of inclusion" if excluded else "dispersion")
     left_out = [countries.index(c) for c in excluded]
@@ -307,30 +297,29 @@ def group_dispersion(shocks: Mapping[str, np.ndarray], dates: Calendar,
     if excluded and np.any(full == 0.0):
         raise ZeroDispersionError("full-group dispersion is zero at some date")
     costs = (subgroups - full[:, None]) / full[:, None]
-    return (DispersionSeries(dates=dates, values=_frozen(full), shock_kind=kind),
-            {c: CostSeries(country=c, dates=dates, values=_frozen(costs[:, i]), shock_kind=kind)
-             for i, c in enumerate(excluded)})
+    return _frozen(full), {c: _frozen(costs[:, i]) for i, c in enumerate(excluded)}
 
 
+# One-series library entry points over ``group_dispersion``; exported, and
+# perfbench's tracer and ``group_dense`` workload call them by name.
 def dispersion_index(shocks: Mapping[str, np.ndarray], dates: Calendar,
-                     weights: WeightTable, kind: str = "supply") -> DispersionSeries:
+                     weights: WeightTable) -> DispersionSeries:
     """Size-weighted cross-country standard deviation of shocks, per month.
 
     Annual weights apply as step functions across the months of their year
     and are renormalized to sum to exactly 1 before use.
     """
-    return group_dispersion(shocks, dates, weights, kind=kind)[0]
+    return DispersionSeries(group_dispersion(shocks, dates, weights)[0])
 
 
 def cost_of_inclusion(shocks: Mapping[str, np.ndarray], dates: Calendar,
-                      weights: WeightTable, country: str,
-                      kind: str = "supply") -> CostSeries:
+                      weights: WeightTable, country: str) -> CostSeries:
     """Relative change in group dispersion when ``country`` is excluded.
 
     Positive values mean the country's inclusion lowers dispersion (a
     convergence source); negative values mean it raises dispersion.
     """
-    return group_dispersion(shocks, dates, weights, (country,), kind)[1][country]
+    return CostSeries(group_dispersion(shocks, dates, weights, (country,))[1][country])
 
 
 # --------------------------------------------------------------------------

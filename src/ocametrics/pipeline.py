@@ -201,7 +201,8 @@ def check_panel_settings(panel: Panel, config: PipelineConfig) -> None:
     """Refuse settings that cannot fit ``panel``: a dummy for a country it does
     not hold, dated outside its growth calendar, or the twin of another of
     that country's dummies (the column enters both equations, so the date and
-    form make it); a base year outside its calendar; a snapshot date outside it or repeated."""
+    form make it); a base year outside its calendar; a snapshot date outside it,
+    before its third month (growth and one lag precede every shock) or repeated."""
     growth, columns = panel.dates[1:], {}
     for country, spec in config.dummies:
         if country not in panel.countries:
@@ -222,6 +223,8 @@ def check_panel_settings(panel: Panel, config: PipelineConfig) -> None:
             raise ConfigError(f"snapshot date {date} is repeated")
         if date not in panel.dates:
             raise ConfigError(f"snapshot date {date} is outside the panel's calendar {panel.dates}")
+        if len(panel.dates) > 2 and date < panel.dates[2]:
+            raise ConfigError(f"snapshot date {date} is before the first shock month {panel.dates[2]}")
 
 
 def check_weights(weights: WeightTable, panel: Panel, config: PipelineConfig) -> None:
@@ -376,8 +379,8 @@ def build_report(panel: Panel, weights: WeightTable, config: PipelineConfig) -> 
         try:
             correlations = correlation_matrix(shocks[kind], kind=kind)
             symmetry = classify_symmetry(correlations, config.alpha)
-            disp, cost = group_dispersion(shocks[kind], dates, weights, panel.countries, kind)
-            trend, _cycle = hp_filter(disp.values, config.hp_lambda)
+            disp, cost = group_dispersion(shocks[kind], dates, weights, panel.countries)
+            trend, _cycle = hp_filter(disp, config.hp_lambda)
             change = trend_change(dates, trend, dates[0], dates[-1])
         except OcaError as exc:
             raise StageError(f"group {kind}", exc) from exc
@@ -388,9 +391,9 @@ def build_report(panel: Panel, weights: WeightTable, config: PipelineConfig) -> 
                                 for (a, b), flag in sorted(symmetry.symmetric_pairs.items())},
             "groups": [list(g) for g in symmetry.groups],
         }
-        group["dispersion"][kind] = {"dates": dates.labels(), "values": disp.values.tolist(),
+        group["dispersion"][kind] = {"dates": dates.labels(), "values": disp.tolist(),
                                      "trend": trend.tolist(), "trend_change_pct": change}
-        costs = group["cost"][kind] = {c: cost[c].values.tolist() for c in panel.countries}
+        costs = group["cost"][kind] = {c: cost[c].tolist() for c in panel.countries}
         if rows:
             group["cost_snapshots"][kind] = {c: {s: costs[c][t] for s, t in rows.items()}
                                              for c in panel.countries}

@@ -6,6 +6,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy import stats as sstats
 
 from ocametrics.cointegration import MAXEIG_CV_5PCT, TRACE_CV_5PCT, johansen_test
 from ocametrics.errors import (
@@ -15,7 +16,7 @@ from ocametrics.errors import (
 )
 from ocametrics.identification import identify_bq
 from ocametrics.metrics import (
-    correlation_pvalue,
+    correlation_matrix,
     cost_of_inclusion,
     dispersion_index,
     hp_filter,
@@ -153,9 +154,21 @@ def test_criterion_6_hp_filter_oracles():
 
 
 def test_criterion_7_correlation_significance():
-    p = correlation_pvalue(0.335, 124)
-    ok = p < 0.01 and significance_stars(p) == "***"
-    _report(7, "correlation significance mechanics", ok, f"two-sided p {p:.6f}")
+    # two 124-month series whose sample correlation is the published 0.335
+    rng = np.random.default_rng(7)
+    x, e = rng.standard_normal((2, 124))
+    x -= x.mean()
+    e -= e.mean()
+    e -= (e @ x) / (x @ x) * x
+    y = 0.335 * x / np.linalg.norm(x) + np.sqrt(1.0 - 0.335 ** 2) * e / np.linalg.norm(e)
+    report = correlation_matrix({"AAA": x, "BBB": y})
+    r, p = float(report.r[0, 1]), float(report.p[0, 1])
+    t = r * np.sqrt(122 / (1.0 - r * r))
+    oracle = float(2.0 * sstats.t.sf(abs(t), 122))
+    ok = abs(r - 0.335) < 1e-12 and p == oracle and p < 0.01 and significance_stars(p) == "***"
+    _report(7, "correlation significance mechanics", ok, f"r {r:.6f}, two-sided p {p:.6f}")
+    assert abs(r - 0.335) < 1e-12
+    assert p == oracle
     assert p < 0.01
     assert significance_stars(p) == "***"
 

@@ -437,7 +437,8 @@ class TestRunPipeline:
         assert res.exit_code != 0
         assert not out.exists()
 
-    def test_snapshot_outside_calendar_fails(self, runner, bundle, tmp_path, monkeypatch):
+    def test_snapshot_outside_calendar_fails(self, runner, bundle, fixture_panel_path,
+                                             fixture_weights_path, tmp_path, monkeypatch):
         out = tmp_path / "snap"
         fits = count_calls(monkeypatch, var.select_lag)
         res = runner.invoke(main, [
@@ -448,12 +449,47 @@ class TestRunPipeline:
                               "2009-01..2020-01\n")
         assert fits == []
         assert not out.exists()
-        # a panel month before the common shock calendar is refused by the group stage
+        # a shock month before the common shock calendar (2009-07 on the seed fixture)
+        # is refused by the group stage
         res = runner.invoke(main, [
-            "run", "--panel", str(bundle["panel"]), "--weights", str(bundle["weights"]),
-            "--output-dir", str(out), "--snapshot-dates", "2009-02"])
+            "run", "--panel", str(fixture_panel_path), "--weights", str(fixture_weights_path),
+            "--output-dir", str(out), "--snapshot-dates", "2009-03"])
         assert res.exit_code == 1
-        assert res.stderr.startswith("error: [group snapshots] 2009-02 outside calendar")
+        assert res.stderr.startswith("error: [group snapshots] 2009-03 outside calendar")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("date", ["2009-01", "2009-02"])
+    def test_snapshot_before_any_shock_is_refused_before_estimation(
+            self, runner, bundle, tmp_path, monkeypatch, source, date):
+        # growth drops the first month and a lag the second: no shock calendar holds them
+        out = tmp_path / "never"
+        args = ["run", "--panel", str(bundle["panel"]), "--weights", str(bundle["weights"]),
+                "--output-dir", str(out)]
+        if source == "flag":
+            args += ["--snapshot-dates", f"2015-01,{date}"]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"snapshot_dates": ["2015-01", date]}))
+            args += ["--config", str(config)]
+        fits = count_calls(monkeypatch, var.select_lag)
+        res = runner.invoke(main, args)
+        assert res.exit_code == 1
+        assert res.stderr == (f"error: snapshot date {date} is before the first shock month "
+                              "2009-03\n")
+        assert fits == []
+        assert not out.exists()
+
+    def test_snapshot_on_a_two_month_panel_ends_in_a_named_error(self, runner, tmp_path):
+        panel, weights, out = tmp_path / "p.csv", tmp_path / "w.csv", tmp_path / "never"
+        res = runner.invoke(main, ["simulate", "--t", "2", "--countries", "3",
+                                   "--output", str(panel), "--weights-output", str(weights)])
+        assert res.exit_code == 0
+        res = runner.invoke(main, [
+            "run", "--panel", str(panel), "--weights", str(weights), "--output-dir", str(out),
+            "--base-year", "2009", "--snapshot-dates", "2009-02"])
+        assert res.exit_code == 1
+        assert res.stderr == "error: [country C00] sample too short for lag search up to 12\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("source", ["flag", "config"])

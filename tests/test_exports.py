@@ -1,18 +1,22 @@
+import dataclasses
+
 import ocametrics
-from ocametrics import errors, identification, panel, pipeline, unit_root
+from ocametrics import errors, identification, metrics, panel, pipeline, unit_root
 from ocametrics.pipeline import PipelineResult
 from ocametrics.unit_root import AdfResult
 
 # second copies of run's integration-order, growth-rate and long-run paths,
 # the second ADF serializer, the stream twin of panel_to_csv, an unused path
-# property and the per-country record between the estimates and the report
-# block, by module or class; the package keeps one entry point for each capability
+# property, the per-country record between the estimates and the report
+# block and the one-value twin of the correlation p-values, by module or
+# class; the package keeps one entry point for each capability
 DELETED = {
     unit_root: ("integration_order", "IntegrationResult", "_SPEC_ALIASES"),
     panel: ("log_diff", "dump_panel"),
     identification: ("long_run_matrix",),
     errors: ("InconclusiveIntegrationError",),
     pipeline: ("CountryAnalysis", "_with_pretests"),
+    metrics: ("correlation_pvalue",),
     AdfResult: ("as_dict",),
     PipelineResult: ("report_path",),
 }
@@ -30,3 +34,9 @@ def test_deleted_names_are_gone():
             assert name not in ocametrics.__all__
             assert not hasattr(ocametrics, name), name
             assert not hasattr(owner, name), (owner.__name__, name)
+
+
+def test_group_series_hold_only_values():
+    # hasattr cannot see a dataclass field that has no default
+    for cls in (metrics.DispersionSeries, metrics.CostSeries):
+        assert [f.name for f in dataclasses.fields(cls)] == ["values"]

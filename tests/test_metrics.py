@@ -27,7 +27,6 @@ from ocametrics.metrics import (
     build_weight_table,
     classify_symmetry,
     correlation_matrix,
-    correlation_pvalue,
     cost_of_inclusion,
     dispersion_index,
     group_dispersion,
@@ -36,6 +35,7 @@ from ocametrics.metrics import (
     significance_stars,
     trend_change,
 )
+from ocametrics.metrics import _pvalues
 from ocametrics.months import Month, month_range
 
 
@@ -58,7 +58,7 @@ class TestCorrelation:
         r, n = 0.335, 124
         t_hand = r * math.sqrt((n - 2) / (1.0 - r * r))
         assert abs(t_hand - 3.93) < 0.01
-        p = correlation_pvalue(r, n)
+        p = float(_pvalues(np.float64(r), n))
         assert abs(p - 2.0 * sstats.t.sf(t_hand, n - 2)) < 1e-15
         assert p < 0.01
         assert significance_stars(p) == "***"
@@ -76,16 +76,15 @@ class TestCorrelation:
         assert 0.03 <= rate <= 0.07
         # spot-check the library against the vectorized oracle
         for i in range(5):
-            assert abs(correlation_pvalue(float(r[i]), n) - p[i]) < 1e-12
+            report = correlation_matrix({"AAA": x[i], "BBB": y[i]})
+            assert abs(report.p[0, 1] - p[i]) < 1e-12
 
     @given(st.floats(min_value=-0.999999, max_value=0.999999), st.integers(3, 5000))
     def test_pvalue_equals_scipy_stats(self, r, n):
-        t = r * math.sqrt((n - 2) / (1.0 - r * r))
-        assert correlation_pvalue(r, n) == float(2.0 * sstats.t.sf(abs(t), n - 2))
+        assert float(_pvalues(np.float64(r), n)) == _scipy_pvalue(r, n)
 
     def test_perfect_correlation_p_zero(self):
-        assert correlation_pvalue(1.0, 50) == 0.0
-        assert correlation_pvalue(-1.0, 50) == 0.0
+        assert (_pvalues(np.array([1.0, -1.0]), 50) == 0.0).all()
 
     def test_errors(self):
         rng = np.random.default_rng(1)
@@ -109,7 +108,15 @@ class TestCorrelation:
         for i, j in itertools.combinations(range(len(report.countries)), 2):
             a, b = (shocks[report.countries[k]] for k in (i, j))
             assert abs(report.r[i, j] - np.corrcoef(a, b)[0, 1]) < 1e-15
-            assert report.p[i, j] == correlation_pvalue(float(report.r[i, j]), report.n)
+            assert report.p[i, j] == _scipy_pvalue(float(report.r[i, j]), report.n)
+
+
+def _scipy_pvalue(r: float, n: int) -> float:
+    """Two-sided p of a Pearson ``r`` under the zero null, from scipy.stats."""
+    if abs(r) == 1.0:
+        return 0.0
+    t = r * math.sqrt((n - 2) / (1.0 - r * r))
+    return float(2.0 * sstats.t.sf(abs(t), n - 2))
 
 
 def _report_from_r(countries, r_values, n):
@@ -119,7 +126,7 @@ def _report_from_r(countries, r_values, n):
     for (a, b), val in r_values.items():
         i, j = countries.index(a), countries.index(b)
         r[i, j] = r[j, i] = val
-        p[i, j] = p[j, i] = correlation_pvalue(val, n)
+        p[i, j] = p[j, i] = _pvalues(np.float64(val), n)
     return CorrelationReport(countries=tuple(countries), r=r, p=p, n=n,
                              shock_kind="supply")
 
@@ -463,14 +470,18 @@ class TestClosedFormLeaveOneOut:
         disp, costs = group_dispersion(shocks, dates, table, countries)
         x = np.column_stack([shocks[c] for c in countries])
         full = _dispersion_rows(x, dates, countries, table)
-        assert np.abs(disp.values - full).max() < 1e-12
-        assert (dispersion_index(shocks, dates, table).values == disp.values).all()
+        assert disp.dtype == np.float64 and disp.flags.writeable is False
+        assert np.abs(disp - full).max() < 1e-12
+        assert (dispersion_index(shocks, dates, table).values == disp).all()
+        assert list(costs) == countries
         for j, country in enumerate(countries):
+            cost = costs[country]
+            assert cost.dtype == np.float64 and cost.flags.writeable is False
             rest = [c for c in countries if c != country]
             sub = _dispersion_rows(np.delete(x, j, axis=1), dates, rest, table)
-            assert np.abs(costs[country].values - (sub - full) / full).max() < 1e-12
+            assert np.abs(cost - (sub - full) / full).max() < 1e-12
             single = cost_of_inclusion(shocks, dates, table, country).values
-            assert (single == costs[country].values).all()
+            assert (single == cost).all()
 
     def test_concentrated_weights_name_the_year(self):
         dates = month_range(Month(2012, 11), 4)

@@ -46,7 +46,10 @@ VIEWS = [
     ["identify", "--panel", "seed/panel.csv", "--country", "C01"],
     ["johansen", "--panel", "seed/panel.csv", "--country", "C00"],
     ["correlate", "--panel", "seed/panel.csv"],
+    ["correlate", "--panel", "seed/panel.csv", "--kind", "demand"],
     ["disperse", "--panel", "seed/panel.csv", "--weights", "seed/weights.csv"],
+    ["disperse", "--panel", "seed/panel.csv", "--weights", "seed/weights.csv",
+     "--kind", "demand"],
     ["cost", "--panel", "seed/panel.csv", "--weights", "seed/weights.csv", "--exclude", "C03"],
     ["adf", "--series", "seed/series.csv"],
 ]
