@@ -10,7 +10,6 @@ currency area.
 from .cointegration import JohansenResult, johansen_test
 from .errors import OcaError
 from .identification import (
-    IrfSet,
     SizeSpeed,
     StructuralModel,
     identify_bq,
@@ -60,7 +59,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdfResult", "Calendar", "ChiSquareResult", "CorrelationReport", "CostSeries",
-    "Dgp", "DispersionSeries", "DummySpec", "IrfSet", "JohansenResult",
+    "Dgp", "DispersionSeries", "DummySpec", "JohansenResult",
     "LagSelection", "Month", "OcaError", "Panel", "PipelineConfig",
     "PipelineResult", "RecoveryReport", "SimulatedSample", "SizeSpeed",
     "StabilityResult", "StructuralModel", "SymmetryReport", "TransformedSeries",

@@ -363,12 +363,12 @@ def identify_command(country, fixed_p, as_json, **settings):
         model = fit_var(data, fixed_p, dummies)
     svar = identify_bq(model)
     if as_json:
-        irf = irf_structural(svar, model, config.irf_horizon)
+        responses = irf_structural(svar, model, config.irf_horizon)
         click.echo(json.dumps({
             "country": country, "p": model.p,
             "a0": svar.a0.tolist(),
             "long_run": svar.long_run.tolist(),
-            **dataclasses.asdict(size_and_speed(irf)),
+            **dataclasses.asdict(size_and_speed(svar, responses)),
         }, sort_keys=True))
         return
     click.echo(shock_table(country, shock_dict(svar)), nl=False)

@@ -5,20 +5,19 @@ residuals.  It is pinned down by four restrictions: unit shock variances,
 shock orthogonality, and a zero long-run response of activity to the demand
 shock.  Computationally: with ``D1 = (I - B_1 - ... - B_p)^-1`` and
 ``S = D1 @ sigma @ D1.T``, the lower Cholesky factor ``L`` of ``S`` is the
-long-run response matrix, and the impact matrix is ``D1^-1 @ L``.  Signs
-are normalized so both long-run diagonal responses are positive.
+long-run response matrix, and the impact matrix is ``D1^-1 @ L``.  A
+Cholesky factor's diagonal is positive, which fixes the shock signs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
 
 import numpy as np
 
 from .errors import SigmaNotPositiveDefiniteError, UnstableModelError, ZeroLongRunError
 from .months import Calendar
-from .panel import VARIABLES, _frozen
+from .panel import _frozen
 from .var import VarModel, stability
 
 SHOCK_KINDS = ("supply", "demand")
@@ -33,15 +32,6 @@ class StructuralModel:
     long_run: np.ndarray = field(repr=False)    # lower-triangular long-run matrix
     shocks: np.ndarray = field(repr=False)      # (T - p, 2), columns (supply, demand)
     dates: Calendar
-
-
-@dataclass(frozen=True)
-class IrfSet:
-    """Cumulative level responses per (shock, variable) cell."""
-
-    horizon: int
-    responses: Mapping[tuple[str, str], np.ndarray]
-    long_run: Mapping[tuple[str, str], float]
 
 
 @dataclass(frozen=True)
@@ -83,18 +73,16 @@ def identify_bq(model: VarModel) -> StructuralModel:
         raise SigmaNotPositiveDefiniteError(
             "long-run covariance is not positive definite") from None
 
-    # sign convention: positive long-run diagonal, columns flip in pairs
-    for j in range(2):
-        if f[j, j] < 0:
-            f[:, j] = -f[:, j]
+    # sign convention: LAPACK's Cholesky factor has a positive diagonal
     a0 = np.linalg.solve(d1, f)
     shocks = np.linalg.solve(a0, model.residuals.T).T
     return StructuralModel(a0=_frozen(a0), long_run=_frozen(f),
                            shocks=_frozen(shocks), dates=model.effective_dates)
 
 
-def irf_structural(svar: StructuralModel, model: VarModel, horizon: int) -> IrfSet:
-    """Cumulative structural impulse responses up to ``horizon`` months."""
+def irf_structural(svar: StructuralModel, model: VarModel, horizon: int) -> np.ndarray:
+    """Cumulative structural impulse responses up to ``horizon`` months, as a
+    read-only ``(horizon + 1, variable, shock)`` array laid out like ``a0``."""
     if horizon < 12:
         raise ValueError("horizon must be >= 12")
     p = model.p
@@ -104,25 +92,16 @@ def irf_structural(svar: StructuralModel, model: VarModel, horizon: int) -> IrfS
         for i in range(1, min(h, p) + 1):
             acc += model.coefs[i - 1] @ ma[h - i]
         ma.append(acc)
-    cumulative = np.cumsum(np.stack([m @ svar.a0 for m in ma]), axis=0)
-
-    responses = {}
-    long_run = {}
-    for si, shock in enumerate(SHOCK_KINDS):
-        for vi, variable in enumerate(VARIABLES):
-            responses[(shock, variable)] = _frozen(cumulative[:, vi, si])
-            long_run[(shock, variable)] = float(svar.long_run[vi, si])
-    return IrfSet(horizon=horizon, responses=responses, long_run=long_run)
+    return _frozen(np.cumsum(np.stack([m @ svar.a0 for m in ma]), axis=0))
 
 
-def size_and_speed(irf: IrfSet) -> SizeSpeed:
-    """Long-run shock sizes and the one-year share of the long-run response."""
-    lr_supply = irf.long_run[("supply", "activity")]
-    lr_demand = irf.long_run[("demand", "price")]
+def size_and_speed(svar: StructuralModel, responses: np.ndarray) -> SizeSpeed:
+    """Long-run shock sizes and the one-year share of the long-run response,
+    read from the diagonals of ``svar.long_run`` and ``responses[12]``."""
+    lr_supply, lr_demand = float(svar.long_run[0, 0]), float(svar.long_run[1, 1])
     if abs(lr_supply) < 1e-12 or abs(lr_demand) < 1e-12:
         raise ZeroLongRunError("long-run response is zero in a size cell")
-    r12_supply = float(irf.responses[("supply", "activity")][12])
-    r12_demand = float(irf.responses[("demand", "price")][12])
+    r12_supply, r12_demand = float(responses[12, 0, 0]), float(responses[12, 1, 1])
     return SizeSpeed(
         supply_size=abs(lr_supply),
         supply_speed=r12_supply / lr_supply,

@@ -326,6 +326,13 @@ def cost_of_inclusion(shocks: Mapping[str, np.ndarray], dates: Calendar,
 # trend filtering
 # --------------------------------------------------------------------------
 
+# The banded solve below loses about smoothing * eps of relative accuracy.
+# Against an exact rational solve (n = 133 and 600) the trend's worst relative
+# error is 4e-7 at 1e10, 3e-5 at 1e12 and 6e-3 at 1e14; at 1e16 the factor
+# breaks down. 1e10, about 700,000 times the monthly 14,400, keeps six digits.
+MAX_HP_SMOOTHING = 1e10
+
+
 def hp_filter(values: np.ndarray, smoothing: float = 14400.0):
     """Split a series into trend and cycle.
 
@@ -334,8 +341,8 @@ def hp_filter(values: np.ndarray, smoothing: float = 14400.0):
     factors the matrix as ``L L'`` and solves ``L z = values``, a backward pass
     solves ``L' trend = z``, both on Python floats (faster there than numpy
     scalars). At ``smoothing == 0`` the matrix is the identity and the trend
-    is ``values`` itself. NaN or inf in ``values`` or ``smoothing`` raises
-    ``ValueError``.
+    is ``values`` itself. NaN or inf in ``values``, or ``smoothing`` outside
+    ``[0, MAX_HP_SMOOTHING]`` (NaN and inf included), raises ``ValueError``.
     """
     y = np.asarray(values, dtype=np.float64)
     if y.ndim != 1:
@@ -343,11 +350,11 @@ def hp_filter(values: np.ndarray, smoothing: float = 14400.0):
     n = y.size
     if n < 4:
         raise TooShortError("HP filter needs at least 4 observations")
-    if smoothing < 0:
-        raise ValueError("smoothing must be >= 0")
     lam = float(smoothing)
-    if not (math.isfinite(6.0 * lam) and np.isfinite(y).all()):  # 6 lam must not overflow
-        raise ValueError("values and smoothing must be finite")
+    if not 0.0 <= lam <= MAX_HP_SMOOTHING:
+        raise ValueError(f"smoothing must be in [0, {MAX_HP_SMOOTHING:g}], got {lam!r}")
+    if not np.isfinite(y).all():
+        raise ValueError("values must be finite")
     # row i of the matrix holds far, sub, diag in columns i-2, i-1, i; row i of L: c, b, d
     diag = [1.0 + lam, 1.0 + 5.0 * lam] + [1.0 + 6.0 * lam] * (n - 4) + [1.0 + 5.0 * lam, 1.0 + lam]
     sub = [0.0, -2.0 * lam] + [-4.0 * lam] * (n - 3) + [-2.0 * lam]

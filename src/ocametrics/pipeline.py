@@ -26,9 +26,10 @@ import numpy as np
 
 from .cointegration import JohansenResult, johansen_test
 from .errors import ConfigError, DateRangeError, OcaError
-from .identification import (SHOCK_KINDS, IrfSet, SizeSpeed, StructuralModel, identify_bq,
+from .identification import (SHOCK_KINDS, SizeSpeed, StructuralModel, identify_bq,
                              irf_structural, size_and_speed)
 from .metrics import (
+    MAX_HP_SMOOTHING,
     STARS,
     CorrelationReport,
     WeightTable,
@@ -84,7 +85,7 @@ class PipelineConfig:
     base_year: int = 2010
     alpha: float = _bounded(0.05, 0.0, 1.0, open=True)
     max_lags: int = _bounded(12, 1, 24)
-    hp_lambda: float = _bounded(14400.0, 0.0)
+    hp_lambda: float = _bounded(14400.0, 0.0, MAX_HP_SMOOTHING)
     irf_horizon: int = _bounded(48, 12)
     seasonal_adjust: bool = False
     snapshot_dates: tuple[Month, ...] = ()
@@ -149,8 +150,8 @@ def _estimate(panel: Panel, country: str, config: PipelineConfig):
     log levels, the structural model and the report block without its ``adf``."""
     logs, selection, svar = _shock_chain(panel, country, config)
     johansen = johansen_test(logs, lag_order=selection.p + 1)
-    irf = irf_structural(svar, selection.model, config.irf_horizon)
-    return logs, svar, _country_report(johansen, selection, svar, irf)
+    responses = irf_structural(svar, selection.model, config.irf_horizon)
+    return logs, svar, _country_report(johansen, selection, svar, responses)
 
 
 def _pretests(logs: Mapping[str, tuple[np.ndarray, ...]], max_lags: int):
@@ -279,8 +280,13 @@ def _adf_dict(result: AdfResult) -> dict:
     return out
 
 
+# each report key of the irf block with its (variable, shock) cell
+_IRF_CELLS = [(f"{shock}_{variable}", v, s) for s, shock in enumerate(SHOCK_KINDS)
+              for v, variable in enumerate(VARIABLES)]
+
+
 def _country_report(johansen: JohansenResult, selection: LagSelection, svar: StructuralModel,
-                    irf: IrfSet) -> dict:
+                    responses: np.ndarray) -> dict:
     """A country's report block without its ``adf`` entry."""
     model, diag = selection.model, selection.diagnostics
     return {
@@ -314,17 +320,11 @@ def _country_report(johansen: JohansenResult, selection: LagSelection, svar: Str
             "last_shock_date": str(svar.dates[-1]),
         },
         "irf": {
-            "horizon": irf.horizon,
-            "cumulative_responses": {
-                f"{shock}_{variable}": series.tolist()
-                for (shock, variable), series in sorted(irf.responses.items())
-            },
-            "long_run": {
-                f"{shock}_{variable}": value
-                for (shock, variable), value in sorted(irf.long_run.items())
-            },
+            "horizon": len(responses) - 1,
+            "cumulative_responses": {key: responses[:, v, s].tolist() for key, v, s in _IRF_CELLS},
+            "long_run": {key: float(svar.long_run[v, s]) for key, v, s in _IRF_CELLS},
         },
-        "size_speed": asdict(size_and_speed(irf)),
+        "size_speed": asdict(size_and_speed(svar, responses)),
     }
 
 

@@ -14,10 +14,10 @@ from click.testing import CliRunner
 from ocametrics import cointegration, unit_root, var
 from ocametrics.cli import _series_from_csv, main
 from ocametrics.errors import ConfigError, DegenerateWeightsError, PanelError
-from ocametrics.metrics import load_weights, significance_stars
+from ocametrics.metrics import MAX_HP_SMOOTHING, load_weights, significance_stars
 from ocametrics.months import Month
-from ocametrics.panel import load_panel, panel_to_csv
-from ocametrics.pipeline import PipelineConfig, _render_tables
+from ocametrics.panel import VARIABLES, Panel, load_panel, panel_to_csv
+from ocametrics.pipeline import PipelineConfig, _render_tables, country_series
 from ocametrics.simulate import equal_weights_csv, synthetic_panel
 
 from .conftest import count_calls, replace_everywhere
@@ -429,6 +429,23 @@ class TestRunPipeline:
         report = json.loads((out / "report.json").read_text())
         assert report["metadata"]["config"]["snapshot_dates"] == ["2011-01"]
 
+    @pytest.mark.parametrize("text, message", [
+        ("{not json", "cannot read config CONFIG: Expecting property name"),
+        ('["--alpha", "0.1"]', "config file must hold a flat JSON object\n"),
+    ], ids=["not-json", "list"])
+    def test_config_that_is_not_a_json_object_is_refused(self, runner, bundle, tmp_path,
+                                                          monkeypatch, text, message):
+        config, out = tmp_path / "config.json", tmp_path / "never"
+        config.write_text(text)
+        fits = count_calls(monkeypatch, var.select_lag)
+        res = runner.invoke(main, [
+            "run", "--config", str(config), "--panel", str(bundle["panel"]),
+            "--weights", str(bundle["weights"]), "--output-dir", str(out)])
+        assert res.exit_code == 1
+        assert res.stderr.startswith("error: " + message.replace("CONFIG", str(config)))
+        assert res.stderr.count("\n") == 1 and "Traceback" not in res.output
+        assert fits == [] and not out.exists()
+
     def test_invalid_alpha_fails_without_outputs(self, runner, bundle, tmp_path):
         out = tmp_path / "never"
         res = runner.invoke(main, [
@@ -754,6 +771,57 @@ class TestThinWrappers:
         assert res.exit_code == 1
         assert res.output == "error: need >= 230 observations for lag order 200, have 133\n"
 
+    def test_johansen_default_order_is_the_var_order_plus_one(self, runner, bundle):
+        def output(command, *extra):
+            res = runner.invoke(main, [command, "--panel", str(bundle["panel"]),
+                                       "--country", "C00", "--json", *extra])
+            assert res.exit_code == 0, res.output
+            return res.output
+
+        p = json.loads(output("var"))[0]["p"]
+        assert output("johansen") == output("johansen", "--lag-order", str(p + 1))
+        assert output("johansen") != output("johansen", "--lag-order", str(p + 2))
+
+    def test_var_fixed_p_row(self, runner, bundle):
+        res = runner.invoke(main, ["var", "--panel", str(bundle["panel"]),
+                                   "--country", "C02", "--p", "2", "--json"])
+        assert res.exit_code == 0, res.output
+        config = PipelineConfig(panel_path="-", weights_path="-", output_dir="-")
+        _, data, dummies = country_series(load_panel(bundle["panel"]), "C02", config)
+        model = var.fit_var(data, 2, dummies)
+        diag = var.diagnose(model, config.portmanteau_h, config.arch_q)
+        assert json.loads(res.output) == [{
+            "country": "C02", "p": 2, "stable": diag.stability.stable,
+            "max_modulus": diag.stability.max_modulus,
+            "portmanteau_pvalue": diag.portmanteau.p_value,
+            "arch_pvalue_activity": diag.arch[0].p_value,
+            "arch_pvalue_price": diag.arch[1].p_value,
+            "nobs": model.nobs,
+        }]
+
+    def test_correlate_json_groups_are_the_bundle_groups(self, runner, fixture_panel, tmp_path):
+        # C07..C09 rescale C00's series, so the four share C00's shocks and
+        # form a symmetric group of each kind
+        values = dict(fixture_panel.values)
+        for code, scale in (("C07", 2.0), ("C08", 0.5), ("C09", 3.0)):
+            values.update({(code, v): scale * values[("C00", v)] for v in VARIABLES})
+        panel = Panel(countries=(*fixture_panel.countries, "C07", "C08", "C09"),
+                      dates=fixture_panel.dates, values=values)
+        panel_path, weights_path = tmp_path / "panel.csv", tmp_path / "weights.csv"
+        panel_path.write_text(panel_to_csv(panel))
+        weights_path.write_text(equal_weights_csv(panel))
+        res = runner.invoke(main, ["run", "--panel", str(panel_path), "--weights",
+                                   str(weights_path), "--output-dir", str(tmp_path / "out")])
+        assert res.exit_code == 0, res.output
+        group = json.loads((tmp_path / "out" / "report.json").read_text())["group"]
+        for kind in ("supply", "demand"):
+            res = runner.invoke(main, ["correlate", "--panel", str(panel_path),
+                                       "--kind", kind, "--json"])
+            assert res.exit_code == 0, res.output
+            groups = group["symmetry"][kind]["groups"]
+            assert any({"C00", "C07", "C08", "C09"} <= set(g) for g in groups)
+            assert json.loads(res.output) == {**group["correlations"][kind], "groups": groups}
+
     def test_var_row(self, runner, bundle):
         res = runner.invoke(main, ["var", "--panel", str(bundle["panel"]),
                                    "--country", "C02"])
@@ -953,6 +1021,21 @@ class TestInputContracts:
         assert "[country" not in res.stderr
         assert not (tmp_path / "never").exists()
 
+    @pytest.mark.parametrize("name", ["var", "identify", "johansen"])
+    def test_country_not_in_panel_is_refused(self, runner, bundle, name):
+        res = runner.invoke(main, [name, "--panel", str(bundle["panel"]), "--country", "ZZ"])
+        assert res.exit_code == 1
+        countries = tuple(f"C0{i}" for i in range(7))
+        assert res.stderr == f"error: country 'ZZ' not in panel {countries}\n"
+
+    @pytest.mark.parametrize("name", list(SUBCOMMANDS))
+    def test_unknown_dummy_variable_is_a_usage_error(self, runner, bundle, name):
+        res = self.invoke(runner, bundle, name, "--dummy", "C01:GDP:2012-03")
+        assert res.exit_code == 2
+        assert ("Invalid value for '--dummy': dummy variable must be MEAI or CPI, got 'GDP'"
+                in res.stderr)
+        assert res.stdout == "" and "Traceback" not in res.output
+
     @pytest.mark.parametrize("name", list(SUBCOMMANDS))
     def test_zero_max_lags_is_a_usage_error(self, runner, bundle, name):
         res = self.invoke(runner, bundle, name, "--max-lags", "0")
@@ -1098,6 +1181,8 @@ OUT_OF_RANGE = [
     (["PANEL", "correlate", "--alpha", "1.5"], "--alpha"),
     (["PANEL", "correlate", "--alpha", "-0.1"], "--alpha"),
     (["PANEL", "disperse", "--weights", "WEIGHTS", "--hp-lambda", "-1"], "--hp-lambda"),
+    (["PANEL", "disperse", "--weights", "WEIGHTS", "--hp-lambda", "inf"], "--hp-lambda"),
+    (["PANEL", "disperse", "--weights", "WEIGHTS", "--hp-lambda", "1e16"], "--hp-lambda"),
     (["SERIES", "adf", "--max-lags", "-1"], "--max-lags"),
     (["SERIES", "adf", "--lag-rule", "-1"], "--lag-rule"),
     (["SERIES", "adf", "--lag-rule", "bic"], "--lag-rule"),
@@ -1111,6 +1196,8 @@ OUT_OF_RANGE = [
     (["RUN", "run", "--portmanteau-h", "1"], "--portmanteau-h"),
     (["RUN", "run", "--arch-q", "0"], "--arch-q"),
     (["RUN", "run", "--hp-lambda", "-1"], "--hp-lambda"),
+    (["RUN", "run", "--hp-lambda", "inf"], "--hp-lambda"),
+    (["RUN", "run", "--hp-lambda", "1e16"], "--hp-lambda"),
     (["RUN", "run", "--threads", "0"], "--threads"),
     (["RUN", "run", "--max-lags", "25"], "--max-lags"),
     (["PANEL", "var", "--country", "C00", "--max-lags", "25"], "--max-lags"),
@@ -1133,9 +1220,9 @@ def test_out_of_range_option_is_a_usage_error(runner, fixture_panel_path,
 
 
 NAN_SETTINGS = [
-    (["RUN", "run", "--hp-lambda", "nan"], "hp_lambda must be >= 0.0"),
+    (["RUN", "run", "--hp-lambda", "nan"], f"hp_lambda must be in [0.0, {MAX_HP_SMOOTHING}]"),
     (["PANEL", "disperse", "--weights", "WEIGHTS", "--hp-lambda", "nan"],
-     "hp_lambda must be >= 0.0"),
+     f"hp_lambda must be in [0.0, {MAX_HP_SMOOTHING}]"),
     (["RUN", "run", "--alpha", "nan"], "alpha must be in (0.0, 1.0)"),
     (["PANEL", "correlate", "--alpha", "nan"], "alpha must be in (0.0, 1.0)"),
 ]
@@ -1153,27 +1240,10 @@ def test_nan_setting_is_refused_by_the_config(runner, fixture_panel_path, fixtur
     assert res.stdout == "" and not (tmp_path / "out").exists()
 
 
-INF_SETTINGS = [
-    ["RUN", "run", "--hp-lambda", "inf"],
-    ["PANEL", "disperse", "--weights", "WEIGHTS", "--hp-lambda", "inf"],
-]
-
-
-@pytest.mark.parametrize("args", INF_SETTINGS, ids=lambda a: " ".join(a[1:]))
-def test_infinite_hp_lambda_is_refused_by_the_config(runner, fixture_panel_path,
-                                                     fixture_weights_path, series_path,
-                                                     tmp_path, args):
-    # click's float range lets inf through; PipelineConfig refuses it before any stage
-    res = runner.invoke(main, _range_args(args, fixture_panel_path, fixture_weights_path,
-                                          series_path, tmp_path))
-    assert res.exit_code == 1
-    assert res.stderr == "error: hp_lambda must be finite, got inf\n"
-    assert res.stdout == "" and not (tmp_path / "out").exists()
-
-
 @pytest.mark.parametrize("args", [
     ["PANEL", "identify", "--country", "C00", "--p", "1", "--irf-horizon", "12", "--json"],
     ["PANEL", "disperse", "--weights", "WEIGHTS", "--hp-lambda", "0"],
+    ["PANEL", "disperse", "--weights", "WEIGHTS", "--hp-lambda", "1e10"],
     ["PANEL", "var", "--country", "C00", "--max-lags", "24"],
     ["SERIES", "adf", "--max-lags", "0"],
     ["SERIES", "adf", "--lag-rule", "0"],

@@ -8,12 +8,13 @@ from ocametrics.unit_root import AdfResult
 # second copies of run's integration-order, growth-rate and long-run paths,
 # the second ADF serializer, the stream twin of panel_to_csv, an unused path
 # property, the per-country record between the estimates and the report
-# block and the one-value twin of the correlation p-values, by module or
-# class; the package keeps one entry point for each capability
+# block, the one-value twin of the correlation p-values and the keyed copy
+# of the cumulative responses, by module or class; the package keeps one
+# entry point for each capability
 DELETED = {
     unit_root: ("integration_order", "IntegrationResult", "_SPEC_ALIASES"),
     panel: ("log_diff", "dump_panel"),
-    identification: ("long_run_matrix",),
+    identification: ("long_run_matrix", "IrfSet"),
     errors: ("InconclusiveIntegrationError",),
     pipeline: ("CountryAnalysis", "_with_pretests"),
     metrics: ("correlation_pvalue",),

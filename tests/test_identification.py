@@ -5,7 +5,7 @@ import pytest
 
 from ocametrics.errors import SigmaNotPositiveDefiniteError, UnstableModelError, ZeroLongRunError
 from ocametrics.identification import (
-    IrfSet,
+    StructuralModel,
     _coefficient_sum_inverse,
     identify_bq,
     irf_structural,
@@ -154,10 +154,10 @@ class TestIrf:
         model = _model(np.zeros((1, 2, 2)), residuals, sigma=sigma)
         svar = identify_bq(model)
         irf = irf_structural(svar, model, horizon=24)
-        for (shock, variable), series in irf.responses.items():
-            si = ("supply", "demand").index(shock)
-            vi = ("activity", "price").index(variable)
-            np.testing.assert_allclose(series, svar.a0[vi, si], atol=1e-13)
+        assert irf.shape == (25, 2, 2) and irf.dtype == np.float64
+        assert not irf.flags.writeable
+        # every (variable, shock) cell stays at its impact response
+        np.testing.assert_allclose(irf, np.broadcast_to(svar.a0, irf.shape), atol=1e-13)
 
     def test_demand_activity_cell_converges_to_zero(self):
         dgp = _random_valid_dgp(13, n_obs=4000)
@@ -165,7 +165,7 @@ class TestIrf:
         model = fit_var(data, p=dgp.p)
         svar = identify_bq(model)
         irf = irf_structural(svar, model, horizon=500)
-        series = irf.responses[("demand", "activity")]
+        series = irf[:, 0, 1]  # (activity, demand)
         peak = np.abs(series).max()
         assert abs(series[-1]) < 1e-6 * max(peak, 1e-30)
 
@@ -177,8 +177,7 @@ class TestIrf:
         rho = stability(model).max_modulus
         horizon = max(200, int(math.ceil(math.log(1e-10) / math.log(rho))))
         irf = irf_structural(svar, model, horizon=horizon)
-        cell = irf.responses[("supply", "activity")]
-        assert abs(cell[-1] - irf.long_run[("supply", "activity")]) < 1e-8
+        assert np.abs(irf[-1] - svar.long_run).max() < 1e-8
 
     def test_horizon_must_cover_a_year(self):
         dgp = _random_valid_dgp(15, n_obs=2000)
@@ -190,18 +189,14 @@ class TestIrf:
 
 
 def _geometric_irf(ratio=0.5, limit=2.0, horizon=48):
-    h = np.arange(horizon + 1)
-    supply_activity = limit * (1.0 - ratio ** (h + 1))
-    flat = np.ones(horizon + 1)
-    responses = {
-        ("supply", "activity"): supply_activity,
-        ("supply", "price"): flat,
-        ("demand", "activity"): np.zeros(horizon + 1),
-        ("demand", "price"): flat,
-    }
-    long_run = {("supply", "activity"): limit, ("supply", "price"): 1.0,
-                ("demand", "activity"): 0.0, ("demand", "price"): 1.0}
-    return IrfSet(horizon=horizon, responses=responses, long_run=long_run)
+    """A structural model and its responses: (activity, supply) rises
+    geometrically to ``limit``, every other cell sits at its long-run value."""
+    long_run = np.array([[limit, 0.0], [1.0, 1.0]])
+    responses = np.tile(long_run, (horizon + 1, 1, 1))
+    responses[:, 0, 0] = limit * (1.0 - ratio ** (np.arange(horizon + 1) + 1))
+    svar = StructuralModel(a0=np.eye(2), long_run=long_run, shocks=np.zeros((1, 2)),
+                           dates=month_range(Month(2010, 1), 1))
+    return svar, responses
 
 
 class TestSizeSpeed:
@@ -210,14 +205,14 @@ class TestSizeSpeed:
         sigma = np.array([[1.3, 0.4], [0.4, 0.9]])
         model = _model(np.zeros((1, 2, 2)), residuals, sigma=sigma)
         svar = identify_bq(model)
-        ss = size_and_speed(irf_structural(svar, model, horizon=24))
+        ss = size_and_speed(svar, irf_structural(svar, model, horizon=24))
         assert ss.supply_speed == pytest.approx(1.0, abs=1e-12)
         assert ss.demand_speed == pytest.approx(1.0, abs=1e-12)
         assert ss.supply_size == pytest.approx(abs(svar.long_run[0, 0]))
         assert ss.demand_size == pytest.approx(abs(svar.long_run[1, 1]))
 
     def test_geometric_irf_speed(self):
-        ss = size_and_speed(_geometric_irf())
+        ss = size_and_speed(*_geometric_irf())
         assert ss.supply_speed == pytest.approx(1.0 - 0.5 ** 13, abs=1e-12)
 
     def test_persistent_dynamics_slow_the_adjustment(self):
@@ -230,11 +225,10 @@ class TestSizeSpeed:
         data = make_pair(simulate(dgp).diffs)
         model = fit_var(data, p=1)
         svar = identify_bq(model)
-        ss = size_and_speed(irf_structural(svar, model, 48))
+        ss = size_and_speed(svar, irf_structural(svar, model, 48))
         assert ss.supply_speed == pytest.approx(1.0 - 0.9 ** 13, abs=0.02)
         assert ss.demand_speed == pytest.approx(1.0 - 0.5 ** 13, abs=0.02)
 
     def test_zero_long_run_rejected(self):
-        irf = _geometric_irf(limit=0.0)
         with pytest.raises(ZeroLongRunError):
-            size_and_speed(irf)
+            size_and_speed(*_geometric_irf(limit=0.0))

@@ -22,6 +22,7 @@ from ocametrics.errors import (
     ZeroVarianceError,
 )
 from ocametrics.metrics import (
+    MAX_HP_SMOOTHING,
     CorrelationReport,
     WeightTable,
     build_weight_table,
@@ -282,6 +283,17 @@ class TestWeights:
             load_weights(io.StringIO("anno,pais,peso\n"))
         with pytest.raises(DegenerateWeightsError):
             load_weights(io.StringIO("year,country,weight\n2010,AAA,0.5\n2010,AAA,0.5\n"))
+
+    @pytest.mark.parametrize("rows, message", [
+        ("2010,AAA,0.5\n2010.5,BBB,0.5\n", "line 3: malformed row"),
+        ("2010,AAA,0.5\n2010,BBB,half\n", "line 3: malformed row"),
+        ("2010,AAA,0.5\n2010,BBB,0.5\n2011,AAA,0.5\n", "year 2011 needs at least 2 countries"),
+        ("", "empty weight table"),
+    ], ids=["year-text", "weight-text", "one-country-year", "header-only"])
+    def test_weights_file_refusals(self, rows, message):
+        with pytest.raises(DegenerateWeightsError) as excinfo:
+            load_weights(io.StringIO("year,country,weight\n" + rows))
+        assert type(excinfo.value) is DegenerateWeightsError and str(excinfo.value) == message
 
 
 # --------------------------------------------------------------------------
@@ -610,9 +622,21 @@ class TestHpFilter:
         with pytest.raises(ValueError):
             hp_filter(y, 0.0)
 
+    def test_smoothing_bound(self):
+        # at the bound the trend still matches the exact solve to 1e-6 of its
+        # scale; just above it, and at 1e16 where the factor breaks down, the
+        # smoothing is refused
+        y = np.random.default_rng(4).standard_normal(133).cumsum()
+        trend, _ = hp_filter(y, MAX_HP_SMOOTHING)
+        oracle = _hp_exact_oracle(y, MAX_HP_SMOOTHING)
+        assert np.abs(trend - oracle).max() <= 1e-6 * np.abs(oracle).max()
+        for smoothing in (np.nextafter(MAX_HP_SMOOTHING, np.inf), 1e16):
+            with pytest.raises(ValueError, match=r"^smoothing must be in \[0, 1e\+10\]"):
+                hp_filter(y, smoothing)
+
     @pytest.mark.parametrize("smoothing", [np.inf, np.nan, 1e308])
     def test_non_finite_smoothing_is_refused(self, smoothing):
-        # 1e308: the matrix entry 1 + 6 * smoothing overflows
+        # 1e308: above the bound, where the matrix entry 1 + 6 * smoothing overflows
         with pytest.raises(ValueError):
             hp_filter(np.arange(20.0), smoothing)
 

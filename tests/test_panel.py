@@ -139,9 +139,27 @@ class TestLoadPanel:
         assert sorted(texts) == fixture_panel.dates.labels()
         assert again.dates == fixture_panel.dates
 
+    @pytest.mark.parametrize("cell, message, variable", [
+        (("AAA", "2020-02", "GDP", "100.0"), "line 4: unknown variable 'GDP'", None),
+        (("AAA", "2020-02", "MEAI", "abc"), "line 4: non-numeric value 'abc'", "MEAI"),
+        (("AAA", "2020-02", "CPI", ""), "line 4: non-numeric value ''", "CPI"),
+    ], ids=["unknown-variable", "text-value", "empty-value"])
+    def test_malformed_cell_names_its_line(self, cell, message, variable):
+        rows = _rows(["AAA"], ["2020-01", "2020-02"])
+        rows[2] = cell  # line 4
+        with pytest.raises(PanelError) as excinfo:
+            panel_from_rows(rows)
+        assert type(excinfo.value) is PanelError and str(excinfo.value) == message
+        assert (excinfo.value.country, excinfo.value.date, excinfo.value.variable) == (
+            "AAA", "2020-02", variable)
+
     def test_bad_header(self):
         with pytest.raises(PanelError):
             load_panel(io.StringIO("iso,month,series,value\n"))
+
+    def test_header_only_is_refused(self):
+        with pytest.raises(PanelError, match="^no data rows$"):
+            load_panel(io.StringIO("country,date,variable,value\n"))
 
     def test_cell_error_from_a_file_passes_through_the_reader(self, tmp_path):
         # only the reader's own read errors are renamed; the file is closed

@@ -25,7 +25,9 @@ CONFIG = PipelineConfig(panel_path="-", weights_path="-", output_dir="-")
 RANGES = {
     "alpha": ([1e-9, 1 - 1e-9], [0.0, 1.0, float("nan")]),
     "max_lags": ([1, 24], [0, 25]),
-    "hp_lambda": ([0.0], [-1e-9, float("nan"), float("inf")]),
+    "hp_lambda": ([0.0, metrics.MAX_HP_SMOOTHING],
+                  [-1e-9, np.nextafter(metrics.MAX_HP_SMOOTHING, np.inf), float("nan"),
+                   float("inf")]),
     "irf_horizon": ([12], [11]),
     "portmanteau_h": ([2], [1]),
     "arch_q": ([1], [0]),

@@ -43,8 +43,11 @@ RUNS = {
 # the views of the seed fixture, each printed plain and with --json
 VIEWS = [
     ["var", "--panel", "seed/panel.csv", "--country", "C03"],
+    ["var", "--panel", "seed/panel.csv", "--country", "C03", "--p", "2"],
     ["identify", "--panel", "seed/panel.csv", "--country", "C01"],
+    ["identify", "--panel", "seed/panel.csv", "--country", "C01", "--p", "2"],
     ["johansen", "--panel", "seed/panel.csv", "--country", "C00"],
+    ["johansen", "--panel", "seed/panel.csv", "--country", "C00", "--lag-order", "3"],
     ["correlate", "--panel", "seed/panel.csv"],
     ["correlate", "--panel", "seed/panel.csv", "--kind", "demand"],
     ["disperse", "--panel", "seed/panel.csv", "--weights", "seed/weights.csv"],
