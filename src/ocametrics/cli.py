@@ -8,7 +8,9 @@ single library operations and write CSV to standard output (JSON with
 Each ``PipelineConfig`` setting is one click option, with the field's
 default and its ``Bounds`` as a click range, shared by ``run`` and the
 chain subcommands; a ``run --config`` file fills click's default map, so
-its values pass the same checks as the flags.
+its values pass the same checks as the flags.  Every panel subcommand takes
+``_CHAIN``, the settings that decide a country's shocks, so it reproduces
+what ``run`` writes for the same panel and settings.
 """
 
 from __future__ import annotations
@@ -23,8 +25,9 @@ from pathlib import Path
 import click
 import numpy as np
 
+from .cointegration import johansen_test
 from .errors import ConfigError, OcaError
-from .identification import identify_bq, irf_structural, size_and_speed
+from .identification import SPEED_MONTH, identify_bq, irf_structural, size_and_speed
 from .metrics import (
     check_group,
     classify_symmetry,
@@ -266,9 +269,11 @@ def adf_command(series_path, spec, max_lags, lag_rule, as_json):
     _emit([row], as_json)
 
 
-_country_options = _options(_PANEL, click.option("--country", type=str, required=True),
-                            _BASE_YEAR, _MAX_LAGS, _SEASONAL_ADJUST, _DUMMY)
-_group_options = _options(_PANEL, _BASE_YEAR, _MAX_LAGS, _SEASONAL_ADJUST, _DUMMY)
+# the settings of the shock chain: country_series's four, then gated_lag's
+_CHAIN = (_PANEL, _BASE_YEAR, _SEASONAL_ADJUST, _DUMMY, _MAX_LAGS, _ALPHA, _PORTMANTEAU_H,
+          _ARCH_Q)
+_country_options = _options(click.option("--country", type=str, required=True), *_CHAIN)
+_group_options = _options(*_CHAIN)
 
 
 def _country_series(country: str, settings: dict):
@@ -303,8 +308,6 @@ def _group_shocks(settings: dict, command: str, excluded: tuple[str, ...] = ()):
 @_domain_errors
 def johansen_command(country, lag_order, as_json, **settings):
     """Cointegration test on one country's (log activity, log price) pair."""
-    from .cointegration import johansen_test
-
     config, logs, data, dummies = _country_series(country, settings)
     if lag_order is None:
         lag_order = gated_lag(data, dummies, config).p + 1
@@ -324,9 +327,6 @@ def johansen_command(country, lag_order, as_json, **settings):
 @_country_options
 @click.option("--p", "fixed_p", type=click.IntRange(min=1), default=None,
               help="Fit this lag order instead of selecting one.")
-@_PORTMANTEAU_H
-@_ARCH_Q
-@_ALPHA
 @click.option("--json", "as_json", is_flag=True, default=False)
 @_domain_errors
 def var_command(country, fixed_p, as_json, **settings):
@@ -351,7 +351,6 @@ def var_command(country, fixed_p, as_json, **settings):
 @main.command("identify")
 @_country_options
 @click.option("--p", "fixed_p", type=click.IntRange(min=1), default=None)
-@_IRF_HORIZON
 @click.option("--json", "as_json", is_flag=True, default=False)
 @_domain_errors
 def identify_command(country, fixed_p, as_json, **settings):
@@ -363,7 +362,7 @@ def identify_command(country, fixed_p, as_json, **settings):
         model = fit_var(data, fixed_p, dummies)
     svar = identify_bq(model)
     if as_json:
-        responses = irf_structural(svar, model, config.irf_horizon)
+        responses = irf_structural(svar, model, SPEED_MONTH)
         click.echo(json.dumps({
             "country": country, "p": model.p,
             "a0": svar.a0.tolist(),
@@ -376,7 +375,6 @@ def identify_command(country, fixed_p, as_json, **settings):
 
 @main.command("correlate")
 @_group_options
-@_ALPHA
 @click.option("--kind", type=click.Choice(SHOCK_KINDS), default=SHOCK_KINDS[0])
 @click.option("--json", "as_json", is_flag=True, default=False)
 @_domain_errors

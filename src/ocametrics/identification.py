@@ -24,6 +24,8 @@ SHOCK_KINDS = ("supply", "demand")
 
 MAX_COMPANION_MODULUS = 0.9999
 MAX_CONDITION = 1e12
+# size_and_speed reads a shock's speed as its response after one year
+SPEED_MONTH = 12
 
 
 @dataclass(frozen=True)
@@ -83,8 +85,8 @@ def identify_bq(model: VarModel) -> StructuralModel:
 def irf_structural(svar: StructuralModel, model: VarModel, horizon: int) -> np.ndarray:
     """Cumulative structural impulse responses up to ``horizon`` months, as a
     read-only ``(horizon + 1, variable, shock)`` array laid out like ``a0``."""
-    if horizon < 12:
-        raise ValueError("horizon must be >= 12")
+    if horizon < SPEED_MONTH:
+        raise ValueError(f"horizon must be >= {SPEED_MONTH}")
     p = model.p
     ma = [np.eye(2)]
     for h in range(1, horizon + 1):
@@ -97,14 +99,14 @@ def irf_structural(svar: StructuralModel, model: VarModel, horizon: int) -> np.n
 
 def size_and_speed(svar: StructuralModel, responses: np.ndarray) -> SizeSpeed:
     """Long-run shock sizes and the one-year share of the long-run response,
-    read from the diagonals of ``svar.long_run`` and ``responses[12]``."""
+    read from the diagonals of ``svar.long_run`` and ``responses[SPEED_MONTH]``."""
     lr_supply, lr_demand = float(svar.long_run[0, 0]), float(svar.long_run[1, 1])
     if abs(lr_supply) < 1e-12 or abs(lr_demand) < 1e-12:
         raise ZeroLongRunError("long-run response is zero in a size cell")
-    r12_supply, r12_demand = float(responses[12, 0, 0]), float(responses[12, 1, 1])
+    year = responses[SPEED_MONTH]
     return SizeSpeed(
         supply_size=abs(lr_supply),
-        supply_speed=r12_supply / lr_supply,
+        supply_speed=float(year[0, 0]) / lr_supply,
         demand_size=abs(lr_demand),
-        demand_speed=r12_demand / lr_demand,
+        demand_speed=float(year[1, 1]) / lr_demand,
     )

@@ -26,8 +26,8 @@ import numpy as np
 
 from .cointegration import JohansenResult, johansen_test
 from .errors import ConfigError, DateRangeError, OcaError
-from .identification import (SHOCK_KINDS, SizeSpeed, StructuralModel, identify_bq,
-                             irf_structural, size_and_speed)
+from .identification import (SHOCK_KINDS, SPEED_MONTH, SizeSpeed, StructuralModel,
+                             identify_bq, irf_structural, size_and_speed)
 from .metrics import (
     MAX_HP_SMOOTHING,
     STARS,
@@ -86,7 +86,7 @@ class PipelineConfig:
     alpha: float = _bounded(0.05, 0.0, 1.0, open=True)
     max_lags: int = _bounded(12, 1, 24)
     hp_lambda: float = _bounded(14400.0, 0.0, MAX_HP_SMOOTHING)
-    irf_horizon: int = _bounded(48, 12)
+    irf_horizon: int = _bounded(48, SPEED_MONTH)
     seasonal_adjust: bool = False
     snapshot_dates: tuple[Month, ...] = ()
     dummies: tuple[tuple[str, DummySpec], ...] = ()
@@ -255,8 +255,6 @@ def _per_country(panel: Panel, config: PipelineConfig, analyze) -> dict:
 def _common_shocks(svars: Mapping[str, StructuralModel]):
     start = max(svar.dates.start for svar in svars.values())
     end = min(svar.dates[-1] for svar in svars.values())
-    if end < start:
-        raise DateRangeError("countries share no common shock calendar")
     dates = month_range(start, end - start + 1)
     shocks = {kind: {} for kind in SHOCK_KINDS}
     for country, svar in svars.items():

@@ -25,6 +25,8 @@ LONG_RUN_RESTRICTION_TOL = 1e-12
 # Steps per block of the simulation scan: the in-block products are one
 # matmul, and only one companion-state step per block is sequential.
 SIM_BLOCK = 64
+# random_dgp's cap on the companion modulus: a DGP settles within the burn-in
+DGP_MAX_MODULUS = 0.75
 
 
 @dataclass(frozen=True)
@@ -154,14 +156,13 @@ def recovery_report(dgp: Dgp, fitted: StructuralModel) -> RecoveryReport:
     )
 
 
-def random_dgp(seed: int, p: int = 1, n_obs: int = 10_000,
-               max_modulus: float = 0.75) -> Dgp:
+def random_dgp(seed: int, p: int = 1, n_obs: int = 10_000) -> Dgp:
     """A reproducible stable DGP that satisfies the long-run restriction."""
     if not 1 <= p <= 6:
         raise ValueError("p must be in 1..6")
     rng = np.random.default_rng(seed)
     coefs = rng.normal(0.0, 0.25 / p, size=(p, 2, 2))
-    while np.abs(np.linalg.eigvals(companion_matrix(coefs))).max() > max_modulus:
+    while np.abs(np.linalg.eigvals(companion_matrix(coefs))).max() > DGP_MAX_MODULUS:
         coefs *= 0.85
     # any lower-triangular positive-diagonal long-run matrix L yields a valid
     # impact matrix (I - sum B) @ L

@@ -204,8 +204,6 @@ def fit_var(data: tuple[TransformedSeries, TransformedSeries], p: int,
 def companion_matrix(coefs: np.ndarray) -> np.ndarray:
     p = coefs.shape[0]
     top = np.hstack([coefs[i] for i in range(p)])
-    if p == 1:
-        return top
     lower = np.hstack([np.eye(N_VARS * (p - 1)),
                        np.zeros((N_VARS * (p - 1), N_VARS))])
     return np.vstack([top, lower])

@@ -47,6 +47,29 @@ def bundle(runner, tmp_path_factory):
     return {"panel": panel, "weights": weights, "out": out}
 
 
+# gate settings at which the seed fixture's lags are [1, 6, 1, 2, 1, 1, 1],
+# against [1, 5, 1, 3, 1, 1, 1] at the defaults
+GATE = ["--alpha", "0.1", "--portmanteau-h", "6", "--arch-q", "2"]
+
+
+@pytest.fixture(scope="module")
+def seed_bundle(runner, fixture_panel_path, fixture_weights_path, tmp_path_factory):
+    """The output directory of ``run`` on the seed fixture with the given flags;
+    each set of flags runs once per module."""
+    outs = {}
+
+    def make(*flags):
+        if flags not in outs:
+            out = tmp_path_factory.mktemp("seed_bundle") / "out"
+            res = runner.invoke(main, ["run", "--panel", str(fixture_panel_path), "--weights",
+                                       str(fixture_weights_path), "--output-dir", str(out),
+                                       *flags])
+            assert res.exit_code == 0, res.output
+            outs[flags] = out
+        return outs[flags]
+    return make
+
+
 @pytest.fixture
 def series_path(tmp_path):
     path = tmp_path / "series.csv"
@@ -686,6 +709,67 @@ class TestRunPipeline:
         assert not out.exists()
 
 
+def _var_view(report: dict) -> list[dict]:
+    block = report["countries"]["C03"]
+    var_block = block["var"]
+    return [{
+        "country": "C03", "p": var_block["p"], "stable": var_block["stable"],
+        "max_modulus": var_block["max_modulus"],
+        "portmanteau_pvalue": var_block["portmanteau"]["p_value"],
+        "arch_pvalue_activity": var_block["arch"]["activity"]["p_value"],
+        "arch_pvalue_price": var_block["arch"]["price"]["p_value"],
+        "nobs": block["identification"]["n_shocks"],
+    }]
+
+
+def _johansen_view(report: dict) -> list[dict]:
+    res = report["countries"]["C03"]["johansen"]
+    return [{
+        "country": "C03", "hypothesis": label, "eigenvalue": res["eigenvalues"][r],
+        "trace_statistic": res["trace_stats"][r],
+        "trace_cv_5pct": res["critical_values_trace"][r],
+        "maxeig_statistic": res["max_eig_stats"][r],
+        "maxeig_cv_5pct": res["critical_values_maxeig"][r],
+        "selected_rank": res["selected_rank"],
+    } for r, label in enumerate(("r = 0", "r <= 1"))]
+
+
+def _identify_view(report: dict) -> dict:
+    block = report["countries"]["C03"]
+    return {"country": "C03", "p": block["var"]["p"], "a0": block["identification"]["a0"],
+            "long_run": block["identification"]["long_run"], **block["size_speed"]}
+
+
+def _correlate_view(report: dict) -> dict:
+    group = report["group"]
+    return {**group["correlations"]["supply"], "groups": group["symmetry"]["supply"]["groups"]}
+
+
+def _disperse_view(report: dict) -> list[dict]:
+    series = report["group"]["dispersion"]["supply"]
+    return [{"date": d, "value": v, "trend": t}
+            for d, v, t in zip(series["dates"], series["values"], series["trend"])]
+
+
+def _cost_view(report: dict) -> list[dict]:
+    group = report["group"]
+    dates = group["dispersion"]["supply"]["dates"]
+    return [{"country": "C03", "date": d, "supply": s, "demand": m}
+            for d, s, m in zip(dates, group["cost"]["supply"]["C03"],
+                               group["cost"]["demand"]["C03"])]
+
+
+# each subcommand's --json output, as its bundle's report.json holds it
+REPORT_VIEWS = {
+    "var": (["var", "--country", "C03"], _var_view),
+    "johansen": (["johansen", "--country", "C03"], _johansen_view),
+    "identify": (["identify", "--country", "C03"], _identify_view),
+    "correlate": (["correlate"], _correlate_view),
+    "disperse": (["disperse", "--weights", "WEIGHTS"], _disperse_view),
+    "cost": (["cost", "--weights", "WEIGHTS", "--exclude", "C03"], _cost_view),
+}
+
+
 class TestThinWrappers:
     def test_adf_row(self, runner, tmp_path):
         series = tmp_path / "series.csv"
@@ -845,6 +929,13 @@ class TestThinWrappers:
         assert set(payload) >= {"a0", "long_run", "supply_size", "demand_speed"}
         assert abs(payload["long_run"][0][1]) < 1e-8
 
+    def test_identify_takes_no_irf_horizon(self, runner, bundle):
+        # identify --json reads the responses at SPEED_MONTH only
+        res = runner.invoke(main, ["identify", "--panel", str(bundle["panel"]),
+                                   "--country", "C01", "--irf-horizon", "48", "--json"])
+        assert res.exit_code == 2
+        assert "No such option '--irf-horizon'" in res.stderr
+
     def test_adf_bad_lag_rule_fails(self, runner, tmp_path):
         series = tmp_path / "s.csv"
         series.write_text("date,value\n" + "\n".join(
@@ -885,31 +976,58 @@ class TestThinWrappers:
                                    "--exclude", "ZZZ"])
         assert res.exit_code != 0
 
-    @pytest.mark.parametrize("kind, alpha", [
+    @pytest.mark.parametrize("kind, flags", [
         pytest.param("supply", None, id="supply"),
         pytest.param("demand", None, id="demand"),
-        pytest.param("supply", "0.10", id="supply-alpha-0.10"),
-        pytest.param("demand", "0.10", id="demand-alpha-0.10"),
+        pytest.param("supply", ["--alpha", "0.10"], id="supply-alpha-0.10"),
+        pytest.param("demand", ["--alpha", "0.10"], id="demand-alpha-0.10"),
+        pytest.param("supply", GATE, id="supply-gate"),
+        pytest.param("demand", GATE, id="demand-gate"),
     ])
-    def test_correlate_prints_the_bundle_table(self, runner, bundle, fixture_panel_path,
-                                               fixture_weights_path, tmp_path, kind, alpha):
-        panel, out, extra = bundle["panel"], bundle["out"], []
-        if alpha is not None:
-            # on the seed fixture the gate accepts other lags at 0.10 than at 0.05
-            panel, out, extra = fixture_panel_path, tmp_path / "out", ["--alpha", alpha]
-            res = runner.invoke(main, ["run", "--panel", str(panel), "--output-dir", str(out),
-                                       "--weights", str(fixture_weights_path), *extra])
-            assert res.exit_code == 0, res.output
-        res = runner.invoke(main, ["correlate", "--panel", str(panel), "--kind", kind, *extra])
+    def test_correlate_prints_the_bundle_table(self, runner, bundle, seed_bundle,
+                                               fixture_panel_path, kind, flags):
+        panel, out = bundle["panel"], bundle["out"]
+        if flags is not None:
+            # on the seed fixture the gate accepts other lags than at the defaults
+            panel, out = fixture_panel_path, seed_bundle(*flags)
+        res = runner.invoke(main, ["correlate", "--panel", str(panel), "--kind", kind,
+                                   *(flags or [])])
         assert res.exit_code == 0, res.output
         assert res.output == (out / f"correlation_{kind}.csv").read_text()
 
-    @pytest.mark.parametrize("country", ["C01", "C04"])
-    def test_identify_prints_the_bundle_table(self, runner, bundle, country):
-        res = runner.invoke(main, ["identify", "--panel", str(bundle["panel"]),
-                                   "--country", country])
+    @pytest.mark.parametrize("country, flags", [
+        pytest.param("C01", None, id="C01"),
+        pytest.param("C04", None, id="C04"),
+        pytest.param("C03", GATE, id="C03-gate"),
+    ])
+    def test_identify_prints_the_bundle_table(self, runner, bundle, seed_bundle,
+                                              fixture_panel_path, country, flags):
+        panel, out = bundle["panel"], bundle["out"]
+        if flags is not None:
+            panel, out = fixture_panel_path, seed_bundle(*flags)
+        res = runner.invoke(main, ["identify", "--panel", str(panel), "--country", country,
+                                   *(flags or [])])
         assert res.exit_code == 0, res.output
-        assert res.output == (bundle["out"] / f"shocks_{country}.csv").read_text()
+        assert res.output == (out / f"shocks_{country}.csv").read_text()
+
+    def test_gate_flags_move_the_seed_lags(self, seed_bundle):
+        def lags(*flags):
+            report = json.loads((seed_bundle(*flags) / "report.json").read_text())
+            return [block["var"]["p"] for block in report["countries"].values()]
+
+        assert lags() == [1, 5, 1, 3, 1, 1, 1]
+        assert lags(*GATE) == [1, 6, 1, 2, 1, 1, 1]
+
+    @pytest.mark.parametrize("flags", [(), tuple(GATE)], ids=["defaults", "gate"])
+    @pytest.mark.parametrize("command", list(REPORT_VIEWS))
+    def test_json_view_equals_the_bundle_report(self, runner, seed_bundle, fixture_panel_path,
+                                                fixture_weights_path, command, flags):
+        args, expected = REPORT_VIEWS[command]
+        args = [str(fixture_weights_path) if a == "WEIGHTS" else a for a in args]
+        res = runner.invoke(main, [*args, "--panel", str(fixture_panel_path), *flags, "--json"])
+        assert res.exit_code == 0, res.output
+        report = json.loads((seed_bundle(*flags) / "report.json").read_text())
+        assert json.loads(res.output) == expected(report)
 
     @pytest.mark.parametrize("command", [
         ["correlate"],
@@ -1172,14 +1290,15 @@ OUT_OF_RANGE = [
     (["PANEL", "var", "--country", "C00", "--p", "0"], "--p"),
     (["PANEL", "identify", "--country", "C00", "--p", "0"], "--p"),
     (["PANEL", "johansen", "--country", "C00", "--lag-order", "1"], "--lag-order"),
-    (["PANEL", "identify", "--country", "C00", "--irf-horizon", "11", "--json"],
-     "--irf-horizon"),
     (["PANEL", "var", "--country", "C00", "--arch-q", "0"], "--arch-q"),
     (["PANEL", "var", "--country", "C00", "--portmanteau-h", "1"], "--portmanteau-h"),
     (["PANEL", "var", "--country", "C00", "--alpha", "0"], "--alpha"),
     (["PANEL", "var", "--country", "C00", "--alpha", "1"], "--alpha"),
     (["PANEL", "correlate", "--alpha", "1.5"], "--alpha"),
     (["PANEL", "correlate", "--alpha", "-0.1"], "--alpha"),
+    (["PANEL", "disperse", "--weights", "WEIGHTS", "--alpha", "1"], "--alpha"),
+    (["PANEL", "disperse", "--weights", "WEIGHTS", "--portmanteau-h", "1"], "--portmanteau-h"),
+    (["PANEL", "disperse", "--weights", "WEIGHTS", "--arch-q", "0"], "--arch-q"),
     (["PANEL", "disperse", "--weights", "WEIGHTS", "--hp-lambda", "-1"], "--hp-lambda"),
     (["PANEL", "disperse", "--weights", "WEIGHTS", "--hp-lambda", "inf"], "--hp-lambda"),
     (["PANEL", "disperse", "--weights", "WEIGHTS", "--hp-lambda", "1e16"], "--hp-lambda"),
@@ -1241,7 +1360,8 @@ def test_nan_setting_is_refused_by_the_config(runner, fixture_panel_path, fixtur
 
 
 @pytest.mark.parametrize("args", [
-    ["PANEL", "identify", "--country", "C00", "--p", "1", "--irf-horizon", "12", "--json"],
+    ["PANEL", "identify", "--country", "C00", "--p", "1", "--portmanteau-h", "2", "--arch-q", "1",
+     "--json"],
     ["PANEL", "disperse", "--weights", "WEIGHTS", "--hp-lambda", "0"],
     ["PANEL", "disperse", "--weights", "WEIGHTS", "--hp-lambda", "1e10"],
     ["PANEL", "var", "--country", "C00", "--max-lags", "24"],

@@ -28,10 +28,10 @@ RANGES = {
     "hp_lambda": ([0.0, metrics.MAX_HP_SMOOTHING],
                   [-1e-9, np.nextafter(metrics.MAX_HP_SMOOTHING, np.inf), float("nan"),
                    float("inf")]),
-    "irf_horizon": ([12], [11]),
-    "portmanteau_h": ([2], [1]),
-    "arch_q": ([1], [0]),
-    "threads": ([1], [0]),
+    "irf_horizon": ([12], [11, float("inf")]),
+    "portmanteau_h": ([2], [1, float("inf")]),
+    "arch_q": ([1], [0, float("inf")]),
+    "threads": ([1], [0, float("inf")]),
 }
 
 

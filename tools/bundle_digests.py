@@ -37,6 +37,7 @@ RUNS = {
     "seed-defaults": ("seed", []),
     "seed-options": ("seed", ["--dummy", "C01:CPI:2012-03:step", "--seasonal-adjust",
                               "--snapshot-dates", "2011-01,2015-01,2019-01", "--alpha", "0.1"]),
+    "seed-gate": ("seed", ["--alpha", "0.1", "--portmanteau-h", "6", "--arch-q", "2"]),
     "wide-defaults": ("wide", []),
 }
 
