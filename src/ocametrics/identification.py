@@ -26,6 +26,9 @@ MAX_COMPANION_MODULUS = 0.9999
 MAX_CONDITION = 1e12
 # size_and_speed reads a shock's speed as its response after one year
 SPEED_MONTH = 12
+# the longest horizon a run reports, a century of months: the report's
+# responses grow linearly with it (844 KB at 1200, 57 MB at 100,000)
+MAX_IRF_HORIZON = 1200
 
 
 @dataclass(frozen=True)

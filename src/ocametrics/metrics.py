@@ -5,8 +5,9 @@ clique-based detection of mutually symmetric country groups, the
 size-weighted cross-country dispersion index, the Hodrick-Prescott trend
 via a banded Cholesky solve, and leave-one-out cost-of-inclusion
 series.  ``run``, ``disperse`` and ``cost`` call ``group_dispersion``, one
-weighted pass for both; ``dispersion_index`` and ``cost_of_inclusion`` are
-its library entry points for one series.
+weighted pass for both; its one-series wrappers ``dispersion_index`` and
+``cost_of_inclusion`` are kept only for perfbench's tracer and its
+``group_dense`` workload (ROADMAP item 7).
 """
 
 from __future__ import annotations
@@ -300,8 +301,8 @@ def group_dispersion(shocks: Mapping[str, np.ndarray], dates: Calendar,
     return _frozen(full), {c: _frozen(costs[:, i]) for i, c in enumerate(excluded)}
 
 
-# One-series library entry points over ``group_dispersion``; exported, and
-# perfbench's tracer and ``group_dense`` workload call them by name.
+# One-series wrappers over ``group_dispersion``, kept only because perfbench's
+# tracer and ``group_dense`` workload call them by name (ROADMAP item 7).
 def dispersion_index(shocks: Mapping[str, np.ndarray], dates: Calendar,
                      weights: WeightTable) -> DispersionSeries:
     """Size-weighted cross-country standard deviation of shocks, per month.

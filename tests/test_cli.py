@@ -831,14 +831,19 @@ class TestThinWrappers:
         assert res.stderr == f"error: need >= 33 observations with 12 lags, have {rows}\n"
         assert isinstance(res.exception, SystemExit)
 
-    @pytest.mark.parametrize("text", ["nan", "-inf"])
-    def test_adf_non_finite_value_names_its_line(self, runner, series_path, text):
+    @pytest.mark.parametrize("row, message", [
+        ("{date},nan", "non-finite value 'nan'"),
+        ("{date},-inf", "non-finite value '-inf'"),
+        ("{date},abc", "could not convert string to float: 'abc'"),
+        ("2020-1x,2.0", "expected YYYY-MM date, got '2020-1x'"),
+    ], ids=["nan", "-inf", "abc", "2020-1x"])
+    def test_adf_non_finite_value_names_its_line(self, runner, series_path, row, message):
         lines = series_path.read_text().splitlines()
-        lines[5] = lines[5].split(",")[0] + "," + text
+        lines[5] = row.format(date=lines[5].split(",")[0])
         series_path.write_text("\n".join(lines) + "\n")
         res = runner.invoke(main, ["adf", "--series", str(series_path)])
         assert res.exit_code == 1
-        assert res.stderr == f"error: {series_path}:6: non-finite value {text!r}\n"
+        assert res.stderr == f"error: {series_path}:6: {message}\n"
         assert isinstance(res.exception, SystemExit)
 
     def test_johansen_rows(self, runner, bundle):
@@ -1312,6 +1317,7 @@ OUT_OF_RANGE = [
     (["RUN", "run", "--alpha", "1.5"], "--alpha"),
     (["RUN", "run", "--max-lags", "0"], "--max-lags"),
     (["RUN", "run", "--irf-horizon", "11"], "--irf-horizon"),
+    (["RUN", "run", "--irf-horizon", "1201"], "--irf-horizon"),
     (["RUN", "run", "--portmanteau-h", "1"], "--portmanteau-h"),
     (["RUN", "run", "--arch-q", "0"], "--arch-q"),
     (["RUN", "run", "--hp-lambda", "-1"], "--hp-lambda"),

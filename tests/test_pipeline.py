@@ -3,7 +3,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from ocametrics import metrics, panel, pipeline, unit_root, var
+from ocametrics import identification, metrics, panel, pipeline, unit_root, var
 from ocametrics.errors import ConfigError, DegenerateRegressorError, OcaError
 from ocametrics.pipeline import (
     SHOCK_KINDS,
@@ -28,7 +28,8 @@ RANGES = {
     "hp_lambda": ([0.0, metrics.MAX_HP_SMOOTHING],
                   [-1e-9, np.nextafter(metrics.MAX_HP_SMOOTHING, np.inf), float("nan"),
                    float("inf")]),
-    "irf_horizon": ([12], [11, float("inf")]),
+    "irf_horizon": ([12, identification.MAX_IRF_HORIZON],
+                    [11, identification.MAX_IRF_HORIZON + 1, float("inf")]),
     "portmanteau_h": ([2], [1, float("inf")]),
     "arch_q": ([1], [0, float("inf")]),
     "threads": ([1], [0, float("inf")]),

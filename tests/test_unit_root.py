@@ -111,7 +111,8 @@ class TestAdfPanel:
     @pytest.mark.parametrize("lag_rule", ["aic", 0])
     def test_singular_design_is_refused_on_its_own(self, lag_rule):
         # a line: its level is affine in the trend and its differences copy
-        # the intercept, and numpy's batched solvers raise for the whole stack
+        # the intercept; under "aic" numpy's batched solvers raise for the
+        # whole stack, and at a fixed lag the refit's rank check refuses it
         linear = 4.6 + 0.01 * np.arange(133)
         walk = np.random.default_rng(5).standard_normal(133).cumsum()
         panel = adf_panel([linear, walk], lag_rule=lag_rule)

@@ -5,18 +5,24 @@ trees write byte-identical bundles and print byte-identical views:
 
     PYTHONPATH=src python tools/bundle_digests.py > digests.txt
 
+``tests/data/bundle_digests.txt`` holds the expected output, and
+``tests/test_bundle_digests.py`` compares against it. A change that moves bytes
+on purpose regenerates it with the command above and names the moved labels.
+
 Every command runs in-process through click's ``CliRunner`` inside one fresh
 temporary directory, under fixed relative names, so the paths that
 ``report.json`` records in ``metadata.config`` match across trees.  Each line
 reads ``sha256  label``: one per file written (simulated panels and weights,
 every file of each ``run`` bundle) and one per command's stdout, with the
-exit code in the label.
+exit code in the label.  The output opens with ``# field: value`` lines that
+record what the bytes depend on besides the source (``environment()``).
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import platform
 import sys
 from pathlib import Path
 
@@ -24,6 +30,8 @@ from pathlib import Path
 for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_name, "1")
 
+import numpy as np  # noqa: E402
+import scipy  # noqa: E402
 from click.testing import CliRunner  # noqa: E402
 
 from ocametrics.cli import main  # noqa: E402
@@ -57,6 +65,14 @@ VIEWS = [
     ["cost", "--panel", "seed/panel.csv", "--weights", "seed/weights.csv", "--exclude", "C03"],
     ["adf", "--series", "seed/series.csv"],
 ]
+
+
+def environment() -> dict[str, str]:
+    """The interpreter, numpy and scipy versions and numpy's BLAS build."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "blas": blas.get("openblas configuration") or f"{blas['name']} {blas['version']}"}
 
 
 def _digest(data: bytes) -> str:
@@ -103,4 +119,5 @@ def digests() -> list[str]:
 
 
 if __name__ == "__main__":
-    sys.stdout.write("".join(f"{line}\n" for line in digests()))
+    header = [f"# {field}: {value}" for field, value in environment().items()]
+    sys.stdout.write("".join(f"{line}\n" for line in header + digests()))
