@@ -113,7 +113,6 @@ def _setting(field: str, flag: str, **attrs):
 _PANEL = _setting("panel_path", "--panel", type=click.Path())
 _WEIGHTS = _setting("weights_path", "--weights", type=click.Path())
 _OUTPUT_DIR = _setting("output_dir", "--output-dir", type=click.Path())
-_BASE_YEAR = _setting("base_year", "--base-year", type=int)
 _ALPHA = _setting("alpha", "--alpha")
 _MAX_LAGS = _setting("max_lags", "--max-lags")
 _HP_LAMBDA = _setting("hp_lambda", "--hp-lambda")
@@ -215,9 +214,8 @@ def main():
 @main.command("run")
 @click.option("--config", type=click.Path(), is_eager=True, expose_value=False,
               callback=_load_config, help="Flat key-value JSON config; flags override it.")
-@_options(_PANEL, _WEIGHTS, _OUTPUT_DIR, _BASE_YEAR, _ALPHA, _MAX_LAGS, _HP_LAMBDA,
-          _IRF_HORIZON, _SNAPSHOT_DATES, _DUMMY, _SEASONAL_ADJUST, _PORTMANTEAU_H,
-          _ARCH_Q, _THREADS)
+@_options(_PANEL, _WEIGHTS, _OUTPUT_DIR, _ALPHA, _MAX_LAGS, _HP_LAMBDA, _IRF_HORIZON,
+          _SNAPSHOT_DATES, _DUMMY, _SEASONAL_ADJUST, _PORTMANTEAU_H, _ARCH_Q, _THREADS)
 @_domain_errors
 def run_command(**settings):
     """Run the full pipeline and write the report bundle."""
@@ -269,9 +267,8 @@ def adf_command(series_path, spec, max_lags, lag_rule, as_json):
     _emit([row], as_json)
 
 
-# the settings of the shock chain: country_series's four, then gated_lag's
-_CHAIN = (_PANEL, _BASE_YEAR, _SEASONAL_ADJUST, _DUMMY, _MAX_LAGS, _ALPHA, _PORTMANTEAU_H,
-          _ARCH_Q)
+# the settings of the shock chain: country_series's three, then gated_lag's four
+_CHAIN = (_PANEL, _SEASONAL_ADJUST, _DUMMY, _MAX_LAGS, _ALPHA, _PORTMANTEAU_H, _ARCH_Q)
 _country_options = _options(click.option("--country", type=str, required=True), *_CHAIN)
 _group_options = _options(*_CHAIN)
 

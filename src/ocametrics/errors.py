@@ -45,10 +45,6 @@ class NonPositiveValueError(PanelError):
     pass
 
 
-class BaseYearAbsentError(OcaError):
-    pass
-
-
 class TooShortError(OcaError):
     pass
 

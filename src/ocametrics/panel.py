@@ -6,11 +6,12 @@ or ``CPI`` (price index).  Row order is irrelevant.  In memory the two
 variables are called ``activity`` and ``price``.  :func:`panel_to_csv` writes
 it through :func:`csv_text`, the writer of every CSV the package outputs.
 
-Transforms are plain array functions: :func:`rebase` (proportional index
-rebasing so the base-year mean is exactly 100), :func:`seasonal_adjust_dummies`
-(OLS month-of-year dummy adjustment, mean preserving) and :func:`growth_pair`
-(month-on-month log growth of a country's two log levels).  All are pure;
-panels and transformed series are immutable after construction.
+Transforms are plain functions: :func:`log_level_series` (the log of
+an index as given), :func:`seasonal_adjust_dummies` (OLS month-of-year dummy
+adjustment, mean preserving) and :func:`growth_pair` (month-on-month log
+growth of a country's two log levels).  An index's base only shifts its
+log, which the differences drop and every pretest's intercept absorbs.  All
+are pure; panels and transformed series are immutable after construction.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from typing import IO, Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import (
-    BaseYearAbsentError,
     CalendarGapError,
     DuplicateRowError,
     MissingCellError,
@@ -219,15 +219,6 @@ def panel_to_csv(panel: Panel) -> str:
         for column, value in zip(_VARIABLE_TO_COLUMN.values(), values)))
 
 
-def rebase(dates: Calendar, values: np.ndarray, base_year: int) -> np.ndarray:
-    """Rescale so the series averages exactly 100 over the base-year months."""
-    values = np.asarray(values, dtype=np.float64)
-    mask = dates.years == base_year
-    if not mask.any():
-        raise BaseYearAbsentError(f"no observations in base year {base_year}")
-    return 100.0 * values / values[mask].mean()
-
-
 def seasonal_adjust_dummies(dates: Calendar, values: np.ndarray) -> np.ndarray:
     """Remove OLS-fitted month-of-year effects, preserving the sample mean.
 
@@ -249,10 +240,9 @@ def seasonal_adjust_dummies(dates: Calendar, values: np.ndarray) -> np.ndarray:
 
 
 def log_level_series(panel: Panel, country: str, variable: str, *,
-                     base_year: int, seasonal: bool = False) -> np.ndarray:
-    """Log of the rebased index, optionally dummy-adjusted on the log scale."""
-    level = rebase(panel.dates, panel.series(country, variable), base_year)
-    logs = np.log(level)
+                     seasonal: bool = False) -> np.ndarray:
+    """Log of the index as given, optionally dummy-adjusted on the log scale."""
+    logs = np.log(panel.series(country, variable))
     if seasonal:
         logs = seasonal_adjust_dummies(panel.dates, logs)
     return logs
@@ -268,10 +258,9 @@ def growth_pair(country: str, dates: Calendar,
     return activity, price
 
 
-def transform_pair(panel: Panel, country: str, *, base_year: int,
+def transform_pair(panel: Panel, country: str, *,
                    seasonal: bool = False) -> tuple[TransformedSeries, TransformedSeries]:
     """Per-country (activity, price) growth-rate pair fed to the VAR."""
-    logs = tuple(log_level_series(panel, country, variable,
-                                  base_year=base_year, seasonal=seasonal)
+    logs = tuple(log_level_series(panel, country, variable, seasonal=seasonal)
                  for variable in VARIABLES)
     return growth_pair(country, panel.dates, logs)

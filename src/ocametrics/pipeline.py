@@ -82,7 +82,6 @@ class PipelineConfig:
     panel_path: str
     weights_path: str
     output_dir: str
-    base_year: int = 2010
     alpha: float = _bounded(0.05, 0.0, 1.0, open=True)
     max_lags: int = _bounded(12, 1, 24)
     hp_lambda: float = _bounded(14400.0, 0.0, MAX_HP_SMOOTHING)
@@ -120,8 +119,7 @@ def country_series(panel: Panel, country: str, config: PipelineConfig):
     Returns the (activity, price) log levels, the growth-rate pair and the
     country's dummies.
     """
-    logs = tuple(log_level_series(panel, country, variable, base_year=config.base_year,
-                                  seasonal=config.seasonal_adjust)
+    logs = tuple(log_level_series(panel, country, variable, seasonal=config.seasonal_adjust)
                  for variable in VARIABLES)
     dummies = tuple(spec for c, spec in config.dummies if c == country)
     return logs, growth_pair(country, panel.dates, logs), dummies
@@ -202,8 +200,9 @@ def check_panel_settings(panel: Panel, config: PipelineConfig) -> None:
     """Refuse settings that cannot fit ``panel``: a dummy for a country it does
     not hold, dated outside its growth calendar, or the twin of another of
     that country's dummies (the column enters both equations, so the date and
-    form make it); a base year outside its calendar; a snapshot date outside it,
-    before its third month (growth and one lag precede every shock) or repeated."""
+    form make it); a snapshot date outside its calendar, before its third month
+    (growth and one lag precede every shock) or repeated.  No setting ties the
+    panel to a base year: the levels are the logs of the index as given."""
     growth, columns = panel.dates[1:], {}
     for country, spec in config.dummies:
         if country not in panel.countries:
@@ -215,10 +214,6 @@ def check_panel_settings(panel: Panel, config: PipelineConfig) -> None:
         if key in columns:
             raise ConfigError(f"dummies {columns[key]} and {label} are the same column")
         columns[key] = label
-    first, last = panel.dates[0].year, panel.dates[-1].year
-    if not first <= config.base_year <= last:
-        raise ConfigError(f"base year {config.base_year} is outside the panel's years "
-                          f"{first}-{last}")
     for i, date in enumerate(config.snapshot_dates):
         if date in config.snapshot_dates[:i]:
             raise ConfigError(f"snapshot date {date} is repeated")
@@ -328,8 +323,7 @@ def _country_report(johansen: JohansenResult, selection: LagSelection, svar: Str
 
 def _conventions() -> dict:
     return {
-        "transform_order": "rebase -> log -> optional seasonal dummy adjustment -> first difference",
-        "rebase": "arithmetic base-year mean rescaled to 100",
+        "transform_order": "log -> optional seasonal dummy adjustment -> first difference",
         "adf_lag_rule": "aic over 0..max_lags",
         "adf_critical_values": "response surface in the effective sample size",
         "adf_spec": "linear trend for level and first-difference pretests",
@@ -337,7 +331,8 @@ def _conventions() -> dict:
         "johansen_rejection_rule": "reject iff statistic > 5% critical value",
         "johansen_lag_rule": "levels order = selected difference-VAR order + 1",
         "sigma_divisor": "residual row count (T - p)",
-        "lag_selection": "minimum of AIC/SC/HQ picks, incremented until stability and 5% diagnostics pass",
+        "lag_selection": ("minimum of AIC/SC/HQ picks, incremented until stability and the "
+                          "diagnostics pass at metadata.config.alpha"),
         "dummy_default": "step form, both equations",
         "sign_normalization": "long-run diagonal positive",
         "long_run_values": "closed form from the coefficient sum, not truncated sums",

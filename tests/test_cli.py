@@ -527,7 +527,7 @@ class TestRunPipeline:
         assert res.exit_code == 0
         res = runner.invoke(main, [
             "run", "--panel", str(panel), "--weights", str(weights), "--output-dir", str(out),
-            "--base-year", "2009", "--snapshot-dates", "2009-02"])
+            "--snapshot-dates", "2009-02"])
         assert res.exit_code == 1
         assert res.stderr == "error: [country C00] sample too short for lag search up to 12\n"
         assert not out.exists()
@@ -657,7 +657,7 @@ class TestRunPipeline:
         out = tmp_path / "out"
         settings = {
             "panel": str(fixture_panel_path), "weights": str(fixture_weights_path),
-            "output_dir": str(out), "base_year": 2011, "alpha": 0.01, "max_lags": 14,
+            "output_dir": str(out), "alpha": 0.01, "max_lags": 14,
             "hp_lambda": 1600.0, "irf_horizon": 24, "snapshot_dates": ["2011-01", "2015-01"],
             "dummy": ["C00:CPI:2012-06:step", "C02:MEAI:2013-01:pulse"],
             "seasonal_adjust": True, "portmanteau_h": 14, "arch_q": 3, "threads": 2}
@@ -690,22 +690,24 @@ class TestRunPipeline:
         assert res.exit_code == 2
         assert "Missing option '--output-dir'" in res.stderr
 
-    def test_seed_is_not_a_run_setting(self, runner, bundle, tmp_path):
+    @pytest.mark.parametrize("key", ["seed", "base_year"])
+    def test_seed_is_not_a_run_setting(self, runner, bundle, tmp_path, key):
         report = json.loads((bundle["out"] / "report.json").read_text())
-        assert "seed" not in report["metadata"]["config"]
+        assert key not in report["metadata"]["config"]
+        flag = "--" + key.replace("_", "-")
         out = tmp_path / "seeded"
         res = runner.invoke(main, [
             "run", "--panel", str(bundle["panel"]), "--weights", str(bundle["weights"]),
-            "--output-dir", str(out), "--seed", "7"])
+            "--output-dir", str(out), flag, "7"])
         assert res.exit_code == 2
-        assert "No such option '--seed'" in res.output
+        assert f"No such option '{flag}'" in res.output
         config = tmp_path / "seeded.json"
         config.write_text(json.dumps({
             "panel": str(bundle["panel"]), "weights": str(bundle["weights"]),
-            "output_dir": str(out), "seed": 7}))
+            "output_dir": str(out), key: 7}))
         res = runner.invoke(main, ["run", "--config", str(config)])
         assert res.exit_code == 1
-        assert res.output.startswith("error: unknown config key 'seed'")
+        assert res.output.startswith(f"error: unknown config key '{key}'")
         assert not out.exists()
 
 
@@ -1023,6 +1025,16 @@ class TestThinWrappers:
         assert lags() == [1, 5, 1, 3, 1, 1, 1]
         assert lags(*GATE) == [1, 6, 1, 2, 1, 1, 1]
 
+    def test_conventions_hold_at_every_gate_level(self, seed_bundle):
+        metadata = json.loads((seed_bundle("--alpha", "0.10") / "report.json").read_text())[
+            "metadata"]
+        assert metadata["config"]["alpha"] == 0.1
+        # Johansen's rank rule is the one convention fixed at 5%, whatever --alpha is
+        conventions = metadata["conventions"]
+        assert [k for k, text in conventions.items() if "5%" in text] == [
+            "johansen_rejection_rule"]
+        assert "metadata.config.alpha" in conventions["lag_selection"]
+
     @pytest.mark.parametrize("flags", [(), tuple(GATE)], ids=["defaults", "gate"])
     @pytest.mark.parametrize("command", list(REPORT_VIEWS))
     def test_json_view_equals_the_bundle_report(self, runner, seed_bundle, fixture_panel_path,
@@ -1132,17 +1144,17 @@ class TestInputContracts:
     @pytest.mark.parametrize("args", [
         ["run", "--weights", "WEIGHTS", "--output-dir", "OUT"],
         ["correlate"],
-        ["var", "--country", "C00"],
     ], ids=lambda args: args[0])
-    def test_base_year_outside_the_panel_is_refused(self, runner, fixture_panel_path,
-                                                    fixture_weights_path, tmp_path, args):
-        files = {"WEIGHTS": str(fixture_weights_path), "OUT": str(tmp_path / "never")}
-        res = runner.invoke(main, [files.get(a, a) for a in args] + [
-            "--panel", str(fixture_panel_path), "--base-year", "1800"])
-        assert res.exit_code == 1
-        assert "base year 1800 is outside the panel's years 2009-2020" in res.stderr
-        assert "[country" not in res.stderr
-        assert not (tmp_path / "never").exists()
+    def test_a_panel_simulate_writes_from_any_start_runs(self, runner, tmp_path, args):
+        panel, weights = tmp_path / "p.csv", tmp_path / "w.csv"
+        res = runner.invoke(main, ["simulate", "--seed", "3", "--countries", "5",
+                                   "--start", "2012-01", "--output", str(panel),
+                                   "--weights-output", str(weights)])
+        assert res.exit_code == 0
+        files = {"WEIGHTS": str(weights), "OUT": str(tmp_path / "out")}
+        res = runner.invoke(main, [files.get(a, a) for a in args] + ["--panel", str(panel)])
+        assert res.exit_code == 0, res.output
+        assert res.stderr == ""
 
     @pytest.mark.parametrize("name", ["var", "identify", "johansen"])
     def test_country_not_in_panel_is_refused(self, runner, bundle, name):

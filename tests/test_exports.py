@@ -13,12 +13,13 @@ from ocametrics.unit_root import AdfResult
 # property, the per-country record between the estimates and the report
 # block, the one-value twin of the correlation p-values and the keyed copy
 # of the cumulative responses, by module or class; the package keeps one
-# entry point for each capability
+# entry point for each capability.  The index rebase and its error went with
+# --base-year: an index's base only shifts the log levels
 DELETED = {
     unit_root: ("integration_order", "IntegrationResult", "_SPEC_ALIASES"),
-    panel: ("log_diff", "dump_panel"),
+    panel: ("log_diff", "dump_panel", "rebase"),
     identification: ("long_run_matrix", "IrfSet"),
-    errors: ("InconclusiveIntegrationError",),
+    errors: ("InconclusiveIntegrationError", "BaseYearAbsentError"),
     pipeline: ("CountryAnalysis", "_with_pretests"),
     metrics: ("correlation_pvalue",),
     AdfResult: ("as_dict",),

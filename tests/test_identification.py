@@ -113,8 +113,8 @@ class TestIdentifyBq:
         scaled = Panel(
             countries=fixture_panel.countries, dates=fixture_panel.dates,
             values={k: 100.0 * v for k, v in fixture_panel.values.items()})
-        base = identify_bq(fit_var(transform_pair(fixture_panel, "C01", base_year=2010), p=2))
-        other = identify_bq(fit_var(transform_pair(scaled, "C01", base_year=2010), p=2))
+        base = identify_bq(fit_var(transform_pair(fixture_panel, "C01"), p=2))
+        other = identify_bq(fit_var(transform_pair(scaled, "C01"), p=2))
         np.testing.assert_allclose(other.shocks, base.shocks, atol=1e-10)
 
     def test_bit_stable_across_runs(self):
@@ -131,6 +131,14 @@ class TestIdentifyBq:
                        np.random.default_rng(6).standard_normal((100, 2)))
         assert stability(model).stable  # inside the unit circle, yet refused
         with pytest.raises(UnstableModelError):
+            identify_bq(model)
+
+    def test_ill_conditioned_coefficient_sum_refused(self):
+        # a nilpotent B has companion modulus 0, yet cond(I - B) is about 1e14
+        model = _model([[[0.0, 1e7], [0.0, 0.0]]],
+                       np.random.default_rng(8).standard_normal((100, 2)))
+        assert stability(model).max_modulus == 0.0
+        with pytest.raises(UnstableModelError, match="numerically singular"):
             identify_bq(model)
 
     def test_singular_sigma_refused(self):

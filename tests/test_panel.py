@@ -8,7 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ocametrics.errors import (
-    BaseYearAbsentError,
     CalendarGapError,
     DuplicateRowError,
     MissingCellError,
@@ -24,7 +23,6 @@ from ocametrics.panel import (
     growth_pair,
     load_panel,
     panel_to_csv,
-    rebase,
     seasonal_adjust_dummies,
     transform_pair,
 )
@@ -200,47 +198,6 @@ def test_read_rows_skips_blank_rows_and_keeps_line_numbers():
     assert rows == [(2, ["1", "2"]), (5, ["3", "4"])]
 
 
-class TestRebase:
-    def test_constant_series(self):
-        dates = month_range(Month(2010, 1), 12)
-        out = rebase(dates, np.full(12, 50.0), 2010)
-        np.testing.assert_allclose(out, 100.0)
-
-    def test_identity_when_base_mean_is_100(self):
-        dates = month_range(Month(2009, 12), 14)
-        values = np.linspace(90.0, 110.0, 14)
-        base = [d.year == 2010 for d in dates]
-        values = values * 100.0 / values[base].mean()
-        np.testing.assert_allclose(rebase(dates, values, 2010), values, rtol=1e-14)
-
-    def test_two_month_base_year_pair_unchanged(self):
-        # base-year mean of (80, 120) is 100 already
-        dates = month_range(Month(2010, 11), 2)
-        np.testing.assert_allclose(rebase(dates, np.array([80.0, 120.0]), 2010),
-                                   [80.0, 120.0], rtol=1e-14)
-
-    def test_base_year_mean_is_exactly_100(self):
-        rng = np.random.default_rng(7)
-        dates = month_range(Month(2009, 1), 36)
-        values = np.exp(rng.normal(4.5, 0.2, 36))
-        out = rebase(dates, values, 2010)
-        base = [d.year == 2010 for d in dates]
-        assert abs(out[base].mean() - 100.0) < 1e-12
-
-    @given(st.lists(st.floats(min_value=0.1, max_value=1e4), min_size=12, max_size=30))
-    def test_idempotent(self, raw):
-        values = np.array(raw)
-        dates = month_range(Month(2010, 1), len(values))
-        once = rebase(dates, values, 2010)
-        twice = rebase(dates, once, 2010)
-        np.testing.assert_allclose(twice, once, rtol=1e-12, atol=1e-12)
-
-    def test_base_year_absent(self):
-        dates = month_range(Month(2011, 1), 12)
-        with pytest.raises(BaseYearAbsentError):
-            rebase(dates, np.full(12, 1.0), 2010)
-
-
 def _log_growth(values):
     """``growth_pair`` of an index used as both activity and price."""
     dates = month_range(Month(2010, 1), len(values))
@@ -332,13 +289,13 @@ def test_transform_pair_seasonal_option_removes_planted_pattern():
         rows.append(("AAA", str(d), "MEAI", level * math.exp(season)))
         rows.append(("AAA", str(d), "CPI", level))
     panel = panel_from_rows(rows)
-    raw, _ = transform_pair(panel, "AAA", base_year=2010, seasonal=False)
-    adjusted, _ = transform_pair(panel, "AAA", base_year=2010, seasonal=True)
+    raw, _ = transform_pair(panel, "AAA", seasonal=False)
+    adjusted, _ = transform_pair(panel, "AAA", seasonal=True)
     assert adjusted.values.std() < 0.5 * raw.values.std()
 
 
 def test_transform_pair_shapes(fixture_panel):
-    activity, price = transform_pair(fixture_panel, "C03", base_year=2010)
+    activity, price = transform_pair(fixture_panel, "C03")
     assert activity.variable == "activity"
     assert price.variable == "price"
     assert len(activity.values) == fixture_panel.n_months - 1

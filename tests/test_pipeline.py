@@ -72,8 +72,7 @@ def test_country_chain_estimates_once(fixture_panel, monkeypatch):
 def test_selection_carries_the_accepted_model(fixture_panel):
     _, data, dummies = pipeline.country_series(fixture_panel, "C00", CONFIG)
     selection = pipeline.gated_lag(data, dummies, CONFIG)
-    refit = var.fit_var(panel.transform_pair(fixture_panel, "C00", base_year=2010),
-                        selection.p)
+    refit = var.fit_var(panel.transform_pair(fixture_panel, "C00"), selection.p)
     assert (refit.coefs == selection.model.coefs).all()
     assert (refit.residuals == selection.model.residuals).all()
     assert selection.diagnostics == var.diagnose(refit, 12, 4)
@@ -90,6 +89,40 @@ def test_country_block_is_the_report_block(fixture_panel, fixture_weights_path):
     report = build_report(fixture_panel, metrics.load_weights(fixture_weights_path), CONFIG)
     for country in fixture_panel.countries:
         assert analyze_country(fixture_panel, country, CONFIG) == report["countries"][country]
+
+
+def _leaves(node, path=()):
+    """Each ``(path, value)`` leaf of a report's nested dicts, lists and tuples."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _leaves(value, (*path, key))
+    elif isinstance(node, (list, tuple)):
+        for i, value in enumerate(node):
+            yield from _leaves(value, (*path, i))
+    else:
+        yield path, node
+
+
+def test_scaling_a_country_index_moves_no_decision(fixture_panel, fixture_weights_path):
+    # an index's base only shifts its log: the differences drop the shift and
+    # every pretest's intercept absorbs it, so only round-off moves: at 7.3
+    # the largest is 7.1e-13 (a trend_change_pct), bounded here at 1e-11
+    weights = metrics.load_weights(fixture_weights_path)
+    values = dict(fixture_panel.values)
+    values["C03", "activity"] = 7.3 * values["C03", "activity"]
+    scaled = panel.Panel(fixture_panel.countries, fixture_panel.dates, values)
+    reports = [build_report(p, weights, CONFIG) for p in (fixture_panel, scaled)]
+    base, other = (dict(_leaves(report)) for report in reports)
+    floats = {path for path, value in base.items() if isinstance(value, float)}
+    assert {path for path, value in other.items() if isinstance(value, float)} == floats
+    assert ({k: v for k, v in base.items() if k not in floats}
+            == {k: v for k, v in other.items() if k not in floats})
+    assert max(abs(base[path] - other[path]) for path in floats) < 1e-11
+    base, other = (pipeline._render_tables(report) for report in reports)
+    assert base.keys() == other.keys()
+    for name in base:
+        if not name.startswith("shocks_"):  # the one table at 15 digits
+            assert base[name] == other[name], name
 
 
 def _pretest_oracle(series, max_lags):
@@ -112,7 +145,7 @@ def _pretest_oracle(series, max_lags):
 @pytest.mark.parametrize("max_lags", [12, 4])
 def test_panel_pretests_match_per_series_tests(fixture_panel, max_lags):
     rng = np.random.default_rng(4)
-    logs = {c: tuple(panel.log_level_series(fixture_panel, c, v, base_year=2010)
+    logs = {c: tuple(panel.log_level_series(fixture_panel, c, v)
                      for v in panel.VARIABLES) for c in fixture_panel.countries}
     noise = rng.standard_normal((4, 133))
     logs["I2X"] = (noise[0].cumsum().cumsum(), 0.1 * np.arange(133) + noise[1])

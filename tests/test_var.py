@@ -396,7 +396,7 @@ class TestSelectLag:
     def test_break_date_inside_first_max_p_months(self, fixture_panel, month):
         # the lag search trims max_p rows, but the break date is still
         # inside the sample that fit_var accepts
-        data = transform_pair(fixture_panel, "C00", base_year=2010)
+        data = transform_pair(fixture_panel, "C00")
         pulse = DummySpec("activity", Month(2009, month), form="pulse")
         selection = select_lag(data, max_p=12, dummies=(pulse,))
         assert fit_var(data, selection.p, (pulse,)).dummies == (pulse,)
@@ -465,7 +465,7 @@ class TestInformationCriteria:
     def test_picks_equal_per_order_fits_on_the_fixture(self, fixture_panel, form, month):
         # with max_p 12 the common sample starts at 2010-02
         for country in fixture_panel.countries:
-            data = transform_pair(fixture_panel, country, base_year=2010)
+            data = transform_pair(fixture_panel, country)
             dummy = (DummySpec("activity", month, form),)
             assert (_information_criteria(data, 12, dummy)
                     == per_order_information_criteria(data, 12, dummy))
@@ -473,7 +473,7 @@ class TestInformationCriteria:
     def test_step_before_the_common_sample_is_left_out(self):
         # the step is constant on the common sample; kept in the QR it would
         # make the design rank-deficient and the AIC pick 2
-        data = transform_pair(synthetic_panel(20260404, 1, 133), "C00", base_year=2010)
+        data = transform_pair(synthetic_panel(20260404, 1, 133), "C00")
         step = (DummySpec("activity", Month(2009, 4), "step"),)
         assert per_order_information_criteria(data, 12, step)["aic"] == 8
         assert _information_criteria(data, 12, step) == {"aic": 8, "sc": 1, "hq": 1}
@@ -483,7 +483,7 @@ class TestInformationCriteria:
         # next is a column of ones: both dummies vary, yet the pair lies in
         # the intercept's span.  Kept in the QR, they would leave R singular
         # and the HQ pick 2 here
-        data = transform_pair(synthetic_panel(20260404, 7, 133), "C01", base_year=2010)
+        data = transform_pair(synthetic_panel(20260404, 7, 133), "C01")
         pair = (DummySpec("activity", Month(2009, 10), "pulse"),
                 DummySpec("price", Month(2009, 11), "step"))
         assert per_order_information_criteria(data, 8, pair) == {"aic": 3, "sc": 1, "hq": 1}
@@ -491,7 +491,7 @@ class TestInformationCriteria:
         pair = (DummySpec("activity", Month(2010, 2), "pulse"),
                 DummySpec("activity", Month(2010, 3), "step"))
         for country in fixture_panel.countries:
-            data = transform_pair(fixture_panel, country, base_year=2010)
+            data = transform_pair(fixture_panel, country)
             assert (_information_criteria(data, 12, pair)
                     == per_order_information_criteria(data, 12, pair))
 
@@ -499,6 +499,6 @@ class TestInformationCriteria:
         fits, lstsq = [], np.linalg.lstsq
         monkeypatch.setattr(np.linalg, "lstsq",
                             lambda *args, **kwargs: fits.append(args) or lstsq(*args, **kwargs))
-        data = transform_pair(fixture_panel, "C00", base_year=2010)
+        data = transform_pair(fixture_panel, "C00")
         _information_criteria(data, 12, (DummySpec("price", Month(2012, 6)),))
         assert fits == []

@@ -39,6 +39,7 @@ from ocametrics.cli import main  # noqa: E402
 FIXTURES = {
     "seed": ["--seed", "20260401", "--t", "133", "--countries", "7"],
     "wide": ["--seed", "5", "--t", "241", "--countries", "12"],
+    "late": ["--seed", "3", "--t", "133", "--countries", "5", "--start", "2012-01"],
 }
 
 RUNS = {
@@ -47,6 +48,7 @@ RUNS = {
                               "--snapshot-dates", "2011-01,2015-01,2019-01", "--alpha", "0.1"]),
     "seed-gate": ("seed", ["--alpha", "0.1", "--portmanteau-h", "6", "--arch-q", "2"]),
     "wide-defaults": ("wide", []),
+    "late-defaults": ("late", []),
 }
 
 # the views of the seed fixture, each printed plain and with --json
