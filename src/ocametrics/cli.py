@@ -27,7 +27,7 @@ import numpy as np
 
 from .cointegration import johansen_test
 from .errors import ConfigError, OcaError
-from .identification import SPEED_MONTH, identify_bq, irf_structural, size_and_speed
+from .identification import SHOCK_KINDS, SPEED_MONTH, identify_bq, irf_structural, size_and_speed
 from .metrics import (
     check_group,
     classify_symmetry,
@@ -39,7 +39,6 @@ from .metrics import (
 from .months import Month, month_range
 from .panel import _read_rows, csv_text, load_panel, panel_to_csv
 from .pipeline import (
-    SHOCK_KINDS,
     PipelineConfig,
     check_panel_settings,
     check_weights,
@@ -57,21 +56,12 @@ from .simulate import equal_weights_csv, synthetic_panel
 from .unit_root import adf_test
 from .var import DummySpec, diagnose, fit_var
 
-_VARIABLE_ALIASES = {"meai": "activity", "activity": "activity",
-                     "cpi": "price", "price": "price"}
-
 
 def _parse_dummy(text: str) -> tuple[str, DummySpec]:
-    parts = text.split(":")
-    if len(parts) == 3:
-        parts.append("step")
-    if len(parts) != 4:
-        raise ValueError(f"dummy must be COUNTRY:VAR:YYYY-MM:step|pulse, got {text!r}")
-    country, variable, date_text, form = (p.strip() for p in parts)
-    variable = _VARIABLE_ALIASES.get(variable.lower())
-    if variable is None:
-        raise ValueError(f"dummy variable must be MEAI or CPI, got {parts[1]!r}")
-    return country, DummySpec(variable=variable, break_date=Month.parse(date_text), form=form)
+    country, *fields = (part.strip() for part in text.split(":"))
+    if len(fields) not in (1, 2):
+        raise ValueError(f"dummy must be COUNTRY:YYYY-MM[:step|pulse], got {text!r}")
+    return country, DummySpec(Month.parse(fields[0]), *fields[1:])
 
 
 def _parse_months(text: str) -> tuple[Month, ...]:
@@ -121,7 +111,7 @@ _SNAPSHOT_DATES = _setting("snapshot_dates", "--snapshot-dates",
                            type=_Text("months", _parse_months),
                            help="Comma-separated YYYY-MM dates for the cost table.")
 _DUMMY = _setting("dummies", "--dummy", type=_Text("dummy", _parse_dummy), multiple=True,
-                  help="COUNTRY:VAR:YYYY-MM:step|pulse break dummy (repeatable).")
+                  help="COUNTRY:YYYY-MM[:step|pulse] break dummy, step by default (repeatable).")
 _SEASONAL_ADJUST = _setting("seasonal_adjust", "--seasonal-adjust", is_flag=True,
                             help="Apply the month-dummy seasonal adjustment to log levels.")
 _PORTMANTEAU_H = _setting("portmanteau_h", "--portmanteau-h")

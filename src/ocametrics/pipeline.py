@@ -197,23 +197,19 @@ class StageError(OcaError):
 
 
 def check_panel_settings(panel: Panel, config: PipelineConfig) -> None:
-    """Refuse settings that cannot fit ``panel``: a dummy for a country it does
-    not hold, dated outside its growth calendar, or the twin of another of
-    that country's dummies (the column enters both equations, so the date and
-    form make it); a snapshot date outside its calendar, before its third month
-    (growth and one lag precede every shock) or repeated.  No setting ties the
-    panel to a base year: the levels are the logs of the index as given."""
-    growth, columns = panel.dates[1:], {}
-    for country, spec in config.dummies:
+    """Refuse settings that cannot fit ``panel``: a repeated dummy, or one for a
+    country it does not hold or dated outside its growth calendar; a repeated
+    snapshot date, or one outside its calendar or before its third month (growth
+    and one lag precede every shock).  No setting ties the panel to a base year."""
+    growth = panel.dates[1:]
+    for i, (country, spec) in enumerate(config.dummies):
+        label = f"{country}:{spec.label()}"
+        if (country, spec) in config.dummies[:i]:
+            raise ConfigError(f"dummy {label} is repeated")
         if country not in panel.countries:
             raise ConfigError(f"dummy references unknown country {country!r}")
-        label = f"{country}:{spec.label()}"
         if spec.break_date not in growth:
             raise ConfigError(f"dummy {label} is dated outside the growth calendar {growth}")
-        key = (country, spec.break_date, spec.form)
-        if key in columns:
-            raise ConfigError(f"dummies {columns[key]} and {label} are the same column")
-        columns[key] = label
     for i, date in enumerate(config.snapshot_dates):
         if date in config.snapshot_dates[:i]:
             raise ConfigError(f"snapshot date {date} is repeated")
@@ -278,16 +274,21 @@ _IRF_CELLS = [(f"{shock}_{variable}", v, s) for s, shock in enumerate(SHOCK_KIND
               for v, variable in enumerate(VARIABLES)]
 
 
+def _listed(result) -> dict:
+    """``asdict(result)`` with its tuple fields as lists, as ``json.loads`` reads them."""
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(result).items()}
+
+
 def _country_report(johansen: JohansenResult, selection: LagSelection, svar: StructuralModel,
                     responses: np.ndarray) -> dict:
     """A country's report block without its ``adf`` entry."""
     model, diag = selection.model, selection.diagnostics
     return {
-        "johansen": asdict(johansen),
+        "johansen": _listed(johansen),
         "var": {
             "p": model.p,
             "criterion_choices": dict(selection.criterion_choices),
-            "gate_trail": [asdict(a) for a in selection.trail],
+            "gate_trail": [_listed(a) for a in selection.trail],
             "intercept": model.intercept.tolist(),
             "coefs": model.coefs.tolist(),
             "sigma": model.sigma.tolist(),

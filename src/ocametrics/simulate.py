@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DateRangeError, UnstableModelError
 from .identification import StructuralModel
 from .months import Month, month_range
-from .panel import Panel, _frozen, csv_text
+from .panel import VARIABLES, Panel, _frozen, csv_text
 from .var import companion_matrix
 
 BURN_IN = 500
@@ -190,7 +190,7 @@ def panel_from_diffs(diffs_by_country: dict[str, np.ndarray],
     values = {}
     for country in countries:
         diffs = np.asarray(diffs_by_country[country], dtype=np.float64)
-        for vi, variable in enumerate(("activity", "price")):
+        for vi, variable in enumerate(VARIABLES):
             logs = np.concatenate([[0.0], np.cumsum(diffs[:, vi])])
             values[(country, variable)] = _frozen(100.0 * np.exp(logs))
     return Panel(countries=countries, dates=dates, values=values)

@@ -43,7 +43,6 @@ MIN_EFFECTIVE_OBS = 20
 
 
 def canonical_spec(spec: str) -> str:
-    spec = spec.strip().lower()
     if spec not in SPEC_CODES:
         raise ValueError(f"unknown deterministic spec {spec!r}")
     return spec
@@ -92,7 +91,7 @@ def adf_panel(series: Sequence[np.ndarray], spec: str = "trend", max_lags: int =
     """
     spec = canonical_spec(spec)
     if isinstance(lag_rule, str):
-        if lag_rule.lower() != "aic":
+        if lag_rule != "aic":
             raise ValueError(f"unknown lag rule {lag_rule!r}")
         autolag, k = True, int(max_lags)
     else:

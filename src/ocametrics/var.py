@@ -28,20 +28,15 @@ N_VARS = 2
 
 @dataclass(frozen=True)
 class DummySpec:
-    """Exogenous break dummy.
-
-    ``variable`` records which series' break the dummy marks; the column
-    enters both equations.  ``form`` is ``step`` (one from the break date
-    onward) or ``pulse`` (one only at the break date).
+    """Exogenous break dummy, a regressor of both equations like the
+    intercept.  ``form`` is ``step`` (one from the break date onward) or
+    ``pulse`` (one only at the break date).
     """
 
-    variable: str
     break_date: Month
     form: str = "step"
 
     def __post_init__(self):
-        if self.variable not in VARIABLES:
-            raise ValueError(f"unknown variable {self.variable!r}")
         if self.form not in ("step", "pulse"):
             raise ValueError(f"unknown dummy form {self.form!r}")
 
@@ -53,7 +48,7 @@ class DummySpec:
         return col
 
     def label(self) -> str:
-        return f"{self.variable}:{self.break_date}:{self.form}"
+        return f"{self.break_date}:{self.form}"
 
 
 @dataclass(frozen=True)

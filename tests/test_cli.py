@@ -579,24 +579,38 @@ class TestRunPipeline:
         res = runner.invoke(main, [
             "run", "--panel", str(bundle["panel"]), "--weights", str(bundle["weights"]),
             "--output-dir", str(tmp_path / "x"),
-            "--dummy", "ZZZ:MEAI:2012-06:step"])
+            "--dummy", "ZZZ:2012-06:step"])
         assert res.exit_code != 0
 
     def test_malformed_dummy_flag_fails(self, runner, bundle, tmp_path):
         res = runner.invoke(main, [
             "run", "--panel", str(bundle["panel"]), "--weights", str(bundle["weights"]),
-            "--output-dir", str(tmp_path / "x"), "--dummy", "C00/MEAI/2012-06"])
+            "--output-dir", str(tmp_path / "x"), "--dummy", "C00/2012-06"])
         assert res.exit_code != 0
 
     def test_dummy_flag_reaches_model(self, runner, bundle, tmp_path):
         out = tmp_path / "dummy_run"
         res = runner.invoke(main, [
             "run", "--panel", str(bundle["panel"]), "--weights", str(bundle["weights"]),
-            "--output-dir", str(out), "--dummy", "C00:MEAI:2012-06:step"])
+            "--output-dir", str(out), "--dummy", "C00:2012-06:step"])
         assert res.exit_code == 0, res.output
         report = json.loads((out / "report.json").read_text())
-        assert report["countries"]["C00"]["var"]["dummies"] == ["activity:2012-06:step"]
+        assert report["countries"]["C00"]["var"]["dummies"] == ["2012-06:step"]
         assert report["countries"]["C01"]["var"]["dummies"] == []
+
+    def test_dummy_labels_round_trip_through_the_flag(self, runner, fixture_panel_path,
+                                                      fixture_weights_path, tmp_path):
+        def config_dummies(flags, out):
+            res = runner.invoke(main, [
+                "run", "--panel", str(fixture_panel_path), "--weights", str(fixture_weights_path),
+                "--output-dir", str(tmp_path / out), *(a for f in flags for a in ("--dummy", f))])
+            assert res.exit_code == 0, res.output
+            report = json.loads((tmp_path / out / "report.json").read_text())
+            return report["metadata"]["config"]["dummies"]
+
+        labels = config_dummies(["C01:2012-03", "C02:2013-01:pulse"], "first")
+        assert labels == ["C01:2012-03:step", "C02:2013-01:pulse"]
+        assert config_dummies(labels, "again") == labels
 
     def test_missing_panel_file_fails(self, runner, tmp_path):
         res = runner.invoke(main, ["run", "--panel", str(tmp_path / "nope.csv"),
@@ -629,7 +643,7 @@ class TestRunPipeline:
         ({"dummy": 3}, None),
         ({"snapshot_dates": 5}, None),
         ({"seasonal_adjust": "no"}, ("seasonal_adjust", False)),
-        ({"dummy": "C00:CPI:2012-06"}, ("dummies", ["C00:price:2012-06:step"])),
+        ({"dummy": "C00:2012-06"}, ("dummies", ["C00:2012-06:step"])),
     ], ids=["max_lags-text", "dummy-int-list", "dummy-int", "snapshot_dates-int",
             "seasonal_adjust-no", "dummy-one-string"])
     def test_config_value_takes_its_flag_type(self, runner, fixture_panel_path,
@@ -659,7 +673,7 @@ class TestRunPipeline:
             "panel": str(fixture_panel_path), "weights": str(fixture_weights_path),
             "output_dir": str(out), "alpha": 0.01, "max_lags": 14,
             "hp_lambda": 1600.0, "irf_horizon": 24, "snapshot_dates": ["2011-01", "2015-01"],
-            "dummy": ["C00:CPI:2012-06:step", "C02:MEAI:2013-01:pulse"],
+            "dummy": ["C00:2012-06:step", "C02:2013-01:pulse"],
             "seasonal_adjust": True, "portmanteau_h": 14, "arch_q": 3, "threads": 2}
         flag_keys = {p.opts[0][2:].replace("-", "_") for p in main.commands["run"].params}
         assert set(settings) == flag_keys - {"config"}
@@ -1137,7 +1151,7 @@ class TestInputContracts:
 
     @pytest.mark.parametrize("name", list(SUBCOMMANDS))
     def test_unknown_dummy_country_fails(self, runner, bundle, name):
-        res = self.invoke(runner, bundle, name, "--dummy", "ZZZ:MEAI:2012-06:step")
+        res = self.invoke(runner, bundle, name, "--dummy", "ZZZ:2012-06:step")
         assert res.exit_code == 1
         assert "unknown country 'ZZZ'" in res.stderr
 
@@ -1164,14 +1178,6 @@ class TestInputContracts:
         assert res.stderr == f"error: country 'ZZ' not in panel {countries}\n"
 
     @pytest.mark.parametrize("name", list(SUBCOMMANDS))
-    def test_unknown_dummy_variable_is_a_usage_error(self, runner, bundle, name):
-        res = self.invoke(runner, bundle, name, "--dummy", "C01:GDP:2012-03")
-        assert res.exit_code == 2
-        assert ("Invalid value for '--dummy': dummy variable must be MEAI or CPI, got 'GDP'"
-                in res.stderr)
-        assert res.stdout == "" and "Traceback" not in res.output
-
-    @pytest.mark.parametrize("name", list(SUBCOMMANDS))
     def test_zero_max_lags_is_a_usage_error(self, runner, bundle, name):
         res = self.invoke(runner, bundle, name, "--max-lags", "0")
         assert res.exit_code != 0
@@ -1179,8 +1185,8 @@ class TestInputContracts:
         assert "--max-lags" in res.stderr and "Traceback" not in res.output
 
     @pytest.mark.parametrize("flag, label", [
-        ("C02:MEAI:2009-02:pulse", "activity:2009-02:pulse"),
-        ("C00:CPI:2009-03:step", "price:2009-03:step"),
+        ("C02:2009-02:pulse", "2009-02:pulse"),
+        ("C00:2009-03:step", "2009-03:step"),
     ])
     def test_dummy_in_lag_rows_is_refused(self, runner, fixture_panel_path,
                                           fixture_weights_path, tmp_path, flag, label):
@@ -1192,20 +1198,44 @@ class TestInputContracts:
         assert label in res.stderr and "rank-deficient" not in res.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("args, source", [
+        (["run", "--weights", "WEIGHTS", "--output-dir", "OUT"], "flag"),
+        (["var", "--country", "C01"], "flag"),
+        (["run", "--weights", "WEIGHTS", "--output-dir", "OUT"], "config"),
+    ], ids=["run-flag", "var-flag", "run-config"])
+    def test_dummy_naming_a_variable_is_a_usage_error(
+            self, runner, fixture_panel_path, fixture_weights_path, tmp_path, monkeypatch,
+            args, source):
+        # the column enters both equations, so a dummy names no variable
+        dummy = "C01:CPI:2012-03:step"
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"dummy": [dummy]}))
+        files = {"WEIGHTS": str(fixture_weights_path), "OUT": str(tmp_path / "never")}
+        extra = ["--config", str(config)] if source == "config" else ["--dummy", dummy]
+        fits = count_calls(monkeypatch, var.select_lag)
+        res = runner.invoke(main, [files.get(a, a) for a in args] +
+                            ["--panel", str(fixture_panel_path), *extra])
+        assert res.exit_code == 2
+        assert ("Invalid value for '--dummy': dummy must be COUNTRY:YYYY-MM[:step|pulse], "
+                f"got {dummy!r}") in res.stderr
+        assert res.stdout == "" and "Traceback" not in res.output
+        assert fits == []
+        assert not (tmp_path / "never").exists()
+
     @pytest.mark.parametrize("args", [
         ["run", "--weights", "WEIGHTS", "--output-dir", "OUT"],
         ["var", "--country", "C00"],
     ], ids=lambda args: args[0])
     @pytest.mark.parametrize("flags, message", [
-        (["C03:CPI:2030-01"],
-         "dummy C03:price:2030-01:step is dated outside the growth calendar 2009-02..2020-01"),
-        (["C03:CPI:2009-01:pulse"],
-         "dummy C03:price:2009-01:pulse is dated outside the growth calendar 2009-02..2020-01"),
-        (["C00:MEAI:2012-06", "C00:CPI:2012-06"],
-         "dummies C00:activity:2012-06:step and C00:price:2012-06:step are the same column"),
-        (["C00:CPI:2012-06", "C00:CPI:2012-06:step"],
-         "dummies C00:price:2012-06:step and C00:price:2012-06:step are the same column"),
-    ], ids=["after-the-panel", "first-month", "both-variables", "repeated"])
+        (["C03:2030-01"],
+         "dummy C03:2030-01:step is dated outside the growth calendar 2009-02..2020-01"),
+        (["C03:2009-01:pulse"],
+         "dummy C03:2009-01:pulse is dated outside the growth calendar 2009-02..2020-01"),
+        (["C00:2012-06:pulse", "C00:2012-06", "C00:2012-06:pulse"],
+         "dummy C00:2012-06:pulse is repeated"),
+        (["C00:2012-06", "C00:2012-06:step"],
+         "dummy C00:2012-06:step is repeated"),
+    ], ids=["after-the-panel", "first-month", "repeated-pulse", "repeated"])
     def test_unusable_dummy_is_refused_before_estimation(
             self, runner, fixture_panel_path, fixture_weights_path, tmp_path, monkeypatch,
             args, flags, message):

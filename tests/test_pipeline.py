@@ -1,3 +1,4 @@
+import json
 from dataclasses import fields, replace
 
 import numpy as np
@@ -91,12 +92,18 @@ def test_country_block_is_the_report_block(fixture_panel, fixture_weights_path):
         assert analyze_country(fixture_panel, country, CONFIG) == report["countries"][country]
 
 
+def test_report_reads_back_from_its_json(fixture_panel, fixture_weights_path):
+    # every array is a list, so the report equals the report.json it writes
+    report = build_report(fixture_panel, metrics.load_weights(fixture_weights_path), CONFIG)
+    assert json.loads(pipeline.render_json(report)) == report
+
+
 def _leaves(node, path=()):
-    """Each ``(path, value)`` leaf of a report's nested dicts, lists and tuples."""
+    """Each ``(path, value)`` leaf of a report's nested dicts and lists."""
     if isinstance(node, dict):
         for key, value in node.items():
             yield from _leaves(value, (*path, key))
-    elif isinstance(node, (list, tuple)):
+    elif isinstance(node, list):
         for i, value in enumerate(node):
             yield from _leaves(value, (*path, i))
     else:

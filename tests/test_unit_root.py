@@ -77,6 +77,16 @@ class TestAdfTest:
             with pytest.raises(ValueError, match="unknown deterministic spec"):
                 adf_test(y, spec=spec)
 
+    @pytest.mark.parametrize("option, name, message", [
+        ("spec", "Trend", "unknown deterministic spec"),
+        ("spec", " trend", "unknown deterministic spec"),
+        ("lag_rule", "AIC", "unknown lag rule"),
+    ])
+    def test_names_are_taken_as_given(self, option, name, message):
+        y = np.random.default_rng(0).standard_normal(100).cumsum()
+        with pytest.raises(ValueError, match=message):
+            adf_test(y, **{option: name})
+
 
 def _mixed_series(rng):
     out = []

@@ -12,7 +12,7 @@ from ocametrics.errors import (
     TooShortError,
 )
 from ocametrics.months import Month, month_range
-from ocametrics.panel import VARIABLES, transform_pair
+from ocametrics.panel import transform_pair
 from ocametrics.simulate import Dgp, simulate, synthetic_panel
 from ocametrics.var import (
     N_VARS,
@@ -139,7 +139,7 @@ class TestDummies:
         shift = np.array([d >= break_date for d in dates], dtype=float)
         values[:, 0] += 0.5 * shift
         data = make_pair(values)
-        spec = DummySpec(variable="activity", break_date=break_date, form="step")
+        spec = DummySpec(break_date=break_date, form="step")
         model = fit_var(data, p=1, dummies=[spec])
         assert abs(model.exog_coefficients[0, 0] - 0.5) < 0.1
         assert abs(model.exog_coefficients[1, 0]) < 0.1
@@ -147,7 +147,7 @@ class TestDummies:
     def test_break_outside_sample_rejected(self):
         data = make_pair(np.random.default_rng(0).standard_normal((100, 2)))
         from ocametrics.errors import DateRangeError
-        spec = DummySpec(variable="price", break_date=Month(1990, 1))
+        spec = DummySpec(break_date=Month(1990, 1))
         with pytest.raises(DateRangeError):
             fit_var(data, p=1, dummies=[spec])
 
@@ -157,17 +157,15 @@ class TestDummies:
         data = make_pair(np.random.default_rng(0).standard_normal((100, 2)))
         dates = data[0].dates
         for row in range(first_valid):
-            spec = DummySpec(variable="price", break_date=dates[row], form=form)
+            spec = DummySpec(break_date=dates[row], form=form)
             with pytest.raises(DateRangeError, match=spec.label()):
                 fit_var(data, p=3, dummies=[spec])
-        spec = DummySpec(variable="price", break_date=dates[first_valid], form=form)
+        spec = DummySpec(break_date=dates[first_valid], form=form)
         assert fit_var(data, p=3, dummies=[spec]).dummies == (spec,)
 
     def test_invalid_spec_fields(self):
         with pytest.raises(ValueError):
-            DummySpec(variable="gdp", break_date=Month(2010, 1))
-        with pytest.raises(ValueError):
-            DummySpec(variable="price", break_date=Month(2010, 1), form="ramp")
+            DummySpec(break_date=Month(2010, 1), form="ramp")
 
 
 class TestStability:
@@ -397,7 +395,7 @@ class TestSelectLag:
         # the lag search trims max_p rows, but the break date is still
         # inside the sample that fit_var accepts
         data = transform_pair(fixture_panel, "C00")
-        pulse = DummySpec("activity", Month(2009, month), form="pulse")
+        pulse = DummySpec(Month(2009, month), form="pulse")
         selection = select_lag(data, max_p=12, dummies=(pulse,))
         assert fit_var(data, selection.p, (pulse,)).dummies == (pulse,)
 
@@ -424,8 +422,7 @@ def per_order_information_criteria(data, max_p, dummies):
 
 
 # a break offset relative to max_p, where the common sample starts
-_DUMMY = st.tuples(st.sampled_from(VARIABLES), st.integers(-3, 18),
-                   st.sampled_from(["step", "pulse"]))
+_DUMMY = st.tuples(st.integers(-3, 18), st.sampled_from(["step", "pulse"]))
 
 
 class TestInformationCriteria:
@@ -433,7 +430,7 @@ class TestInformationCriteria:
     @given(seed=st.integers(0, 2**32 - 1), max_p=st.integers(1, 12),
            n_obs=st.sampled_from([60, 132, 240]), ar=st.floats(-0.9, 0.9),
            collinear=st.sampled_from([None, 1e-2, 1e-3, 1e-4]),
-           dummies=st.lists(_DUMMY, max_size=3, unique_by=lambda d: d[1:]))
+           dummies=st.lists(_DUMMY, max_size=3, unique=True))
     def test_picks_equal_per_order_fits(self, seed, max_p, n_obs, ar, collinear, dummies):
         # break dates fall before, at and inside the common sample, which
         # starts max_p months in; a step there, or a pulse before it, is
@@ -454,8 +451,8 @@ class TestInformationCriteria:
         if collinear is not None:
             values[:, 1] = values[:, 0] + collinear * eps[:, 1]
         data = make_pair(values)
-        specs = tuple(DummySpec(v, data[0].dates[max(max_p + offset, 0)], form)
-                      for v, offset, form in dummies)
+        specs = tuple(DummySpec(data[0].dates[max(max_p + offset, 0)], form)
+                      for offset, form in dummies)
         assert (_information_criteria(data, max_p, specs)
                 == per_order_information_criteria(data, max_p, specs))
 
@@ -466,7 +463,7 @@ class TestInformationCriteria:
         # with max_p 12 the common sample starts at 2010-02
         for country in fixture_panel.countries:
             data = transform_pair(fixture_panel, country)
-            dummy = (DummySpec("activity", month, form),)
+            dummy = (DummySpec(month, form),)
             assert (_information_criteria(data, 12, dummy)
                     == per_order_information_criteria(data, 12, dummy))
 
@@ -474,7 +471,7 @@ class TestInformationCriteria:
         # the step is constant on the common sample; kept in the QR it would
         # make the design rank-deficient and the AIC pick 2
         data = transform_pair(synthetic_panel(20260404, 1, 133), "C00")
-        step = (DummySpec("activity", Month(2009, 4), "step"),)
+        step = (DummySpec(Month(2009, 4), "step"),)
         assert per_order_information_criteria(data, 12, step)["aic"] == 8
         assert _information_criteria(data, 12, step) == {"aic": 8, "sc": 1, "hq": 1}
 
@@ -484,12 +481,12 @@ class TestInformationCriteria:
         # the intercept's span.  Kept in the QR, they would leave R singular
         # and the HQ pick 2 here
         data = transform_pair(synthetic_panel(20260404, 7, 133), "C01")
-        pair = (DummySpec("activity", Month(2009, 10), "pulse"),
-                DummySpec("price", Month(2009, 11), "step"))
+        pair = (DummySpec(Month(2009, 10), "pulse"),
+                DummySpec(Month(2009, 11), "step"))
         assert per_order_information_criteria(data, 8, pair) == {"aic": 3, "sc": 1, "hq": 1}
         assert _information_criteria(data, 8, pair) == {"aic": 3, "sc": 1, "hq": 1}
-        pair = (DummySpec("activity", Month(2010, 2), "pulse"),
-                DummySpec("activity", Month(2010, 3), "step"))
+        pair = (DummySpec(Month(2010, 2), "pulse"),
+                DummySpec(Month(2010, 3), "step"))
         for country in fixture_panel.countries:
             data = transform_pair(fixture_panel, country)
             assert (_information_criteria(data, 12, pair)
@@ -500,5 +497,5 @@ class TestInformationCriteria:
         monkeypatch.setattr(np.linalg, "lstsq",
                             lambda *args, **kwargs: fits.append(args) or lstsq(*args, **kwargs))
         data = transform_pair(fixture_panel, "C00")
-        _information_criteria(data, 12, (DummySpec("price", Month(2012, 6)),))
+        _information_criteria(data, 12, (DummySpec(Month(2012, 6)),))
         assert fits == []

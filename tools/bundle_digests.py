@@ -44,7 +44,7 @@ FIXTURES = {
 
 RUNS = {
     "seed-defaults": ("seed", []),
-    "seed-options": ("seed", ["--dummy", "C01:CPI:2012-03:step", "--seasonal-adjust",
+    "seed-options": ("seed", ["--dummy", "C01:2012-03:step", "--seasonal-adjust",
                               "--snapshot-dates", "2011-01,2015-01,2019-01", "--alpha", "0.1"]),
     "seed-gate": ("seed", ["--alpha", "0.1", "--portmanteau-h", "6", "--arch-q", "2"]),
     "wide-defaults": ("wide", []),
@@ -55,6 +55,7 @@ RUNS = {
 VIEWS = [
     ["var", "--panel", "seed/panel.csv", "--country", "C03"],
     ["var", "--panel", "seed/panel.csv", "--country", "C03", "--p", "2"],
+    ["var", "--panel", "seed/panel.csv", "--country", "C01", "--dummy", "C01:2012-03:pulse"],
     ["identify", "--panel", "seed/panel.csv", "--country", "C01"],
     ["identify", "--panel", "seed/panel.csv", "--country", "C01", "--p", "2"],
     ["johansen", "--panel", "seed/panel.csv", "--country", "C00"],
