@@ -32,7 +32,7 @@ from .errors import (
     ZeroVarianceError,
 )
 from .months import Calendar, Month
-from .panel import _frozen, _read_rows
+from .panel import _frozen, _read_rows, special_ufuncs
 
 WEIGHT_SUM_TOLERANCE = 0.005
 
@@ -61,12 +61,10 @@ class SymmetryReport:
 
 def _pvalues(r: np.ndarray, n: int) -> np.ndarray:
     # elementwise: p = 0 where |r| >= 1
-    from scipy.special import stdtr
-
     perfect = np.abs(r) >= 1.0
     r = np.where(perfect, 0.0, r)
     t = r * np.sqrt((n - 2) / (1.0 - r * r))
-    return np.where(perfect, 0.0, 2.0 * stdtr(n - 2, -np.abs(t)))
+    return np.where(perfect, 0.0, 2.0 * special_ufuncs().stdtr(n - 2, -np.abs(t)))
 
 
 def check_group(countries: Sequence[str], excluded: Sequence[str], task: str) -> None:

@@ -12,6 +12,10 @@ adjustment, mean preserving) and :func:`growth_pair` (month-on-month log
 growth of a country's two log levels).  An index's base only shifts its
 log, which the differences drop and every pretest's intercept absorbs.  All
 are pure; panels and transformed series are immutable after construction.
+
+:func:`special_ufuncs` loads scipy's two p-value ufuncs for the lag gate's
+tests and the correlation tests; it sits here because ``var`` and ``metrics``
+both import this module.
 """
 
 from __future__ import annotations
@@ -20,6 +24,8 @@ import contextlib
 import csv
 import math
 import re
+import sys
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence
@@ -49,6 +55,45 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=np.float64)
     out.flags.writeable = False
     return out
+
+
+_special_lock = threading.Lock()
+_special = None
+
+
+def special_ufuncs():
+    """The module that holds scipy's compiled p-value ufuncs ``chdtrc`` and ``stdtr``.
+
+    ``scipy.special``'s package ``__init__`` costs more than the rest of a seed
+    ``run`` and the ufuncs need none of it.  Unless the package is already
+    imported, a bare stand-in with its ``__path__`` sits in ``sys.modules``
+    while ``scipy.special._ufuncs`` loads, and is removed after; if that
+    private module cannot be imported, the package is.  Either way the
+    functions are the objects a later ``import scipy.special`` binds.  The
+    module is loaded once per process, under a lock, so no worker thread sees
+    the stand-in.
+    """
+    global _special
+    with _special_lock:
+        if _special is None:
+            _special = sys.modules.get("scipy.special") or _load_special_ufuncs()
+    return _special
+
+
+def _load_special_ufuncs():
+    import importlib.util
+    import types
+
+    stub = types.ModuleType("scipy.special")
+    stub.__path__ = importlib.util.find_spec("scipy.special").submodule_search_locations
+    sys.modules["scipy.special"] = stub
+    try:
+        return importlib.import_module("scipy.special._ufuncs")
+    except ImportError:  # a private path, which a later scipy may move
+        pass
+    finally:
+        del sys.modules["scipy.special"]
+    return importlib.import_module("scipy.special")
 
 
 @dataclass(frozen=True)

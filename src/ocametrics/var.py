@@ -21,7 +21,7 @@ from .errors import (
     TooShortError,
 )
 from .months import Calendar, Month
-from .panel import VARIABLES, TransformedSeries, _frozen
+from .panel import VARIABLES, TransformedSeries, _frozen, special_ufuncs
 
 N_VARS = 2
 
@@ -214,8 +214,6 @@ def stability(model: VarModel) -> StabilityResult:
 
 def portmanteau_test(model: VarModel, h: int) -> ChiSquareResult:
     """Adjusted multivariate portmanteau test for residual serial correlation."""
-    from scipy.special import chdtrc
-
     if h <= model.p:
         raise LagWindowError(f"h must exceed the VAR order (h={h}, p={model.p})")
     u = model.residuals
@@ -231,13 +229,11 @@ def portmanteau_test(model: VarModel, h: int) -> ChiSquareResult:
     stat *= t_eff**2
     df = N_VARS**2 * (h - model.p)
     return ChiSquareResult(statistic=float(stat), df=int(df),
-                           p_value=float(chdtrc(df, stat)))
+                           p_value=float(special_ufuncs().chdtrc(df, stat)))
 
 
 def arch_lm_test(residuals: np.ndarray, q: int) -> ChiSquareResult:
     """LM test for autoregressive conditional heteroskedasticity."""
-    from scipy.special import chdtrc
-
     u = np.asarray(residuals, dtype=np.float64)
     if u.ndim != 1:
         raise ValueError("residuals must be a single equation's series")
@@ -257,7 +253,7 @@ def arch_lm_test(residuals: np.ndarray, q: int) -> ChiSquareResult:
     r2 = max(0.0, 1.0 - rss / tss)
     stat = n * r2
     return ChiSquareResult(statistic=float(stat), df=int(q),
-                           p_value=float(chdtrc(q, stat)))
+                           p_value=float(special_ufuncs().chdtrc(q, stat)))
 
 
 def diagnose(model: VarModel, portmanteau_h: int, arch_q: int) -> Diagnostics:

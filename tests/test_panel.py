@@ -1,6 +1,10 @@
 import csv
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -312,3 +316,102 @@ def test_dates_must_be_a_calendar():
     with pytest.raises(PanelError):
         TransformedSeries(country="AAA", variable="price", dates=tuple(dates),
                           values=np.zeros(3))
+
+
+# The p-value ufuncs load through a stand-in for scipy.special only in a
+# process that has not imported it; the suite has (scipy.stats), so these run
+# in fresh interpreters.
+_SRC = Path(__file__).resolve().parent.parent / "src"
+
+_PVALUES = """
+import sys
+import numpy as np
+from ocametrics import metrics, panel, var
+from ocametrics.months import Month, month_range
+from ocametrics.simulate import random_dgp, simulate
+
+dgp = random_dgp(5, p=2, n_obs=400)
+diffs = simulate(dgp).diffs
+dates = month_range(Month(2009, 2), diffs.shape[0])
+model = var.fit_var(tuple(panel.TransformedSeries(country="AAA", variable=v, dates=dates,
+                                                  values=diffs[:, i].copy())
+                          for i, v in enumerate(panel.VARIABLES)), dgp.p)
+rng = np.random.default_rng(20260401)
+r, n = rng.uniform(-0.999, 0.999, 4000), 40
+x, df = rng.uniform(0.0, 200.0, 4000), rng.integers(1, 60, 4000)
+assert "scipy.special" not in sys.modules
+p_t = metrics._pvalues(r, n)
+tests = [var.portmanteau_test(model, 12), var.arch_lm_test(model.residuals[:, 0], 4)]
+ufuncs = panel.special_ufuncs()
+p_chi2 = ufuncs.chdtrc(df, x)
+loaded = ufuncs.__name__, "scipy.special" in sys.modules
+
+import scipy.special
+import scipy.stats
+assert scipy.special.chdtrc is ufuncs.chdtrc and scipy.special.stdtr is ufuncs.stdtr
+assert scipy.special.__file__.endswith("__init__.py")
+t = r * np.sqrt((n - 2) / (1.0 - r * r))
+assert p_t.tobytes() == (2.0 * scipy.stats.t.sf(np.abs(t), n - 2)).tobytes()
+assert p_chi2.tobytes() == scipy.stats.chi2.sf(x, df).tobytes()
+for test in tests:
+    assert test.p_value == scipy.stats.chi2.sf(test.statistic, test.df)
+print(*loaded)
+print(*(test.p_value.hex() for test in tests), p_t.sum().hex(), p_chi2.sum().hex())
+"""
+
+# the private module fails once, while the stand-in is in place, as it would
+# if scipy moved it; the package's own import of it then succeeds
+_PRIVATE_PATH_FAILS = """
+import sys
+
+class FailOnce:
+    seen = []
+
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy.special._ufuncs" and not self.seen:
+            self.seen.append(getattr(sys.modules["scipy.special"], "__file__", "stand-in"))
+            raise ImportError("moved")
+        return None
+
+sys.meta_path.insert(0, FailOnce())
+"""
+
+
+def _fresh(code: str) -> list[str]:
+    env = dict(os.environ, PYTHONPATH=str(_SRC))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120,
+                          capture_output=True, text=True).stdout.splitlines()
+
+
+def test_pvalue_ufuncs_load_without_the_package_init_and_match_scipy_stats():
+    loaded, pvalues = _fresh(_PVALUES)
+    assert loaded == "scipy.special._ufuncs False"
+    assert _fresh(_PRIVATE_PATH_FAILS + _PVALUES + "\nprint(FailOnce.seen)") == [
+        "scipy.special True", pvalues, "['stand-in']"]
+
+
+def test_pvalue_ufuncs_load_once_under_worker_threads(fixture_panel_path,
+                                                      fixture_weights_path, tmp_path):
+    # threads=2 is the first p-value load: both workers reach the lag gate at
+    # once, and a short switch interval interleaves them inside the load
+    code = f"""
+import sys
+from ocametrics import metrics, pipeline
+from ocametrics.panel import load_panel
+
+data = load_panel({str(fixture_panel_path)!r})
+weights = metrics.load_weights({str(fixture_weights_path)!r})
+
+def render(threads):
+    config = pipeline.PipelineConfig(panel_path={str(fixture_panel_path)!r},
+                                     weights_path={str(fixture_weights_path)!r},
+                                     output_dir={str(tmp_path)!r}, threads=threads)
+    return pipeline.render_json(pipeline.build_report(data, weights, config))
+
+assert "scipy.special._ufuncs" not in sys.modules
+sys.setswitchinterval(1e-5)
+two = render(2)
+print("scipy.special._ufuncs" in sys.modules, "scipy.special" in sys.modules)
+print(two == render(1))
+"""
+    assert _fresh(code) == ["True False", "True"]
