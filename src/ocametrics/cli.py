@@ -64,10 +64,6 @@ def _parse_dummy(text: str) -> tuple[str, DummySpec]:
     return country, DummySpec(Month.parse(fields[0]), *fields[1:])
 
 
-def _parse_months(text: str) -> tuple[Month, ...]:
-    return tuple(Month.parse(part) for part in text.split(",") if part.strip())
-
-
 class _Text(click.ParamType):
     """Option text read by ``parse``, whose ``ValueError`` is a usage error."""
 
@@ -107,9 +103,6 @@ _ALPHA = _setting("alpha", "--alpha")
 _MAX_LAGS = _setting("max_lags", "--max-lags")
 _HP_LAMBDA = _setting("hp_lambda", "--hp-lambda")
 _IRF_HORIZON = _setting("irf_horizon", "--irf-horizon")
-_SNAPSHOT_DATES = _setting("snapshot_dates", "--snapshot-dates",
-                           type=_Text("months", _parse_months),
-                           help="Comma-separated YYYY-MM dates for the cost table.")
 _DUMMY = _setting("dummies", "--dummy", type=_Text("dummy", _parse_dummy), multiple=True,
                   help="COUNTRY:YYYY-MM[:step|pulse] break dummy, step by default (repeatable).")
 _SEASONAL_ADJUST = _setting("seasonal_adjust", "--seasonal-adjust", is_flag=True,
@@ -133,12 +126,14 @@ def _config(settings: dict) -> PipelineConfig:
     return PipelineConfig(**{"weights_path": "-", "output_dir": "-", **settings})
 
 
-def _flag_text(param: click.Parameter, value) -> str | list[str]:
-    """A config value as the text its flag takes: a list joins with commas,
-    or gives one value per repeat of a repeatable flag."""
+def _flag_text(ctx: click.Context, param: click.Parameter, value) -> str | list[str]:
+    """A config value as the text its flag takes: a list gives one value per
+    repeat of a repeatable flag, and is a usage error for any other flag."""
+    if isinstance(value, list) and not param.multiple:
+        raise click.BadParameter(f"takes one value, not the list {json.dumps(value)}", ctx, param)
     items = value if isinstance(value, list) else [value]
     texts = [v if isinstance(v, str) else json.dumps(v) for v in items]
-    return texts if param.multiple else ",".join(texts)
+    return texts if param.multiple else texts[0]
 
 
 def _load_config(ctx: click.Context, param: click.Parameter, path: str | None) -> None:
@@ -156,7 +151,7 @@ def _load_config(ctx: click.Context, param: click.Parameter, path: str | None) -
     unknown = sorted(set(raw) - set(params))
     if unknown:
         _fail(ConfigError(f"unknown config key {unknown[0]!r} in {path}"))
-    ctx.default_map = {params[key].name: _flag_text(params[key], value)
+    ctx.default_map = {params[key].name: _flag_text(ctx, params[key], value)
                        for key, value in raw.items()}
 
 
@@ -205,7 +200,7 @@ def main():
 @click.option("--config", type=click.Path(), is_eager=True, expose_value=False,
               callback=_load_config, help="Flat key-value JSON config; flags override it.")
 @_options(_PANEL, _WEIGHTS, _OUTPUT_DIR, _ALPHA, _MAX_LAGS, _HP_LAMBDA, _IRF_HORIZON,
-          _SNAPSHOT_DATES, _DUMMY, _SEASONAL_ADJUST, _PORTMANTEAU_H, _ARCH_Q, _THREADS)
+          _DUMMY, _SEASONAL_ADJUST, _PORTMANTEAU_H, _ARCH_Q, _THREADS)
 @_domain_errors
 def run_command(**settings):
     """Run the full pipeline and write the report bundle."""

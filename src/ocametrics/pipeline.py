@@ -25,7 +25,7 @@ from typing import Mapping
 import numpy as np
 
 from .cointegration import JohansenResult, johansen_test
-from .errors import ConfigError, DateRangeError, OcaError
+from .errors import ConfigError, OcaError
 from .identification import (MAX_IRF_HORIZON, SHOCK_KINDS, SPEED_MONTH, SizeSpeed,
                              StructuralModel, identify_bq, irf_structural, size_and_speed)
 from .metrics import (
@@ -42,7 +42,7 @@ from .metrics import (
     significance_stars,
     trend_change,
 )
-from .months import Month, month_range
+from .months import month_range
 from .panel import VARIABLES, Panel, csv_text, growth_pair, load_panel, log_level_series
 from .unit_root import AdfResult, adf_panel, rejection_order
 from .var import DummySpec, LagSelection, select_lag
@@ -87,7 +87,6 @@ class PipelineConfig:
     hp_lambda: float = _bounded(14400.0, 0.0, MAX_HP_SMOOTHING)
     irf_horizon: int = _bounded(48, SPEED_MONTH, MAX_IRF_HORIZON)
     seasonal_adjust: bool = False
-    snapshot_dates: tuple[Month, ...] = ()
     dummies: tuple[tuple[str, DummySpec], ...] = ()
     portmanteau_h: int = _bounded(12, 2)
     arch_q: int = _bounded(4, 1)
@@ -198,9 +197,7 @@ class StageError(OcaError):
 
 def check_panel_settings(panel: Panel, config: PipelineConfig) -> None:
     """Refuse settings that cannot fit ``panel``: a repeated dummy, or one for a
-    country it does not hold or dated outside its growth calendar; a repeated
-    snapshot date, or one outside its calendar or before its third month (growth
-    and one lag precede every shock).  No setting ties the panel to a base year."""
+    country it does not hold or dated outside its growth calendar."""
     growth = panel.dates[1:]
     for i, (country, spec) in enumerate(config.dummies):
         label = f"{country}:{spec.label()}"
@@ -210,13 +207,6 @@ def check_panel_settings(panel: Panel, config: PipelineConfig) -> None:
             raise ConfigError(f"dummy references unknown country {country!r}")
         if spec.break_date not in growth:
             raise ConfigError(f"dummy {label} is dated outside the growth calendar {growth}")
-    for i, date in enumerate(config.snapshot_dates):
-        if date in config.snapshot_dates[:i]:
-            raise ConfigError(f"snapshot date {date} is repeated")
-        if date not in panel.dates:
-            raise ConfigError(f"snapshot date {date} is outside the panel's calendar {panel.dates}")
-        if len(panel.dates) > 2 and date < panel.dates[2]:
-            raise ConfigError(f"snapshot date {date} is before the first shock month {panel.dates[2]}")
 
 
 def check_weights(weights: WeightTable, panel: Panel, config: PipelineConfig) -> None:
@@ -316,7 +306,6 @@ def _country_report(johansen: JohansenResult, selection: LagSelection, svar: Str
         "irf": {
             "horizon": len(responses) - 1,
             "cumulative_responses": {key: responses[:, v, s].tolist() for key, v, s in _IRF_CELLS},
-            "long_run": {key: float(svar.long_run[v, s]) for key, v, s in _IRF_CELLS},
         },
         "size_speed": asdict(size_and_speed(svar, responses)),
     }
@@ -345,10 +334,9 @@ def _conventions() -> dict:
 
 
 def _config_dict(config: PipelineConfig) -> dict:
-    """``metadata.config``: every setting, with the snapshot dates and dummies
-    in their flag text, except ``threads``, which changes no reported number."""
+    """``metadata.config``: every setting, with the dummies in their flag text,
+    except ``threads``, which changes no reported number."""
     out = {f.name: getattr(config, f.name) for f in fields(config) if f.name != "threads"}
-    out["snapshot_dates"] = [str(d) for d in config.snapshot_dates]
     out["dummies"] = [f"{c}:{spec.label()}" for c, spec in config.dummies]
     return out
 
@@ -362,13 +350,8 @@ def build_report(panel: Panel, weights: WeightTable, config: PipelineConfig) -> 
     blocks = {c: {**block, "adf": adf[c]} for c, (_, _, block) in estimates.items()}
     svars = {c: svar for c, (_, svar, _) in estimates.items()}
     dates, shocks = _common_shocks(svars)
-    try:
-        rows = {str(s): dates.offset(s) for s in config.snapshot_dates}
-    except DateRangeError as exc:
-        raise StageError("group snapshots", exc) from exc
 
-    group = {block: {} for block in ("correlations", "symmetry", "dispersion", "cost",
-                                     "cost_snapshots")}
+    group = {block: {} for block in ("correlations", "symmetry", "dispersion", "cost")}
     for kind in SHOCK_KINDS:
         try:
             correlations = correlation_matrix(shocks[kind], kind=kind)
@@ -387,14 +370,10 @@ def build_report(panel: Panel, weights: WeightTable, config: PipelineConfig) -> 
         }
         group["dispersion"][kind] = {"dates": dates.labels(), "values": disp.tolist(),
                                      "trend": trend.tolist(), "trend_change_pct": change}
-        costs = group["cost"][kind] = {c: cost[c].tolist() for c in panel.countries}
-        if rows:
-            group["cost_snapshots"][kind] = {c: {s: costs[c][t] for s, t in rows.items()}
-                                             for c in panel.countries}
+        group["cost"][kind] = {c: cost[c].tolist() for c in panel.countries}
 
-    sizes = {c: blocks[c]["size_speed"] for c in panel.countries}
-    averages = {f.name: float(np.mean([s[f.name] for s in sizes.values()]))
-                for f in fields(SizeSpeed)}
+    sizes = [block["size_speed"] for block in blocks.values()]
+    averages = {f.name: float(np.mean([s[f.name] for s in sizes])) for f in fields(SizeSpeed)}
 
     return {
         "metadata": {
@@ -415,7 +394,7 @@ def build_report(panel: Panel, weights: WeightTable, config: PipelineConfig) -> 
         "group": {
             "common_calendar": {"start": str(dates[0]), "end": str(dates[-1]),
                                 "n": len(dates)},
-            "size_speed": {"per_country": sizes, "average": averages},
+            "size_speed": {"average": averages},
             **group,
         },
         "shocks": {c: shock_dict(svars[c]) for c in panel.countries},
@@ -490,10 +469,10 @@ def _render_tables(report: dict) -> dict[str, str]:
           str(v["arch"]["activity"]["q"]), _fmt3(v["arch"]["activity"]["p_value"]),
           _fmt3(v["arch"]["price"]["p_value"])] for c, v in var_blocks.items()))
 
-    size_speed = group["size_speed"]
-    tables["size_speed.csv"] = csv_text(["country", *size_speed["average"]], (
-        [c, *map(_fmt3, row.values())]
-        for c, row in [*size_speed["per_country"].items(), ("average", size_speed["average"])]))
+    sizes = {c: block["size_speed"] for c, block in per_country}
+    average = group["size_speed"]["average"]
+    tables["size_speed.csv"] = csv_text(["country", *average], (
+        [c, *map(_fmt3, row.values())] for c, row in [*sizes.items(), ("average", average)]))
 
     for kind in SHOCK_KINDS:
         tables[f"correlation_{kind}.csv"] = correlation_table(group["correlations"][kind])
@@ -504,13 +483,6 @@ def _render_tables(report: dict) -> dict[str, str]:
         tables[f"cost_{kind}.csv"] = csv_text(["date", *countries], (
             [d, *map(_fmt3, values)]
             for d, *values in zip(disp["dates"], *(cost[c] for c in countries))))
-
-    snaps = group["cost_snapshots"]
-    if snaps:
-        snap_dates = report["metadata"]["config"]["snapshot_dates"]
-        tables["cost_snapshots.csv"] = csv_text(["kind", "country", *snap_dates], (
-            [kind, c, *(_fmt3(snaps[kind][c][d]) for d in snap_dates)]
-            for kind in SHOCK_KINDS for c in countries))
 
     tables["groups.csv"] = csv_text(("kind", "members"), (
         (kind, ";".join(members))

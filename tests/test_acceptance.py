@@ -190,8 +190,7 @@ def test_criterion_9_end_to_end_determinism(fixture_panel_path, fixture_weights_
     out = tmp_path / "bundle"
     config = PipelineConfig(
         panel_path=str(fixture_panel_path), weights_path=str(fixture_weights_path),
-        output_dir=str(out), snapshot_dates=(Month(2011, 1), Month(2015, 1),
-                                             Month(2019, 1)))
+        output_dir=str(out))
     t0 = time.perf_counter()
     run_pipeline(config)
     elapsed = time.perf_counter() - t0
@@ -202,8 +201,7 @@ def test_criterion_9_end_to_end_determinism(fixture_panel_path, fixture_weights_
 
     threaded = PipelineConfig(
         panel_path=config.panel_path, weights_path=config.weights_path,
-        output_dir=config.output_dir, snapshot_dates=config.snapshot_dates,
-        threads=3)
+        output_dir=config.output_dir, threads=3)
     run_pipeline(threaded)
     third = (out / "report.json").read_bytes()
 

@@ -41,8 +41,7 @@ def bundle(runner, tmp_path_factory):
     assert res.exit_code == 0, res.output
     res = runner.invoke(main, [
         "run", "--panel", str(panel), "--weights", str(weights),
-        "--output-dir", str(out),
-        "--snapshot-dates", "2011-01,2015-01,2019-01"])
+        "--output-dir", str(out)])
     assert res.exit_code == 0, res.output
     return {"panel": panel, "weights": weights, "out": out}
 
@@ -251,10 +250,8 @@ class TestRunPipeline:
         expected = {"report.json", "adf.csv", "johansen.csv", "var_summary.csv",
                     "correlation_supply.csv", "correlation_demand.csv",
                     "size_speed.csv", "dispersion_supply.csv", "dispersion_demand.csv",
-                    "cost_supply.csv", "cost_demand.csv", "cost_snapshots.csv",
-                    "groups.csv"}
-        assert expected <= names
-        assert {f"shocks_C0{i}.csv" for i in range(7)} <= names
+                    "cost_supply.csv", "cost_demand.csv", "groups.csv"}
+        assert names == expected | {f"shocks_C0{i}.csv" for i in range(7)}
 
     def test_every_table_row_has_its_header_width(self, bundle):
         for path in sorted(bundle["out"].glob("*.csv")):
@@ -272,11 +269,6 @@ class TestRunPipeline:
         assert res.exit_code == 1
         assert res.stderr.startswith("error: line 2: country code '../C00' must be non-empty")
         assert fits == [] and not out.exists()
-
-    def test_snapshot_table_has_requested_columns(self, bundle):
-        lines = (bundle["out"] / "cost_snapshots.csv").read_text().splitlines()
-        assert lines[0] == "kind,country,2011-01,2015-01,2019-01"
-        assert len(lines) == 1 + 2 * 7
 
     def test_tables_round_json_values_half_even(self, bundle):
         """Every cell of every table is its ``report.json`` value: 3 decimals,
@@ -330,11 +322,12 @@ class TestRunPipeline:
                 "arch_pvalue_activity": f3(block["arch"]["activity"]["p_value"]),
                 "arch_pvalue_price": f3(block["arch"]["price"]["p_value"])}
 
-        size_speed = group["size_speed"]
+        sizes = {c: block["size_speed"] for c, block in countries.items()}
+        sizes["average"] = group["size_speed"]["average"]
         rows = table("size_speed.csv")
-        assert [row["country"] for row in rows] == [*countries, "average"]
+        assert [row["country"] for row in rows] == list(sizes)
         for row in rows:
-            values = size_speed["per_country"].get(row["country"], size_speed["average"])
+            values = sizes[row["country"]]
             assert row == {"country": row["country"], **{k: f3(v) for k, v in values.items()}}
 
         for kind in ("supply", "demand"):
@@ -355,11 +348,6 @@ class TestRunPipeline:
                     assert digits == ("" if j > i else f3(corr["r"][i][j]))
                     if j < i:
                         assert row[b][len(digits):] == significance_stars(corr["p"][i][j])
-
-        snaps = group["cost_snapshots"]
-        assert table("cost_snapshots.csv") == [
-            {"kind": kind, "country": c, **{d: f3(v) for d, v in snaps[kind][c].items()}}
-            for kind in ("supply", "demand") for c in countries]
 
         assert table("groups.csv") == [
             {"kind": kind, "members": ";".join(members)}
@@ -387,7 +375,8 @@ class TestRunPipeline:
         assert irf["horizon"] == 48
         assert len(irf["cumulative_responses"]["supply_activity"]) == 49
         # the identifying restriction: demand -> activity heads to zero
-        assert abs(irf["long_run"]["demand_activity"]) < 1e-8
+        long_run = report["countries"]["C00"]["identification"]["long_run"]
+        assert abs(long_run[0][1]) < 1e-8
 
     def test_stage_failure_leaves_no_outputs(self, runner, bundle, tmp_path):
         # weights without the first year pass the up-front check, which covers
@@ -433,8 +422,7 @@ class TestRunPipeline:
         before = (bundle["out"] / "report.json").read_bytes()
         res = runner.invoke(main, [
             "run", "--panel", str(bundle["panel"]), "--weights", str(bundle["weights"]),
-            "--output-dir", str(bundle["out"]),
-            "--snapshot-dates", "2011-01,2015-01,2019-01"])
+            "--output-dir", str(bundle["out"])])
         assert res.exit_code == 0
         assert (bundle["out"] / "report.json").read_bytes() == before
 
@@ -471,15 +459,14 @@ class TestRunPipeline:
         out = tmp_path / "out_cfg"
         config.write_text(json.dumps({
             "panel": str(bundle["panel"]), "weights": str(bundle["weights"]),
-            "output_dir": "ignored-by-flag", "alpha": 0.05,
-            "snapshot_dates": ["2011-01"],
+            "output_dir": "ignored-by-flag", "alpha": 0.1,
         }))
         res = runner.invoke(main, ["run", "--config", str(config),
                                    "--output-dir", str(out)])
         assert res.exit_code == 0, res.output
         assert (out / "report.json").exists()
         report = json.loads((out / "report.json").read_text())
-        assert report["metadata"]["config"]["snapshot_dates"] == ["2011-01"]
+        assert report["metadata"]["config"]["alpha"] == 0.1
 
     @pytest.mark.parametrize("text, message", [
         ("{not json", "cannot read config CONFIG: Expecting property name"),
@@ -506,78 +493,15 @@ class TestRunPipeline:
         assert res.exit_code != 0
         assert not out.exists()
 
-    def test_snapshot_outside_calendar_fails(self, runner, bundle, fixture_panel_path,
-                                             fixture_weights_path, tmp_path, monkeypatch):
-        out = tmp_path / "snap"
-        fits = count_calls(monkeypatch, var.select_lag)
-        res = runner.invoke(main, [
-            "run", "--panel", str(bundle["panel"]), "--weights", str(bundle["weights"]),
-            "--output-dir", str(out), "--snapshot-dates", "1990-01"])
-        assert res.exit_code == 1
-        assert res.stderr == ("error: snapshot date 1990-01 is outside the panel's calendar "
-                              "2009-01..2020-01\n")
-        assert fits == []
-        assert not out.exists()
-        # a shock month before the common shock calendar (2009-07 on the seed fixture)
-        # is refused by the group stage
-        res = runner.invoke(main, [
-            "run", "--panel", str(fixture_panel_path), "--weights", str(fixture_weights_path),
-            "--output-dir", str(out), "--snapshot-dates", "2009-03"])
-        assert res.exit_code == 1
-        assert res.stderr.startswith("error: [group snapshots] 2009-03 outside calendar")
-        assert not out.exists()
-
-    @pytest.mark.parametrize("source", ["flag", "config"])
-    @pytest.mark.parametrize("date", ["2009-01", "2009-02"])
-    def test_snapshot_before_any_shock_is_refused_before_estimation(
-            self, runner, bundle, tmp_path, monkeypatch, source, date):
-        # growth drops the first month and a lag the second: no shock calendar holds them
-        out = tmp_path / "never"
-        args = ["run", "--panel", str(bundle["panel"]), "--weights", str(bundle["weights"]),
-                "--output-dir", str(out)]
-        if source == "flag":
-            args += ["--snapshot-dates", f"2015-01,{date}"]
-        else:
-            config = tmp_path / "config.json"
-            config.write_text(json.dumps({"snapshot_dates": ["2015-01", date]}))
-            args += ["--config", str(config)]
-        fits = count_calls(monkeypatch, var.select_lag)
-        res = runner.invoke(main, args)
-        assert res.exit_code == 1
-        assert res.stderr == (f"error: snapshot date {date} is before the first shock month "
-                              "2009-03\n")
-        assert fits == []
-        assert not out.exists()
-
-    def test_snapshot_on_a_two_month_panel_ends_in_a_named_error(self, runner, tmp_path):
+    def test_two_month_panel_ends_in_a_named_error(self, runner, tmp_path):
         panel, weights, out = tmp_path / "p.csv", tmp_path / "w.csv", tmp_path / "never"
         res = runner.invoke(main, ["simulate", "--t", "2", "--countries", "3",
                                    "--output", str(panel), "--weights-output", str(weights)])
         assert res.exit_code == 0
         res = runner.invoke(main, [
-            "run", "--panel", str(panel), "--weights", str(weights), "--output-dir", str(out),
-            "--snapshot-dates", "2009-02"])
+            "run", "--panel", str(panel), "--weights", str(weights), "--output-dir", str(out)])
         assert res.exit_code == 1
         assert res.stderr == "error: [country C00] sample too short for lag search up to 12\n"
-        assert not out.exists()
-
-    @pytest.mark.parametrize("source", ["flag", "config"])
-    def test_repeated_snapshot_date_is_refused_before_estimation(self, runner, bundle, tmp_path,
-                                                                 monkeypatch, source):
-        out = tmp_path / "never"
-        args = ["run", "--panel", str(bundle["panel"]), "--weights", str(bundle["weights"]),
-                "--output-dir", str(out)]
-        if source == "flag":
-            args += ["--snapshot-dates", "2015-01,2011-01,2015-01"]
-        else:
-            config = tmp_path / "config.json"
-            config.write_text(json.dumps({"snapshot_dates": ["2015-01", "2011-01", "2015-01"]}))
-            args += ["--config", str(config)]
-        fits = count_calls(monkeypatch, var.select_lag)
-        res = runner.invoke(main, args)
-        assert res.exit_code == 1
-        assert res.stderr == "error: snapshot date 2015-01 is repeated\n"
-        assert fits == []
         assert not out.exists()
 
     def test_output_dir_naming_a_file_is_refused_before_estimation(self, runner, bundle,
@@ -670,14 +594,16 @@ class TestRunPipeline:
         ({"max_lags": "abc"}, None),
         ({"dummy": [3]}, None),
         ({"dummy": 3}, None),
-        ({"snapshot_dates": 5}, None),
+        ({"output_dir": ["a", "b"]}, None),
+        ({"alpha": [0.1]}, None),
         ({"seasonal_adjust": "no"}, ("seasonal_adjust", False)),
         ({"dummy": "C00:2012-06"}, ("dummies", ["C00:2012-06:step"])),
-    ], ids=["max_lags-text", "dummy-int-list", "dummy-int", "snapshot_dates-int",
+    ], ids=["max_lags-text", "dummy-int-list", "dummy-int", "output_dir-list", "alpha-list",
             "seasonal_adjust-no", "dummy-one-string"])
     def test_config_value_takes_its_flag_type(self, runner, fixture_panel_path,
-                                              fixture_weights_path, tmp_path,
+                                              fixture_weights_path, tmp_path, monkeypatch,
                                               setting, expected):
+        monkeypatch.chdir(tmp_path)  # where a relative output_dir would land
         out = tmp_path / "out"
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"panel": str(fixture_panel_path),
@@ -689,7 +615,7 @@ class TestRunPipeline:
         if expected is None:
             assert res.exit_code == 2
             assert f"Invalid value for '--{next(iter(setting)).replace('_', '-')}'" in res.stderr
-            assert not out.exists()
+            assert [p.name for p in tmp_path.iterdir()] == ["config.json"]  # no out, no a,b
             return
         assert res.exit_code == 0, res.output
         key, value = expected
@@ -701,7 +627,7 @@ class TestRunPipeline:
         settings = {
             "panel": str(fixture_panel_path), "weights": str(fixture_weights_path),
             "output_dir": str(out), "alpha": 0.01, "max_lags": 14,
-            "hp_lambda": 1600.0, "irf_horizon": 24, "snapshot_dates": ["2011-01", "2015-01"],
+            "hp_lambda": 1600.0, "irf_horizon": 24,
             "dummy": ["C00:2012-06:step", "C02:2013-01:pulse"],
             "seasonal_adjust": True, "portmanteau_h": 14, "arch_q": 3, "threads": 2}
         flag_keys = {p.opts[0][2:].replace("-", "_") for p in main.commands["run"].params}
@@ -720,7 +646,7 @@ class TestRunPipeline:
             elif key == "dummy":
                 flags += [a for text in value for a in (flag, text)]
             else:
-                flags += [flag, ",".join(value) if isinstance(value, list) else str(value)]
+                flags += [flag, str(value)]
         res = runner.invoke(main, ["run", *flags])
         assert res.exit_code == 0, res.output
         assert (out / "report.json").read_bytes() == from_config
@@ -733,7 +659,7 @@ class TestRunPipeline:
         assert res.exit_code == 2
         assert "Missing option '--output-dir'" in res.stderr
 
-    @pytest.mark.parametrize("key", ["seed", "base_year"])
+    @pytest.mark.parametrize("key", ["seed", "base_year", "snapshot_dates"])
     def test_seed_is_not_a_run_setting(self, runner, bundle, tmp_path, key):
         report = json.loads((bundle["out"] / "report.json").read_text())
         assert key not in report["metadata"]["config"]

@@ -45,7 +45,7 @@ FIXTURES = {
 RUNS = {
     "seed-defaults": ("seed", []),
     "seed-options": ("seed", ["--dummy", "C01:2012-03:step", "--seasonal-adjust",
-                              "--snapshot-dates", "2011-01,2015-01,2019-01", "--alpha", "0.1"]),
+                              "--alpha", "0.1"]),
     "seed-gate": ("seed", ["--alpha", "0.1", "--portmanteau-h", "6", "--arch-q", "2"]),
     "wide-defaults": ("wide", []),
     "late-defaults": ("late", []),
