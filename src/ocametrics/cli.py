@@ -1,9 +1,10 @@
 """Command-line front end.
 
 ``ocametrics run`` drives the full pipeline from a panel CSV and a weights
-CSV to a report bundle.  The remaining subcommands are thin wrappers over
-single library operations and write CSV to standard output (JSON with
-``--json``).
+CSV to a report bundle, and is the one entry point for the weighted group
+figures (dispersion, its trend, each country's cost of inclusion).  The
+remaining subcommands are thin wrappers over single library operations and
+write CSV to standard output (JSON with ``--json``).
 
 Each ``PipelineConfig`` setting is one click option, with the field's
 default and its ``Bounds`` as a click range, shared by ``run`` and the
@@ -28,20 +29,12 @@ import numpy as np
 from .cointegration import johansen_test
 from .errors import ConfigError, OcaError
 from .identification import SHOCK_KINDS, SPEED_MONTH, identify_bq, irf_structural, size_and_speed
-from .metrics import (
-    check_group,
-    classify_symmetry,
-    correlation_matrix,
-    group_dispersion,
-    hp_filter,
-    load_weights,
-)
+from .metrics import check_group, classify_symmetry, correlation_matrix
 from .months import Month, month_range
 from .panel import _read_rows, csv_text, load_panel, panel_to_csv
 from .pipeline import (
     PipelineConfig,
     check_panel_settings,
-    check_weights,
     correlation_dict,
     correlation_table,
     country_series,
@@ -128,7 +121,10 @@ def _config(settings: dict) -> PipelineConfig:
 
 def _flag_text(ctx: click.Context, param: click.Parameter, value) -> str | list[str]:
     """A config value as the text its flag takes: a list gives one value per
-    repeat of a repeatable flag, and is a usage error for any other flag."""
+    repeat of a repeatable flag, and is a usage error for any other flag, as
+    is a ``null`` for any flag."""
+    if value is None:
+        raise click.BadParameter("takes a value, not null", ctx, param)
     if isinstance(value, list) and not param.multiple:
         raise click.BadParameter(f"takes one value, not the list {json.dumps(value)}", ctx, param)
     items = value if isinstance(value, list) else [value]
@@ -255,7 +251,6 @@ def adf_command(series_path, spec, max_lags, lag_rule, as_json):
 # the settings of the shock chain: country_series's three, then gated_lag's four
 _CHAIN = (_PANEL, _SEASONAL_ADJUST, _DUMMY, _MAX_LAGS, _ALPHA, _PORTMANTEAU_H, _ARCH_Q)
 _country_options = _options(click.option("--country", type=str, required=True), *_CHAIN)
-_group_options = _options(*_CHAIN)
 
 
 def _country_series(country: str, settings: dict):
@@ -267,19 +262,6 @@ def _country_series(country: str, settings: dict):
         raise ConfigError(f"country {country!r} not in panel {panel.countries}")
     check_panel_settings(panel, config)
     return (config, *country_series(panel, country, config))
-
-
-def _group_shocks(settings: dict, command: str, excluded: tuple[str, ...] = ()):
-    """The settings' ``PipelineConfig``, the weights of a command that takes
-    them, then the panel's common-calendar shocks.  A panel too small for
-    ``command``, lacking an ``excluded`` country or weights, is refused first."""
-    config = _config(settings)
-    panel = load_panel(config.panel_path)
-    check_group(panel.countries, excluded, command)
-    weights = load_weights(config.weights_path) if "weights_path" in settings else None
-    if weights is not None:
-        check_weights(weights, panel, config)
-    return (config, weights, *group_shocks(panel, config))
 
 
 @main.command("johansen")
@@ -356,13 +338,16 @@ def identify_command(country, fixed_p, as_json, **settings):
 
 
 @main.command("correlate")
-@_group_options
+@_options(*_CHAIN)
 @click.option("--kind", type=click.Choice(SHOCK_KINDS), default=SHOCK_KINDS[0])
 @click.option("--json", "as_json", is_flag=True, default=False)
 @_domain_errors
 def correlate_command(kind, as_json, **settings):
     """Cross-country shock correlation matrix with significance stars."""
-    config, _, _, shocks = _group_shocks(settings, "correlate")
+    config = _config(settings)
+    panel = load_panel(config.panel_path)
+    check_group(panel.countries, (), "correlate")  # before any estimate
+    _, shocks = group_shocks(panel, config)
     report = correlation_matrix(shocks[kind], kind=kind)
     symmetry = classify_symmetry(report, config.alpha)
     if as_json:
@@ -371,40 +356,6 @@ def correlate_command(kind, as_json, **settings):
                               sort_keys=True))
         return
     click.echo(correlation_table(correlation_dict(report)), nl=False)
-
-
-@main.command("disperse")
-@_group_options
-@_WEIGHTS
-@_HP_LAMBDA
-@click.option("--kind", type=click.Choice(SHOCK_KINDS), default=SHOCK_KINDS[0])
-@click.option("--json", "as_json", is_flag=True, default=False)
-@_domain_errors
-def disperse_command(kind, as_json, **settings):
-    """Weighted cross-country dispersion index and its trend."""
-    config, weights, dates, shocks = _group_shocks(settings, "disperse")
-    values, _ = group_dispersion(shocks[kind], dates, weights)
-    trend, _ = hp_filter(values, config.hp_lambda)
-    rows = [{"date": d, "value": v, "trend": t}
-            for d, v, t in zip(dates.labels(), values.tolist(), trend.tolist())]
-    _emit(rows, as_json)
-
-
-@main.command("cost")
-@_group_options
-@_WEIGHTS
-@click.option("--exclude", "excluded", type=str, required=True,
-              help="Country whose cost-of-inclusion series to compute.")
-@click.option("--json", "as_json", is_flag=True, default=False)
-@_domain_errors
-def cost_command(excluded, as_json, **settings):
-    """Leave-one-out cost-of-inclusion series for one country."""
-    _, weights, dates, shocks = _group_shocks(settings, "cost", (excluded,))
-    cost = {kind: group_dispersion(shocks[kind], dates, weights, (excluded,))[1][excluded]
-            for kind in SHOCK_KINDS}
-    rows = [{"country": excluded, "date": d, "supply": s, "demand": m}
-            for d, s, m in zip(dates.labels(), cost["supply"].tolist(), cost["demand"].tolist())]
-    _emit(rows, as_json)
 
 
 @main.command("simulate")

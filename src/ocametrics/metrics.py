@@ -4,10 +4,11 @@ Includes pairwise shock correlations with exact t-based significance,
 clique-based detection of mutually symmetric country groups, the
 size-weighted cross-country dispersion index, the Hodrick-Prescott trend
 via a banded Cholesky solve, and leave-one-out cost-of-inclusion
-series.  ``run``, ``disperse`` and ``cost`` call ``group_dispersion``, one
-weighted pass for both; its one-series wrappers ``dispersion_index`` and
-``cost_of_inclusion`` are kept only for perfbench's tracer and its
-``group_dense`` workload (ROADMAP item 7).
+series.  ``run`` calls ``group_dispersion``, one weighted pass for both; it
+also computes a 2-country dispersion, which ``run`` refuses because every
+country there gets a cost of inclusion.  Its one-series wrappers
+``dispersion_index`` and ``cost_of_inclusion`` are kept only for perfbench's
+tracer and its ``group_dense`` workload (ROADMAP item 7).
 """
 
 from __future__ import annotations

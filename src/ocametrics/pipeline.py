@@ -6,7 +6,10 @@ VAR estimation with optional break dummies, long-run identification,
 impulse-response summaries, then the cross-country layer (correlations,
 symmetry groups, dispersion with its trend, cost of inclusion).
 
-Everything is computed before anything is written, so a failing stage
+The pretests enter no shock or group figure, so a pretest that refuses its
+input is a finding: its report block holds the error's class and message
+(``_refused``).  A refusal in the shock chain or the group layer aborts the
+run.  Everything is computed before anything is written, so a failing stage
 leaves no partial output.  Reports are deterministic: same configuration
 and inputs produce byte-identical ``report.json`` regardless of the thread
 count used for the per-country stage.
@@ -24,7 +27,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .cointegration import JohansenResult, johansen_test
+from .cointegration import johansen_test
 from .errors import ConfigError, OcaError
 from .identification import (MAX_IRF_HORIZON, SHOCK_KINDS, SPEED_MONTH, SizeSpeed,
                              StructuralModel, identify_bq, irf_structural, size_and_speed)
@@ -144,9 +147,13 @@ def _shock_chain(panel: Panel, country: str, config: PipelineConfig):
 
 def _estimate(panel: Panel, country: str, config: PipelineConfig):
     """The shock chain, then the Johansen pretest and the structural IRFs: the
-    log levels, the structural model and the report block without its ``adf``."""
+    log levels, the structural model and the report block without its ``adf``.
+    A refused Johansen test is recorded, not raised."""
     logs, selection, svar = _shock_chain(panel, country, config)
-    johansen = johansen_test(logs, lag_order=selection.p + 1)
+    try:
+        johansen = _listed(johansen_test(logs, lag_order=selection.p + 1))
+    except OcaError as exc:
+        johansen = _refused(exc)
     responses = irf_structural(svar, selection.model, config.irf_horizon)
     return logs, svar, _country_report(johansen, selection, svar, responses)
 
@@ -156,18 +163,13 @@ def _pretests(logs: Mapping[str, tuple[np.ndarray, ...]], max_lags: int):
     panel call, then one call for the second differences that the
     integration conclusions still need.
 
-    Returns each country's ``adf`` report block; a refused level or
-    difference raises a ``StageError`` naming its country.
+    Returns each country's ``adf`` report block, where a refused level or
+    difference is its ``_refused`` block and rejects no unit root.
     """
     keys = [(c, v) for c in logs for v in range(len(VARIABLES))]
     levels = [logs[c][v] for c, v in keys]
     tests = adf_panel(levels + [np.diff(s) for s in levels], spec="trend", max_lags=max_lags)
     pairs = dict(zip(keys, zip(tests[:len(keys)], tests[len(keys):])))
-    for (country, _), pair in pairs.items():
-        for result in pair:
-            if isinstance(result, OcaError):
-                raise StageError(f"country {country}", result) from result
-
     undecided = [key for key, pair in pairs.items() if rejection_order(pair) is None]
     second = dict(zip(undecided, adf_panel([np.diff(np.diff(logs[c][v])) for c, v in undecided],
                                            spec="trend", max_lags=max_lags)))
@@ -251,7 +253,14 @@ def group_shocks(panel: Panel, config: PipelineConfig):
     return _common_shocks({c: svar for c, (_, _, svar) in chains.items()})
 
 
-def _adf_dict(result: AdfResult) -> dict:
+def _refused(exc: OcaError) -> dict:
+    """The report block of a pretest that refused its input."""
+    return {"error": type(exc).__name__, "message": str(exc)}
+
+
+def _adf_dict(result: AdfResult | OcaError) -> dict:
+    if isinstance(result, OcaError):
+        return _refused(result)
     out = asdict(result)
     out["critical_values"] = {f"{int(level * 100)}%": cv
                               for level, cv in result.critical_values.items()}
@@ -269,12 +278,12 @@ def _listed(result) -> dict:
     return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(result).items()}
 
 
-def _country_report(johansen: JohansenResult, selection: LagSelection, svar: StructuralModel,
+def _country_report(johansen: dict, selection: LagSelection, svar: StructuralModel,
                     responses: np.ndarray) -> dict:
     """A country's report block without its ``adf`` entry."""
     model, diag = selection.model, selection.diagnostics
     return {
-        "johansen": _listed(johansen),
+        "johansen": johansen,
         "var": {
             "p": model.p,
             "criterion_choices": dict(selection.criterion_choices),
@@ -438,8 +447,22 @@ def shock_table(country: str, shocks: dict) -> str:
         for d, s, dm in zip(shocks["dates"], shocks["supply"], shocks["demand"])))
 
 
+def _adf_cells(test: dict) -> list[str]:
+    """An ``adf.csv`` statistic and its stars, or ``refused`` and no stars."""
+    return ["refused", ""] if "error" in test else [_fmt3(test["statistic"]), test["stars"]]
+
+
+def _johansen_cells(johansen: dict, r: int) -> list[str]:
+    """The figures of one ``johansen.csv`` row, each ``refused`` when the test was."""
+    columns = ("trace_stats", "critical_values_trace", "max_eig_stats", "critical_values_maxeig")
+    if "error" in johansen:
+        return ["refused"] * (len(columns) + 1)
+    return [*(_fmt3(johansen[key][r]) for key in columns), str(johansen["selected_rank"])]
+
+
 def _render_tables(report: dict) -> dict[str, str]:
-    """Human-readable CSV tables; every figure is the JSON value at 3 decimals."""
+    """Human-readable CSV tables; every figure is the JSON value at 3 decimals,
+    and a refused pretest's figures read ``refused``."""
     countries = report["metadata"]["panel"]["countries"]
     per_country, group = report["countries"].items(), report["group"]
     tables: dict[str, str] = {}
@@ -447,17 +470,14 @@ def _render_tables(report: dict) -> dict[str, str]:
     tables["adf.csv"] = csv_text(
         ("country", "variable", "level", "level_stars", "first_difference",
          "first_difference_stars", "conclusion"),
-        ([c, variable, _fmt3(cell["level"]["statistic"]), cell["level"]["stars"],
-          _fmt3(cell["first_difference"]["statistic"]), cell["first_difference"]["stars"],
+        ([c, variable, *_adf_cells(cell["level"]), *_adf_cells(cell["first_difference"]),
           cell["conclusion"]]
          for c, block in per_country for variable, cell in block["adf"].items()))
 
-    columns = ("trace_stats", "critical_values_trace", "max_eig_stats", "critical_values_maxeig")
     tables["johansen.csv"] = csv_text(
         ("country", "hypothesis", "trace_statistic", "trace_cv_5pct", "maxeig_statistic",
          "maxeig_cv_5pct", "selected_rank"),
-        ([c, label, *(_fmt3(block["johansen"][key][r]) for key in columns),
-          str(block["johansen"]["selected_rank"])]
+        ([c, label, *_johansen_cells(block["johansen"], r)]
          for c, block in per_country for r, label in enumerate(("r = 0", "r <= 1"))))
 
     var_blocks = {c: block["var"] for c, block in per_country}

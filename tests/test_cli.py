@@ -223,14 +223,13 @@ print("scipy.special._ufuncs" in sys.modules)
     assert out.split("\n")[:2] == ["[]", "True"]
 
 
-@pytest.mark.parametrize("command", ["run", "disperse"])
+@pytest.mark.parametrize("command", ["run"])
 def test_hp_trend_leaves_out_scipy_linalg(tmp_path, fixture_panel_path, fixture_weights_path,
                                           command):
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    args = [command, "--panel", str(fixture_panel_path), "--weights", str(fixture_weights_path)]
-    if command == "run":
-        args += ["--output-dir", str(tmp_path / "out")]
+    args = [command, "--panel", str(fixture_panel_path), "--weights", str(fixture_weights_path),
+            "--output-dir", str(tmp_path / "out")]
     code = f"""
 import sys, ocametrics.cli
 from click.testing import CliRunner
@@ -409,6 +408,44 @@ class TestRunPipeline:
         assert "run needs at least 3 countries, the panel has 2" in res.stderr
         assert fits == []
         assert not out.exists()
+
+    def test_refused_pretests_are_findings(self, runner, tmp_path):
+        # at --max-lags 2, 23 months are too few for every first-difference
+        # ADF and every Johansen test, while the level ADFs and the shock chain run
+        panel, weights, out = tmp_path / "panel.csv", tmp_path / "weights.csv", tmp_path / "out"
+        res = runner.invoke(main, ["simulate", "--seed", "1", "--t", "23", "--countries", "4",
+                                   "--output", str(panel), "--weights-output", str(weights)])
+        assert res.exit_code == 0, res.output
+        res = runner.invoke(main, ["run", "--panel", str(panel), "--weights", str(weights),
+                                   "--output-dir", str(out), "--max-lags", "2", "--arch-q", "2",
+                                   "--portmanteau-h", "4"])
+        assert res.exit_code == 0, res.output
+        countries = json.loads((out / "report.json").read_text())["countries"]
+        assert list(countries) == ["C00", "C01", "C02", "C03"]
+        conclusions = []
+        for block in countries.values():
+            assert block["johansen"] == {
+                "error": "TooShortError",
+                "message": "need >= 32 observations for lag order 2, have 23"}
+            for cell in block["adf"].values():
+                assert cell["first_difference"] == {
+                    "error": "TooShortError",
+                    "message": "need >= 23 observations with 2 lags, have 22"}
+                assert cell["level"]["nobs"] > 0
+                conclusions.append(cell["conclusion"])
+        # a level rejection still decides its conclusion
+        assert sorted(conclusions) == ["I(0)"] + ["inconclusive"] * 7
+
+        rows = list(csv.DictReader((out / "adf.csv").read_text().splitlines()))
+        assert len(rows) == 8
+        for row in rows:
+            cell = countries[row["country"]]["adf"][row["variable"]]
+            assert (row["first_difference"], row["first_difference_stars"]) == ("refused", "")
+            assert row["level"] == format(cell["level"]["statistic"], ".3f")
+        rows = list(csv.DictReader((out / "johansen.csv").read_text().splitlines()))
+        assert len(rows) == 8
+        for row in rows:
+            assert list(row.values())[2:] == ["refused"] * 5
 
     def test_shock_csv_precision_round_trips(self, bundle):
         report = json.loads((bundle["out"] / "report.json").read_text())
@@ -596,10 +633,14 @@ class TestRunPipeline:
         ({"dummy": 3}, None),
         ({"output_dir": ["a", "b"]}, None),
         ({"alpha": [0.1]}, None),
+        ({"output_dir": None}, None),
+        ({"panel": None}, None),
+        ({"dummy": None}, None),
         ({"seasonal_adjust": "no"}, ("seasonal_adjust", False)),
         ({"dummy": "C00:2012-06"}, ("dummies", ["C00:2012-06:step"])),
     ], ids=["max_lags-text", "dummy-int-list", "dummy-int", "output_dir-list", "alpha-list",
-            "seasonal_adjust-no", "dummy-one-string"])
+            "output_dir-null", "panel-null", "dummy-null", "seasonal_adjust-no",
+            "dummy-one-string"])
     def test_config_value_takes_its_flag_type(self, runner, fixture_panel_path,
                                               fixture_weights_path, tmp_path, monkeypatch,
                                               setting, expected):
@@ -716,28 +757,12 @@ def _correlate_view(report: dict) -> dict:
     return {**group["correlations"]["supply"], "groups": group["symmetry"]["supply"]["groups"]}
 
 
-def _disperse_view(report: dict) -> list[dict]:
-    series = report["group"]["dispersion"]["supply"]
-    return [{"date": d, "value": v, "trend": t}
-            for d, v, t in zip(series["dates"], series["values"], series["trend"])]
-
-
-def _cost_view(report: dict) -> list[dict]:
-    group = report["group"]
-    dates = group["dispersion"]["supply"]["dates"]
-    return [{"country": "C03", "date": d, "supply": s, "demand": m}
-            for d, s, m in zip(dates, group["cost"]["supply"]["C03"],
-                               group["cost"]["demand"]["C03"])]
-
-
 # each subcommand's --json output, as its bundle's report.json holds it
 REPORT_VIEWS = {
     "var": (["var", "--country", "C03"], _var_view),
     "johansen": (["johansen", "--country", "C03"], _johansen_view),
     "identify": (["identify", "--country", "C03"], _identify_view),
     "correlate": (["correlate"], _correlate_view),
-    "disperse": (["disperse", "--weights", "WEIGHTS"], _disperse_view),
-    "cost": (["cost", "--weights", "WEIGHTS", "--exclude", "C03"], _cost_view),
 }
 
 
@@ -929,28 +954,14 @@ class TestThinWrappers:
         assert lines[0] == "country,C00,C01,C02,C03,C04,C05,C06"
         assert lines[1].split(",")[1] == "1.000"
 
-    def test_disperse_series(self, runner, bundle):
-        res = runner.invoke(main, ["disperse", "--panel", str(bundle["panel"]),
-                                   "--weights", str(bundle["weights"])])
-        assert res.exit_code == 0, res.output
-        lines = res.output.strip().splitlines()
-        assert lines[0] == "date,value,trend"
-        assert len(lines) > 100
-
-    def test_cost_exclude(self, runner, bundle):
-        res = runner.invoke(main, ["cost", "--panel", str(bundle["panel"]),
-                                   "--weights", str(bundle["weights"]),
-                                   "--exclude", "C03"])
-        assert res.exit_code == 0, res.output
-        lines = res.output.strip().splitlines()
-        assert lines[0] == "country,date,supply,demand"
-        assert lines[1].split(",")[0] == "C03"
-
-    def test_cost_unknown_country_fails(self, runner, bundle):
-        res = runner.invoke(main, ["cost", "--panel", str(bundle["panel"]),
-                                   "--weights", str(bundle["weights"]),
-                                   "--exclude", "ZZZ"])
-        assert res.exit_code != 0
+    def test_group_dispersion_and_cost_have_no_view(self, runner):
+        # they are run's group.dispersion and group.cost blocks
+        assert sorted(main.commands) == ["adf", "correlate", "identify", "johansen", "run",
+                                         "simulate", "var"]
+        for name in ("disperse", "cost"):
+            res = runner.invoke(main, [name])
+            assert res.exit_code == 2
+            assert f"No such command '{name}'" in res.stderr
 
     @pytest.mark.parametrize("kind, flags", [
         pytest.param("supply", None, id="supply"),
@@ -1007,19 +1018,14 @@ class TestThinWrappers:
     @pytest.mark.parametrize("flags", [(), tuple(GATE)], ids=["defaults", "gate"])
     @pytest.mark.parametrize("command", list(REPORT_VIEWS))
     def test_json_view_equals_the_bundle_report(self, runner, seed_bundle, fixture_panel_path,
-                                                fixture_weights_path, command, flags):
+                                                command, flags):
         args, expected = REPORT_VIEWS[command]
-        args = [str(fixture_weights_path) if a == "WEIGHTS" else a for a in args]
         res = runner.invoke(main, [*args, "--panel", str(fixture_panel_path), *flags, "--json"])
         assert res.exit_code == 0, res.output
         report = json.loads((seed_bundle(*flags) / "report.json").read_text())
         assert json.loads(res.output) == expected(report)
 
-    @pytest.mark.parametrize("command", [
-        ["correlate"],
-        ["disperse", "--weights", "WEIGHTS"],
-        ["cost", "--weights", "WEIGHTS", "--exclude", "C03"],
-    ])
+    @pytest.mark.parametrize("command", [["correlate"]])
     def test_group_commands_skip_pretests(self, runner, bundle, monkeypatch, command):
         def refuse(*args, **kwargs):
             raise AssertionError("pretest called")
@@ -1027,8 +1033,7 @@ class TestThinWrappers:
         replace_everywhere(monkeypatch, unit_root.adf_test, refuse)
         replace_everywhere(monkeypatch, unit_root.adf_panel, refuse)
         replace_everywhere(monkeypatch, cointegration.johansen_test, refuse)
-        args = [str(bundle["weights"]) if a == "WEIGHTS" else a for a in command]
-        res = runner.invoke(main, args + ["--panel", str(bundle["panel"])])
+        res = runner.invoke(main, command + ["--panel", str(bundle["panel"])])
         assert res.exit_code == 0, res.output
 
 
@@ -1037,32 +1042,19 @@ SUBCOMMANDS = {
     "identify": ["identify", "--country", "C00"],
     "johansen": ["johansen", "--country", "C00"],
     "correlate": ["correlate"],
-    "disperse": ["disperse", "--weights", "WEIGHTS"],
-    "cost": ["cost", "--weights", "WEIGHTS", "--exclude", "C03"],
 }
 
 
 @pytest.mark.parametrize("countries, args, message", [
-    (2, ["cost", "--weights", "WEIGHTS", "--exclude", "C00"],
-     "cost needs at least 3 countries, the panel has 2"),
-    (7, ["cost", "--weights", "WEIGHTS", "--exclude", "ZZ"], "unknown country 'ZZ'"),
     (1, ["correlate"], "correlate needs at least 2 countries, the panel has 1"),
-    (1, ["disperse", "--weights", "WEIGHTS"],
-     "disperse needs at least 2 countries, the panel has 1"),
-    (7, ["disperse", "--weights", "MISSING"], "cannot read weights"),
-    (7, ["cost", "--weights", "MISSING", "--exclude", "C00"], "cannot read weights"),
-], ids=["cost-two-countries", "cost-unknown-exclude", "correlate-one-country",
-        "disperse-one-country", "disperse-missing-weights", "cost-missing-weights"])
+], ids=["correlate-one-country"])
 def test_group_command_refuses_before_estimation(runner, tmp_path, monkeypatch,
                                                  countries, args, message):
     panel = synthetic_panel(20260401, countries, 133)
-    panel_path, weights_path = tmp_path / "panel.csv", tmp_path / "weights.csv"
+    panel_path = tmp_path / "panel.csv"
     panel_path.write_text(panel_to_csv(panel), encoding="utf-8")
-    if countries >= 2:
-        weights_path.write_text(equal_weights_csv(panel), encoding="utf-8")
-    files = {"WEIGHTS": str(weights_path), "MISSING": str(tmp_path / "missing.csv")}
     fits = count_calls(monkeypatch, var.select_lag)
-    res = runner.invoke(main, [files.get(a, a) for a in args] + ["--panel", str(panel_path)])
+    res = runner.invoke(main, args + ["--panel", str(panel_path)])
     assert res.exit_code == 1
     assert res.stderr.startswith(f"error: {message}")
     assert fits == []
@@ -1080,8 +1072,6 @@ UNCOVERED_WEIGHTS = {
 @pytest.mark.parametrize("message", list(UNCOVERED_WEIGHTS), ids=["year", "country"])
 @pytest.mark.parametrize("args", [
     ["run", "--weights", "WEIGHTS", "--output-dir", "OUT"],
-    ["disperse", "--weights", "WEIGHTS"],
-    ["cost", "--weights", "WEIGHTS", "--exclude", "C03"],
 ], ids=lambda args: args[0])
 def test_weights_not_covering_the_panel_are_refused_before_estimation(
         runner, fixture_panel, fixture_panel_path, tmp_path, monkeypatch, message, args):
@@ -1101,8 +1091,7 @@ def test_weights_not_covering_the_panel_are_refused_before_estimation(
 
 class TestInputContracts:
     def invoke(self, runner, bundle, name, *extra):
-        args = [str(bundle["weights"]) if a == "WEIGHTS" else a for a in SUBCOMMANDS[name]]
-        return runner.invoke(main, args + ["--panel", str(bundle["panel"]), *extra])
+        return runner.invoke(main, SUBCOMMANDS[name] + ["--panel", str(bundle["panel"]), *extra])
 
     @pytest.mark.parametrize("name", list(SUBCOMMANDS))
     def test_unknown_dummy_country_fails(self, runner, bundle, name):
@@ -1298,12 +1287,6 @@ OUT_OF_RANGE = [
     (["PANEL", "var", "--country", "C00", "--alpha", "1"], "--alpha"),
     (["PANEL", "correlate", "--alpha", "1.5"], "--alpha"),
     (["PANEL", "correlate", "--alpha", "-0.1"], "--alpha"),
-    (["PANEL", "disperse", "--weights", "WEIGHTS", "--alpha", "1"], "--alpha"),
-    (["PANEL", "disperse", "--weights", "WEIGHTS", "--portmanteau-h", "1"], "--portmanteau-h"),
-    (["PANEL", "disperse", "--weights", "WEIGHTS", "--arch-q", "0"], "--arch-q"),
-    (["PANEL", "disperse", "--weights", "WEIGHTS", "--hp-lambda", "-1"], "--hp-lambda"),
-    (["PANEL", "disperse", "--weights", "WEIGHTS", "--hp-lambda", "inf"], "--hp-lambda"),
-    (["PANEL", "disperse", "--weights", "WEIGHTS", "--hp-lambda", "1e16"], "--hp-lambda"),
     (["SERIES", "adf", "--max-lags", "-1"], "--max-lags"),
     (["SERIES", "adf", "--lag-rule", "-1"], "--lag-rule"),
     (["SERIES", "adf", "--lag-rule", "bic"], "--lag-rule"),
@@ -1343,8 +1326,6 @@ def test_out_of_range_option_is_a_usage_error(runner, fixture_panel_path,
 
 NAN_SETTINGS = [
     (["RUN", "run", "--hp-lambda", "nan"], f"hp_lambda must be in [0.0, {MAX_HP_SMOOTHING}]"),
-    (["PANEL", "disperse", "--weights", "WEIGHTS", "--hp-lambda", "nan"],
-     f"hp_lambda must be in [0.0, {MAX_HP_SMOOTHING}]"),
     (["RUN", "run", "--alpha", "nan"], "alpha must be in (0.0, 1.0)"),
     (["PANEL", "correlate", "--alpha", "nan"], "alpha must be in (0.0, 1.0)"),
 ]
@@ -1365,8 +1346,8 @@ def test_nan_setting_is_refused_by_the_config(runner, fixture_panel_path, fixtur
 @pytest.mark.parametrize("args", [
     ["PANEL", "identify", "--country", "C00", "--p", "1", "--portmanteau-h", "2", "--arch-q", "1",
      "--json"],
-    ["PANEL", "disperse", "--weights", "WEIGHTS", "--hp-lambda", "0"],
-    ["PANEL", "disperse", "--weights", "WEIGHTS", "--hp-lambda", "1e10"],
+    ["RUN", "run", "--hp-lambda", "0"],
+    ["RUN", "run", "--hp-lambda", "1e10"],
     ["PANEL", "var", "--country", "C00", "--max-lags", "24"],
     ["SERIES", "adf", "--max-lags", "0"],
     ["SERIES", "adf", "--lag-rule", "0"],

@@ -4,7 +4,7 @@ import pkgutil
 import types
 
 import ocametrics
-from ocametrics import errors, identification, metrics, panel, pipeline, unit_root
+from ocametrics import cli, errors, identification, metrics, panel, pipeline, unit_root
 from ocametrics.pipeline import PipelineResult
 from ocametrics.unit_root import AdfResult
 
@@ -14,8 +14,10 @@ from ocametrics.unit_root import AdfResult
 # block, the one-value twin of the correlation p-values and the keyed copy
 # of the cumulative responses, by module or class; the package keeps one
 # entry point for each capability.  The index rebase and its error went with
-# --base-year: an index's base only shifts the log levels
+# --base-year: an index's base only shifts the log levels.  The group's
+# dispersion and cost views went once run recorded a refused pretest
 DELETED = {
+    cli: ("disperse_command", "cost_command", "_group_shocks"),
     unit_root: ("integration_order", "IntegrationResult", "_SPEC_ALIASES"),
     panel: ("log_diff", "dump_panel", "rebase"),
     identification: ("long_run_matrix", "IrfSet"),

@@ -40,6 +40,8 @@ FIXTURES = {
     "seed": ["--seed", "20260401", "--t", "133", "--countries", "7"],
     "wide": ["--seed", "5", "--t", "241", "--countries", "12"],
     "late": ["--seed", "3", "--t", "133", "--countries", "5", "--start", "2012-01"],
+    # too short for every first-difference ADF and every Johansen test at --max-lags 2
+    "short": ["--seed", "1", "--t", "23", "--countries", "4"],
 }
 
 RUNS = {
@@ -49,6 +51,7 @@ RUNS = {
     "seed-gate": ("seed", ["--alpha", "0.1", "--portmanteau-h", "6", "--arch-q", "2"]),
     "wide-defaults": ("wide", []),
     "late-defaults": ("late", []),
+    "short-pretests": ("short", ["--max-lags", "2", "--arch-q", "2", "--portmanteau-h", "4"]),
 }
 
 # the views of the seed fixture, each printed plain and with --json
@@ -62,10 +65,6 @@ VIEWS = [
     ["johansen", "--panel", "seed/panel.csv", "--country", "C00", "--lag-order", "3"],
     ["correlate", "--panel", "seed/panel.csv"],
     ["correlate", "--panel", "seed/panel.csv", "--kind", "demand"],
-    ["disperse", "--panel", "seed/panel.csv", "--weights", "seed/weights.csv"],
-    ["disperse", "--panel", "seed/panel.csv", "--weights", "seed/weights.csv",
-     "--kind", "demand"],
-    ["cost", "--panel", "seed/panel.csv", "--weights", "seed/weights.csv", "--exclude", "C03"],
     ["adf", "--series", "seed/series.csv"],
 ]
 
