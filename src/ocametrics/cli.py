@@ -64,8 +64,6 @@ class _Text(click.ParamType):
         self.name, self.parse = name, parse
 
     def convert(self, value, param, ctx):
-        if not isinstance(value, str):  # the field's default
-            return value
         try:
             return self.parse(value)
         except ValueError as exc:
@@ -95,7 +93,6 @@ _OUTPUT_DIR = _setting("output_dir", "--output-dir", type=click.Path())
 _ALPHA = _setting("alpha", "--alpha")
 _MAX_LAGS = _setting("max_lags", "--max-lags")
 _HP_LAMBDA = _setting("hp_lambda", "--hp-lambda")
-_IRF_HORIZON = _setting("irf_horizon", "--irf-horizon")
 _DUMMY = _setting("dummies", "--dummy", type=_Text("dummy", _parse_dummy), multiple=True,
                   help="COUNTRY:YYYY-MM[:step|pulse] break dummy, step by default (repeatable).")
 _SEASONAL_ADJUST = _setting("seasonal_adjust", "--seasonal-adjust", is_flag=True,
@@ -195,8 +192,8 @@ def main():
 @main.command("run")
 @click.option("--config", type=click.Path(), is_eager=True, expose_value=False,
               callback=_load_config, help="Flat key-value JSON config; flags override it.")
-@_options(_PANEL, _WEIGHTS, _OUTPUT_DIR, _ALPHA, _MAX_LAGS, _HP_LAMBDA, _IRF_HORIZON,
-          _DUMMY, _SEASONAL_ADJUST, _PORTMANTEAU_H, _ARCH_Q, _THREADS)
+@_options(_PANEL, _WEIGHTS, _OUTPUT_DIR, _ALPHA, _MAX_LAGS, _HP_LAMBDA, _DUMMY,
+          _SEASONAL_ADJUST, _PORTMANTEAU_H, _ARCH_Q, _THREADS)
 @_domain_errors
 def run_command(**settings):
     """Run the full pipeline and write the report bundle."""

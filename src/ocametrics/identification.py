@@ -26,9 +26,8 @@ MAX_COMPANION_MODULUS = 0.9999
 MAX_CONDITION = 1e12
 # size_and_speed reads a shock's speed as its response after one year
 SPEED_MONTH = 12
-# the longest horizon a run reports, a century of months: the report's
-# responses grow linearly with it (844 KB at 1200, 57 MB at 100,000)
-MAX_IRF_HORIZON = 1200
+# a run reports four years of responses; irf_structural gives any other horizon
+IRF_HORIZON = 48
 
 
 @dataclass(frozen=True)
@@ -63,20 +62,15 @@ def identify_bq(model: VarModel) -> StructuralModel:
         raise UnstableModelError(
             f"max companion modulus {stab.max_modulus:.6f} exceeds "
             f"{MAX_COMPANION_MODULUS}; long-run responses are unreliable")
-    try:
-        np.linalg.cholesky(model.sigma)
-    except np.linalg.LinAlgError:
-        raise SigmaNotPositiveDefiniteError(
-            "residual covariance is not positive definite") from None
-
     d1 = _coefficient_sum_inverse(model)
     s = d1 @ model.sigma @ d1.T
     s = (s + s.T) / 2.0
+    # d1 is invertible, so d1 sigma d1' is positive definite iff sigma is
     try:
         f = np.linalg.cholesky(s)
     except np.linalg.LinAlgError:
         raise SigmaNotPositiveDefiniteError(
-            "long-run covariance is not positive definite") from None
+            "residual covariance is not positive definite") from None
 
     # sign convention: LAPACK's Cholesky factor has a positive diagonal
     a0 = np.linalg.solve(d1, f)

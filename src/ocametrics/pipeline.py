@@ -29,8 +29,8 @@ import numpy as np
 
 from .cointegration import johansen_test
 from .errors import ConfigError, OcaError
-from .identification import (MAX_IRF_HORIZON, SHOCK_KINDS, SPEED_MONTH, SizeSpeed,
-                             StructuralModel, identify_bq, irf_structural, size_and_speed)
+from .identification import (IRF_HORIZON, SHOCK_KINDS, SizeSpeed, StructuralModel,
+                             identify_bq, irf_structural, size_and_speed)
 from .metrics import (
     MAX_HP_SMOOTHING,
     STARS,
@@ -88,7 +88,6 @@ class PipelineConfig:
     alpha: float = _bounded(0.05, 0.0, 1.0, open=True)
     max_lags: int = _bounded(12, 1, 24)
     hp_lambda: float = _bounded(14400.0, 0.0, MAX_HP_SMOOTHING)
-    irf_horizon: int = _bounded(48, SPEED_MONTH, MAX_IRF_HORIZON)
     seasonal_adjust: bool = False
     dummies: tuple[tuple[str, DummySpec], ...] = ()
     portmanteau_h: int = _bounded(12, 2)
@@ -154,7 +153,7 @@ def _estimate(panel: Panel, country: str, config: PipelineConfig):
         johansen = _listed(johansen_test(logs, lag_order=selection.p + 1))
     except OcaError as exc:
         johansen = _refused(exc)
-    responses = irf_structural(svar, selection.model, config.irf_horizon)
+    responses = irf_structural(svar, selection.model, IRF_HORIZON)
     return logs, svar, _country_report(johansen, selection, svar, responses)
 
 

@@ -667,8 +667,7 @@ class TestRunPipeline:
         out = tmp_path / "out"
         settings = {
             "panel": str(fixture_panel_path), "weights": str(fixture_weights_path),
-            "output_dir": str(out), "alpha": 0.01, "max_lags": 14,
-            "hp_lambda": 1600.0, "irf_horizon": 24,
+            "output_dir": str(out), "alpha": 0.01, "max_lags": 14, "hp_lambda": 1600.0,
             "dummy": ["C00:2012-06:step", "C02:2013-01:pulse"],
             "seasonal_adjust": True, "portmanteau_h": 14, "arch_q": 3, "threads": 2}
         flag_keys = {p.opts[0][2:].replace("-", "_") for p in main.commands["run"].params}
@@ -700,7 +699,7 @@ class TestRunPipeline:
         assert res.exit_code == 2
         assert "Missing option '--output-dir'" in res.stderr
 
-    @pytest.mark.parametrize("key", ["seed", "base_year", "snapshot_dates"])
+    @pytest.mark.parametrize("key", ["seed", "base_year", "snapshot_dates", "irf_horizon"])
     def test_seed_is_not_a_run_setting(self, runner, bundle, tmp_path, key):
         report = json.loads((bundle["out"] / "report.json").read_text())
         assert key not in report["metadata"]["config"]
@@ -1296,8 +1295,6 @@ OUT_OF_RANGE = [
     (["OUT", "simulate", "--countries", "1", "--weights-output", "WOUT"], "--countries"),
     (["RUN", "run", "--alpha", "1.5"], "--alpha"),
     (["RUN", "run", "--max-lags", "0"], "--max-lags"),
-    (["RUN", "run", "--irf-horizon", "11"], "--irf-horizon"),
-    (["RUN", "run", "--irf-horizon", "1201"], "--irf-horizon"),
     (["RUN", "run", "--portmanteau-h", "1"], "--portmanteau-h"),
     (["RUN", "run", "--arch-q", "0"], "--arch-q"),
     (["RUN", "run", "--hp-lambda", "-1"], "--hp-lambda"),

@@ -5,7 +5,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from ocametrics import identification, metrics, panel, pipeline, unit_root, var
+from ocametrics import metrics, panel, pipeline, unit_root, var
 from ocametrics.errors import ConfigError, OcaError
 from ocametrics.pipeline import (
     SHOCK_KINDS,
@@ -30,8 +30,6 @@ RANGES = {
     "hp_lambda": ([0.0, metrics.MAX_HP_SMOOTHING],
                   [-1e-9, np.nextafter(metrics.MAX_HP_SMOOTHING, np.inf), float("nan"),
                    float("inf")]),
-    "irf_horizon": ([12, identification.MAX_IRF_HORIZON],
-                    [11, identification.MAX_IRF_HORIZON + 1, float("inf")]),
     "portmanteau_h": ([2], [1, float("inf")]),
     "arch_q": ([1], [0, float("inf")]),
     "threads": ([1], [0, float("inf")]),
@@ -273,6 +271,11 @@ def relabelled_reports(fixture_panel):
 # the HP trend amplifies a last-bit move about 30-fold
 RELABEL_TOLERANCE = {"values": 2e-15, "cost": 2e-15, "trend": 6e-14, "trend_change_pct": 1e-11}
 
+# how far a planted copy of C00 may read from C00 itself: a scale only shifts
+# the logs, which moves the growth rates' last bits (measured: |r - 1| <= 4.4e-16,
+# p = 0, shocks of size about 4 apart by at most 1.9e-13)
+COPY_TOLERANCE = {"r": 2e-15, "p": 1e-15, "shocks": 1e-12}
+
 
 @pytest.mark.parametrize("name", ["seed", "planted"])
 def test_relabelling_countries_maps_every_result(relabelled_reports, name):
@@ -302,3 +305,16 @@ def test_relabelling_countries_maps_every_result(relabelled_reports, name):
     if name == "planted":
         groups = {kind: other["group"]["symmetry"][kind]["groups"] for kind in SHOCK_KINDS}
         assert all(any({"X9", "X2", "X1", "X0"} <= set(g) for g in groups[k]) for k in groups)
+        for kind in SHOCK_KINDS:
+            corr = base["group"]["correlations"][kind]
+            i = corr["countries"].index("C00")
+            for copy in ("C07", "C08", "C09"):
+                j = corr["countries"].index(copy)
+                assert corr["r"][i][j] == corr["r"][j][i]
+                assert corr["p"][i][j] == corr["p"][j][i]
+                assert abs(corr["r"][i][j] - 1.0) <= COPY_TOLERANCE["r"], (kind, copy)
+                assert corr["p"][i][j] <= COPY_TOLERANCE["p"], (kind, copy)
+                assert base["group"]["symmetry"][kind]["symmetric_pairs"][f"C00|{copy}"]
+                gap = np.abs(np.subtract(base["shocks"][copy][kind],
+                                         base["shocks"]["C00"][kind])).max()
+                assert gap <= COPY_TOLERANCE["shocks"], (kind, copy, gap)
