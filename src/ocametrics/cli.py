@@ -1,17 +1,18 @@
 """Command-line front end.
 
 ``ocametrics run`` drives the full pipeline from a panel CSV and a weights
-CSV to a report bundle, and is the one entry point for the weighted group
-figures (dispersion, its trend, each country's cost of inclusion).  The
-remaining subcommands are thin wrappers over single library operations and
-write CSV to standard output (JSON with ``--json``).
+CSV to a report bundle, and is the one entry point for every group figure
+(the shock correlations and symmetric groups, the dispersion and its trend,
+each country's cost of inclusion).  The remaining subcommands are thin
+wrappers over single library operations and write CSV to standard output
+(JSON with ``--json``).
 
 Each ``PipelineConfig`` setting is one click option, with the field's
 default and its ``Bounds`` as a click range, shared by ``run`` and the
 chain subcommands; a ``run --config`` file fills click's default map, so
-its values pass the same checks as the flags.  Every panel subcommand takes
-``_CHAIN``, the settings that decide a country's shocks, so it reproduces
-what ``run`` writes for the same panel and settings.
+its values pass the same checks as the flags.  Every country subcommand
+takes ``_CHAIN``, the settings that decide a country's shocks, so it
+reproduces what ``run`` writes for the same panel and settings.
 """
 
 from __future__ import annotations
@@ -28,18 +29,14 @@ import numpy as np
 
 from .cointegration import johansen_test
 from .errors import ConfigError, OcaError
-from .identification import SHOCK_KINDS, SPEED_MONTH, identify_bq, irf_structural, size_and_speed
-from .metrics import check_group, classify_symmetry, correlation_matrix
+from .identification import SPEED_MONTH, identify_bq, irf_structural, size_and_speed
 from .months import Month, month_range
 from .panel import _read_rows, csv_text, load_panel, panel_to_csv
 from .pipeline import (
     PipelineConfig,
     check_panel_settings,
-    correlation_dict,
-    correlation_table,
     country_series,
     gated_lag,
-    group_shocks,
     run_pipeline,
     shock_dict,
     shock_table,
@@ -323,7 +320,7 @@ def identify_command(country, fixed_p, as_json, **settings):
         model = fit_var(data, fixed_p, dummies)
     svar = identify_bq(model)
     if as_json:
-        responses = irf_structural(svar, model, SPEED_MONTH)
+        responses = irf_structural(svar.a0, model.coefs, SPEED_MONTH)
         click.echo(json.dumps({
             "country": country, "p": model.p,
             "a0": svar.a0.tolist(),
@@ -332,27 +329,6 @@ def identify_command(country, fixed_p, as_json, **settings):
         }, sort_keys=True))
         return
     click.echo(shock_table(country, shock_dict(svar)), nl=False)
-
-
-@main.command("correlate")
-@_options(*_CHAIN)
-@click.option("--kind", type=click.Choice(SHOCK_KINDS), default=SHOCK_KINDS[0])
-@click.option("--json", "as_json", is_flag=True, default=False)
-@_domain_errors
-def correlate_command(kind, as_json, **settings):
-    """Cross-country shock correlation matrix with significance stars."""
-    config = _config(settings)
-    panel = load_panel(config.panel_path)
-    check_group(panel.countries, (), "correlate")  # before any estimate
-    _, shocks = group_shocks(panel, config)
-    report = correlation_matrix(shocks[kind], kind=kind)
-    symmetry = classify_symmetry(report, config.alpha)
-    if as_json:
-        click.echo(json.dumps({**correlation_dict(report),
-                               "groups": [list(g) for g in symmetry.groups]},
-                              sort_keys=True))
-        return
-    click.echo(correlation_table(correlation_dict(report)), nl=False)
 
 
 @main.command("simulate")

@@ -79,19 +79,20 @@ def identify_bq(model: VarModel) -> StructuralModel:
                            shocks=_frozen(shocks), dates=model.effective_dates)
 
 
-def irf_structural(svar: StructuralModel, model: VarModel, horizon: int) -> np.ndarray:
-    """Cumulative structural impulse responses up to ``horizon`` months, as a
+def irf_structural(a0: np.ndarray, coefs: np.ndarray, horizon: int) -> np.ndarray:
+    """Cumulative structural impulse responses up to ``horizon`` months of the
+    impact matrix ``a0`` and the ``(p, 2, 2)`` lag coefficients ``coefs``, as a
     read-only ``(horizon + 1, variable, shock)`` array laid out like ``a0``."""
     if horizon < SPEED_MONTH:
         raise ValueError(f"horizon must be >= {SPEED_MONTH}")
-    p = model.p
+    p = coefs.shape[0]
     ma = [np.eye(2)]
     for h in range(1, horizon + 1):
         acc = np.zeros((2, 2))
         for i in range(1, min(h, p) + 1):
-            acc += model.coefs[i - 1] @ ma[h - i]
+            acc += coefs[i - 1] @ ma[h - i]
         ma.append(acc)
-    return _frozen(np.cumsum(np.stack([m @ svar.a0 for m in ma]), axis=0))
+    return _frozen(np.cumsum(np.stack([m @ a0 for m in ma]), axis=0))
 
 
 def size_and_speed(svar: StructuralModel, responses: np.ndarray) -> SizeSpeed:

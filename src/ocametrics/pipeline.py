@@ -133,27 +133,19 @@ def gated_lag(data, dummies, config: PipelineConfig) -> LagSelection:
                       alpha=config.alpha)
 
 
-def _shock_chain(panel: Panel, country: str, config: PipelineConfig):
-    """``country_series`` -> gated lag selection -> long-run identification.
-
-    Returns the (activity, price) log levels, the lag selection (which holds
-    the accepted model) and the structural model.
-    """
-    logs, data, dummies = country_series(panel, country, config)
-    selection = gated_lag(data, dummies, config)
-    return logs, selection, identify_bq(selection.model)
-
-
 def _estimate(panel: Panel, country: str, config: PipelineConfig):
-    """The shock chain, then the Johansen pretest and the structural IRFs: the
+    """The shock chain (``country_series`` -> gated lag selection -> long-run
+    identification), then the Johansen pretest and the structural IRFs: the
     log levels, the structural model and the report block without its ``adf``.
     A refused Johansen test is recorded, not raised."""
-    logs, selection, svar = _shock_chain(panel, country, config)
+    logs, data, dummies = country_series(panel, country, config)
+    selection = gated_lag(data, dummies, config)
+    svar = identify_bq(selection.model)
     try:
         johansen = _listed(johansen_test(logs, lag_order=selection.p + 1))
     except OcaError as exc:
         johansen = _refused(exc)
-    responses = irf_structural(svar, selection.model, IRF_HORIZON)
+    responses = irf_structural(svar.a0, selection.model.coefs, IRF_HORIZON)
     return logs, svar, _country_report(johansen, selection, svar, responses)
 
 
@@ -218,12 +210,12 @@ def check_weights(weights: WeightTable, panel: Panel, config: PipelineConfig) ->
         weights.for_group(year, panel.countries)
 
 
-def _per_country(panel: Panel, config: PipelineConfig, analyze) -> dict:
+def _per_country(panel: Panel, config: PipelineConfig) -> dict:
     check_panel_settings(panel, config)
 
     def work(country: str):
         try:
-            return analyze(panel, country, config)
+            return _estimate(panel, country, config)
         except OcaError as exc:
             raise StageError(f"country {country}", exc) from exc
 
@@ -244,12 +236,6 @@ def _common_shocks(svars: Mapping[str, StructuralModel]):
         for k_idx, kind in enumerate(SHOCK_KINDS):
             shocks[kind][country] = svar.shocks[offset:offset + len(dates), k_idx]
     return dates, shocks
-
-
-def group_shocks(panel: Panel, config: PipelineConfig):
-    """``build_report``'s common-calendar shocks, from the shock chain alone (no pretests)."""
-    chains = _per_country(panel, config, _shock_chain)
-    return _common_shocks({c: svar for c, (_, _, svar) in chains.items()})
 
 
 def _refused(exc: OcaError) -> dict:
@@ -353,7 +339,7 @@ def build_report(panel: Panel, weights: WeightTable, config: PipelineConfig) -> 
     """Compute every number in the bundle; pure and deterministic."""
     check_group(panel.countries, panel.countries, "run")  # every country's cost of inclusion
     check_weights(weights, panel, config)
-    estimates = _per_country(panel, config, _estimate)
+    estimates = _per_country(panel, config)
     adf = _pretests({c: logs for c, (logs, _, _) in estimates.items()}, config.max_lags)
     blocks = {c: {**block, "adf": adf[c]} for c, (_, _, block) in estimates.items()}
     svars = {c: svar for c, (_, svar, _) in estimates.items()}

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from ocametrics import cointegration, unit_root, var
+from ocametrics import var
 from ocametrics.cli import _series_from_csv, main
 from ocametrics.errors import ConfigError, DegenerateWeightsError, PanelError
 from ocametrics.metrics import MAX_HP_SMOOTHING, load_weights, significance_stars
@@ -20,7 +20,7 @@ from ocametrics.panel import VARIABLES, Panel, load_panel, panel_to_csv
 from ocametrics.pipeline import PipelineConfig, _render_tables, country_series
 from ocametrics.simulate import equal_weights_csv, synthetic_panel
 
-from .conftest import count_calls, replace_everywhere
+from .conftest import count_calls
 
 
 @pytest.fixture(scope="module")
@@ -751,17 +751,11 @@ def _identify_view(report: dict) -> dict:
             "long_run": block["identification"]["long_run"], **block["size_speed"]}
 
 
-def _correlate_view(report: dict) -> dict:
-    group = report["group"]
-    return {**group["correlations"]["supply"], "groups": group["symmetry"]["supply"]["groups"]}
-
-
 # each subcommand's --json output, as its bundle's report.json holds it
 REPORT_VIEWS = {
     "var": (["var", "--country", "C03"], _var_view),
     "johansen": (["johansen", "--country", "C03"], _johansen_view),
     "identify": (["identify", "--country", "C03"], _identify_view),
-    "correlate": (["correlate"], _correlate_view),
 }
 
 
@@ -883,7 +877,7 @@ class TestThinWrappers:
             "nobs": model.nobs,
         }]
 
-    def test_correlate_json_groups_are_the_bundle_groups(self, runner, fixture_panel, tmp_path):
+    def test_rescaled_copies_form_a_bundle_group(self, runner, fixture_panel, tmp_path):
         # C07..C09 rescale C00's series, so the four share C00's shocks and
         # form a symmetric group of each kind
         values = dict(fixture_panel.values)
@@ -897,14 +891,10 @@ class TestThinWrappers:
         res = runner.invoke(main, ["run", "--panel", str(panel_path), "--weights",
                                    str(weights_path), "--output-dir", str(tmp_path / "out")])
         assert res.exit_code == 0, res.output
-        group = json.loads((tmp_path / "out" / "report.json").read_text())["group"]
+        symmetry = json.loads((tmp_path / "out" / "report.json").read_text())["group"]["symmetry"]
         for kind in ("supply", "demand"):
-            res = runner.invoke(main, ["correlate", "--panel", str(panel_path),
-                                       "--kind", kind, "--json"])
-            assert res.exit_code == 0, res.output
-            groups = group["symmetry"][kind]["groups"]
-            assert any({"C00", "C07", "C08", "C09"} <= set(g) for g in groups)
-            assert json.loads(res.output) == {**group["correlations"][kind], "groups": groups}
+            groups = symmetry[kind]["groups"]
+            assert any({"C00", "C07", "C08", "C09"} <= set(g) for g in groups), kind
 
     def test_var_row(self, runner, bundle):
         res = runner.invoke(main, ["var", "--panel", str(bundle["panel"]),
@@ -945,41 +935,15 @@ class TestThinWrappers:
         assert res.exit_code != 0
         assert "lag-rule" in res.output
 
-    def test_correlate_matrix(self, runner, bundle):
-        res = runner.invoke(main, ["correlate", "--panel", str(bundle["panel"]),
-                                   "--kind", "demand"])
-        assert res.exit_code == 0, res.output
-        lines = res.output.strip().splitlines()
-        assert lines[0] == "country,C00,C01,C02,C03,C04,C05,C06"
-        assert lines[1].split(",")[1] == "1.000"
-
     def test_group_dispersion_and_cost_have_no_view(self, runner):
-        # they are run's group.dispersion and group.cost blocks
-        assert sorted(main.commands) == ["adf", "correlate", "identify", "johansen", "run",
-                                         "simulate", "var"]
-        for name in ("disperse", "cost"):
+        # they are run's group.dispersion and group.cost blocks, as the
+        # correlations and symmetric groups are its group.correlations and
+        # group.symmetry blocks
+        assert sorted(main.commands) == ["adf", "identify", "johansen", "run", "simulate", "var"]
+        for name in ("disperse", "cost", "correlate"):
             res = runner.invoke(main, [name])
             assert res.exit_code == 2
             assert f"No such command '{name}'" in res.stderr
-
-    @pytest.mark.parametrize("kind, flags", [
-        pytest.param("supply", None, id="supply"),
-        pytest.param("demand", None, id="demand"),
-        pytest.param("supply", ["--alpha", "0.10"], id="supply-alpha-0.10"),
-        pytest.param("demand", ["--alpha", "0.10"], id="demand-alpha-0.10"),
-        pytest.param("supply", GATE, id="supply-gate"),
-        pytest.param("demand", GATE, id="demand-gate"),
-    ])
-    def test_correlate_prints_the_bundle_table(self, runner, bundle, seed_bundle,
-                                               fixture_panel_path, kind, flags):
-        panel, out = bundle["panel"], bundle["out"]
-        if flags is not None:
-            # on the seed fixture the gate accepts other lags than at the defaults
-            panel, out = fixture_panel_path, seed_bundle(*flags)
-        res = runner.invoke(main, ["correlate", "--panel", str(panel), "--kind", kind,
-                                   *(flags or [])])
-        assert res.exit_code == 0, res.output
-        assert res.output == (out / f"correlation_{kind}.csv").read_text()
 
     @pytest.mark.parametrize("country, flags", [
         pytest.param("C01", None, id="C01"),
@@ -1024,39 +988,12 @@ class TestThinWrappers:
         report = json.loads((seed_bundle(*flags) / "report.json").read_text())
         assert json.loads(res.output) == expected(report)
 
-    @pytest.mark.parametrize("command", [["correlate"]])
-    def test_group_commands_skip_pretests(self, runner, bundle, monkeypatch, command):
-        def refuse(*args, **kwargs):
-            raise AssertionError("pretest called")
-
-        replace_everywhere(monkeypatch, unit_root.adf_test, refuse)
-        replace_everywhere(monkeypatch, unit_root.adf_panel, refuse)
-        replace_everywhere(monkeypatch, cointegration.johansen_test, refuse)
-        res = runner.invoke(main, command + ["--panel", str(bundle["panel"])])
-        assert res.exit_code == 0, res.output
-
 
 SUBCOMMANDS = {
     "var": ["var", "--country", "C00"],
     "identify": ["identify", "--country", "C00"],
     "johansen": ["johansen", "--country", "C00"],
-    "correlate": ["correlate"],
 }
-
-
-@pytest.mark.parametrize("countries, args, message", [
-    (1, ["correlate"], "correlate needs at least 2 countries, the panel has 1"),
-], ids=["correlate-one-country"])
-def test_group_command_refuses_before_estimation(runner, tmp_path, monkeypatch,
-                                                 countries, args, message):
-    panel = synthetic_panel(20260401, countries, 133)
-    panel_path = tmp_path / "panel.csv"
-    panel_path.write_text(panel_to_csv(panel), encoding="utf-8")
-    fits = count_calls(monkeypatch, var.select_lag)
-    res = runner.invoke(main, args + ["--panel", str(panel_path)])
-    assert res.exit_code == 1
-    assert res.stderr.startswith(f"error: {message}")
-    assert fits == []
 
 
 # the fixture's weights with one edit per row: ``None`` drops the row
@@ -1100,7 +1037,6 @@ class TestInputContracts:
 
     @pytest.mark.parametrize("args", [
         ["run", "--weights", "WEIGHTS", "--output-dir", "OUT"],
-        ["correlate"],
     ], ids=lambda args: args[0])
     def test_a_panel_simulate_writes_from_any_start_runs(self, runner, tmp_path, args):
         panel, weights = tmp_path / "p.csv", tmp_path / "w.csv"
@@ -1284,8 +1220,6 @@ OUT_OF_RANGE = [
     (["PANEL", "var", "--country", "C00", "--portmanteau-h", "1"], "--portmanteau-h"),
     (["PANEL", "var", "--country", "C00", "--alpha", "0"], "--alpha"),
     (["PANEL", "var", "--country", "C00", "--alpha", "1"], "--alpha"),
-    (["PANEL", "correlate", "--alpha", "1.5"], "--alpha"),
-    (["PANEL", "correlate", "--alpha", "-0.1"], "--alpha"),
     (["SERIES", "adf", "--max-lags", "-1"], "--max-lags"),
     (["SERIES", "adf", "--lag-rule", "-1"], "--lag-rule"),
     (["SERIES", "adf", "--lag-rule", "bic"], "--lag-rule"),
@@ -1303,7 +1237,6 @@ OUT_OF_RANGE = [
     (["RUN", "run", "--threads", "0"], "--threads"),
     (["RUN", "run", "--max-lags", "25"], "--max-lags"),
     (["PANEL", "var", "--country", "C00", "--max-lags", "25"], "--max-lags"),
-    (["PANEL", "correlate", "--max-lags", "25"], "--max-lags"),
 ]
 
 
@@ -1324,7 +1257,6 @@ def test_out_of_range_option_is_a_usage_error(runner, fixture_panel_path,
 NAN_SETTINGS = [
     (["RUN", "run", "--hp-lambda", "nan"], f"hp_lambda must be in [0.0, {MAX_HP_SMOOTHING}]"),
     (["RUN", "run", "--alpha", "nan"], "alpha must be in (0.0, 1.0)"),
-    (["PANEL", "correlate", "--alpha", "nan"], "alpha must be in (0.0, 1.0)"),
 ]
 
 

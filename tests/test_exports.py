@@ -15,14 +15,15 @@ from ocametrics.unit_root import AdfResult
 # of the cumulative responses, by module or class; the package keeps one
 # entry point for each capability.  The index rebase and its error went with
 # --base-year: an index's base only shifts the log levels.  The group's
-# dispersion and cost views went once run recorded a refused pretest
+# dispersion, cost and correlation views went once run recorded a refused
+# pretest, and with the last of them the chain-only path to the group shocks
 DELETED = {
-    cli: ("disperse_command", "cost_command", "_group_shocks"),
+    cli: ("disperse_command", "cost_command", "_group_shocks", "correlate_command"),
     unit_root: ("integration_order", "IntegrationResult", "_SPEC_ALIASES"),
     panel: ("log_diff", "dump_panel", "rebase"),
     identification: ("long_run_matrix", "IrfSet"),
     errors: ("InconclusiveIntegrationError", "BaseYearAbsentError"),
-    pipeline: ("CountryAnalysis", "_with_pretests"),
+    pipeline: ("CountryAnalysis", "_with_pretests", "group_shocks", "_shock_chain"),
     metrics: ("correlation_pvalue",),
     AdfResult: ("as_dict",),
     PipelineResult: ("report_path",),

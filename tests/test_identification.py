@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from ocametrics.errors import SigmaNotPositiveDefiniteError, UnstableModelError, ZeroLongRunError
 from ocametrics.identification import (
+    SHOCK_KINDS,
     StructuralModel,
     _coefficient_sum_inverse,
     identify_bq,
@@ -12,6 +14,8 @@ from ocametrics.identification import (
     size_and_speed,
 )
 from ocametrics.months import Month, month_range
+from ocametrics.panel import VARIABLES
+from ocametrics.pipeline import PipelineConfig, run_pipeline
 from ocametrics.simulate import Dgp, simulate
 from ocametrics.var import VarModel, fit_var, stability
 
@@ -161,7 +165,7 @@ class TestIrf:
         sigma = np.array([[1.3, 0.4], [0.4, 0.9]])
         model = _model(np.zeros((1, 2, 2)), residuals, sigma=sigma)
         svar = identify_bq(model)
-        irf = irf_structural(svar, model, horizon=24)
+        irf = irf_structural(svar.a0, model.coefs, horizon=24)
         assert irf.shape == (25, 2, 2) and irf.dtype == np.float64
         assert not irf.flags.writeable
         # every (variable, shock) cell stays at its impact response
@@ -172,7 +176,7 @@ class TestIrf:
         data = make_pair(simulate(dgp).diffs)
         model = fit_var(data, p=dgp.p)
         svar = identify_bq(model)
-        irf = irf_structural(svar, model, horizon=500)
+        irf = irf_structural(svar.a0, model.coefs, horizon=500)
         series = irf[:, 0, 1]  # (activity, demand)
         peak = np.abs(series).max()
         assert abs(series[-1]) < 1e-6 * max(peak, 1e-30)
@@ -184,8 +188,26 @@ class TestIrf:
         svar = identify_bq(model)
         rho = stability(model).max_modulus
         horizon = max(200, int(math.ceil(math.log(1e-10) / math.log(rho))))
-        irf = irf_structural(svar, model, horizon=horizon)
+        irf = irf_structural(svar.a0, model.coefs, horizon=horizon)
         assert np.abs(irf[-1] - svar.long_run).max() < 1e-8
+
+    def test_report_rebuilds_the_responses(self, fixture_panel_path, fixture_weights_path,
+                                           tmp_path):
+        # a country's var.coefs and identification.a0 in report.json give its
+        # responses at any horizon; at the run's own horizon they are its rows
+        config = PipelineConfig(panel_path=str(fixture_panel_path),
+                                weights_path=str(fixture_weights_path), output_dir=str(tmp_path))
+        run_pipeline(config)
+        report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+        for country, block in report["countries"].items():
+            listed = block["irf"]
+            rebuilt = irf_structural(np.array(block["identification"]["a0"]),
+                                     np.array(block["var"]["coefs"]), listed["horizon"])
+            assert len(rebuilt) == 49, country
+            for s, shock in enumerate(SHOCK_KINDS):
+                for v, variable in enumerate(VARIABLES):
+                    cell = listed["cumulative_responses"][f"{shock}_{variable}"]
+                    assert rebuilt[:, v, s].tolist() == cell, (country, shock, variable)
 
     def test_horizon_must_cover_a_year(self):
         dgp = _random_valid_dgp(15, n_obs=2000)
@@ -193,7 +215,7 @@ class TestIrf:
         model = fit_var(data, p=dgp.p)
         svar = identify_bq(model)
         with pytest.raises(ValueError):
-            irf_structural(svar, model, horizon=6)
+            irf_structural(svar.a0, model.coefs, horizon=6)
 
 
 def _geometric_irf(ratio=0.5, limit=2.0, horizon=48):
@@ -213,7 +235,7 @@ class TestSizeSpeed:
         sigma = np.array([[1.3, 0.4], [0.4, 0.9]])
         model = _model(np.zeros((1, 2, 2)), residuals, sigma=sigma)
         svar = identify_bq(model)
-        ss = size_and_speed(svar, irf_structural(svar, model, horizon=24))
+        ss = size_and_speed(svar, irf_structural(svar.a0, model.coefs, horizon=24))
         assert ss.supply_speed == pytest.approx(1.0, abs=1e-12)
         assert ss.demand_speed == pytest.approx(1.0, abs=1e-12)
         assert ss.supply_size == pytest.approx(abs(svar.long_run[0, 0]))
@@ -233,7 +255,7 @@ class TestSizeSpeed:
         data = make_pair(simulate(dgp).diffs)
         model = fit_var(data, p=1)
         svar = identify_bq(model)
-        ss = size_and_speed(svar, irf_structural(svar, model, 48))
+        ss = size_and_speed(svar, irf_structural(svar.a0, model.coefs, 48))
         assert ss.supply_speed == pytest.approx(1.0 - 0.9 ** 13, abs=0.02)
         assert ss.demand_speed == pytest.approx(1.0 - 0.5 ** 13, abs=0.02)
 

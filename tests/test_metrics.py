@@ -97,6 +97,11 @@ class TestCorrelation:
         with pytest.raises(ZeroVarianceError):
             correlation_matrix({"AAA": np.ones(30), "BBB": rng.standard_normal(30)})
 
+    def test_unequal_lengths_are_refused(self):
+        rng = np.random.default_rng(2)
+        with pytest.raises(InsufficientOverlapError, match="^shock series must share a common"):
+            correlation_matrix({"AAA": rng.standard_normal(30), "BBB": rng.standard_normal(31)})
+
     def test_matrix_matches_pairwise_computation(self):
         rng = np.random.default_rng(8)
         common = rng.standard_normal(120)
@@ -278,6 +283,12 @@ class TestWeights:
         with pytest.raises(MissingWeightYearError):
             table.for_group(2015, ["CRI", "XXX"])
 
+    def test_for_group_refuses_a_year_summing_to_zero(self):
+        # build_weight_table refuses such a year; a table built directly is not checked
+        table = WeightTable(weights={2010: {"AAA": 0.0, "BBB": 0.0}}, raw_sums={2010: 0.0})
+        with pytest.raises(DegenerateWeightsError, match="^weights for 2010 sum to 0.0$"):
+            table.for_group(2010, ["AAA", "BBB"])
+
     def test_csv_parse_errors(self):
         with pytest.raises(DegenerateWeightsError):
             load_weights(io.StringIO("anno,pais,peso\n"))
@@ -374,6 +385,12 @@ class TestDispersion:
         shocks = {c: np.zeros(2) for c in ("AAA", "BBB", "CCC")}
         with pytest.raises(MissingWeightYearError):
             dispersion_index(shocks, dates, _table_503020([2012]))
+
+    def test_series_not_matching_the_calendar_is_refused(self):
+        dates = month_range(Month(2012, 1), 3)
+        shocks = {"AAA": np.zeros(3), "BBB": np.zeros(3), "CCC": np.zeros(4)}
+        with pytest.raises(InsufficientOverlapError, match="^shock series must match the calendar"):
+            group_dispersion(shocks, dates, _table_503020([2012]))
 
     def test_zero_iff_equal(self):
         rng = np.random.default_rng(5)

@@ -63,8 +63,6 @@ VIEWS = [
     ["identify", "--panel", "seed/panel.csv", "--country", "C01", "--p", "2"],
     ["johansen", "--panel", "seed/panel.csv", "--country", "C00"],
     ["johansen", "--panel", "seed/panel.csv", "--country", "C00", "--lag-order", "3"],
-    ["correlate", "--panel", "seed/panel.csv"],
-    ["correlate", "--panel", "seed/panel.csv", "--kind", "demand"],
     ["adf", "--series", "seed/series.csv"],
 ]
 
