@@ -9,10 +9,9 @@ wrappers over single library operations and write CSV to standard output
 
 Each ``PipelineConfig`` setting is one click option, with the field's
 default and its ``Bounds`` as a click range, shared by ``run`` and the
-chain subcommands; a ``run --config`` file fills click's default map, so
-its values pass the same checks as the flags.  Every country subcommand
-takes ``_CHAIN``, the settings that decide a country's shocks, so it
-reproduces what ``run`` writes for the same panel and settings.
+chain subcommands.  Every country subcommand takes ``_CHAIN``, the settings
+that decide a country's shocks, so it reproduces what ``run`` writes for the
+same panel and settings.
 """
 
 from __future__ import annotations
@@ -113,50 +112,14 @@ def _config(settings: dict) -> PipelineConfig:
     return PipelineConfig(**{"weights_path": "-", "output_dir": "-", **settings})
 
 
-def _flag_text(ctx: click.Context, param: click.Parameter, value) -> str | list[str]:
-    """A config value as the text its flag takes: a list gives one value per
-    repeat of a repeatable flag, and is a usage error for any other flag, as
-    is a ``null`` for any flag."""
-    if value is None:
-        raise click.BadParameter("takes a value, not null", ctx, param)
-    if isinstance(value, list) and not param.multiple:
-        raise click.BadParameter(f"takes one value, not the list {json.dumps(value)}", ctx, param)
-    items = value if isinstance(value, list) else [value]
-    texts = [v if isinstance(v, str) else json.dumps(v) for v in items]
-    return texts if param.multiple else texts[0]
-
-
-def _load_config(ctx: click.Context, param: click.Parameter, path: str | None) -> None:
-    """Eager ``--config``: the file's flat JSON object, keyed by ``run``'s flag
-    names with underscores, becomes click's default map, so flags still win."""
-    if path is None:
-        return
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:  # ValueError: not UTF-8 or not JSON
-        _fail(ConfigError(f"cannot read config {path}: {exc}"))
-    if not isinstance(raw, dict):
-        _fail(ConfigError("config file must hold a flat JSON object"))
-    params = {p.opts[0][2:].replace("-", "_"): p for p in ctx.command.params if p is not param}
-    unknown = sorted(set(raw) - set(params))
-    if unknown:
-        _fail(ConfigError(f"unknown config key {unknown[0]!r} in {path}"))
-    ctx.default_map = {params[key].name: _flag_text(ctx, params[key], value)
-                       for key, value in raw.items()}
-
-
-def _fail(exc: Exception) -> None:
-    click.echo(f"error: {exc}", err=True)
-    sys.exit(1)
-
-
 def _domain_errors(func):
     @functools.wraps(func)
     def wrapper(*args, **kwargs):
         try:
             return func(*args, **kwargs)
         except OcaError as exc:
-            _fail(exc)
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(1)
     return wrapper
 
 
@@ -187,8 +150,6 @@ def main():
 
 
 @main.command("run")
-@click.option("--config", type=click.Path(), is_eager=True, expose_value=False,
-              callback=_load_config, help="Flat key-value JSON config; flags override it.")
 @_options(_PANEL, _WEIGHTS, _OUTPUT_DIR, _ALPHA, _MAX_LAGS, _HP_LAMBDA, _DUMMY,
           _SEASONAL_ADJUST, _PORTMANTEAU_H, _ARCH_Q, _THREADS)
 @_domain_errors

@@ -491,37 +491,6 @@ class TestRunPipeline:
                 del report["metadata"]["config"][key]
         assert reports[0] == reports[1]
 
-    def test_config_file_with_flag_override(self, runner, bundle, tmp_path):
-        config = tmp_path / "config.json"
-        out = tmp_path / "out_cfg"
-        config.write_text(json.dumps({
-            "panel": str(bundle["panel"]), "weights": str(bundle["weights"]),
-            "output_dir": "ignored-by-flag", "alpha": 0.1,
-        }))
-        res = runner.invoke(main, ["run", "--config", str(config),
-                                   "--output-dir", str(out)])
-        assert res.exit_code == 0, res.output
-        assert (out / "report.json").exists()
-        report = json.loads((out / "report.json").read_text())
-        assert report["metadata"]["config"]["alpha"] == 0.1
-
-    @pytest.mark.parametrize("text, message", [
-        ("{not json", "cannot read config CONFIG: Expecting property name"),
-        ('["--alpha", "0.1"]', "config file must hold a flat JSON object\n"),
-    ], ids=["not-json", "list"])
-    def test_config_that_is_not_a_json_object_is_refused(self, runner, bundle, tmp_path,
-                                                          monkeypatch, text, message):
-        config, out = tmp_path / "config.json", tmp_path / "never"
-        config.write_text(text)
-        fits = count_calls(monkeypatch, var.select_lag)
-        res = runner.invoke(main, [
-            "run", "--config", str(config), "--panel", str(bundle["panel"]),
-            "--weights", str(bundle["weights"]), "--output-dir", str(out)])
-        assert res.exit_code == 1
-        assert res.stderr.startswith("error: " + message.replace("CONFIG", str(config)))
-        assert res.stderr.count("\n") == 1 and "Traceback" not in res.output
-        assert fits == [] and not out.exists()
-
     def test_invalid_alpha_fails_without_outputs(self, runner, bundle, tmp_path):
         out = tmp_path / "never"
         res = runner.invoke(main, [
@@ -609,7 +578,7 @@ class TestRunPipeline:
         assert res.exit_code != 0
         assert "error:" in res.output
 
-    def test_seasonal_adjust_flag_and_config_key(self, runner, bundle, tmp_path):
+    def test_seasonal_adjust_flag(self, runner, bundle, tmp_path):
         out = tmp_path / "seasonal"
         res = runner.invoke(main, [
             "run", "--panel", str(bundle["panel"]), "--weights", str(bundle["weights"]),
@@ -618,88 +587,46 @@ class TestRunPipeline:
         report = json.loads((out / "report.json").read_text())
         assert report["metadata"]["config"]["seasonal_adjust"] is True
 
-        config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({
-            "panel": str(bundle["panel"]), "weights": str(bundle["weights"]),
-            "output_dir": str(tmp_path / "seasonal_cfg"), "seasonal_adjust": True}))
-        res = runner.invoke(main, ["run", "--config", str(config)])
-        assert res.exit_code == 0, res.output
-        report2 = json.loads((tmp_path / "seasonal_cfg" / "report.json").read_text())
-        assert report2["metadata"]["config"]["seasonal_adjust"] is True
+    def test_run_takes_one_flag_per_config_field(self):
+        params = main.commands["run"].params
+        assert sorted(p.name for p in params) == sorted(
+            f.name for f in dataclasses.fields(PipelineConfig))
+        assert all(len(p.opts) == 1 and not p.secondary_opts for p in params)
 
-    @pytest.mark.parametrize("setting, expected", [
-        ({"max_lags": "abc"}, None),
-        ({"dummy": [3]}, None),
-        ({"dummy": 3}, None),
-        ({"output_dir": ["a", "b"]}, None),
-        ({"alpha": [0.1]}, None),
-        ({"output_dir": None}, None),
-        ({"panel": None}, None),
-        ({"dummy": None}, None),
-        ({"seasonal_adjust": "no"}, ("seasonal_adjust", False)),
-        ({"dummy": "C00:2012-06"}, ("dummies", ["C00:2012-06:step"])),
-    ], ids=["max_lags-text", "dummy-int-list", "dummy-int", "output_dir-list", "alpha-list",
-            "output_dir-null", "panel-null", "dummy-null", "seasonal_adjust-no",
-            "dummy-one-string"])
-    def test_config_value_takes_its_flag_type(self, runner, fixture_panel_path,
-                                              fixture_weights_path, tmp_path, monkeypatch,
-                                              setting, expected):
-        monkeypatch.chdir(tmp_path)  # where a relative output_dir would land
+    def test_report_config_reruns_as_flags(self, runner, fixture_panel_path,
+                                           fixture_weights_path, tmp_path):
+        # every setting off its default; the report's config, read back as
+        # flags, writes the same report
         out = tmp_path / "out"
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"panel": str(fixture_panel_path),
-                                      "weights": str(fixture_weights_path),
-                                      "output_dir": str(out), **setting}))
-        res = runner.invoke(main, ["run", "--config", str(config)])
-        assert res.exception is None or isinstance(res.exception, SystemExit)
-        assert "Traceback" not in res.output
-        if expected is None:
-            assert res.exit_code == 2
-            assert f"Invalid value for '--{next(iter(setting)).replace('_', '-')}'" in res.stderr
-            assert [p.name for p in tmp_path.iterdir()] == ["config.json"]  # no out, no a,b
-            return
+        res = runner.invoke(main, [
+            "run", "--panel", str(fixture_panel_path), "--weights", str(fixture_weights_path),
+            "--output-dir", str(out), "--alpha", "0.01", "--max-lags", "14",
+            "--hp-lambda", "1600", "--dummy", "C00:2012-06", "--dummy", "C02:2013-01:pulse",
+            "--seasonal-adjust", "--portmanteau-h", "14", "--arch-q", "3", "--threads", "2"])
         assert res.exit_code == 0, res.output
-        key, value = expected
-        assert json.loads((out / "report.json").read_text())["metadata"]["config"][key] == value
-
-    def test_config_file_equals_flags(self, runner, fixture_panel_path,
-                                      fixture_weights_path, tmp_path):
-        out = tmp_path / "out"
-        settings = {
-            "panel": str(fixture_panel_path), "weights": str(fixture_weights_path),
-            "output_dir": str(out), "alpha": 0.01, "max_lags": 14, "hp_lambda": 1600.0,
-            "dummy": ["C00:2012-06:step", "C02:2013-01:pulse"],
-            "seasonal_adjust": True, "portmanteau_h": 14, "arch_q": 3, "threads": 2}
-        flag_keys = {p.opts[0][2:].replace("-", "_") for p in main.commands["run"].params}
-        assert set(settings) == flag_keys - {"config"}
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps(settings))
-        res = runner.invoke(main, ["run", "--config", str(config)])
-        assert res.exit_code == 0, res.output
-        from_config = (out / "report.json").read_bytes()
+        report = (out / "report.json").read_bytes()
         shutil.rmtree(out)
-        flags = []
-        for key, value in settings.items():
-            flag = "--" + key.replace("_", "-")
+        flags = {p.name: p.opts[0] for p in main.commands["run"].params}
+        args = []
+        for name, value in json.loads(report)["metadata"]["config"].items():
             if value is True:
-                flags.append(flag)
-            elif key == "dummy":
-                flags += [a for text in value for a in (flag, text)]
+                args.append(flags[name])
+            elif isinstance(value, list):
+                args += [a for item in value for a in (flags[name], item)]
             else:
-                flags += [flag, str(value)]
-        res = runner.invoke(main, ["run", *flags])
+                args += [flags[name], str(value)]
+        res = runner.invoke(main, ["run", *args])
         assert res.exit_code == 0, res.output
-        assert (out / "report.json").read_bytes() == from_config
+        assert (out / "report.json").read_bytes() == report
 
-    def test_missing_path_is_a_usage_error(self, runner, bundle, tmp_path):
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"panel": str(bundle["panel"]),
-                                      "weights": str(bundle["weights"])}))
-        res = runner.invoke(main, ["run", "--config", str(config)])
+    def test_missing_path_is_a_usage_error(self, runner, bundle):
+        res = runner.invoke(main, ["run", "--panel", str(bundle["panel"]),
+                                   "--weights", str(bundle["weights"])])
         assert res.exit_code == 2
         assert "Missing option '--output-dir'" in res.stderr
 
-    @pytest.mark.parametrize("key", ["seed", "base_year", "snapshot_dates", "irf_horizon"])
+    @pytest.mark.parametrize("key", ["seed", "base_year", "snapshot_dates", "irf_horizon",
+                                     "config"])
     def test_seed_is_not_a_run_setting(self, runner, bundle, tmp_path, key):
         report = json.loads((bundle["out"] / "report.json").read_text())
         assert key not in report["metadata"]["config"]
@@ -710,13 +637,6 @@ class TestRunPipeline:
             "--output-dir", str(out), flag, "7"])
         assert res.exit_code == 2
         assert f"No such option '{flag}'" in res.output
-        config = tmp_path / "seeded.json"
-        config.write_text(json.dumps({
-            "panel": str(bundle["panel"]), "weights": str(bundle["weights"]),
-            "output_dir": str(out), key: 7}))
-        res = runner.invoke(main, ["run", "--config", str(config)])
-        assert res.exit_code == 1
-        assert res.output.startswith(f"error: unknown config key '{key}'")
         assert not out.exists()
 
 
@@ -1077,23 +997,19 @@ class TestInputContracts:
         assert label in res.stderr and "rank-deficient" not in res.stderr
         assert not out.exists()
 
-    @pytest.mark.parametrize("args, source", [
-        (["run", "--weights", "WEIGHTS", "--output-dir", "OUT"], "flag"),
-        (["var", "--country", "C01"], "flag"),
-        (["run", "--weights", "WEIGHTS", "--output-dir", "OUT"], "config"),
-    ], ids=["run-flag", "var-flag", "run-config"])
+    @pytest.mark.parametrize("args", [
+        ["run", "--weights", "WEIGHTS", "--output-dir", "OUT"],
+        ["var", "--country", "C01"],
+    ], ids=["run-flag", "var-flag"])
     def test_dummy_naming_a_variable_is_a_usage_error(
             self, runner, fixture_panel_path, fixture_weights_path, tmp_path, monkeypatch,
-            args, source):
+            args):
         # the column enters both equations, so a dummy names no variable
         dummy = "C01:CPI:2012-03:step"
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"dummy": [dummy]}))
         files = {"WEIGHTS": str(fixture_weights_path), "OUT": str(tmp_path / "never")}
-        extra = ["--config", str(config)] if source == "config" else ["--dummy", dummy]
         fits = count_calls(monkeypatch, var.select_lag)
         res = runner.invoke(main, [files.get(a, a) for a in args] +
-                            ["--panel", str(fixture_panel_path), *extra])
+                            ["--panel", str(fixture_panel_path), "--dummy", dummy])
         assert res.exit_code == 2
         assert ("Invalid value for '--dummy': dummy must be COUNTRY:YYYY-MM[:step|pulse], "
                 f"got {dummy!r}") in res.stderr

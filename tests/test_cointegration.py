@@ -152,6 +152,11 @@ class TestErrors:
         with pytest.raises(ValueError):
             johansen_test(_pair(y), lag_order=1)
 
+    def test_exactly_two_series(self):
+        y = np.random.default_rng(0).standard_normal((100, 3)).cumsum(axis=0)
+        with pytest.raises(ValueError, match="^exactly two series required$"):
+            johansen_test(tuple(y.T), lag_order=2)
+
     def test_singular_moment_matrix(self):
         walk = np.random.default_rng(1).standard_normal(100).cumsum()
         with pytest.raises(SingularMomentMatrixError):

@@ -16,9 +16,11 @@ from ocametrics.unit_root import AdfResult
 # entry point for each capability.  The index rebase and its error went with
 # --base-year: an index's base only shifts the log levels.  The group's
 # dispersion, cost and correlation views went once run recorded a refused
-# pretest, and with the last of them the chain-only path to the group shocks
+# pretest, and with the last of them the chain-only path to the group shocks.
+# run's JSON config file went: every setting is a flag
 DELETED = {
-    cli: ("disperse_command", "cost_command", "_group_shocks", "correlate_command"),
+    cli: ("disperse_command", "cost_command", "_group_shocks", "correlate_command",
+          "_load_config", "_flag_text", "_fail"),
     unit_root: ("integration_order", "IntegrationResult", "_SPEC_ALIASES"),
     panel: ("log_diff", "dump_panel", "rebase"),
     identification: ("long_run_matrix", "IrfSet"),

@@ -632,6 +632,10 @@ class TestHpFilter:
         with pytest.raises(ValueError):
             hp_filter(y, 1600.0)
 
+    def test_values_must_be_one_series(self):
+        with pytest.raises(ValueError, match="^values must be 1-D$"):
+            hp_filter(np.ones((20, 2)), 1600.0)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_zero_smoothing_refuses_non_finite_values(self, bad):
         y = np.random.default_rng(3).standard_normal(20).cumsum()

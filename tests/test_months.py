@@ -46,6 +46,18 @@ def test_calendar_ends_by_9999_12():
         month_range(Month(9999, 1), 13)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: Calendar(Month(2009, 1), -1),
+     "calendar needs a start Month and n >= 0, got Calendar(start=Month(year=2009, month=1), "
+     "n=-1)"),
+    (lambda: month_range(Month(2009, 1), 12)[::2], "calendar slices must be contiguous"),
+], ids=["negative-length", "strided-slice"])
+def test_calendar_refuses_bad_arguments(call, message):
+    with pytest.raises(ValueError) as excinfo:
+        call()
+    assert str(excinfo.value) == message
+
+
 def test_month_range_contiguous():
     dates = month_range(Month(2009, 11), 4)
     assert [str(d) for d in dates] == ["2009-11", "2009-12", "2010-01", "2010-02"]

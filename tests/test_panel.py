@@ -318,6 +318,32 @@ def test_dates_must_be_a_calendar():
                           values=np.zeros(3))
 
 
+def _panel(countries=("AAA",), n=3, value=100.0):
+    values = {(c, v): np.full(n, value) for c in countries for v in ("activity", "price")}
+    return Panel(countries=countries, dates=month_range(Month(2009, 1), 3), values=values)
+
+
+def _series(variable="price", n=3, value=0.0):
+    return TransformedSeries(country="AAA", variable=variable,
+                             dates=month_range(Month(2009, 1), 3), values=np.full(n, value))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: _panel(countries=("BBB", "AAA")), PanelError, "countries must be sorted and unique"),
+    (lambda: _panel(n=4), PanelError, "misaligned series for AAA/activity"),
+    (lambda: _panel(value=0.0), NonPositiveValueError,
+     "non-positive or non-finite value in AAA/activity"),
+    (lambda: _series(variable="gdp"), PanelError, "unknown variable 'gdp'"),
+    (lambda: _series(n=4), PanelError, "dates and values must align"),
+    (lambda: _series(value=np.nan), PanelError, "transformed series must be finite"),
+], ids=["panel-order", "panel-misaligned", "panel-non-positive", "series-variable",
+        "series-misaligned", "series-non-finite"])
+def test_programmatic_construction_checks_invariants(call, error, message):
+    with pytest.raises(error) as excinfo:
+        call()
+    assert str(excinfo.value) == message
+
+
 # The p-value ufuncs load through a stand-in for scipy.special only in a
 # process that has not imported it; the suite has (scipy.stats), so these run
 # in fresh interpreters.

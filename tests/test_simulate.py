@@ -65,6 +65,28 @@ class TestDgp:
         assert BURN_IN == 500
 
 
+def _identity_dgp(**changes):
+    return Dgp(**{"coefs": np.zeros((1, 2, 2)), "impact": np.eye(2),
+                  "intercept": np.zeros(2), "n_obs": 100, **changes})
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: _identity_dgp(coefs=np.zeros((2, 2))), "coefs must have shape (p, 2, 2)"),
+    (lambda: _identity_dgp(n_obs=0), "n_obs must be >= 1"),
+    (lambda: _identity_dgp(impact=-np.eye(2)), "long-run diagonal must be positive"),
+    (lambda: random_dgp(0, p=7), "p must be in 1..6"),
+    (lambda: panel_from_diffs({"AAA": np.zeros((3, 2)), "BBB": np.zeros((4, 2))},
+                              Month(2009, 1)),
+     "all countries must have the same number of observations"),
+    (lambda: synthetic_panel(0, 2, 1), "n_months must be >= 2"),
+], ids=["dgp-coefs", "dgp-n-obs", "dgp-long-run-sign", "random-dgp-p", "diffs-lengths",
+        "synthetic-months"])
+def test_entry_point_refuses_bad_arguments(call, message):
+    with pytest.raises(ValueError) as excinfo:
+        call()
+    assert str(excinfo.value) == message
+
+
 class TestRecoveryReport:
     def test_perfect_recovery(self):
         dgp = random_dgp(21, p=1, n_obs=400)

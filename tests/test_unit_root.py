@@ -87,6 +87,15 @@ class TestAdfTest:
         with pytest.raises(ValueError, match=message):
             adf_test(y, **{option: name})
 
+    @pytest.mark.parametrize("series, lag_rule, message", [
+        (np.arange(100.0), -1, "fixed lag count must be >= 0"),
+        (np.ones((50, 2)), "aic", "series must be 1-D"),
+    ], ids=["negative-lags", "two-dimensional"])
+    def test_bad_arguments_are_refused(self, series, lag_rule, message):
+        with pytest.raises(ValueError) as excinfo:
+            adf_test(series, lag_rule=lag_rule)
+        assert str(excinfo.value) == message
+
 
 def _mixed_series(rng):
     out = []

@@ -346,6 +346,24 @@ def test_pvalues_equal_scipy_stats():
             assert arch.p_value == float(stats.chi2.sf(arch.statistic, arch.df))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda pair: fit_var(pair[::-1], 1),
+     "data must be the (activity, price) pair, in that order"),
+    (lambda pair: fit_var((pair[0], make_pair(np.ones((60, 2)), Month(2009, 3))[1]), 1),
+     "the two series must share their calendar"),
+    (lambda pair: fit_var(pair, 0), "p must be >= 1"),
+    (lambda pair: arch_lm_test(np.ones((60, 2)), 1),
+     "residuals must be a single equation's series"),
+    (lambda pair: arch_lm_test(np.ones(60), 0), "q must be >= 1"),
+    (lambda pair: select_lag(pair, max_p=0), "max_p must be >= 1"),
+], ids=["pair-order", "pair-calendar", "fit-p", "arch-residuals", "arch-q", "select-max-p"])
+def test_entry_point_refuses_bad_arguments(call, message):
+    pair = make_pair(np.random.default_rng(0).standard_normal((60, 2)))
+    with pytest.raises(ValueError) as excinfo:
+        call(pair)
+    assert str(excinfo.value) == message
+
+
 class TestSelectLag:
     def test_sc_recovers_var2_order(self):
         b = np.array([[[0.35, 0.10], [0.05, 0.30]],
