@@ -41,7 +41,6 @@ from .pipeline import (
     shock_table,
     write_texts,
 )
-from .simulate import equal_weights_csv, synthetic_panel
 from .unit_root import adf_test
 from .var import DummySpec, diagnose, fit_var
 
@@ -208,14 +207,15 @@ _CHAIN = (_PANEL, _SEASONAL_ADJUST, _DUMMY, _MAX_LAGS, _ALPHA, _PORTMANTEAU_H, _
 _country_options = _options(click.option("--country", type=str, required=True), *_CHAIN)
 
 
-def _country_series(country: str, settings: dict):
+def _country_series(country: str, settings: dict, gate: bool):
     """The settings' ``PipelineConfig``, then ``pipeline.country_series`` of
-    ``country``: its log levels, growth pair and own dummies."""
+    ``country``: its log levels, growth pair and own dummies.  ``gate`` says
+    whether the command tests residuals, so its diagnostic window is checked."""
     config = _config(settings)
     panel = load_panel(config.panel_path)
     if country not in panel.countries:
         raise ConfigError(f"country {country!r} not in panel {panel.countries}")
-    check_panel_settings(panel, config)
+    check_panel_settings(panel, config, gate=gate)
     return (config, *country_series(panel, country, config))
 
 
@@ -227,7 +227,7 @@ def _country_series(country: str, settings: dict):
 @_domain_errors
 def johansen_command(country, lag_order, as_json, **settings):
     """Cointegration test on one country's (log activity, log price) pair."""
-    config, logs, data, dummies = _country_series(country, settings)
+    config, logs, data, dummies = _country_series(country, settings, gate=lag_order is None)
     if lag_order is None:
         lag_order = gated_lag(data, dummies, config).p + 1
     res = johansen_test(logs, lag_order=lag_order)
@@ -250,7 +250,7 @@ def johansen_command(country, lag_order, as_json, **settings):
 @_domain_errors
 def var_command(country, fixed_p, as_json, **settings):
     """Lag selection, estimation and diagnostics for one country."""
-    config, _, data, dummies = _country_series(country, settings)
+    config, _, data, dummies = _country_series(country, settings, gate=True)
     if fixed_p is None:
         selection = gated_lag(data, dummies, config)
         model, diag = selection.model, selection.diagnostics
@@ -274,7 +274,7 @@ def var_command(country, fixed_p, as_json, **settings):
 @_domain_errors
 def identify_command(country, fixed_p, as_json, **settings):
     """Structural shocks for one country, 15-significant-digit CSV."""
-    config, _, data, dummies = _country_series(country, settings)
+    config, _, data, dummies = _country_series(country, settings, gate=fixed_p is None)
     if fixed_p is None:
         model = gated_lag(data, dummies, config).model
     else:
@@ -305,6 +305,8 @@ def identify_command(country, fixed_p, as_json, **settings):
 @_domain_errors
 def simulate_command(seed, n_months, n_countries, start, output, weights_output):
     """Generate a reproducible synthetic fixture panel."""
+    from .simulate import equal_weights_csv, synthetic_panel  # only this command needs it
+
     if weights_output and n_countries < 2:
         # load_weights needs at least 2 countries a year
         raise click.BadParameter("must be >= 2 with --weights-output",

@@ -188,9 +188,10 @@ class StageError(OcaError):
         self.original = original
 
 
-def check_panel_settings(panel: Panel, config: PipelineConfig) -> None:
+def check_panel_settings(panel: Panel, config: PipelineConfig, gate: bool = True) -> None:
     """Refuse settings that cannot fit ``panel``: a repeated dummy, or one for a
-    country it does not hold or dated outside its growth calendar."""
+    country it does not hold or dated outside its growth calendar; with ``gate``,
+    a diagnostic window that no lag order's ``n_months - 1 - p`` residuals hold."""
     growth = panel.dates[1:]
     for i, (country, spec) in enumerate(config.dummies):
         label = f"{country}:{spec.label()}"
@@ -200,6 +201,12 @@ def check_panel_settings(panel: Panel, config: PipelineConfig) -> None:
             raise ConfigError(f"dummy references unknown country {country!r}")
         if spec.break_date not in growth:
             raise ConfigError(f"dummy {label} is dated outside the growth calendar {growth}")
+    most = max(panel.n_months - 2, 0)
+    for name, value, needed in (("portmanteau_h", config.portmanteau_h, config.portmanteau_h),
+                                ("arch_q", config.arch_q, 5 * config.arch_q)):
+        if gate and needed >= most:
+            raise ConfigError(f"{name}={value} needs more than {needed} residuals, but no lag "
+                              f"order leaves more than {most} on a {panel.n_months}-month panel")
 
 
 def check_weights(weights: WeightTable, panel: Panel, config: PipelineConfig) -> None:

@@ -206,7 +206,8 @@ def adf_batch(paths: np.ndarray, det: int, max_lags: int, autolag: bool):
         lags = np.full(n_rep, max_lags, dtype=np.int64)
     stats = np.empty(n_rep)
     nobs = np.empty(n_rep, dtype=np.int64)
-    for k in np.unique(lags).tolist():
+    # np.unique would import numpy.ma (np.ma.is_masked), which run never needs
+    for k in sorted(set(lags.tolist())):
         sel = np.flatnonzero(lags == k)
         rows = nd - k
         X, z = _adf_design(paths[sel], det, k, rows)

@@ -181,10 +181,12 @@ def test_cli_import_leaves_out_scipy_stats_and_signal():
     env = dict(os.environ, PYTHONPATH=str(src))
     code = ("import sys, ocametrics.cli; "
             "print(sorted(m for m in sys.modules "
-            "if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'signal'])))")
+            "if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'signal']))); "
+            "print('ocametrics.simulate' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    # only the simulate subcommand imports the simulate module
+    assert out.split("\n")[:2] == ["[]", "False"]
 
 
 def test_round_trip_leaves_out_scipy(tmp_path, series_path):
@@ -236,11 +238,13 @@ from click.testing import CliRunner
 assert CliRunner().invoke(ocametrics.cli.main, {args!r}).exit_code == 0
 print(sorted(m for m in sys.modules if m.split(".")[:2] == ["scipy", "linalg"]))
 print("scipy.special._ufuncs" in sys.modules, "scipy.special" in sys.modules)
+print("numpy.ma" in sys.modules, "ocametrics.simulate" in sys.modules)
 """
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    # the p-values ran on scipy's compiled ufuncs without its package init
-    assert out.split("\n")[:2] == ["[]", "True False"]
+    # the p-values ran on scipy's compiled ufuncs without its package init,
+    # and the run imported neither numpy.ma (np.unique loads it) nor simulate
+    assert out.split("\n")[:3] == ["[]", "True False", "False False"]
 
 
 class TestRunPipeline:
@@ -499,15 +503,18 @@ class TestRunPipeline:
         assert res.exit_code != 0
         assert not out.exists()
 
-    def test_two_month_panel_ends_in_a_named_error(self, runner, tmp_path):
+    def test_two_month_panel_ends_in_a_named_error(self, runner, tmp_path, monkeypatch):
         panel, weights, out = tmp_path / "p.csv", tmp_path / "w.csv", tmp_path / "never"
         res = runner.invoke(main, ["simulate", "--t", "2", "--countries", "3",
                                    "--output", str(panel), "--weights-output", str(weights)])
         assert res.exit_code == 0
+        fits = count_calls(monkeypatch, var.select_lag)
         res = runner.invoke(main, [
             "run", "--panel", str(panel), "--weights", str(weights), "--output-dir", str(out)])
         assert res.exit_code == 1
-        assert res.stderr == "error: [country C00] sample too short for lag search up to 12\n"
+        assert res.stderr == ("error: portmanteau_h=12 needs more than 12 residuals, but no "
+                              "lag order leaves more than 0 on a 2-month panel\n")
+        assert fits == []
         assert not out.exists()
 
     def test_output_dir_naming_a_file_is_refused_before_estimation(self, runner, bundle,
@@ -945,6 +952,10 @@ def test_weights_not_covering_the_panel_are_refused_before_estimation(
     assert not (tmp_path / "never").exists()
 
 
+# order p leaves 133 - 1 - p residuals of the seed fixture, so no order leaves more than 131
+_WINDOW = "but no lag order leaves more than 131 on a 133-month panel"
+
+
 class TestInputContracts:
     def invoke(self, runner, bundle, name, *extra):
         return runner.invoke(main, SUBCOMMANDS[name] + ["--panel", str(bundle["panel"]), *extra])
@@ -1042,6 +1053,40 @@ class TestInputContracts:
         assert res.stderr == f"error: {message}\n"
         assert fits == []
         assert not (tmp_path / "never").exists()
+
+    @pytest.mark.parametrize("flag, value, message, fits_made", [
+        ("--portmanteau-h", 131, "portmanteau_h=131 needs more than 131 residuals, " + _WINDOW, 0),
+        ("--arch-q", 27, "arch_q=27 needs more than 135 residuals, " + _WINDOW, 0),
+        # order 1 leaves 131 residuals, but C01's gate starts at order 2
+        ("--portmanteau-h", 130, "[country C01] h=130 must be below the residual count 130", 2),
+        ("--arch-q", 26, "[country C01] need more than 130 residuals, have 130", 2),
+    ], ids=["portmanteau-131", "arch-27", "portmanteau-130", "arch-26"])
+    def test_gate_window_is_refused_up_front_when_no_lag_order_serves(
+            self, runner, fixture_panel_path, fixture_weights_path, tmp_path, monkeypatch,
+            flag, value, message, fits_made):
+        out = tmp_path / "never"
+        fits = count_calls(monkeypatch, var.select_lag)
+        res = runner.invoke(main, [
+            "run", "--panel", str(fixture_panel_path), "--weights", str(fixture_weights_path),
+            "--output-dir", str(out), flag, str(value)])
+        assert res.exit_code == 1
+        assert res.stderr == f"error: {message}\n"
+        assert len(fits) == fits_made
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args, code", [
+        (["identify", "--p", "2", "--portmanteau-h", "131"], 0),
+        (["johansen", "--lag-order", "3", "--arch-q", "27"], 0),
+        (["identify", "--portmanteau-h", "131"], 1),
+        (["johansen", "--arch-q", "27"], 1),
+        (["var", "--p", "2", "--portmanteau-h", "131"], 1),
+    ], ids=["identify-p", "johansen-lag-order", "identify", "johansen", "var-p"])
+    def test_views_check_the_gate_window_only_where_residuals_are_tested(
+            self, runner, fixture_panel_path, args, code):
+        res = runner.invoke(main, [*args, "--panel", str(fixture_panel_path),
+                                   "--country", "C00"])
+        assert res.exit_code == code, res.output
+        assert (_WINDOW in res.stderr) == (code == 1)
 
 
 INPUT_HEADERS = {"panel": "country,date,variable,value", "weights": "year,country,weight",

@@ -365,6 +365,14 @@ def test_entry_point_refuses_bad_arguments(call, message):
 
 
 class TestSelectLag:
+    def test_sample_too_short_for_the_lag_search_is_refused(self):
+        # the common sample t - 12 needs 10 + 1 + 2 * 12 = 35 rows for order 12
+        values = np.random.default_rng(0).standard_normal((47, 2))
+        assert set(_information_criteria(make_pair(values), 12, ()).values()) <= set(range(1, 13))
+        with pytest.raises(TooShortError) as excinfo:
+            select_lag(make_pair(values[1:]), max_p=12)
+        assert str(excinfo.value) == "sample too short for lag search up to 12"
+
     def test_sc_recovers_var2_order(self):
         b = np.array([[[0.35, 0.10], [0.05, 0.30]],
                       [[0.25, 0.00], [0.00, 0.25]]])
