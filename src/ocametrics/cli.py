@@ -154,8 +154,9 @@ def main():
 @_domain_errors
 def run_command(**settings):
     """Run the full pipeline and write the report bundle."""
-    result = run_pipeline(_config(settings))
-    click.echo(f"wrote {len(result.files)} files to {result.output_dir}")
+    config = _config(settings)
+    files = run_pipeline(config)
+    click.echo(f"wrote {len(files)} files to {Path(config.output_dir)}")
 
 
 def _emit(rows: list[dict], as_json: bool) -> None:
@@ -192,12 +193,11 @@ def adf_command(series_path, spec, max_lags, lag_rule, as_json):
     """Unit-root test on one series."""
     values = _series_from_csv(series_path)
     res = adf_test(values, spec=spec, max_lags=max_lags, lag_rule=lag_rule)
+    cvs = res["critical_values"]
     row = {
-        "statistic": res.statistic, "lags_used": res.lags_used, "spec": res.spec,
-        "nobs": res.nobs,
-        "cv_1pct": res.critical_values[0.01], "cv_5pct": res.critical_values[0.05],
-        "cv_10pct": res.critical_values[0.10],
-        "reject_at": "" if res.reject_at is None else res.reject_at,
+        "statistic": res["statistic"], "lags_used": res["lags_used"], "spec": res["spec"],
+        "nobs": res["nobs"], "cv_1pct": cvs[0.01], "cv_5pct": cvs[0.05], "cv_10pct": cvs[0.10],
+        "reject_at": "" if res["reject_at"] is None else res["reject_at"],
     }
     _emit([row], as_json)
 
@@ -207,15 +207,16 @@ _CHAIN = (_PANEL, _SEASONAL_ADJUST, _DUMMY, _MAX_LAGS, _ALPHA, _PORTMANTEAU_H, _
 _country_options = _options(click.option("--country", type=str, required=True), *_CHAIN)
 
 
-def _country_series(country: str, settings: dict, gate: bool):
+def _country_series(country: str, settings: dict, search: bool, gate: bool = False):
     """The settings' ``PipelineConfig``, then ``pipeline.country_series`` of
-    ``country``: its log levels, growth pair and own dummies.  ``gate`` says
-    whether the command tests residuals, so its diagnostic window is checked."""
+    ``country``: its log levels, growth pair and own dummies.  ``search`` says
+    whether the command selects a lag order and ``gate`` whether it tests the
+    residuals of a fixed one, so ``check_panel_settings`` checks what runs."""
     config = _config(settings)
     panel = load_panel(config.panel_path)
     if country not in panel.countries:
         raise ConfigError(f"country {country!r} not in panel {panel.countries}")
-    check_panel_settings(panel, config, gate=gate)
+    check_panel_settings(panel, config, search=search, gate=gate)
     return (config, *country_series(panel, country, config))
 
 
@@ -227,18 +228,18 @@ def _country_series(country: str, settings: dict, gate: bool):
 @_domain_errors
 def johansen_command(country, lag_order, as_json, **settings):
     """Cointegration test on one country's (log activity, log price) pair."""
-    config, logs, data, dummies = _country_series(country, settings, gate=lag_order is None)
+    config, logs, data, dummies = _country_series(country, settings, search=lag_order is None)
     if lag_order is None:
         lag_order = gated_lag(data, dummies, config).p + 1
     res = johansen_test(logs, lag_order=lag_order)
     _emit([{
         "country": country, "hypothesis": label,
-        "eigenvalue": res.eigenvalues[r],
-        "trace_statistic": res.trace_stats[r],
-        "trace_cv_5pct": res.critical_values_trace[r],
-        "maxeig_statistic": res.max_eig_stats[r],
-        "maxeig_cv_5pct": res.critical_values_maxeig[r],
-        "selected_rank": res.selected_rank,
+        "eigenvalue": res["eigenvalues"][r],
+        "trace_statistic": res["trace_stats"][r],
+        "trace_cv_5pct": res["critical_values_trace"][r],
+        "maxeig_statistic": res["max_eig_stats"][r],
+        "maxeig_cv_5pct": res["critical_values_maxeig"][r],
+        "selected_rank": res["selected_rank"],
     } for r, label in enumerate(("r = 0", "r <= 1"))], as_json)
 
 
@@ -250,7 +251,8 @@ def johansen_command(country, lag_order, as_json, **settings):
 @_domain_errors
 def var_command(country, fixed_p, as_json, **settings):
     """Lag selection, estimation and diagnostics for one country."""
-    config, _, data, dummies = _country_series(country, settings, gate=True)
+    config, _, data, dummies = _country_series(country, settings, search=fixed_p is None,
+                                                 gate=True)
     if fixed_p is None:
         selection = gated_lag(data, dummies, config)
         model, diag = selection.model, selection.diagnostics
@@ -260,9 +262,9 @@ def var_command(country, fixed_p, as_json, **settings):
     _emit([{
         "country": country, "p": model.p, "stable": diag.stability.stable,
         "max_modulus": diag.stability.max_modulus,
-        "portmanteau_pvalue": diag.portmanteau.p_value,
-        "arch_pvalue_activity": diag.arch[0].p_value,
-        "arch_pvalue_price": diag.arch[1].p_value,
+        "portmanteau_pvalue": diag.portmanteau["p_value"],
+        "arch_pvalue_activity": diag.arch[0]["p_value"],
+        "arch_pvalue_price": diag.arch[1]["p_value"],
         "nobs": model.nobs,
     }], as_json)
 
@@ -274,7 +276,7 @@ def var_command(country, fixed_p, as_json, **settings):
 @_domain_errors
 def identify_command(country, fixed_p, as_json, **settings):
     """Structural shocks for one country, 15-significant-digit CSV."""
-    config, _, data, dummies = _country_series(country, settings, gate=fixed_p is None)
+    config, _, data, dummies = _country_series(country, settings, search=fixed_p is None)
     if fixed_p is None:
         model = gated_lag(data, dummies, config).model
     else:
@@ -286,7 +288,7 @@ def identify_command(country, fixed_p, as_json, **settings):
             "country": country, "p": model.p,
             "a0": svar.a0.tolist(),
             "long_run": svar.long_run.tolist(),
-            **dataclasses.asdict(size_and_speed(svar, responses)),
+            **size_and_speed(svar, responses),
         }, sort_keys=True))
         return
     click.echo(shock_table(country, shock_dict(svar)), nl=False)

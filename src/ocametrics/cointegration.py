@@ -10,8 +10,6 @@ short-run terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import SingularMomentMatrixError, TooShortError
@@ -23,28 +21,20 @@ MAXEIG_CV_5PCT = (18.96, 12.25)
 MIN_EFFECTIVE_OBS = 30
 
 
-@dataclass(frozen=True)
-class JohansenResult:
-    eigenvalues: tuple[float, float]
-    trace_stats: tuple[float, float]
-    max_eig_stats: tuple[float, float]
-    critical_values_trace: tuple[float, float]
-    critical_values_maxeig: tuple[float, float]
-    selected_rank: int
-    lag_order: int
-    nobs: int
-
-
 def _partial_out(target: np.ndarray, regressors: np.ndarray) -> np.ndarray:
     coef, *_ = np.linalg.lstsq(regressors, target, rcond=None)
     return target - regressors @ coef
 
 
-def johansen_test(pair: tuple[np.ndarray, np.ndarray], lag_order: int) -> JohansenResult:
+def johansen_test(pair: tuple[np.ndarray, np.ndarray], lag_order: int) -> dict:
     """Trace and maximum-eigenvalue tests on two aligned log-level series.
 
     ``lag_order`` is the levels-VAR order; the error-correction form uses
-    ``lag_order - 1`` lagged differences.
+    ``lag_order - 1`` lagged differences.  The result is a dict of
+    ``eigenvalues``, ``trace_stats``, ``max_eig_stats``,
+    ``critical_values_trace`` and ``critical_values_maxeig`` (two-element
+    lists, for r = 0 and r <= 1), ``selected_rank``, ``lag_order`` and
+    ``nobs`` (the effective sample size).
     """
     if lag_order < 2:
         raise ValueError("lag_order must be >= 2")
@@ -84,8 +74,8 @@ def johansen_test(pair: tuple[np.ndarray, np.ndarray], lag_order: int) -> Johans
     eigvals = np.clip(eigvals, 0.0, None)
 
     log1m = np.log(1.0 - eigvals)
-    trace = tuple(float(-t_eff * log1m[r:].sum()) for r in range(2))
-    maxeig = tuple(float(-t_eff * log1m[r]) for r in range(2))
+    trace = [float(-t_eff * log1m[r:].sum()) for r in range(2)]
+    maxeig = [float(-t_eff * log1m[r]) for r in range(2)]
 
     selected = 2
     for r in range(2):
@@ -93,13 +83,7 @@ def johansen_test(pair: tuple[np.ndarray, np.ndarray], lag_order: int) -> Johans
             selected = r
             break
 
-    return JohansenResult(
-        eigenvalues=tuple(float(v) for v in eigvals),
-        trace_stats=trace,
-        max_eig_stats=maxeig,
-        critical_values_trace=TRACE_CV_5PCT,
-        critical_values_maxeig=MAXEIG_CV_5PCT,
-        selected_rank=selected,
-        lag_order=k,
-        nobs=t_eff,
-    )
+    return {"eigenvalues": eigvals.tolist(), "trace_stats": trace, "max_eig_stats": maxeig,
+            "critical_values_trace": list(TRACE_CV_5PCT),
+            "critical_values_maxeig": list(MAXEIG_CV_5PCT),
+            "selected_rank": selected, "lag_order": k, "nobs": t_eff}

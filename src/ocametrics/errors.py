@@ -70,6 +70,11 @@ class LagWindowError(OcaError):
 
 
 class NoAdmissibleLagError(OcaError):
+    """No lag order passes the diagnostic gate.  ``trail`` holds one row per
+    order tried, keyed as ``report.json``'s ``var.gate_trail``: ``p``,
+    ``stable``, ``max_modulus``, ``portmanteau_h``, ``portmanteau_pvalue``,
+    ``arch_pvalues`` and ``passed``."""
+
     def __init__(self, message: str, trail=()):
         super().__init__(message)
         self.trail = tuple(trail)

@@ -38,14 +38,6 @@ class StructuralModel:
     dates: Calendar
 
 
-@dataclass(frozen=True)
-class SizeSpeed:
-    supply_size: float
-    supply_speed: float
-    demand_size: float
-    demand_speed: float
-
-
 def _coefficient_sum_inverse(model: VarModel) -> np.ndarray:
     # (I - B_1 - ... - B_p)^-1 of a model whose stability is already checked
     a = np.eye(2) - model.coefs.sum(axis=0)
@@ -95,16 +87,13 @@ def irf_structural(a0: np.ndarray, coefs: np.ndarray, horizon: int) -> np.ndarra
     return _frozen(np.cumsum(np.stack([m @ a0 for m in ma]), axis=0))
 
 
-def size_and_speed(svar: StructuralModel, responses: np.ndarray) -> SizeSpeed:
+def size_and_speed(svar: StructuralModel, responses: np.ndarray) -> dict:
     """Long-run shock sizes and the one-year share of the long-run response,
-    read from the diagonals of ``svar.long_run`` and ``responses[SPEED_MONTH]``."""
+    read from the diagonals of ``svar.long_run`` and ``responses[SPEED_MONTH]``:
+    a dict of ``supply_size``, ``supply_speed``, ``demand_size`` and ``demand_speed``."""
     lr_supply, lr_demand = float(svar.long_run[0, 0]), float(svar.long_run[1, 1])
     if abs(lr_supply) < 1e-12 or abs(lr_demand) < 1e-12:
         raise ZeroLongRunError("long-run response is zero in a size cell")
     year = responses[SPEED_MONTH]
-    return SizeSpeed(
-        supply_size=abs(lr_supply),
-        supply_speed=float(year[0, 0]) / lr_supply,
-        demand_size=abs(lr_demand),
-        demand_speed=float(year[1, 1]) / lr_demand,
-    )
+    return {"supply_size": abs(lr_supply), "supply_speed": float(year[0, 0]) / lr_supply,
+            "demand_size": abs(lr_demand), "demand_speed": float(year[1, 1]) / lr_demand}

@@ -21,7 +21,7 @@ import concurrent.futures
 import contextlib
 import json
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Mapping
 
@@ -29,8 +29,8 @@ import numpy as np
 
 from .cointegration import johansen_test
 from .errors import ConfigError, OcaError
-from .identification import (IRF_HORIZON, SHOCK_KINDS, SizeSpeed, StructuralModel,
-                             identify_bq, irf_structural, size_and_speed)
+from .identification import (IRF_HORIZON, SHOCK_KINDS, StructuralModel, identify_bq,
+                             irf_structural, size_and_speed)
 from .metrics import (
     MAX_HP_SMOOTHING,
     STARS,
@@ -47,7 +47,7 @@ from .metrics import (
 )
 from .months import month_range
 from .panel import VARIABLES, Panel, csv_text, growth_pair, load_panel, log_level_series
-from .unit_root import AdfResult, adf_panel, rejection_order
+from .unit_root import adf_panel, rejection_order
 from .var import DummySpec, LagSelection, select_lag
 
 
@@ -107,13 +107,6 @@ class PipelineConfig:
                 raise ConfigError(f"{f.name} must be finite, got {value!r}")
 
 
-@dataclass(frozen=True)
-class PipelineResult:
-    report: dict
-    output_dir: Path
-    files: tuple[str, ...]
-
-
 def country_series(panel: Panel, country: str, config: PipelineConfig):
     """Log levels -> growth rates, with the country's own break dummies.
 
@@ -142,7 +135,7 @@ def _estimate(panel: Panel, country: str, config: PipelineConfig):
     selection = gated_lag(data, dummies, config)
     svar = identify_bq(selection.model)
     try:
-        johansen = _listed(johansen_test(logs, lag_order=selection.p + 1))
+        johansen = johansen_test(logs, lag_order=selection.p + 1)
     except OcaError as exc:
         johansen = _refused(exc)
     responses = irf_structural(svar.a0, selection.model.coefs, IRF_HORIZON)
@@ -188,10 +181,15 @@ class StageError(OcaError):
         self.original = original
 
 
-def check_panel_settings(panel: Panel, config: PipelineConfig, gate: bool = True) -> None:
+def check_panel_settings(panel: Panel, config: PipelineConfig, search: bool = True,
+                         gate: bool = False) -> None:
     """Refuse settings that cannot fit ``panel``: a repeated dummy, or one for a
-    country it does not hold or dated outside its growth calendar; with ``gate``,
-    a diagnostic window that no lag order's ``n_months - 1 - p`` residuals hold."""
+    country it does not hold or dated outside its growth calendar; with ``gate``
+    or ``search`` (the lag search runs the gate), a diagnostic window that no lag
+    order's ``n_months - 1 - p`` residuals hold; with ``search``, a ``max_lags``
+    whose common sample of ``n_months - 1 - max_lags`` rows is shorter than the
+    ``11 + 2 max_lags + d`` that ``select_lag`` needs, ``d`` the most dummies of
+    any one country."""
     growth = panel.dates[1:]
     for i, (country, spec) in enumerate(config.dummies):
         label = f"{country}:{spec.label()}"
@@ -204,9 +202,15 @@ def check_panel_settings(panel: Panel, config: PipelineConfig, gate: bool = True
     most = max(panel.n_months - 2, 0)
     for name, value, needed in (("portmanteau_h", config.portmanteau_h, config.portmanteau_h),
                                 ("arch_q", config.arch_q, 5 * config.arch_q)):
-        if gate and needed >= most:
+        if (gate or search) and needed >= most:
             raise ConfigError(f"{name}={value} needs more than {needed} residuals, but no lag "
                               f"order leaves more than {most} on a {panel.n_months}-month panel")
+    dummied = [country for country, _ in config.dummies]
+    fits = (panel.n_months - 12 - max(map(dummied.count, panel.countries), default=0)) // 3
+    if search and config.max_lags > fits:
+        raise ConfigError(f"max_lags={config.max_lags} leaves too short a sample for the lag "
+                          f"search on a {panel.n_months}-month panel; "
+                          + (f"the largest that fits is {fits}" if fits >= 1 else "none fits"))
 
 
 def check_weights(weights: WeightTable, panel: Panel, config: PipelineConfig) -> None:
@@ -250,24 +254,17 @@ def _refused(exc: OcaError) -> dict:
     return {"error": type(exc).__name__, "message": str(exc)}
 
 
-def _adf_dict(result: AdfResult | OcaError) -> dict:
+def _adf_dict(result: dict | OcaError) -> dict:
     if isinstance(result, OcaError):
         return _refused(result)
-    out = asdict(result)
-    out["critical_values"] = {f"{int(level * 100)}%": cv
-                              for level, cv in result.critical_values.items()}
-    out["stars"] = STARS.get(result.reject_at, "")
-    return out
+    return {**result, "stars": STARS.get(result["reject_at"], ""),
+            "critical_values": {f"{int(level * 100)}%": cv
+                                for level, cv in result["critical_values"].items()}}
 
 
 # each report key of the irf block with its (variable, shock) cell
 _IRF_CELLS = [(f"{shock}_{variable}", v, s) for s, shock in enumerate(SHOCK_KINDS)
               for v, variable in enumerate(VARIABLES)]
-
-
-def _listed(result) -> dict:
-    """``asdict(result)`` with its tuple fields as lists, as ``json.loads`` reads them."""
-    return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(result).items()}
 
 
 def _country_report(johansen: dict, selection: LagSelection, svar: StructuralModel,
@@ -279,7 +276,7 @@ def _country_report(johansen: dict, selection: LagSelection, svar: StructuralMod
         "var": {
             "p": model.p,
             "criterion_choices": dict(selection.criterion_choices),
-            "gate_trail": [_listed(a) for a in selection.trail],
+            "gate_trail": list(selection.trail),
             "intercept": model.intercept.tolist(),
             "coefs": model.coefs.tolist(),
             "sigma": model.sigma.tolist(),
@@ -288,14 +285,10 @@ def _country_report(johansen: dict, selection: LagSelection, svar: StructuralMod
             "stable": diag.stability.stable,
             "max_modulus": diag.stability.max_modulus,
             "moduli": list(diag.stability.moduli),
-            "portmanteau": {"h": diag.portmanteau_h, **asdict(diag.portmanteau)},
-            "arch": {
-                variable: {
-                    "q": arch.df,
-                    "statistic": arch.statistic,
-                    "p_value": arch.p_value,
-                } for variable, arch in zip(VARIABLES, diag.arch)
-            },
+            "portmanteau": {"h": diag.portmanteau_h, **diag.portmanteau},
+            "arch": {variable: {"q": arch["df"], "statistic": arch["statistic"],
+                                "p_value": arch["p_value"]}
+                     for variable, arch in zip(VARIABLES, diag.arch)},
         },
         "identification": {
             "a0": svar.a0.tolist(),
@@ -308,7 +301,7 @@ def _country_report(johansen: dict, selection: LagSelection, svar: StructuralMod
             "horizon": len(responses) - 1,
             "cumulative_responses": {key: responses[:, v, s].tolist() for key, v, s in _IRF_CELLS},
         },
-        "size_speed": asdict(size_and_speed(svar, responses)),
+        "size_speed": size_and_speed(svar, responses),
     }
 
 
@@ -374,7 +367,7 @@ def build_report(panel: Panel, weights: WeightTable, config: PipelineConfig) -> 
         group["cost"][kind] = {c: cost[c].tolist() for c in panel.countries}
 
     sizes = [block["size_speed"] for block in blocks.values()]
-    averages = {f.name: float(np.mean([s[f.name] for s in sizes])) for f in fields(SizeSpeed)}
+    averages = {key: float(np.mean([s[key] for s in sizes])) for key in sizes[0]}
 
     return {
         "metadata": {
@@ -525,8 +518,8 @@ def write_texts(texts: Mapping[Path, str]) -> None:
         raise
 
 
-def run_pipeline(config: PipelineConfig) -> PipelineResult:
-    """Compute and write the full report bundle."""
+def run_pipeline(config: PipelineConfig) -> list[str]:
+    """Compute and write the full report bundle; return its file names, sorted."""
     output_dir = Path(config.output_dir)
     if output_dir.exists() and not output_dir.is_dir():
         raise ConfigError(f"output directory {output_dir} is not a directory")
@@ -541,5 +534,4 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         write_texts(texts)
     except OSError as exc:
         raise ConfigError(f"cannot write output directory {output_dir}: {exc}") from None
-    return PipelineResult(report=report, output_dir=output_dir,
-                          files=tuple(sorted(path.name for path in texts)))
+    return sorted(path.name for path in texts)

@@ -9,8 +9,7 @@ MacKinnon, 2010), so any sample length is handled without tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -56,24 +55,16 @@ def critical_values(spec: str, nobs: int) -> dict[float, float]:
     return dict(zip(LEVELS, cvs.tolist()))
 
 
-@dataclass(frozen=True)
-class AdfResult:
-    """Outcome of one unit-root regression."""
-
-    statistic: float
-    lags_used: int
-    spec: str
-    nobs: int
-    critical_values: Mapping[float, float]
-    reject_at: float | None
-
-
 def adf_test(series: np.ndarray, spec: str = "trend", max_lags: int = 12,
-             lag_rule: int | str = "aic") -> AdfResult:
+             lag_rule: int | str = "aic") -> dict:
     """Unit-root t-test with the null of a unit root.
 
     ``lag_rule`` is either ``"aic"`` (lag count chosen over ``0..max_lags``)
-    or an integer fixing the augmentation lag count.
+    or an integer fixing the augmentation lag count.  The result is a dict:
+    ``statistic`` (the t-ratio), ``lags_used``, ``spec``, ``nobs`` (the
+    effective sample size), ``critical_values`` (``critical_values(spec,
+    nobs)``, keyed by level) and ``reject_at``, the smallest of ``LEVELS``
+    whose critical value the statistic is below, or ``None``.
     """
     result = adf_panel([series], spec=spec, max_lags=max_lags, lag_rule=lag_rule)[0]
     if isinstance(result, OcaError):
@@ -82,7 +73,7 @@ def adf_test(series: np.ndarray, spec: str = "trend", max_lags: int = 12,
 
 
 def adf_panel(series: Sequence[np.ndarray], spec: str = "trend", max_lags: int = 12,
-              lag_rule: int | str = "aic") -> list[AdfResult | OcaError]:
+              lag_rule: int | str = "aic") -> list[dict | OcaError]:
     """``adf_test`` on each of ``series``, with one ``adf_batch`` call per series length.
 
     A series that ``adf_test`` refuses (too short, constant, non-finite,
@@ -100,7 +91,7 @@ def adf_panel(series: Sequence[np.ndarray], spec: str = "trend", max_lags: int =
             raise ValueError("fixed lag count must be >= 0")
 
     arrays = [np.asarray(s, dtype=np.float64) for s in series]
-    results: list[AdfResult | OcaError | None] = [None] * len(arrays)
+    results: list[dict | OcaError | None] = [None] * len(arrays)
     by_length: dict[int, list[int]] = {}
     for i, arr in enumerate(arrays):
         if arr.ndim != 1:
@@ -124,8 +115,8 @@ def adf_panel(series: Sequence[np.ndarray], spec: str = "trend", max_lags: int =
                 continue
             cvs = critical_values(spec, n)
             reject_at = next((level for level in LEVELS if statistic < cvs[level]), None)
-            results[i] = AdfResult(statistic=statistic, lags_used=lag, spec=spec,
-                                   nobs=n, critical_values=cvs, reject_at=reject_at)
+            results[i] = {"statistic": statistic, "lags_used": lag, "spec": spec,
+                          "nobs": n, "critical_values": cvs, "reject_at": reject_at}
     return results
 
 
@@ -216,11 +207,11 @@ def adf_batch(paths: np.ndarray, det: int, max_lags: int, autolag: bool):
     return stats, lags, nobs
 
 
-def rejection_order(trail: Sequence[AdfResult | OcaError | None]) -> int | None:
+def rejection_order(trail: Sequence[dict | OcaError | None]) -> int | None:
     """The integration-order rule: the differencing order of the first of
     ``trail`` (level, first difference, ...) that rejects a unit root at the
     5% level, or ``None`` when none does."""
     return next((order for order, result in enumerate(trail)
-                 if isinstance(result, AdfResult) and result.reject_at is not None
-                 and result.reject_at <= 0.05), None)
+                 if isinstance(result, dict) and result["reject_at"] is not None
+                 and result["reject_at"] <= 0.05), None)
 

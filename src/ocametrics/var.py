@@ -78,41 +78,25 @@ class StabilityResult:
 
 
 @dataclass(frozen=True)
-class ChiSquareResult:
-    """A test statistic with its chi-square degrees of freedom and p-value."""
-
-    statistic: float
-    df: int
-    p_value: float
-
-
-@dataclass(frozen=True)
 class Diagnostics:
-    """The residual checks of one fitted model, as the lag gate runs them."""
+    """The residual checks of one fitted model, as the lag gate runs them: the
+    portmanteau test and each equation's ARCH LM test, as their result dicts."""
 
     stability: StabilityResult
-    portmanteau: ChiSquareResult
+    portmanteau: dict
     portmanteau_h: int
-    arch: tuple[ChiSquareResult, ChiSquareResult]
-
-
-@dataclass(frozen=True)
-class LagAudit:
-    p: int
-    stable: bool
-    max_modulus: float
-    portmanteau_h: int
-    portmanteau_pvalue: float
-    arch_pvalues: tuple[float, float]
-    passed: bool
+    arch: tuple[dict, dict]
 
 
 @dataclass(frozen=True)
 class LagSelection:
-    """The accepted model, its diagnostics and the gate trail that led to it."""
+    """The accepted model, its diagnostics and the gate trail that led to it.
+    Each ``trail`` row is the dict ``report.json`` records under
+    ``var.gate_trail``: ``p``, ``stable``, ``max_modulus``, ``portmanteau_h``,
+    ``portmanteau_pvalue``, ``arch_pvalues`` (one per equation) and ``passed``."""
 
     criterion_choices: Mapping[str, int]
-    trail: tuple[LagAudit, ...]
+    trail: tuple[dict, ...]
     model: VarModel
     diagnostics: Diagnostics
 
@@ -212,8 +196,9 @@ def stability(model: VarModel) -> StabilityResult:
                            stable=bool(moduli[0] < 1.0))
 
 
-def portmanteau_test(model: VarModel, h: int) -> ChiSquareResult:
-    """Adjusted multivariate portmanteau test for residual serial correlation."""
+def portmanteau_test(model: VarModel, h: int) -> dict:
+    """Adjusted multivariate portmanteau test for residual serial correlation:
+    ``{statistic, df, p_value}``, the p-value from the chi-square tail."""
     if h <= model.p:
         raise LagWindowError(f"h must exceed the VAR order (h={h}, p={model.p})")
     u = model.residuals
@@ -228,12 +213,13 @@ def portmanteau_test(model: VarModel, h: int) -> ChiSquareResult:
         stat += np.trace(cj.T @ c0_inv @ cj @ c0_inv) / (t_eff - j)
     stat *= t_eff**2
     df = N_VARS**2 * (h - model.p)
-    return ChiSquareResult(statistic=float(stat), df=int(df),
-                           p_value=float(special_ufuncs().chdtrc(df, stat)))
+    return {"statistic": float(stat), "df": int(df),
+            "p_value": float(special_ufuncs().chdtrc(df, stat))}
 
 
-def arch_lm_test(residuals: np.ndarray, q: int) -> ChiSquareResult:
-    """LM test for autoregressive conditional heteroskedasticity."""
+def arch_lm_test(residuals: np.ndarray, q: int) -> dict:
+    """LM test for autoregressive conditional heteroskedasticity, as
+    ``portmanteau_test`` reports it: ``{statistic, df, p_value}``."""
     u = np.asarray(residuals, dtype=np.float64)
     if u.ndim != 1:
         raise ValueError("residuals must be a single equation's series")
@@ -247,13 +233,13 @@ def arch_lm_test(residuals: np.ndarray, q: int) -> ChiSquareResult:
     X = np.column_stack([np.ones(n)] + [u2[q - 1 - i:q - 1 - i + n] for i in range(q)])
     tss = float(((z - z.mean()) ** 2).sum())
     if tss == 0.0:
-        return ChiSquareResult(statistic=0.0, df=q, p_value=1.0)
+        return {"statistic": 0.0, "df": q, "p_value": 1.0}
     beta, *_ = np.linalg.lstsq(X, z, rcond=None)
     rss = float(((z - X @ beta) ** 2).sum())
     r2 = max(0.0, 1.0 - rss / tss)
     stat = n * r2
-    return ChiSquareResult(statistic=float(stat), df=int(q),
-                           p_value=float(special_ufuncs().chdtrc(q, stat)))
+    return {"statistic": float(stat), "df": int(q),
+            "p_value": float(special_ufuncs().chdtrc(q, stat))}
 
 
 def diagnose(model: VarModel, portmanteau_h: int, arch_q: int) -> Diagnostics:
@@ -312,24 +298,25 @@ def select_lag(data: tuple[TransformedSeries, TransformedSeries], max_p: int = 1
     Starts from the most parsimonious of the AIC/SC/HQ picks and walks
     upward until the fitted model is stable and passes the
     serial-correlation and heteroskedasticity checks at ``alpha``.  The
-    accepted model and its diagnostics come back with the gate trail.
+    accepted model and its diagnostics come back with the gate trail, one
+    ``LagSelection.trail`` row per order tried; when no order passes,
+    ``NoAdmissibleLagError.trail`` holds the rows.
     """
     if max_p < 1:
         raise ValueError("max_p must be >= 1")
     choices = _information_criteria(data, max_p, tuple(dummies))
     start = min(choices.values())
 
-    trail: list[LagAudit] = []
+    trail: list[dict] = []
     for p in range(start, max_p + 1):
         model = fit_var(data, p, dummies)
         diag = diagnose(model, portmanteau_h, arch_q)
-        stab, port = diag.stability, diag.portmanteau
-        arch = tuple(a.p_value for a in diag.arch)
-        passed = stab.stable and port.p_value > alpha and all(pa > alpha for pa in arch)
-        trail.append(LagAudit(p=p, stable=stab.stable, max_modulus=stab.max_modulus,
-                              portmanteau_h=diag.portmanteau_h,
-                              portmanteau_pvalue=port.p_value,
-                              arch_pvalues=arch, passed=passed))
+        stab, port = diag.stability, diag.portmanteau["p_value"]
+        arch = [a["p_value"] for a in diag.arch]
+        passed = stab.stable and port > alpha and all(pa > alpha for pa in arch)
+        trail.append({"p": p, "stable": stab.stable, "max_modulus": stab.max_modulus,
+                      "portmanteau_h": diag.portmanteau_h, "portmanteau_pvalue": port,
+                      "arch_pvalues": arch, "passed": passed})
         if passed:
             return LagSelection(criterion_choices=choices, trail=tuple(trail),
                                 model=model, diagnostics=diag)

@@ -517,6 +517,45 @@ class TestRunPipeline:
         assert fits == []
         assert not out.exists()
 
+    @pytest.mark.parametrize("months, flags, fits", [
+        (40, [], "the largest that fits is 9"),
+        # the lag search of the country with the most dummies needs the longest sample
+        (40, ["--max-lags", "9", "--dummy", "C00:2010-06", "--dummy", "C00:2011-02:pulse",
+              "--dummy", "C01:2010-06"], "the largest that fits is 8"),
+        (14, ["--max-lags", "1", "--portmanteau-h", "2", "--arch-q", "1"], "none fits"),
+    ], ids=["default", "dummies", "none"])
+    def test_max_lags_the_panel_cannot_search_is_refused_up_front(
+            self, runner, tmp_path, monkeypatch, months, flags, fits):
+        panel, weights, out = tmp_path / "p.csv", tmp_path / "w.csv", tmp_path / "never"
+        res = runner.invoke(main, ["simulate", "--t", str(months), "--countries", "3",
+                                   "--output", str(panel), "--weights-output", str(weights)])
+        assert res.exit_code == 0
+        calls = count_calls(monkeypatch, var.select_lag)
+        res = runner.invoke(main, ["run", "--panel", str(panel), "--weights", str(weights),
+                                   "--output-dir", str(out), *flags])
+        max_lags = flags[1] if flags else "12"
+        assert res.exit_code == 1
+        assert res.stderr == (f"error: max_lags={max_lags} leaves too short a sample for the "
+                              f"lag search on a {months}-month panel; {fits}\n")
+        assert calls == []
+        assert not out.exists()
+
+    def test_max_lags_that_fits_the_panel_runs(self, runner, tmp_path):
+        panel, weights, out = tmp_path / "p.csv", tmp_path / "w.csv", tmp_path / "out"
+        res = runner.invoke(main, ["simulate", "--t", "40", "--countries", "3",
+                                   "--output", str(panel), "--weights-output", str(weights)])
+        assert res.exit_code == 0
+        res = runner.invoke(main, ["run", "--panel", str(panel), "--weights", str(weights),
+                                   "--output-dir", str(out), "--max-lags", "9"])
+        assert res.exit_code == 0, res.output
+        assert res.stdout == f"wrote 15 files to {out}\n"
+        # a fixed order runs no lag search, so the default max_lags does not refuse it
+        view = ["--country", "C00", "--panel", str(panel)]
+        assert runner.invoke(main, ["var", "--p", "2", *view]).exit_code == 0
+        res = runner.invoke(main, ["var", *view])
+        assert res.exit_code == 1
+        assert "max_lags=12 leaves too short a sample" in res.stderr
+
     def test_output_dir_naming_a_file_is_refused_before_estimation(self, runner, bundle,
                                                                    tmp_path, monkeypatch):
         out = tmp_path / "taken"
@@ -798,9 +837,9 @@ class TestThinWrappers:
         assert json.loads(res.output) == [{
             "country": "C02", "p": 2, "stable": diag.stability.stable,
             "max_modulus": diag.stability.max_modulus,
-            "portmanteau_pvalue": diag.portmanteau.p_value,
-            "arch_pvalue_activity": diag.arch[0].p_value,
-            "arch_pvalue_price": diag.arch[1].p_value,
+            "portmanteau_pvalue": diag.portmanteau["p_value"],
+            "arch_pvalue_activity": diag.arch[0]["p_value"],
+            "arch_pvalue_price": diag.arch[1]["p_value"],
             "nobs": model.nobs,
         }]
 

@@ -1,5 +1,4 @@
 import json
-from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -8,7 +7,6 @@ from ocametrics import pipeline
 from ocametrics.cointegration import (
     MAXEIG_CV_5PCT,
     TRACE_CV_5PCT,
-    JohansenResult,
     johansen_test,
 )
 from ocametrics.errors import SingularMomentMatrixError, TooShortError
@@ -30,14 +28,14 @@ class TestAlgebra:
         for _ in range(10):
             y = rng.standard_normal((200, 2)).cumsum(axis=0)
             res = johansen_test(_pair(y), lag_order=3)
-            lam = res.eigenvalues
+            lam = res["eigenvalues"]
             assert 0.0 <= lam[1] <= lam[0] < 1.0
-            assert res.trace_stats[0] >= res.max_eig_stats[0] >= 0.0
-            assert res.trace_stats[1] >= res.max_eig_stats[1] >= 0.0
+            assert res["trace_stats"][0] >= res["max_eig_stats"][0] >= 0.0
+            assert res["trace_stats"][1] >= res["max_eig_stats"][1] >= 0.0
             # trace(r) - maxeig(r) telescopes to trace(r+1)
-            assert abs(res.trace_stats[0] - res.max_eig_stats[0]
-                       - res.trace_stats[1]) < 1e-9
-            assert abs(res.trace_stats[1] - res.max_eig_stats[1]) < 1e-12
+            assert abs(res["trace_stats"][0] - res["max_eig_stats"][0]
+                       - res["trace_stats"][1]) < 1e-9
+            assert abs(res["trace_stats"][1] - res["max_eig_stats"][1]) < 1e-12
 
     def test_eigenvalues_invariant_to_nonsingular_rescaling(self):
         rng = np.random.default_rng(9)
@@ -45,7 +43,7 @@ class TestAlgebra:
         base = johansen_test(_pair(y), lag_order=2)
         m = np.array([[2.0, 0.3], [-0.5, 1.5]])
         transformed = johansen_test(_pair(y @ m.T), lag_order=2)
-        np.testing.assert_allclose(transformed.eigenvalues, base.eigenvalues,
+        np.testing.assert_allclose(transformed["eigenvalues"], base["eigenvalues"],
                                    atol=1e-8)
 
     def test_selection_rule_on_published_shape(self):
@@ -59,15 +57,14 @@ class TestAlgebra:
         assert selected == 1
 
     def test_result_serialization(self):
-        res = JohansenResult(
-            eigenvalues=(0.12, 0.03), trace_stats=(19.956, 4.139),
-            max_eig_stats=(15.816, 4.139),
-            critical_values_trace=TRACE_CV_5PCT,
-            critical_values_maxeig=MAXEIG_CV_5PCT,
-            selected_rank=0, lag_order=8, nobs=124)
-        d = json.loads(pipeline.render_json({"johansen": asdict(res)}))["johansen"]
-        assert d["selected_rank"] == 0
-        assert d["critical_values_trace"] == [25.32, 12.25]
+        y = np.random.default_rng(10).standard_normal((132, 2)).cumsum(axis=0)
+        res = johansen_test(_pair(y), lag_order=8)
+        assert set(res) == {"eigenvalues", "trace_stats", "max_eig_stats",
+                            "critical_values_trace", "critical_values_maxeig",
+                            "selected_rank", "lag_order", "nobs"}
+        assert (res["lag_order"], res["nobs"]) == (8, 124)
+        assert json.loads(pipeline.render_json({"johansen": res}))["johansen"] == res
+        assert res["critical_values_trace"] == [25.32, 12.25]
 
 
 def _johansen_oracle(y, k):
@@ -92,8 +89,8 @@ def _johansen_oracle(y, k):
 def _assert_matches_oracle(y, k, rtol):
     res = johansen_test(_pair(y), lag_order=k)
     trace, maxeig = _johansen_oracle(y, k)
-    np.testing.assert_allclose(res.trace_stats, trace, rtol=rtol, atol=0)
-    np.testing.assert_allclose(res.max_eig_stats, maxeig, rtol=rtol, atol=0)
+    np.testing.assert_allclose(res["trace_stats"], trace, rtol=rtol, atol=0)
+    np.testing.assert_allclose(res["max_eig_stats"], maxeig, rtol=rtol, atol=0)
 
 
 class TestOracle:
@@ -126,7 +123,7 @@ class TestMonteCarlo:
         reps = 500
         for _ in range(reps):
             y = rng.standard_normal((500, 2)).cumsum(axis=0)
-            hits += johansen_test(_pair(y), lag_order=2).selected_rank == 0
+            hits += johansen_test(_pair(y), lag_order=2)["selected_rank"] == 0
         assert hits / reps >= 0.90
 
     def test_cointegrated_pair_selects_rank_one(self):
@@ -137,7 +134,7 @@ class TestMonteCarlo:
             walk = rng.standard_normal(500).cumsum()
             noise = rng.standard_normal(500)
             y = np.column_stack([walk, 2.0 * walk + noise])
-            hits += johansen_test(_pair(y), lag_order=2).selected_rank == 1
+            hits += johansen_test(_pair(y), lag_order=2)["selected_rank"] == 1
         assert hits / reps >= 0.90
 
 

@@ -4,9 +4,8 @@ import pkgutil
 import types
 
 import ocametrics
-from ocametrics import cli, errors, identification, metrics, panel, pipeline, unit_root
-from ocametrics.pipeline import PipelineResult
-from ocametrics.unit_root import AdfResult
+from ocametrics import (cli, cointegration, errors, identification, metrics, panel, pipeline,
+                        unit_root, var)
 
 # second copies of run's integration-order, growth-rate and long-run paths,
 # the second ADF serializer, the stream twin of panel_to_csv, an unused path
@@ -17,18 +16,21 @@ from ocametrics.unit_root import AdfResult
 # --base-year: an index's base only shifts the log levels.  The group's
 # dispersion, cost and correlation views went once run recorded a refused
 # pretest, and with the last of them the chain-only path to the group shocks.
-# run's JSON config file went: every setting is a flag
+# run's JSON config file went: every setting is a flag.  The records that only
+# became report blocks went with the pass that turned them back into dicts:
+# each test result is its report block, and run_pipeline returns the file names
 DELETED = {
     cli: ("disperse_command", "cost_command", "_group_shocks", "correlate_command",
           "_load_config", "_flag_text", "_fail"),
-    unit_root: ("integration_order", "IntegrationResult", "_SPEC_ALIASES"),
+    unit_root: ("integration_order", "IntegrationResult", "_SPEC_ALIASES", "AdfResult"),
+    cointegration: ("JohansenResult",),
+    var: ("ChiSquareResult", "LagAudit"),
     panel: ("log_diff", "dump_panel", "rebase"),
-    identification: ("long_run_matrix", "IrfSet"),
+    identification: ("long_run_matrix", "IrfSet", "SizeSpeed"),
     errors: ("InconclusiveIntegrationError", "BaseYearAbsentError"),
-    pipeline: ("CountryAnalysis", "_with_pretests", "group_shocks", "_shock_chain"),
+    pipeline: ("CountryAnalysis", "_with_pretests", "group_shocks", "_shock_chain",
+               "PipelineResult", "_listed"),
     metrics: ("correlation_pvalue",),
-    AdfResult: ("as_dict",),
-    PipelineResult: ("report_path",),
 }
 
 

@@ -236,14 +236,14 @@ class TestSizeSpeed:
         model = _model(np.zeros((1, 2, 2)), residuals, sigma=sigma)
         svar = identify_bq(model)
         ss = size_and_speed(svar, irf_structural(svar.a0, model.coefs, horizon=24))
-        assert ss.supply_speed == pytest.approx(1.0, abs=1e-12)
-        assert ss.demand_speed == pytest.approx(1.0, abs=1e-12)
-        assert ss.supply_size == pytest.approx(abs(svar.long_run[0, 0]))
-        assert ss.demand_size == pytest.approx(abs(svar.long_run[1, 1]))
+        assert ss["supply_speed"] == pytest.approx(1.0, abs=1e-12)
+        assert ss["demand_speed"] == pytest.approx(1.0, abs=1e-12)
+        assert ss["supply_size"] == pytest.approx(abs(svar.long_run[0, 0]))
+        assert ss["demand_size"] == pytest.approx(abs(svar.long_run[1, 1]))
 
     def test_geometric_irf_speed(self):
         ss = size_and_speed(*_geometric_irf())
-        assert ss.supply_speed == pytest.approx(1.0 - 0.5 ** 13, abs=1e-12)
+        assert ss["supply_speed"] == pytest.approx(1.0 - 0.5 ** 13, abs=1e-12)
 
     def test_persistent_dynamics_slow_the_adjustment(self):
         # diagonal AR coefficients 0.9 / 0.5 imply one-year shares of
@@ -256,8 +256,8 @@ class TestSizeSpeed:
         model = fit_var(data, p=1)
         svar = identify_bq(model)
         ss = size_and_speed(svar, irf_structural(svar.a0, model.coefs, 48))
-        assert ss.supply_speed == pytest.approx(1.0 - 0.9 ** 13, abs=0.02)
-        assert ss.demand_speed == pytest.approx(1.0 - 0.5 ** 13, abs=0.02)
+        assert ss["supply_speed"] == pytest.approx(1.0 - 0.9 ** 13, abs=0.02)
+        assert ss["demand_speed"] == pytest.approx(1.0 - 0.5 ** 13, abs=0.02)
 
     def test_zero_long_run_rejected(self):
         with pytest.raises(ZeroLongRunError):

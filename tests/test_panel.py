@@ -380,9 +380,9 @@ t = r * np.sqrt((n - 2) / (1.0 - r * r))
 assert p_t.tobytes() == (2.0 * scipy.stats.t.sf(np.abs(t), n - 2)).tobytes()
 assert p_chi2.tobytes() == scipy.stats.chi2.sf(x, df).tobytes()
 for test in tests:
-    assert test.p_value == scipy.stats.chi2.sf(test.statistic, test.df)
+    assert test['p_value'] == scipy.stats.chi2.sf(test['statistic'], test['df'])
 print(*loaded)
-print(*(test.p_value.hex() for test in tests), p_t.sum().hex(), p_chi2.sum().hex())
+print(*(test['p_value'].hex() for test in tests), p_t.sum().hex(), p_chi2.sum().hex())
 """
 
 # the private module fails once, while the stand-in is in place, as it would

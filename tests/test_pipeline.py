@@ -136,7 +136,7 @@ def _pretest_oracle(series, max_lags):
     """One country's pretests the way they ran before batching: each series
     tested on its own, and the second difference only when still needed."""
     def rejects(result):
-        return result.reject_at is not None and result.reject_at <= 0.05
+        return result["reject_at"] is not None and result["reject_at"] <= 0.05
 
     trail = [adf_test(series, spec="trend", max_lags=max_lags),
              adf_test(np.diff(series), spec="trend", max_lags=max_lags)]

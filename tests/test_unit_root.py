@@ -7,7 +7,6 @@ from ocametrics.errors import DegenerateRegressorError, TooShortError
 from ocametrics.unit_root import (
     LEVELS,
     SPEC_CODES,
-    AdfResult,
     adf_batch,
     adf_panel,
     adf_test,
@@ -31,16 +30,16 @@ class TestAdfTest:
         for seed in range(10):
             y = np.random.default_rng(seed).standard_normal(150).cumsum()
             res = adf_test(y, spec="none", lag_rule=0)
-            assert abs(res.statistic - _classic_df_tstat(y)) < 1e-10
-            assert res.lags_used == 0
+            assert abs(res["statistic"] - _classic_df_tstat(y)) < 1e-10
+            assert res["lags_used"] == 0
 
     def test_affine_invariance_constant_and_trend(self):
         y = np.random.default_rng(3).standard_normal(160).cumsum()
         for spec in ("constant", "trend"):
             base = adf_test(y, spec=spec)
             shifted = adf_test(7.5 + 3.2 * y, spec=spec)
-            assert abs(base.statistic - shifted.statistic) < 1e-8
-            assert base.lags_used == shifted.lags_used
+            assert abs(base["statistic"] - shifted["statistic"]) < 1e-8
+            assert base["lags_used"] == shifted["lags_used"]
 
     def test_critical_values_ordered_and_reject_at_consistent(self):
         rng = np.random.default_rng(17)
@@ -49,10 +48,10 @@ class TestAdfTest:
             if rng.uniform() < 0.5:
                 y = y.cumsum()
             res = adf_test(y, spec="constant")
-            cvs = res.critical_values
+            cvs = res["critical_values"]
             assert cvs[0.01] < cvs[0.05] < cvs[0.10] < 0
-            expected = next((lv for lv in LEVELS if res.statistic < cvs[lv]), None)
-            assert res.reject_at == expected
+            expected = next((lv for lv in LEVELS if res["statistic"] < cvs[lv]), None)
+            assert res["reject_at"] == expected
 
     def test_response_surface_matches_statsmodels_constants(self):
         sm_values = pytest.importorskip("statsmodels.tsa.adfvalues")
@@ -213,16 +212,16 @@ class TestIntegrationOrder:
         y = np.random.default_rng(5).standard_normal(133).cumsum()
         trail = _trail(y, "constant")
         order = rejection_order(trail)
-        assert order is not None and trail[order].reject_at <= 0.05
+        assert order is not None and trail[order]["reject_at"] <= 0.05
         for res in trail[:order]:
-            assert res.reject_at is None or res.reject_at > 0.05
+            assert res["reject_at"] is None or res["reject_at"] > 0.05
 
     def test_skips_refusals_and_ten_percent_rejections(self):
         cvs = critical_values("constant", 120)
 
         def result(reject_at):
-            return AdfResult(statistic=-1.0, lags_used=0, spec="constant", nobs=120,
-                             critical_values=cvs, reject_at=reject_at)
+            return {"statistic": -1.0, "lags_used": 0, "spec": "constant", "nobs": 120,
+                    "critical_values": cvs, "reject_at": reject_at}
 
         refused = DegenerateRegressorError("series is constant")
         assert rejection_order([result(None), result(0.10), result(0.01)]) == 2
@@ -240,8 +239,6 @@ class TestTableFormatFixture:
         cvs = critical_values("trend", 131)
         reject_at = next((lv for lv in LEVELS if statistic < cvs[lv]), None)
         assert reject_at == expected
-        result = AdfResult(statistic=statistic, lags_used=1, spec="trend",
-                           nobs=131, critical_values=cvs, reject_at=reject_at)
-        stars = {None: "", 0.01: "***", 0.05: "**", 0.10: "*"}[result.reject_at]
-        rendered = f"{result.statistic:.3f}{stars}"
+        stars = {None: "", 0.01: "***", 0.05: "**", 0.10: "*"}[reject_at]
+        rendered = f"{statistic:.3f}{stars}"
         assert rendered in ("-1.443", "-5.678***", "-3.640**", "-3.200*")

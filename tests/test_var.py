@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from ocametrics.errors import (
 )
 from ocametrics.months import Month, month_range
 from ocametrics.panel import transform_pair
+from ocametrics.pipeline import PipelineConfig, analyze_country, render_json
 from ocametrics.simulate import Dgp, simulate, synthetic_panel
 from ocametrics.var import (
     N_VARS,
@@ -243,7 +246,7 @@ class TestPortmanteau:
             data = (TransformedSeries("AAA", "activity", dates, values[:, 0]),
                     TransformedSeries("AAA", "price", dates, values[:, 1]))
             model = fit_var(data, p=1)
-            rejections += portmanteau_test(model, h=12).p_value < 0.05
+            rejections += portmanteau_test(model, h=12)["p_value"] < 0.05
         assert 0.03 <= rejections / reps <= 0.07
 
     def test_power_against_ar1_residuals(self):
@@ -257,12 +260,12 @@ class TestPortmanteau:
             for t in range(1, 1000):
                 u[t] = 0.5 * u[t - 1] + eps[t]
             model = _manual_model(np.zeros((1, 2, 2)), residuals=u)
-            rejections += portmanteau_test(model, h=12).p_value < 0.05
+            rejections += portmanteau_test(model, h=12)["p_value"] < 0.05
         assert rejections / reps >= 0.95
 
     def test_df_formula(self):
         model = _manual_model(np.zeros((2, 2, 2)))
-        assert portmanteau_test(model, h=12).df == 4 * (12 - 2)
+        assert portmanteau_test(model, h=12)["df"] == 4 * (12 - 2)
 
     @pytest.mark.parametrize("p, h", [(1, 2), (1, 12), (2, 3), (3, 4), (3, 12), (4, 24)])
     def test_matches_explicit_loop_oracle(self, p, h):
@@ -287,9 +290,9 @@ class TestPortmanteau:
             expected += np.trace(cj.T @ c0_inv @ cj @ c0_inv) / (t_eff - j)
         expected *= t_eff**2
         result = portmanteau_test(model, h)
-        assert result.statistic == pytest.approx(expected, rel=1e-12)
-        assert result.df == k * k * (h - p)
-        assert result.p_value == pytest.approx(stats.chi2.sf(expected, k * k * (h - p)),
+        assert result["statistic"] == pytest.approx(expected, rel=1e-12)
+        assert result["df"] == k * k * (h - p)
+        assert result["p_value"] == pytest.approx(stats.chi2.sf(expected, k * k * (h - p)),
                                                rel=1e-9, abs=1e-300)
 
     def test_matches_statsmodels_whiteness(self):
@@ -298,9 +301,9 @@ class TestPortmanteau:
         expected = sm_var(y).fit(1, trend="c").test_whiteness(nlags=12, adjusted=True)
         model = fit_var(make_pair(y), p=1)
         mine = portmanteau_test(model, h=12)
-        assert abs(mine.statistic - expected.test_statistic) < 1e-8
-        assert mine.df == expected.df
-        assert abs(mine.p_value - expected.pvalue) < 1e-10
+        assert abs(mine["statistic"] - expected.test_statistic) < 1e-8
+        assert mine["df"] == expected.df
+        assert abs(mine["p_value"] - expected.pvalue) < 1e-10
 
 
 class TestArchLm:
@@ -309,7 +312,7 @@ class TestArchLm:
         rejections = 0
         for seed in range(reps):
             u = np.random.default_rng(60_000 + seed).standard_normal(1000)
-            rejections += arch_lm_test(u, q=4).p_value < 0.05
+            rejections += arch_lm_test(u, q=4)["p_value"] < 0.05
         assert 0.03 <= rejections / reps <= 0.07
 
     def test_power_against_arch1(self):
@@ -322,13 +325,13 @@ class TestArchLm:
             u[0] = z[0]
             for t in range(1, 500):
                 u[t] = z[t] * np.sqrt(1.0 + 0.5 * u[t - 1] ** 2)
-            rejections += arch_lm_test(u, q=4).p_value < 0.05
+            rejections += arch_lm_test(u, q=4)["p_value"] < 0.05
         assert rejections / reps >= 0.90
 
     def test_constant_residuals_degenerate(self):
         res = arch_lm_test(np.full(100, 2.0), q=4)
-        assert res.statistic == 0.0
-        assert res.p_value == 1.0
+        assert res["statistic"] == 0.0
+        assert res["p_value"] == 1.0
 
     def test_too_short(self):
         with pytest.raises(TooShortError):
@@ -340,10 +343,10 @@ def test_pvalues_equal_scipy_stats():
     for p in (1, 2, 3):
         model = fit_var(make_pair(rng.standard_normal((240, 2))), p=p)
         port = portmanteau_test(model, h=12)
-        assert port.p_value == float(stats.chi2.sf(port.statistic, port.df))
+        assert port["p_value"] == float(stats.chi2.sf(port["statistic"], port["df"]))
         for a in range(2):
             arch = arch_lm_test(model.residuals[:, a], q=4)
-            assert arch.p_value == float(stats.chi2.sf(arch.statistic, arch.df))
+            assert arch["p_value"] == float(stats.chi2.sf(arch["statistic"], arch["df"]))
 
 
 @pytest.mark.parametrize("call, message", [
@@ -400,11 +403,11 @@ class TestSelectLag:
         data = _simulated_pair([np.array([[0.4, 0.0], [0.0, 0.4]])],
                                seed=4, n_obs=400)
         selection = select_lag(data, max_p=6)
-        assert selection.trail[-1].passed
-        assert selection.trail[-1].p == selection.p
+        assert selection.trail[-1]["passed"]
+        assert selection.trail[-1]["p"] == selection.p
         assert set(selection.criterion_choices) == {"aic", "sc", "hq"}
 
-    def test_no_admissible_lag_reports_trail(self):
+    def test_no_admissible_lag_reports_trail(self, fixture_panel):
         # strong MA(1) data keeps the serial-correlation check failing for
         # every small lag order
         rng = np.random.default_rng(17)
@@ -413,8 +416,14 @@ class TestSelectLag:
         data = make_pair(values)
         with pytest.raises(NoAdmissibleLagError) as excinfo:
             select_lag(data, max_p=2)
-        assert len(excinfo.value.trail) >= 1
-        assert not excinfo.value.trail[-1].passed
+        trail = list(excinfo.value.trail)
+        assert len(trail) >= 1
+        assert not trail[-1]["passed"]
+        # each row is a report.json gate_trail row, keys and JSON form alike
+        config = PipelineConfig(panel_path="-", weights_path="-", output_dir="-")
+        passing = analyze_country(fixture_panel, "C00", config)["var"]["gate_trail"]
+        assert all(set(row) == set(passing[0]) for row in trail)
+        assert json.loads(render_json({"trail": trail}))["trail"] == trail
 
     @pytest.mark.parametrize("month", [4, 8])
     def test_break_date_inside_first_max_p_months(self, fixture_panel, month):
