@@ -64,14 +64,15 @@ _special = None
 def special_ufuncs():
     """The module that holds scipy's compiled p-value ufuncs ``chdtrc`` and ``stdtr``.
 
-    ``scipy.special``'s package ``__init__`` costs more than the rest of a seed
-    ``run`` and the ufuncs need none of it.  Unless the package is already
-    imported, a bare stand-in with its ``__path__`` sits in ``sys.modules``
-    while ``scipy.special._ufuncs`` loads, and is removed after; if that
-    private module cannot be imported, the package is.  Either way the
-    functions are the objects a later ``import scipy.special`` binds.  The
-    module is loaded once per process, under a lock, so no worker thread sees
-    the stand-in.
+    The package inits of ``scipy``, ``scipy._lib`` and ``scipy.special`` cost
+    more than the rest of a seed ``run`` and the ufuncs need none of them.
+    Each of the three that is not yet imported gets a bare stand-in with its
+    ``__path__`` in ``sys.modules`` while ``scipy.special._ufuncs`` loads, and
+    loses it after, so the process loads only the ``scipy.special`` extension
+    modules and ``scipy._lib._ccallback``; if that private module cannot be
+    imported, the package is.  Either way the functions are the objects a
+    later ``import scipy.special`` binds.  The module is loaded once per
+    process, under a lock, so no worker thread sees a stand-in.
     """
     global _special
     with _special_lock:
@@ -84,15 +85,24 @@ def _load_special_ufuncs():
     import importlib.util
     import types
 
-    stub = types.ModuleType("scipy.special")
-    stub.__path__ = importlib.util.find_spec("scipy.special").submodule_search_locations
-    sys.modules["scipy.special"] = stub
+    # _ufuncs' own dependencies import scipy._lib._ccallback, so scipy._lib
+    # needs a stand-in too.  Parents come first: find_spec of a dotted name
+    # reads its parent's __path__ from sys.modules, and that of the top-level
+    # name runs no package init.
+    inserted = []
     try:
+        for name in ("scipy", "scipy._lib", "scipy.special"):
+            if name not in sys.modules:
+                stub = types.ModuleType(name)
+                stub.__path__ = importlib.util.find_spec(name).submodule_search_locations
+                sys.modules[name] = stub
+                inserted.append(name)
         return importlib.import_module("scipy.special._ufuncs")
     except ImportError:  # a private path, which a later scipy may move
         pass
     finally:
-        del sys.modules["scipy.special"]
+        for name in inserted:
+            del sys.modules[name]
     return importlib.import_module("scipy.special")
 
 

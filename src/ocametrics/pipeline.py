@@ -17,7 +17,6 @@ count used for the per-country stage.
 
 from __future__ import annotations
 
-import concurrent.futures
 import contextlib
 import json
 import os
@@ -232,6 +231,8 @@ def _per_country(panel: Panel, config: PipelineConfig) -> dict:
 
     if config.threads == 1:
         return {c: work(c) for c in panel.countries}
+    import concurrent.futures
+
     with concurrent.futures.ThreadPoolExecutor(max_workers=config.threads) as pool:
         futures = {c: pool.submit(work, c) for c in panel.countries}
         return {c: futures[c].result() for c in panel.countries}

@@ -4,7 +4,10 @@ The file is the output of ``tools/bundle_digests.py``: a ``# field: value``
 header recording the environment the bytes depend on, then one
 ``sha256  label`` line per output.  In another environment the digests may
 move for reasons outside the source, so the test skips there and names the
-field that differs, as the statsmodels cross-checks skip without statsmodels.
+field that differs, or that the tool cannot read, as the statsmodels
+cross-checks skip without statsmodels.  The header holds the run-time OpenBLAS
+core and numpy's SIMD dispatch targets as well as the builds: with the same
+wheels, forcing the ``Haswell`` core moves 68 of the 148 digests.
 """
 
 import importlib.util
@@ -34,7 +37,7 @@ def test_bundles_and_views_match_the_recorded_digests():
     header = dict(line[2:].split(": ", 1) for line in lines if line.startswith("# "))
     expected = [line for line in lines if not line.startswith("# ")]
     for field, value in tool.environment().items():
-        if header.get(field) != value:
+        if value == "unknown" or header.get(field) != value:
             pytest.skip(f"digests recorded at {field} {header.get(field)!r}, running {value!r}")
 
     actual = tool.digests()

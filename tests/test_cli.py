@@ -237,14 +237,16 @@ import sys, ocametrics.cli
 from click.testing import CliRunner
 assert CliRunner().invoke(ocametrics.cli.main, {args!r}).exit_code == 0
 print(sorted(m for m in sys.modules if m.split(".")[:2] == ["scipy", "linalg"]))
-print("scipy.special._ufuncs" in sys.modules, "scipy.special" in sys.modules)
+print(*(m in sys.modules for m in ("scipy.special._ufuncs", "scipy", "scipy._lib",
+                                    "scipy.special", "concurrent.futures")))
 print("numpy.ma" in sys.modules, "ocametrics.simulate" in sys.modules)
 """
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    # the p-values ran on scipy's compiled ufuncs without its package init,
-    # and the run imported neither numpy.ma (np.unique loads it) nor simulate
-    assert out.split("\n")[:3] == ["[]", "True False", "False False"]
+    # the p-values ran on scipy's compiled ufuncs without any scipy package
+    # init, no thread pool loaded concurrent.futures, and the run imported
+    # neither numpy.ma (np.unique loads it) nor simulate
+    assert out.split("\n")[:3] == ["[]", "True False False False False", "False False"]
 
 
 class TestRunPipeline:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ocametrics import pipeline
+from ocametrics import cointegration, pipeline
 from ocametrics.cointegration import (
     MAXEIG_CV_5PCT,
     TRACE_CV_5PCT,
@@ -158,3 +158,13 @@ class TestErrors:
         walk = np.random.default_rng(1).standard_normal(100).cumsum()
         with pytest.raises(SingularMomentMatrixError):
             johansen_test((walk, 2.0 * walk), lag_order=2)
+
+    def test_unit_eigenvalue_is_refused(self, monkeypatch):
+        # a squared canonical correlation of 1 would put log(0) into the
+        # statistics; no float pair reaches it reliably, so a patched
+        # eigen-solver returns it
+        walk = np.random.default_rng(1).standard_normal((100, 2)).cumsum(axis=0)
+        monkeypatch.setattr(cointegration.np.linalg, "eigvalsh",
+                            lambda m: np.array([0.25, 1.0]))
+        with pytest.raises(SingularMomentMatrixError, match="^degenerate eigenvalue >= 1$"):
+            johansen_test(_pair(walk), lag_order=2)

@@ -23,6 +23,7 @@ from ocametrics.months import Month, month_range
 from ocametrics.panel import (
     Panel,
     TransformedSeries,
+    _load_special_ufuncs,
     _read_rows,
     growth_pair,
     load_panel,
@@ -344,9 +345,9 @@ def test_programmatic_construction_checks_invariants(call, error, message):
     assert str(excinfo.value) == message
 
 
-# The p-value ufuncs load through a stand-in for scipy.special only in a
-# process that has not imported it; the suite has (scipy.stats), so these run
-# in fresh interpreters.
+# The p-value ufuncs load through stand-ins for scipy, scipy._lib and
+# scipy.special only in a process that has not imported them; the suite has
+# (scipy.stats), so these run in fresh interpreters.
 _SRC = Path(__file__).resolve().parent.parent / "src"
 
 _PVALUES = """
@@ -370,7 +371,7 @@ p_t = metrics._pvalues(r, n)
 tests = [var.portmanteau_test(model, 12), var.arch_lm_test(model.residuals[:, 0], 4)]
 ufuncs = panel.special_ufuncs()
 p_chi2 = ufuncs.chdtrc(df, x)
-loaded = ufuncs.__name__, "scipy.special" in sys.modules
+loaded = ufuncs.__name__, *(m in sys.modules for m in ("scipy", "scipy._lib", "scipy.special"))
 
 import scipy.special
 import scipy.stats
@@ -402,6 +403,19 @@ class FailOnce:
 sys.meta_path.insert(0, FailOnce())
 """
 
+# every scipy entry left in sys.modules is a real module, none a stand-in
+_NO_STAND_IN = """
+print(all(getattr(m, "__file__", None) for name, m in sys.modules.items()
+          if name.split(".")[0] == "scipy"))
+"""
+
+# a process that imported the real scipy package first keeps that object
+_SCIPY_FIRST = """
+import sys
+import scipy
+real = sys.modules["scipy"]
+"""
+
 
 def _fresh(code: str) -> list[str]:
     env = dict(os.environ, PYTHONPATH=str(_SRC))
@@ -410,10 +424,22 @@ def _fresh(code: str) -> list[str]:
 
 
 def test_pvalue_ufuncs_load_without_the_package_init_and_match_scipy_stats():
-    loaded, pvalues = _fresh(_PVALUES)
-    assert loaded == "scipy.special._ufuncs False"
-    assert _fresh(_PRIVATE_PATH_FAILS + _PVALUES + "\nprint(FailOnce.seen)") == [
-        "scipy.special True", pvalues, "['stand-in']"]
+    loaded, pvalues, no_stand_in = _fresh(_PVALUES + _NO_STAND_IN)
+    assert [loaded, no_stand_in] == ["scipy.special._ufuncs False False False", "True"]
+    assert _fresh(_PRIVATE_PATH_FAILS + _PVALUES + "\nprint(FailOnce.seen)" + _NO_STAND_IN) == [
+        "scipy.special True True True", pvalues, "['stand-in']", "True"]
+    assert _fresh(_SCIPY_FIRST + _PVALUES + '\nprint(sys.modules["scipy"] is real)') == [
+        "scipy.special._ufuncs True True False", pvalues, "True"]
+
+
+def test_pvalue_ufuncs_loader_keeps_imported_packages():
+    # in a process that imported scipy.special the loader inserts no
+    # stand-in and replaces no package
+    import scipy.special  # noqa: F401
+
+    before = {name: sys.modules[name] for name in ("scipy", "scipy._lib", "scipy.special")}
+    assert _load_special_ufuncs() is sys.modules["scipy.special._ufuncs"]
+    assert all(sys.modules[name] is module for name, module in before.items())
 
 
 def test_pvalue_ufuncs_load_once_under_worker_threads(fixture_panel_path,

@@ -20,6 +20,7 @@ record what the bytes depend on besides the source (``environment()``).
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import os
 import platform
@@ -68,11 +69,38 @@ VIEWS = [
 
 
 def environment() -> dict[str, str]:
-    """The interpreter, numpy and scipy versions and numpy's BLAS build."""
+    """The interpreter, numpy and scipy versions, numpy's BLAS build, and the
+    two run-time choices that move last bits on the same build: the OpenBLAS
+    kernel set and numpy's enabled SIMD dispatch targets."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"python": platform.python_version(), "numpy": np.__version__,
             "scipy": scipy.__version__,
-            "blas": blas.get("openblas configuration") or f"{blas['name']} {blas['version']}"}
+            "blas": blas.get("openblas configuration") or f"{blas['name']} {blas['version']}",
+            "openblas_core": _openblas_core(), "cpu_dispatch": _cpu_dispatch()}
+
+
+def _openblas_core() -> str:
+    """The core that ``DYNAMIC_ARCH`` picked in the OpenBLAS of the numpy wheel
+    (``OPENBLAS_CORETYPE`` overrides it), or ``unknown``."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob(
+            "libscipy_openblas*.so")):
+        try:  # RTLD_NOLOAD: only the copy numpy already loaded
+            corename = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
+def _cpu_dispatch() -> str:
+    """numpy's enabled SIMD dispatch targets (``NPY_DISABLE_CPU_FEATURES``
+    turns some off), or ``unknown``."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:
+        return "unknown"
+    return " ".join(sorted(name for name in __cpu_dispatch__ if __cpu_features__.get(name)))
 
 
 def _digest(data: bytes) -> str:
