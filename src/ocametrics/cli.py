@@ -20,6 +20,7 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -333,5 +334,35 @@ def simulate_command(seed, n_months, n_countries, start, output, weights_output)
         click.echo(panel_to_csv(panel), nl=False)
 
 
+def entry() -> None:
+    """Run ``main`` as a process: ``python -m ocametrics.cli`` and the
+    ``ocametrics`` console script.  Once ``main`` has finished, flush stdout
+    and stderr and end the process with ``os._exit``, skipping the
+    interpreter's teardown (a full GC pass, clearing every module and freeing
+    every array), which writes nothing.  Nothing in the process needs it:
+    every bundle and view file is written through ``Path.write_text``, which
+    closes it, and ``--threads`` > 1 shuts its pool down in a ``with`` block
+    before ``main`` returns.  Library callers and ``CliRunner`` call ``main``.
+
+    A ``SystemExit`` code of ``None`` is 0 and an int is the exit status; any
+    other code is re-raised, so Python prints it and exits 1.  Any other
+    exception propagates with its traceback.  If a flush fails, as on a
+    closed pipe, the process exits through ``sys.exit`` as ``main`` would."""
+    try:
+        main()
+        code = 0
+    except SystemExit as exc:
+        if exc.code is not None and not isinstance(exc.code, int):
+            raise
+        code = exc.code or 0
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None when the process started with it closed
+                stream.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    main()
+    entry()

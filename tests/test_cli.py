@@ -1,5 +1,7 @@
+import ast
 import csv
 import dataclasses
+import importlib
 import json
 import os
 import shutil
@@ -11,8 +13,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from ocametrics import var
-from ocametrics.cli import _series_from_csv, main
+from ocametrics import cli, var
+from ocametrics.cli import _series_from_csv, entry, main
 from ocametrics.errors import ConfigError, DegenerateWeightsError, PanelError
 from ocametrics.metrics import MAX_HP_SMOOTHING, load_weights, significance_stars
 from ocametrics.months import Month
@@ -247,6 +249,112 @@ print("numpy.ma" in sys.modules, "ocametrics.simulate" in sys.modules)
     # init, no thread pool loaded concurrent.futures, and the run imported
     # neither numpy.ma (np.unique loads it) nor simulate
     assert out.split("\n")[:3] == ["[]", "True False False False False", "False False"]
+
+
+def _process(args: list[str], cwd: Path) -> subprocess.CompletedProcess:
+    """``python -m ocametrics.cli ARGS`` in a fresh interpreter."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    return subprocess.run([sys.executable, "-m", "ocametrics.cli", *args], cwd=cwd,
+                          env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True)
+
+
+class _ClosedPipe:
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+class TestProcessEntry:
+    """``entry`` ends the process with ``os._exit`` once ``main`` has finished;
+    what the process prints and writes is what ``main`` prints and writes."""
+
+    def test_run_writes_the_bundle_main_writes(self, runner, fixture_panel_path,
+                                               fixture_weights_path, tmp_path, monkeypatch):
+        args = ["run", "--panel", str(fixture_panel_path), "--weights",
+                str(fixture_weights_path), "--output-dir", "out"]
+        proc = _process(args, tmp_path)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"wrote 19 files to out\n", b"")
+        (tmp_path / "out").rename(tmp_path / "process")
+        monkeypatch.chdir(tmp_path)
+        assert runner.invoke(main, args).exit_code == 0
+        names = sorted(path.name for path in (tmp_path / "out").iterdir())
+        assert sorted(path.name for path in (tmp_path / "process").iterdir()) == names
+        for name in names:
+            assert (tmp_path / "process" / name).read_bytes() == (tmp_path / "out" / name).read_bytes()
+
+    def test_refused_run_prints_one_error_line_and_writes_nothing(self, fixture_weights_path,
+                                                                  tmp_path):
+        proc = _process(["run", "--panel", "missing.csv", "--weights", str(fixture_weights_path),
+                         "--output-dir", "out"], tmp_path)
+        assert proc.returncode == 1 and proc.stdout == b""
+        assert proc.stderr.startswith(b"error: ") and proc.stderr.count(b"\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("args, code", [
+        (["run", "--bogus"], 2),
+        # about 418 kB of panel, more than a pipe buffer holds
+        (["simulate", "--t", "600", "--countries", "10"], 0),
+    ], ids=["usage-error", "long-stdout"])
+    def test_process_prints_what_main_prints(self, runner, tmp_path, args, code):
+        proc = _process(args, tmp_path)
+        res = runner.invoke(main, args, prog_name="python -m ocametrics.cli")
+        assert proc.returncode == res.exit_code == code
+        assert (proc.stdout, proc.stderr) == (res.stdout_bytes, res.stderr_bytes)
+
+    @pytest.fixture
+    def exits(self, monkeypatch):
+        """The codes ``os._exit`` was called with; the process goes on."""
+        codes = []
+        monkeypatch.setattr(os, "_exit", codes.append)
+        return codes
+
+    @pytest.mark.parametrize("args, code", [
+        (["adf", "--series", "SERIES"], 0),
+        (["adf", "--series", "MISSING"], 1),
+        (["run", "--bogus"], 2),
+    ], ids=["ok", "refused", "usage-error"])
+    def test_entry_exits_with_the_code_of_main(self, series_path, tmp_path, monkeypatch, exits,
+                                               args, code):
+        paths = {"SERIES": str(series_path), "MISSING": str(tmp_path / "missing.csv")}
+        monkeypatch.setattr(sys, "argv", ["ocametrics", *(paths.get(a, a) for a in args)])
+        entry()
+        assert exits == [code]
+
+    @pytest.mark.parametrize("outcome, code", [
+        (None, 0), (SystemExit(), 0), (SystemExit(None), 0), (SystemExit(3), 3),
+    ], ids=["return", "no-code", "none", "int"])
+    def test_entry_exit_codes(self, monkeypatch, exits, outcome, code):
+        def fake_main():
+            if outcome is not None:
+                raise outcome
+        monkeypatch.setattr(cli, "main", fake_main)
+        monkeypatch.setattr(sys, "stdout", None)  # a process started with stdout closed
+        entry()
+        assert exits == [code]
+
+    def test_entry_reraises_a_code_that_is_not_an_int(self, monkeypatch, exits):
+        monkeypatch.setattr(cli, "main", lambda: sys.exit("text"))
+        with pytest.raises(SystemExit) as info:
+            entry()
+        assert info.value.code == "text" and exits == []
+
+    def test_a_failed_flush_exits_through_sys_exit(self, monkeypatch, exits):
+        monkeypatch.setattr(cli, "main", lambda: sys.exit(1))
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+        with pytest.raises(SystemExit) as info:
+            entry()
+        assert info.value.code == 1 and exits == []
+
+
+def test_console_script_is_the_process_entry():
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parent.parent
+    scripts = tomllib.loads((root / "pyproject.toml").read_text())["project"]["scripts"]
+    module, _, name = scripts["ocametrics"].partition(":")
+    target = getattr(importlib.import_module(module), name)
+    guard, = (node for node in ast.parse(Path(cli.__file__).read_text()).body
+              if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'")
+    call, = guard.body
+    assert getattr(cli, call.value.func.id) is target is entry
 
 
 class TestRunPipeline:

@@ -16,6 +16,13 @@ reads ``sha256  label``: one per file written (simulated panels and weights,
 every file of each ``run`` bundle) and one per command's stdout, with the
 exit code in the label.  The output opens with ``# field: value`` lines that
 record what the bytes depend on besides the source (``environment()``).
+
+A last section, after the ``PORTABLE`` line, holds the digests of the eleven
+three-decimal tables of a default ``run`` on the seed panel and weights files
+committed under ``tests/data`` (``portable_digests()``).  Forcing another
+OpenBLAS kernel or SIMD dispatch level moves only the last bits of a float, so
+these digests held under every kernel and dispatch level tried, where the
+simulated panels and the full-precision outputs above moved.
 """
 
 from __future__ import annotations
@@ -36,6 +43,9 @@ import scipy  # noqa: E402
 from click.testing import CliRunner  # noqa: E402
 
 from ocametrics.cli import main  # noqa: E402
+
+DATA = Path(__file__).resolve().parent.parent / "tests" / "data"
+PORTABLE = "## portable: the three-decimal tables of run on tests/data/seed_panel.csv"
 
 FIXTURES = {
     "seed": ["--seed", "20260401", "--t", "133", "--countries", "7"],
@@ -146,6 +156,24 @@ def digests() -> list[str]:
     return lines
 
 
+def portable_digests() -> list[str]:
+    """``sha256  label`` of each three-decimal table of a default ``run`` on
+    ``tests/data/seed_panel.csv`` and ``seed_weights.csv``, which hold the
+    seed fixture's ``simulate`` output; ``report.json`` and the shock exports
+    print full-precision floats and are left out."""
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        result = runner.invoke(main, ["run", "--panel", str(DATA / "seed_panel.csv"),
+                                      "--weights", str(DATA / "seed_weights.csv"),
+                                      "--output-dir", "portable"])
+        if result.exit_code != 0:
+            raise RuntimeError(f"run on the committed seed files failed: {result.output}")
+        return [f"{_digest(path.read_bytes())}  portable/{path.name}"
+                for path in sorted(Path("portable").glob("*.csv"))
+                if not path.name.startswith("shocks_")]
+
+
 if __name__ == "__main__":
     header = [f"# {field}: {value}" for field, value in environment().items()]
-    sys.stdout.write("".join(f"{line}\n" for line in header + digests()))
+    lines = header + digests() + [PORTABLE] + portable_digests()
+    sys.stdout.write("".join(f"{line}\n" for line in lines))
