@@ -320,8 +320,8 @@ class TestProcessEntry:
         assert exits == [code]
 
     @pytest.mark.parametrize("outcome, code", [
-        (None, 0), (SystemExit(), 0), (SystemExit(None), 0), (SystemExit(3), 3),
-    ], ids=["return", "no-code", "none", "int"])
+        (None, 0), (SystemExit(None), 0), (SystemExit(3), 3),
+    ], ids=["return", "none", "int"])
     def test_entry_exit_codes(self, monkeypatch, exits, outcome, code):
         def fake_main():
             if outcome is not None:
