@@ -8,7 +8,7 @@ wrappers over single library operations and write CSV to standard output
 (JSON with ``--json``).
 
 Each ``PipelineConfig`` setting is one click option, with the field's
-default and its ``Bounds`` as a click range, shared by ``run`` and the
+default and its ``SETTING_BOUNDS`` as a click range, shared by ``run`` and the
 chain subcommands.  Every country subcommand takes ``_CHAIN``, the settings
 that decide a country's shocks, so it reproduces what ``run`` writes for the
 same panel and settings.
@@ -16,7 +16,6 @@ same panel and settings.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import json
 import math
@@ -33,6 +32,7 @@ from .identification import SPEED_MONTH, identify_bq, irf_structural, size_and_s
 from .months import Month, month_range
 from .panel import _read_rows, csv_text, load_panel, panel_to_csv
 from .pipeline import (
+    SETTING_BOUNDS,
     PipelineConfig,
     check_panel_settings,
     country_series,
@@ -66,21 +66,17 @@ class _Text(click.ParamType):
             self.fail(str(exc), param, ctx)
 
 
-_FIELDS = {f.name: f for f in dataclasses.fields(PipelineConfig)}
-
-
 def _setting(field: str, flag: str, **attrs):
     """The click option of ``PipelineConfig.<field>``, passed as ``field``.
-    Its default is the field's, and a field with ``Bounds`` gets them as a
-    click range; a field without a default makes a required option."""
-    spec = _FIELDS[field]
-    bounds = spec.metadata.get("bounds")
-    if bounds is not None:
-        kind = click.FloatRange if isinstance(spec.default, float) else click.IntRange
-        attrs["type"] = kind(bounds.low, bounds.high, min_open=bounds.open, max_open=bounds.open)
-    if spec.default is dataclasses.MISSING:
+    Its default is the field's, and a field in ``SETTING_BOUNDS`` gets its
+    bounds as a click range; a field without a default makes a required option."""
+    if field not in PipelineConfig._field_defaults:
         return click.option(flag, field, required=True, **attrs)
-    return click.option(flag, field, default=spec.default, **attrs)
+    default, bounds = PipelineConfig._field_defaults[field], SETTING_BOUNDS.get(field)
+    if bounds is not None:
+        kind = click.FloatRange if isinstance(default, float) else click.IntRange
+        attrs["type"] = kind(bounds.low, bounds.high, min_open=bounds.open, max_open=bounds.open)
+    return click.option(flag, field, default=default, **attrs)
 
 
 _PANEL = _setting("panel_path", "--panel", type=click.Path())

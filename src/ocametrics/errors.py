@@ -2,7 +2,8 @@
 
 Every domain error derives from :class:`OcaError` so callers (and the CLI)
 can catch one base class.  Errors that point at a specific panel cell carry
-``country`` / ``date`` / ``variable`` attributes.
+``country`` / ``date`` / ``variable`` attributes.  :func:`checked` makes
+the records that refuse bad field values.
 """
 
 from __future__ import annotations
@@ -126,3 +127,21 @@ class DateRangeError(OcaError):
 
 class ZeroBaseError(OcaError):
     pass
+
+
+# --- records that check their fields ----------------------------------------
+
+def checked(record: type) -> type:
+    """Class decorator for a ``typing.NamedTuple`` record whose ``_check``
+    raises on bad field values: the record then runs it on every construction
+    path, the constructor, ``_make`` and so ``_replace``."""
+    new = record.__new__
+
+    def __new__(cls, *args, **kwargs):
+        self = new(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    record.__new__ = staticmethod(__new__)
+    record._make = classmethod(lambda cls, fields: cls(*fields))
+    return record

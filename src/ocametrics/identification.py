@@ -11,7 +11,7 @@ Cholesky factor's diagonal is positive, which fixes the shock signs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,11 +30,10 @@ SPEED_MONTH = 12
 IRF_HORIZON = 48
 
 
-@dataclass(frozen=True)
-class StructuralModel:
-    a0: np.ndarray = field(repr=False)          # impact matrix, 2x2
-    long_run: np.ndarray = field(repr=False)    # lower-triangular long-run matrix
-    shocks: np.ndarray = field(repr=False)      # (T - p, 2), columns (supply, demand)
+class StructuralModel(NamedTuple):
+    a0: np.ndarray          # impact matrix, 2x2
+    long_run: np.ndarray    # lower-triangular long-run matrix
+    shocks: np.ndarray      # (T - p, 2), columns (supply, demand)
     dates: Calendar
 
 

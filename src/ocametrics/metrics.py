@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Mapping, Sequence
+from typing import IO, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -42,17 +41,15 @@ WEIGHT_SUM_TOLERANCE = 0.005
 # correlations and symmetry
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CorrelationReport:
+class CorrelationReport(NamedTuple):
     countries: tuple[str, ...]
-    r: np.ndarray = field(repr=False)
-    p: np.ndarray = field(repr=False)
+    r: np.ndarray
+    p: np.ndarray
     n: int = 0
     shock_kind: str = "supply"  # unread here; perfbench's group_dense sets it by keyword
 
 
-@dataclass(frozen=True)
-class SymmetryReport:
+class SymmetryReport(NamedTuple):
     """Pairwise symmetric/asymmetric labels and candidate country groups."""
 
     alpha: float
@@ -155,8 +152,7 @@ def significance_stars(p: float) -> str:
 # weights
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WeightTable:
+class WeightTable(NamedTuple):
     """Per-year, per-country economic-size weights, renormalized to sum to 1."""
 
     weights: Mapping[int, Mapping[str, float]]
@@ -226,14 +222,12 @@ def load_weights(source: str | Path | IO[str]) -> WeightTable:
 # dispersion and cost of inclusion
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DispersionSeries:
-    values: np.ndarray = field(repr=False)
+class DispersionSeries(NamedTuple):
+    values: np.ndarray
 
 
-@dataclass(frozen=True)
-class CostSeries:
-    values: np.ndarray = field(repr=False)
+class CostSeries(NamedTuple):
+    values: np.ndarray
 
 
 def _aligned_matrix(shocks: Mapping[str, np.ndarray], dates: Calendar):

@@ -12,23 +12,23 @@ from __future__ import annotations
 import operator
 import re
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DateRangeError
+from .errors import DateRangeError, checked
 
 _MONTH_RE = re.compile(r"^(\d{4})-(\d{2})$")
 
 
-@dataclass(frozen=True, order=True)
-class Month:
+@checked
+class Month(NamedTuple):
     """A calendar month, ordered chronologically."""
 
     year: int
     month: int
 
-    def __post_init__(self):
+    def _check(self):
         if not 1 <= self.month <= 12:
             raise ValueError(f"month out of range: {self.month}")
 
@@ -63,23 +63,41 @@ class Month:
 LAST_MONTH = Month(9999, 12)  # the last month that YYYY-MM can write
 
 
-@dataclass(frozen=True)
 class Calendar(Sequence):
     """``n`` consecutive months from ``start``, a sequence of :class:`Month`.
 
-    Slices are calendars; equality compares ``(start, n)``.  A calendar ends
-    by ``LAST_MONTH``.
+    Slices are calendars; equality compares ``(start, n)``, and the two
+    attributes cannot be reassigned.  A calendar ends by ``LAST_MONTH``.
     """
 
-    start: Month
-    n: int
+    __slots__ = ("start", "n")
 
-    def __post_init__(self):
-        if not isinstance(self.start, Month) or self.n < 0:
+    def __init__(self, start: Month, n: int):
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "n", n)
+        if not isinstance(start, Month) or n < 0:
             raise ValueError(f"calendar needs a start Month and n >= 0, got {self!r}")
-        if self.start.index + self.n - 1 > LAST_MONTH.index:
-            raise ValueError(f"a calendar of {self.n} months from {self.start} "
-                             f"ends after {LAST_MONTH}")
+        if start.index + n - 1 > LAST_MONTH.index:
+            raise ValueError(f"a calendar of {n} months from {start} ends after {LAST_MONTH}")
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.start, self.n) == (other.start, other.n)
+
+    def __hash__(self) -> int:
+        return hash((self.start, self.n))
+
+    def __repr__(self) -> str:
+        return f"Calendar(start={self.start!r}, n={self.n!r})"
+
+    def __reduce__(self):
+        return Calendar, (self.start, self.n)
 
     def __len__(self) -> int:
         return self.n

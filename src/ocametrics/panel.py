@@ -26,9 +26,8 @@ import math
 import re
 import sys
 import threading
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,6 +38,7 @@ from .errors import (
     NonPositiveValueError,
     PanelError,
     TooShortError,
+    checked,
 )
 from .months import Calendar, Month, month_range
 
@@ -106,15 +106,15 @@ def _load_special_ufuncs():
     return importlib.import_module("scipy.special")
 
 
-@dataclass(frozen=True)
-class Panel:
+@checked
+class Panel(NamedTuple):
     """Aligned positive monthly (activity, price) series for several countries."""
 
     countries: tuple[str, ...]
     dates: Calendar
-    values: Mapping[tuple[str, str], np.ndarray] = field(repr=False)
+    values: Mapping[tuple[str, str], np.ndarray]
 
-    def __post_init__(self):
+    def _check(self):
         if list(self.countries) != sorted(set(self.countries)):
             raise PanelError("countries must be sorted and unique")
         if not isinstance(self.dates, Calendar):
@@ -138,16 +138,16 @@ class Panel:
         return len(self.dates)
 
 
-@dataclass(frozen=True)
-class TransformedSeries:
+@checked
+class TransformedSeries(NamedTuple):
     """A differenced (dimensionless growth-rate) series with its calendar."""
 
     country: str
     variable: str
     dates: Calendar
-    values: np.ndarray = field(repr=False)
+    values: np.ndarray
 
-    def __post_init__(self):
+    def _check(self):
         if self.variable not in VARIABLES:
             raise PanelError(f"unknown variable {self.variable!r}")
         if not isinstance(self.dates, Calendar):

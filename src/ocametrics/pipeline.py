@@ -20,14 +20,13 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
 from .cointegration import johansen_test
-from .errors import ConfigError, OcaError
+from .errors import ConfigError, OcaError, checked
 from .identification import (IRF_HORIZON, SHOCK_KINDS, StructuralModel, identify_bq,
                              irf_structural, size_and_speed)
 from .metrics import (
@@ -50,8 +49,7 @@ from .unit_root import adf_panel, rejection_order
 from .var import DummySpec, LagSelection, select_lag
 
 
-@dataclass(frozen=True)
-class Bounds:
+class Bounds(NamedTuple):
     """The range of a numeric setting: ``[low, high]``, or ``(low, high)`` when
     ``open``; no ``high`` leaves it unbounded above."""
 
@@ -71,39 +69,45 @@ class Bounds:
         return f"in {left}{self.low}, {self.high}{right}"
 
 
-def _bounded(default, low, high=None, open=False):
-    """A ``PipelineConfig`` field whose value must lie in ``Bounds(low, high, open)``."""
-    return field(default=default, metadata={"bounds": Bounds(low, high, open)})
+# each numeric PipelineConfig setting, in field order, and the range it must lie in
+SETTING_BOUNDS = {
+    "alpha": Bounds(0.0, 1.0, open=True),
+    "max_lags": Bounds(1, 24),
+    "hp_lambda": Bounds(0.0, MAX_HP_SMOOTHING),
+    "portmanteau_h": Bounds(2),
+    "arch_q": Bounds(1),
+    "threads": Bounds(1),
+}
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
-    """Every setting of a run; a value out of its field's ``Bounds`` or infinite,
+@checked
+class PipelineConfig(NamedTuple):
+    """Every setting of a run; a value out of its ``SETTING_BOUNDS`` or infinite,
     or an empty path, is refused when the config is built."""
 
     panel_path: str
     weights_path: str
     output_dir: str
-    alpha: float = _bounded(0.05, 0.0, 1.0, open=True)
-    max_lags: int = _bounded(12, 1, 24)
-    hp_lambda: float = _bounded(14400.0, 0.0, MAX_HP_SMOOTHING)
+    alpha: float = 0.05
+    max_lags: int = 12
+    hp_lambda: float = 14400.0
     seasonal_adjust: bool = False
     dummies: tuple[tuple[str, DummySpec], ...] = ()
-    portmanteau_h: int = _bounded(12, 2)
-    arch_q: int = _bounded(4, 1)
-    threads: int = _bounded(1, 1)
+    portmanteau_h: int = 12
+    arch_q: int = 4
+    threads: int = 1
 
-    def __post_init__(self):
+    def _check(self):
         for name, what in (("panel_path", "panel path"), ("weights_path", "weights path"),
                            ("output_dir", "output directory")):
             if not getattr(self, name):
                 raise ConfigError(f"{what} must be set")
-        for f in fields(self):
-            bounds, value = f.metadata.get("bounds"), getattr(self, f.name)
-            if bounds is not None and value not in bounds:
-                raise ConfigError(f"{f.name} must be {bounds}, got {value!r}")
-            if bounds is not None and value == np.inf:  # NaN is out of every range
-                raise ConfigError(f"{f.name} must be finite, got {value!r}")
+        for name, bounds in SETTING_BOUNDS.items():
+            value = getattr(self, name)
+            if value not in bounds:
+                raise ConfigError(f"{name} must be {bounds}, got {value!r}")
+            if value == np.inf:  # NaN is out of every range
+                raise ConfigError(f"{name} must be finite, got {value!r}")
 
 
 def country_series(panel: Panel, country: str, config: PipelineConfig):
@@ -183,7 +187,8 @@ class StageError(OcaError):
 def check_panel_settings(panel: Panel, config: PipelineConfig, search: bool = True,
                          gate: bool = False) -> None:
     """Refuse settings that cannot fit ``panel``: a repeated dummy, or one for a
-    country it does not hold or dated outside its growth calendar; with ``gate``
+    country it does not hold, dated outside its growth calendar or in the lag
+    rows of every order (as ``fit_var`` at p=1 would); with ``gate``
     or ``search`` (the lag search runs the gate), a diagnostic window that no lag
     order's ``n_months - 1 - p`` residuals hold; with ``search``, a ``max_lags``
     whose common sample of ``n_months - 1 - max_lags`` rows is shorter than the
@@ -198,6 +203,10 @@ def check_panel_settings(panel: Panel, config: PipelineConfig, search: bool = Tr
             raise ConfigError(f"dummy references unknown country {country!r}")
         if spec.break_date not in growth:
             raise ConfigError(f"dummy {label} is dated outside the growth calendar {growth}")
+        earliest = growth.start + 1 + (spec.form == "step")
+        if spec.break_date < earliest:
+            raise ConfigError(f"dummy {label} falls in the lag rows of every order; "
+                              f"the earliest usable {spec.form} is {earliest}")
     most = max(panel.n_months - 2, 0)
     for name, value, needed in (("portmanteau_h", config.portmanteau_h, config.portmanteau_h),
                                 ("arch_q", config.arch_q, 5 * config.arch_q)):
@@ -331,7 +340,7 @@ def _conventions() -> dict:
 def _config_dict(config: PipelineConfig) -> dict:
     """``metadata.config``: every setting, with the dummies in their flag text,
     except ``threads``, which changes no reported number."""
-    out = {f.name: getattr(config, f.name) for f in fields(config) if f.name != "threads"}
+    out = {name: value for name, value in config._asdict().items() if name != "threads"}
     out["dummies"] = [f"{c}:{spec.label()}" for c, spec in config.dummies]
     return out
 

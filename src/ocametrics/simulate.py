@@ -10,11 +10,11 @@ reproducible for a given seed; derived seeds are ``seed + index``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DateRangeError, UnstableModelError
+from .errors import DateRangeError, UnstableModelError, checked
 from .identification import StructuralModel
 from .months import Month, month_range
 from .panel import VARIABLES, Panel, _frozen, csv_text
@@ -29,17 +29,17 @@ SIM_BLOCK = 64
 DGP_MAX_MODULUS = 0.75
 
 
-@dataclass(frozen=True)
-class Dgp:
+@checked
+class Dgp(NamedTuple):
     """A stable bivariate VAR with a long-run-restricted impact matrix."""
 
-    coefs: np.ndarray = field(repr=False)     # (p, 2, 2)
-    impact: np.ndarray = field(repr=False)    # true impact matrix
-    intercept: np.ndarray = field(repr=False)
+    coefs: np.ndarray       # (p, 2, 2)
+    impact: np.ndarray      # true impact matrix
+    intercept: np.ndarray
     n_obs: int = 0
     seed: int = 0
 
-    def __post_init__(self):
+    def _check(self):
         coefs = np.asarray(self.coefs, dtype=np.float64)
         if coefs.ndim != 3 or coefs.shape[1:] != (2, 2):
             raise ValueError("coefs must have shape (p, 2, 2)")
@@ -64,16 +64,14 @@ class Dgp:
         return np.linalg.solve(np.eye(2) - self.coefs.sum(axis=0), self.impact)
 
 
-@dataclass(frozen=True)
-class SimulatedSample:
+class SimulatedSample(NamedTuple):
     """Differences and the true structural shocks that generated them."""
 
-    diffs: np.ndarray = field(repr=False)     # (n_obs, 2): activity, price growth
-    shocks: np.ndarray = field(repr=False)    # (n_obs, 2): supply, demand
+    diffs: np.ndarray     # (n_obs, 2): activity, price growth
+    shocks: np.ndarray    # (n_obs, 2): supply, demand
 
 
-@dataclass(frozen=True)
-class RecoveryReport:
+class RecoveryReport(NamedTuple):
     a0_error_max: float
     supply_correlation: float
     demand_correlation: float

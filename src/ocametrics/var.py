@@ -8,8 +8,7 @@ long-run identification algebra downstream expects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -19,6 +18,7 @@ from .errors import (
     NoAdmissibleLagError,
     RankDeficientError,
     TooShortError,
+    checked,
 )
 from .months import Calendar, Month
 from .panel import VARIABLES, TransformedSeries, _frozen, special_ufuncs
@@ -26,8 +26,8 @@ from .panel import VARIABLES, TransformedSeries, _frozen, special_ufuncs
 N_VARS = 2
 
 
-@dataclass(frozen=True)
-class DummySpec:
+@checked
+class DummySpec(NamedTuple):
     """Exogenous break dummy, a regressor of both equations like the
     intercept.  ``form`` is ``step`` (one from the break date onward) or
     ``pulse`` (one only at the break date).
@@ -36,7 +36,7 @@ class DummySpec:
     break_date: Month
     form: str = "step"
 
-    def __post_init__(self):
+    def _check(self):
         if self.form not in ("step", "pulse"):
             raise ValueError(f"unknown dummy form {self.form!r}")
 
@@ -51,15 +51,14 @@ class DummySpec:
         return f"{self.break_date}:{self.form}"
 
 
-@dataclass(frozen=True)
-class VarModel:
+class VarModel(NamedTuple):
     p: int
-    intercept: np.ndarray = field(repr=False)
-    coefs: np.ndarray = field(repr=False)            # (p, 2, 2)
+    intercept: np.ndarray
+    coefs: np.ndarray                # (p, 2, 2)
     dummies: tuple[DummySpec, ...]
-    exog_coefficients: np.ndarray = field(repr=False)  # (2, n_dummies)
-    residuals: np.ndarray = field(repr=False)          # (T - p, 2)
-    sigma: np.ndarray = field(repr=False)
+    exog_coefficients: np.ndarray    # (2, n_dummies)
+    residuals: np.ndarray            # (T - p, 2)
+    sigma: np.ndarray
     effective_dates: Calendar
 
     @property
@@ -67,8 +66,7 @@ class VarModel:
         return self.residuals.shape[0]
 
 
-@dataclass(frozen=True)
-class StabilityResult:
+class StabilityResult(NamedTuple):
     moduli: tuple[float, ...]
     stable: bool
 
@@ -77,8 +75,7 @@ class StabilityResult:
         return self.moduli[0]
 
 
-@dataclass(frozen=True)
-class Diagnostics:
+class Diagnostics(NamedTuple):
     """The residual checks of one fitted model, as the lag gate runs them: the
     portmanteau test and each equation's ARCH LM test, as their result dicts."""
 
@@ -88,8 +85,7 @@ class Diagnostics:
     arch: tuple[dict, dict]
 
 
-@dataclass(frozen=True)
-class LagSelection:
+class LagSelection(NamedTuple):
     """The accepted model, its diagnostics and the gate trail that led to it.
     Each ``trail`` row is the dict ``report.json`` records under
     ``var.gate_trail``: ``p``, ``stable``, ``max_modulus``, ``portmanteau_h``,

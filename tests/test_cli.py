@@ -1,6 +1,5 @@
 import ast
 import csv
-import dataclasses
 import importlib
 import json
 import os
@@ -234,21 +233,22 @@ def test_hp_trend_leaves_out_scipy_linalg(tmp_path, fixture_panel_path, fixture_
     env = dict(os.environ, PYTHONPATH=str(src))
     args = [command, "--panel", str(fixture_panel_path), "--weights", str(fixture_weights_path),
             "--output-dir", str(tmp_path / "out")]
+    # main itself, not CliRunner: click.testing imports dataclasses
     code = f"""
 import sys, ocametrics.cli
-from click.testing import CliRunner
-assert CliRunner().invoke(ocametrics.cli.main, {args!r}).exit_code == 0
+ocametrics.cli.main({args!r}, standalone_mode=False)
 print(sorted(m for m in sys.modules if m.split(".")[:2] == ["scipy", "linalg"]))
 print(*(m in sys.modules for m in ("scipy.special._ufuncs", "scipy", "scipy._lib",
                                     "scipy.special", "concurrent.futures")))
-print("numpy.ma" in sys.modules, "ocametrics.simulate" in sys.modules)
+print(*(m in sys.modules for m in ("numpy.ma", "ocametrics.simulate", "dataclasses")))
 """
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     # the p-values ran on scipy's compiled ufuncs without any scipy package
     # init, no thread pool loaded concurrent.futures, and the run imported
-    # neither numpy.ma (np.unique loads it) nor simulate
-    assert out.split("\n")[:3] == ["[]", "True False False False False", "False False"]
+    # neither numpy.ma (np.unique loads it) nor simulate nor dataclasses
+    assert out.split("\n")[:4] == [f"wrote 19 files to {tmp_path / 'out'}", "[]",
+                                   "True False False False False", "False False False"]
 
 
 def _process(args: list[str], cwd: Path) -> subprocess.CompletedProcess:
@@ -479,8 +479,7 @@ class TestRunPipeline:
 
     def test_report_config_holds_every_setting_but_threads(self, bundle):
         report = json.loads((bundle["out"] / "report.json").read_text())
-        names = {f.name for f in dataclasses.fields(PipelineConfig)}
-        assert set(report["metadata"]["config"]) == names - {"threads"}
+        assert set(report["metadata"]["config"]) == set(PipelineConfig._fields) - {"threads"}
 
     def test_report_carries_cumulative_irfs(self, bundle):
         report = json.loads((bundle["out"] / "report.json").read_text())
@@ -745,8 +744,7 @@ class TestRunPipeline:
 
     def test_run_takes_one_flag_per_config_field(self):
         params = main.commands["run"].params
-        assert sorted(p.name for p in params) == sorted(
-            f.name for f in dataclasses.fields(PipelineConfig))
+        assert sorted(p.name for p in params) == sorted(PipelineConfig._fields)
         assert all(len(p.opts) == 1 and not p.secondary_opts for p in params)
 
     def test_report_config_reruns_as_flags(self, runner, fixture_panel_path,
@@ -1143,20 +1141,6 @@ class TestInputContracts:
         assert isinstance(res.exception, SystemExit)
         assert "--max-lags" in res.stderr and "Traceback" not in res.output
 
-    @pytest.mark.parametrize("flag, label", [
-        ("C02:2009-02:pulse", "2009-02:pulse"),
-        ("C00:2009-03:step", "2009-03:step"),
-    ])
-    def test_dummy_in_lag_rows_is_refused(self, runner, fixture_panel_path,
-                                          fixture_weights_path, tmp_path, flag, label):
-        out = tmp_path / "never"
-        res = runner.invoke(main, [
-            "run", "--panel", str(fixture_panel_path), "--weights", str(fixture_weights_path),
-            "--output-dir", str(out), "--dummy", flag])
-        assert res.exit_code == 1
-        assert label in res.stderr and "rank-deficient" not in res.stderr
-        assert not out.exists()
-
     @pytest.mark.parametrize("args", [
         ["run", "--weights", "WEIGHTS", "--output-dir", "OUT"],
         ["var", "--country", "C01"],
@@ -1190,7 +1174,16 @@ class TestInputContracts:
          "dummy C00:2012-06:pulse is repeated"),
         (["C00:2012-06", "C00:2012-06:step"],
          "dummy C00:2012-06:step is repeated"),
-    ], ids=["after-the-panel", "first-month", "repeated-pulse", "repeated"])
+        # every lag order is at least 1: a pulse in the first growth month, or
+        # a step in the first two, falls in the lag rows of every fit
+        (["C00:2009-02"], "dummy C00:2009-02:step falls in the lag rows of every order; "
+                          "the earliest usable step is 2009-04"),
+        (["C00:2009-03:step"], "dummy C00:2009-03:step falls in the lag rows of every order; "
+                               "the earliest usable step is 2009-04"),
+        (["C02:2009-02:pulse"], "dummy C02:2009-02:pulse falls in the lag rows of every "
+                                "order; the earliest usable pulse is 2009-03"),
+    ], ids=["after-the-panel", "first-month", "repeated-pulse", "repeated",
+            "step-first-month", "step-second-month", "pulse-first-month"])
     def test_unusable_dummy_is_refused_before_estimation(
             self, runner, fixture_panel_path, fixture_weights_path, tmp_path, monkeypatch,
             args, flags, message):
@@ -1202,6 +1195,14 @@ class TestInputContracts:
         assert res.stderr == f"error: {message}\n"
         assert fits == []
         assert not (tmp_path / "never").exists()
+
+    @pytest.mark.parametrize("dummy", ["C00:2009-03:pulse", "C00:2009-04:step"])
+    def test_earliest_usable_dummy_is_estimated(self, runner, fixture_panel_path, dummy):
+        # the first month the refusal above names: C00's search accepts p=1
+        res = runner.invoke(main, ["var", "--panel", str(fixture_panel_path), "--country", "C00",
+                                   "--dummy", dummy])
+        assert res.exit_code == 0, res.output
+        assert res.stdout.splitlines()[1].startswith("C00,1,")
 
     @pytest.mark.parametrize("flag, value, message, fits_made", [
         ("--portmanteau-h", 131, "portmanteau_h=131 needs more than 131 residuals, " + _WINDOW, 0),

@@ -95,14 +95,14 @@ def test_calendar_matches_explicit_months(start_index, n, data):
 
 def test_estimation_builds_no_month_per_row(monkeypatch):
     built = []
-    post_init = Month.__post_init__
+    check = Month._check
 
     def counted(self):
         built.append(self)
-        post_init(self)
+        check(self)
 
     values = np.random.default_rng(3).standard_normal((10_000, 2))
-    monkeypatch.setattr(Month, "__post_init__", counted)
+    monkeypatch.setattr(Month, "_check", counted)
     dates = month_range(Month(2009, 2), 10_000)
     svar = identify_bq(fit_var(make_pair(values, start=dates[0]), p=2))
     assert svar.dates == dates[2:]
