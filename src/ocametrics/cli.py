@@ -257,11 +257,9 @@ def var_command(country, fixed_p, as_json, **settings):
         model = fit_var(data, fixed_p, dummies)
         diag = diagnose(model, config.portmanteau_h, config.arch_q)
     _emit([{
-        "country": country, "p": model.p, "stable": diag.stability.stable,
-        "max_modulus": diag.stability.max_modulus,
-        "portmanteau_pvalue": diag.portmanteau["p_value"],
-        "arch_pvalue_activity": diag.arch[0]["p_value"],
-        "arch_pvalue_price": diag.arch[1]["p_value"],
+        "country": country, "p": model.p, "stable": diag["stable"],
+        "max_modulus": diag["max_modulus"], "portmanteau_pvalue": diag["portmanteau"]["p_value"],
+        **{f"arch_pvalue_{v}": arch["p_value"] for v, arch in diag["arch"].items()},
         "nobs": model.nobs,
     }], as_json)
 

@@ -47,11 +47,11 @@ def _coefficient_sum_inverse(model: VarModel) -> np.ndarray:
 
 def identify_bq(model: VarModel) -> StructuralModel:
     """Recover the structural shock series via the long-run restriction."""
-    stab = stability(model)
+    max_modulus = stability(model)["max_modulus"]
     # the cutoff is below 1, so passing it also means the model is stable
-    if stab.max_modulus > MAX_COMPANION_MODULUS:
+    if max_modulus > MAX_COMPANION_MODULUS:
         raise UnstableModelError(
-            f"max companion modulus {stab.max_modulus:.6f} exceeds "
+            f"max companion modulus {max_modulus:.6f} exceeds "
             f"{MAX_COMPANION_MODULUS}; long-run responses are unreliable")
     d1 = _coefficient_sum_inverse(model)
     s = d1 @ model.sigma @ d1.T

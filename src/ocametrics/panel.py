@@ -44,6 +44,8 @@ from .months import Calendar, Month, month_range
 
 VARIABLES = ("activity", "price")
 CSV_HEADER = ("country", "date", "variable", "value")
+# two years: seasonal_adjust_dummies fits 13 regressors, two per month of year
+SEASONAL_MIN_MONTHS = 24
 _COLUMN_TO_VARIABLE = {"MEAI": "activity", "CPI": "price"}
 _VARIABLE_TO_COLUMN = {v: k for k, v in _COLUMN_TO_VARIABLE.items()}
 # separators of the report bundle: CSV cells and quotes, groups.csv members,
@@ -284,8 +286,8 @@ def seasonal_adjust_dummies(dates: Calendar, values: np.ndarray) -> np.ndarray:
     values = np.asarray(values, dtype=np.float64)
     months = dates.months
     n = values.size
-    if n < 24:
-        raise TooShortError("seasonal adjustment needs at least 24 months")
+    if n < SEASONAL_MIN_MONTHS:
+        raise TooShortError(f"seasonal adjustment needs at least {SEASONAL_MIN_MONTHS} months")
     X = np.column_stack(
         [np.ones(n), np.arange(n, dtype=np.float64)]
         + [(months == m).astype(np.float64) for m in range(2, 13)])

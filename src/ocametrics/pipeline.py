@@ -44,7 +44,8 @@ from .metrics import (
     trend_change,
 )
 from .months import month_range
-from .panel import VARIABLES, Panel, csv_text, growth_pair, load_panel, log_level_series
+from .panel import (SEASONAL_MIN_MONTHS, VARIABLES, Panel, csv_text, growth_pair, load_panel,
+                    log_level_series)
 from .unit_root import adf_panel, rejection_order
 from .var import DummySpec, LagSelection, select_lag
 
@@ -186,7 +187,8 @@ class StageError(OcaError):
 
 def check_panel_settings(panel: Panel, config: PipelineConfig, search: bool = True,
                          gate: bool = False) -> None:
-    """Refuse settings that cannot fit ``panel``: a repeated dummy, or one for a
+    """Refuse settings that cannot fit ``panel``: ``seasonal_adjust`` on fewer
+    than ``SEASONAL_MIN_MONTHS`` months; a repeated dummy, or one for a
     country it does not hold, dated outside its growth calendar or in the lag
     rows of every order (as ``fit_var`` at p=1 would); with ``gate``
     or ``search`` (the lag search runs the gate), a diagnostic window that no lag
@@ -194,6 +196,9 @@ def check_panel_settings(panel: Panel, config: PipelineConfig, search: bool = Tr
     whose common sample of ``n_months - 1 - max_lags`` rows is shorter than the
     ``11 + 2 max_lags + d`` that ``select_lag`` needs, ``d`` the most dummies of
     any one country."""
+    if config.seasonal_adjust and panel.n_months < SEASONAL_MIN_MONTHS:
+        raise ConfigError(f"seasonal_adjust needs at least {SEASONAL_MIN_MONTHS} months, "
+                          f"but the panel has {panel.n_months}")
     growth = panel.dates[1:]
     for i, (country, spec) in enumerate(config.dummies):
         label = f"{country}:{spec.label()}"
@@ -280,7 +285,7 @@ _IRF_CELLS = [(f"{shock}_{variable}", v, s) for s, shock in enumerate(SHOCK_KIND
 def _country_report(johansen: dict, selection: LagSelection, svar: StructuralModel,
                     responses: np.ndarray) -> dict:
     """A country's report block without its ``adf`` entry."""
-    model, diag = selection.model, selection.diagnostics
+    model = selection.model
     return {
         "johansen": johansen,
         "var": {
@@ -292,13 +297,7 @@ def _country_report(johansen: dict, selection: LagSelection, svar: StructuralMod
             "sigma": model.sigma.tolist(),
             "dummies": [d.label() for d in model.dummies],
             "exog_coefficients": model.exog_coefficients.tolist(),
-            "stable": diag.stability.stable,
-            "max_modulus": diag.stability.max_modulus,
-            "moduli": list(diag.stability.moduli),
-            "portmanteau": {"h": diag.portmanteau_h, **diag.portmanteau},
-            "arch": {variable: {"q": arch["df"], "statistic": arch["statistic"],
-                                "p_value": arch["p_value"]}
-                     for variable, arch in zip(VARIABLES, diag.arch)},
+            **selection.diagnostics,
         },
         "identification": {
             "a0": svar.a0.tolist(),

@@ -43,6 +43,10 @@ class Dgp(NamedTuple):
         coefs = np.asarray(self.coefs, dtype=np.float64)
         if coefs.ndim != 3 or coefs.shape[1:] != (2, 2):
             raise ValueError("coefs must have shape (p, 2, 2)")
+        if np.asarray(self.impact, dtype=np.float64).shape != (2, 2):
+            raise ValueError("impact must have shape (2, 2)")
+        if np.asarray(self.intercept, dtype=np.float64).shape != (2,):
+            raise ValueError("intercept must have shape (2,)")
         if self.n_obs < 1:
             raise ValueError("n_obs must be >= 1")
         moduli = np.abs(np.linalg.eigvals(companion_matrix(coefs)))
@@ -57,11 +61,13 @@ class Dgp(NamedTuple):
 
     @property
     def p(self) -> int:
-        return self.coefs.shape[0]
+        return np.asarray(self.coefs, dtype=np.float64).shape[0]
 
     @property
     def long_run_impact(self) -> np.ndarray:
-        return np.linalg.solve(np.eye(2) - self.coefs.sum(axis=0), self.impact)
+        coefs = np.asarray(self.coefs, dtype=np.float64)
+        return np.linalg.solve(np.eye(2) - coefs.sum(axis=0),
+                               np.asarray(self.impact, dtype=np.float64))
 
 
 class SimulatedSample(NamedTuple):

@@ -66,35 +66,16 @@ class VarModel(NamedTuple):
         return self.residuals.shape[0]
 
 
-class StabilityResult(NamedTuple):
-    moduli: tuple[float, ...]
-    stable: bool
-
-    @property
-    def max_modulus(self) -> float:
-        return self.moduli[0]
-
-
-class Diagnostics(NamedTuple):
-    """The residual checks of one fitted model, as the lag gate runs them: the
-    portmanteau test and each equation's ARCH LM test, as their result dicts."""
-
-    stability: StabilityResult
-    portmanteau: dict
-    portmanteau_h: int
-    arch: tuple[dict, dict]
-
-
 class LagSelection(NamedTuple):
-    """The accepted model, its diagnostics and the gate trail that led to it.
-    Each ``trail`` row is the dict ``report.json`` records under
+    """The accepted model, its ``diagnose`` dict and the gate trail that led to
+    it.  Each ``trail`` row is the dict ``report.json`` records under
     ``var.gate_trail``: ``p``, ``stable``, ``max_modulus``, ``portmanteau_h``,
     ``portmanteau_pvalue``, ``arch_pvalues`` (one per equation) and ``passed``."""
 
     criterion_choices: Mapping[str, int]
     trail: tuple[dict, ...]
     model: VarModel
-    diagnostics: Diagnostics
+    diagnostics: dict
 
     @property
     def p(self) -> int:
@@ -184,12 +165,11 @@ def companion_matrix(coefs: np.ndarray) -> np.ndarray:
     return np.vstack([top, lower])
 
 
-def stability(model: VarModel) -> StabilityResult:
-    """Companion-matrix eigenvalue moduli, descending; stable iff all < 1."""
-    moduli = np.abs(np.linalg.eigvals(companion_matrix(model.coefs)))
-    moduli = np.sort(moduli)[::-1]
-    return StabilityResult(moduli=tuple(float(m) for m in moduli),
-                           stable=bool(moduli[0] < 1.0))
+def stability(model: VarModel) -> dict:
+    """``{stable, max_modulus, moduli}``: the companion-matrix eigenvalue
+    moduli, descending; stable iff all < 1."""
+    moduli = np.sort(np.abs(np.linalg.eigvals(companion_matrix(model.coefs))))[::-1].tolist()
+    return {"stable": moduli[0] < 1.0, "max_modulus": moduli[0], "moduli": moduli}
 
 
 def portmanteau_test(model: VarModel, h: int) -> dict:
@@ -238,14 +218,16 @@ def arch_lm_test(residuals: np.ndarray, q: int) -> dict:
             "p_value": float(special_ufuncs().chdtrc(q, stat))}
 
 
-def diagnose(model: VarModel, portmanteau_h: int, arch_q: int) -> Diagnostics:
-    """Stability, portmanteau at ``max(portmanteau_h, p + 1)`` and per-equation ARCH LM."""
-    h_eff = max(portmanteau_h, model.p + 1)
-    return Diagnostics(
-        stability=stability(model),
-        portmanteau=portmanteau_test(model, h_eff),
-        portmanteau_h=h_eff,
-        arch=tuple(arch_lm_test(model.residuals[:, a], arch_q) for a in range(N_VARS)))
+def diagnose(model: VarModel, portmanteau_h: int, arch_q: int) -> dict:
+    """The residual checks of one fitted model, keyed as ``report.json``'s
+    ``var`` block: ``stability``'s keys, ``portmanteau`` at ``h = max(portmanteau_h,
+    p + 1)`` and ``arch``, each equation's LM test by variable."""
+    h = max(portmanteau_h, model.p + 1)
+    archs = (arch_lm_test(model.residuals[:, a], arch_q) for a in range(N_VARS))
+    return {**stability(model), "portmanteau": {"h": h, **portmanteau_test(model, h)},
+            "arch": {variable: {"q": arch["df"], "statistic": arch["statistic"],
+                                "p_value": arch["p_value"]}
+                     for variable, arch in zip(VARIABLES, archs)}}
 
 
 _IC_NAMES = ("aic", "sc", "hq")
@@ -307,11 +289,11 @@ def select_lag(data: tuple[TransformedSeries, TransformedSeries], max_p: int = 1
     for p in range(start, max_p + 1):
         model = fit_var(data, p, dummies)
         diag = diagnose(model, portmanteau_h, arch_q)
-        stab, port = diag.stability, diag.portmanteau["p_value"]
-        arch = [a["p_value"] for a in diag.arch]
-        passed = stab.stable and port > alpha and all(pa > alpha for pa in arch)
-        trail.append({"p": p, "stable": stab.stable, "max_modulus": stab.max_modulus,
-                      "portmanteau_h": diag.portmanteau_h, "portmanteau_pvalue": port,
+        port = diag["portmanteau"]
+        arch = [a["p_value"] for a in diag["arch"].values()]
+        passed = diag["stable"] and port["p_value"] > alpha and all(pa > alpha for pa in arch)
+        trail.append({"p": p, "stable": diag["stable"], "max_modulus": diag["max_modulus"],
+                      "portmanteau_h": port["h"], "portmanteau_pvalue": port["p_value"],
                       "arch_pvalues": arch, "passed": passed})
         if passed:
             return LagSelection(criterion_choices=choices, trail=tuple(trail),

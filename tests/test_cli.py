@@ -665,6 +665,34 @@ class TestRunPipeline:
         assert res.exit_code == 1
         assert "max_lags=12 leaves too short a sample" in res.stderr
 
+    @pytest.mark.parametrize("args", [
+        ["run", "--weights", "WEIGHTS", "--output-dir", "OUT"],
+        ["var", "--country", "C00"],
+        ["johansen", "--country", "C00", "--lag-order", "2"],
+    ], ids=["run", "var", "johansen-lag-order"])
+    def test_seasonal_adjust_on_a_short_panel_is_refused_up_front(self, runner, tmp_path,
+                                                                   monkeypatch, args):
+        flags = ["--max-lags", "2", "--portmanteau-h", "4", "--arch-q", "2", "--seasonal-adjust"]
+        for months in (23, 24):
+            panel, weights, out = tmp_path / "p.csv", tmp_path / "w.csv", tmp_path / "never"
+            res = runner.invoke(main, ["simulate", "--seed", "1", "--t", str(months),
+                                       "--countries", "4", "--output", str(panel),
+                                       "--weights-output", str(weights)])
+            assert res.exit_code == 0
+            files = {"WEIGHTS": str(weights), "OUT": str(out)}
+            fits = count_calls(monkeypatch, var.select_lag)
+            res = runner.invoke(main, [files.get(a, a) for a in args]
+                                + ["--panel", str(panel), *flags])
+            assert res.exit_code == 1
+            if months == 23:
+                assert res.stderr == ("error: seasonal_adjust needs at least 24 months, but "
+                                      "the panel has 23\n")
+                assert fits == []
+            else:  # past the check: the chain runs, and this panel's gate refuses C00
+                assert "seasonal" not in res.stderr
+                assert len(fits) == (args[0] != "johansen")
+            assert not out.exists()
+
     def test_output_dir_naming_a_file_is_refused_before_estimation(self, runner, bundle,
                                                                    tmp_path, monkeypatch):
         out = tmp_path / "taken"
@@ -943,11 +971,11 @@ class TestThinWrappers:
         model = var.fit_var(data, 2, dummies)
         diag = var.diagnose(model, config.portmanteau_h, config.arch_q)
         assert json.loads(res.output) == [{
-            "country": "C02", "p": 2, "stable": diag.stability.stable,
-            "max_modulus": diag.stability.max_modulus,
-            "portmanteau_pvalue": diag.portmanteau["p_value"],
-            "arch_pvalue_activity": diag.arch[0]["p_value"],
-            "arch_pvalue_price": diag.arch[1]["p_value"],
+            "country": "C02", "p": 2, "stable": diag["stable"],
+            "max_modulus": diag["max_modulus"],
+            "portmanteau_pvalue": diag["portmanteau"]["p_value"],
+            "arch_pvalue_activity": diag["arch"]["activity"]["p_value"],
+            "arch_pvalue_price": diag["arch"]["price"]["p_value"],
             "nobs": model.nobs,
         }]
 

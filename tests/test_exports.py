@@ -24,7 +24,7 @@ DELETED = {
           "_load_config", "_flag_text", "_fail"),
     unit_root: ("integration_order", "IntegrationResult", "_SPEC_ALIASES", "AdfResult"),
     cointegration: ("JohansenResult",),
-    var: ("ChiSquareResult", "LagAudit"),
+    var: ("ChiSquareResult", "LagAudit", "StabilityResult", "Diagnostics"),
     panel: ("log_diff", "dump_panel", "rebase"),
     identification: ("long_run_matrix", "IrfSet", "SizeSpeed"),
     errors: ("InconclusiveIntegrationError", "BaseYearAbsentError"),

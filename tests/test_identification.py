@@ -133,7 +133,7 @@ class TestIdentifyBq:
     def test_near_unit_root_refused(self):
         model = _model([[[0.99995, 0.0], [0.0, 0.2]]],
                        np.random.default_rng(6).standard_normal((100, 2)))
-        assert stability(model).stable  # inside the unit circle, yet refused
+        assert stability(model)["stable"]  # inside the unit circle, yet refused
         with pytest.raises(UnstableModelError):
             identify_bq(model)
 
@@ -141,7 +141,7 @@ class TestIdentifyBq:
         # a nilpotent B has companion modulus 0, yet cond(I - B) is about 1e14
         model = _model([[[0.0, 1e7], [0.0, 0.0]]],
                        np.random.default_rng(8).standard_normal((100, 2)))
-        assert stability(model).max_modulus == 0.0
+        assert stability(model)["max_modulus"] == 0.0
         with pytest.raises(UnstableModelError, match="numerically singular"):
             identify_bq(model)
 
@@ -186,7 +186,7 @@ class TestIrf:
         data = make_pair(simulate(dgp).diffs)
         model = fit_var(data, p=dgp.p)
         svar = identify_bq(model)
-        rho = stability(model).max_modulus
+        rho = stability(model)["max_modulus"]
         horizon = max(200, int(math.ceil(math.log(1e-10) / math.log(rho))))
         irf = irf_structural(svar.a0, model.coefs, horizon=horizon)
         assert np.abs(irf[-1] - svar.long_run).max() < 1e-8

@@ -78,6 +78,21 @@ def test_selection_carries_the_accepted_model(fixture_panel):
     assert selection.diagnostics == var.diagnose(refit, 12, 4)
 
 
+def test_var_block_holds_the_gate_diagnostics(fixture_panel, fixture_weights_path):
+    report = build_report(fixture_panel, metrics.load_weights(fixture_weights_path), CONFIG)
+    for country, block in report["countries"].items():
+        block = block["var"]
+        _, data, dummies = pipeline.country_series(fixture_panel, country, CONFIG)
+        diag = var.diagnose(var.fit_var(data, block["p"], dummies), CONFIG.portmanteau_h,
+                            CONFIG.arch_q)
+        assert block.items() >= diag.items(), country
+        last = block["gate_trail"][-1]
+        assert last["stable"] == diag["stable"] and last["max_modulus"] == diag["max_modulus"]
+        assert last["portmanteau_h"] == diag["portmanteau"]["h"]
+        assert last["portmanteau_pvalue"] == diag["portmanteau"]["p_value"]
+        assert last["arch_pvalues"] == [a["p_value"] for a in diag["arch"].values()]
+
+
 def test_group_dispersion_once_per_country(fixture_panel, fixture_weights_path, monkeypatch):
     passes = count_calls(monkeypatch, metrics._dispersion_pass)
     build_report(fixture_panel, metrics.load_weights(fixture_weights_path), CONFIG)

@@ -10,8 +10,8 @@ import pytest
 from ocametrics.errors import ConfigError, PanelError
 from ocametrics.months import Calendar, Month, month_range
 from ocametrics.pipeline import Bounds, PipelineConfig
-from ocametrics.simulate import random_dgp
-from ocametrics.var import DummySpec, StabilityResult
+from ocametrics.simulate import RecoveryReport, random_dgp
+from ocametrics.var import DummySpec
 
 from .conftest import make_pair, panel_from_rows
 
@@ -49,8 +49,8 @@ def test_bad_value_is_refused_on_every_construction_path(name):
 
 
 @pytest.mark.parametrize("record", [*(c[0] for c in CARRIERS.values()), Bounds(1),
-                                    DATES, StabilityResult((0.5,), True)],
-                         ids=[*CARRIERS, "Bounds", "Calendar", "StabilityResult"])
+                                    DATES, RecoveryReport(0.1, 0.9, 0.8, True)],
+                         ids=[*CARRIERS, "Bounds", "Calendar", "RecoveryReport"])
 def test_records_refuse_assignment(record):
     name = record._fields[0] if hasattr(record, "_fields") else "n"
     for target in (name, "extra"):
@@ -78,5 +78,7 @@ def test_calendar_compares_start_and_length():
 
 
 def test_result_records_compare_by_field_values():
-    assert StabilityResult((0.5,), True) == StabilityResult(moduli=(0.5,), stable=True)
-    assert StabilityResult((0.5,), True) != StabilityResult((0.5,), False)
+    report = RecoveryReport(0.1, 0.9, 0.8, True)
+    assert report == RecoveryReport(a0_error_max=0.1, supply_correlation=0.9,
+                                    demand_correlation=0.8, sign_agreement=True)
+    assert report != report._replace(sign_agreement=False)

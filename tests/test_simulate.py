@@ -87,6 +87,31 @@ def test_entry_point_refuses_bad_arguments(call, message):
     assert str(excinfo.value) == message
 
 
+@pytest.mark.parametrize("bad, message", [
+    ({"impact": np.eye(3)}, "impact must have shape (2, 2)"),
+    ({"intercept": [0.0, 0.0, 0.0]}, "intercept must have shape (2,)"),
+], ids=["impact", "intercept"])
+def test_dgp_refuses_a_misshapen_field_on_every_construction_path(bad, message):
+    dgp = _identity_dgp()
+    fields = {**dgp._asdict(), **bad}
+    for build in (lambda: Dgp(**fields), lambda: Dgp._make(fields.values()),
+                  lambda: dgp._replace(**bad)):
+        with pytest.raises(ValueError) as excinfo:
+            build()
+        assert str(excinfo.value) == message
+
+
+def test_dgp_built_from_lists_simulates_as_from_arrays():
+    fields = {"coefs": [[[0.1, 0.0], [0.0, 0.1]]], "impact": [[1.0, 0.0], [0.5, 1.0]],
+              "intercept": [0.0, 0.0]}
+    lists = Dgp(**fields, n_obs=10, seed=3)
+    arrays = Dgp(**{k: np.array(v) for k, v in fields.items()}, n_obs=10, seed=3)
+    assert lists.p == arrays.p == 1
+    assert np.array_equal(lists.long_run_impact, arrays.long_run_impact)
+    for got, want in zip(simulate(lists), simulate(arrays)):
+        assert np.array_equal(got, want)
+
+
 class TestRecoveryReport:
     def test_perfect_recovery(self):
         dgp = random_dgp(21, p=1, n_obs=400)

@@ -177,20 +177,20 @@ class TestStability:
                                seed=2, n_obs=5000)
         model = fit_var(data, p=1)
         res = stability(model)
-        assert res.stable
-        np.testing.assert_allclose(res.moduli, (0.5, 0.3), atol=0.03)
+        assert res["stable"]
+        np.testing.assert_allclose(res["moduli"], (0.5, 0.3), atol=0.03)
 
     def test_unit_root_not_stable(self):
         model = _manual_model(coefs=np.eye(2)[None, :, :])
         res = stability(model)
-        assert not res.stable
-        assert abs(res.max_modulus - 1.0) < 1e-12
+        assert not res["stable"]
+        assert abs(res["max_modulus"] - 1.0) < 1e-12
 
     def test_triangular_case(self):
         model = _manual_model(coefs=np.array([[[0.9, 0.5], [0.0, 0.9]]]))
         res = stability(model)
-        assert res.stable
-        np.testing.assert_allclose(res.moduli, (0.9, 0.9), atol=1e-12)
+        assert res["stable"]
+        np.testing.assert_allclose(res["moduli"], (0.9, 0.9), atol=1e-12)
 
     def test_companion_shape(self):
         coefs = np.zeros((3, 2, 2))
@@ -201,8 +201,8 @@ class TestStability:
 
         stable_coefs = np.array([[[0.7, 0.1], [0.0, 0.6]]])
         unstable_coefs = np.array([[[1.05, 0.0], [0.0, 0.2]]])
-        assert stability(_manual_model(stable_coefs)).stable
-        assert not stability(_manual_model(unstable_coefs)).stable
+        assert stability(_manual_model(stable_coefs))["stable"]
+        assert not stability(_manual_model(unstable_coefs))["stable"]
         magnitudes = {}
         for name, coefs in (("stable", stable_coefs), ("unstable", unstable_coefs)):
             finals = []
